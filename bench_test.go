@@ -122,64 +122,24 @@ func BenchmarkSAERRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseVsDense contrasts the three engine modes on the standard
-// instance. All modes compute the identical random process (enforced by
-// TestDenseSparseEquivalence), so the ratio is pure engine overhead: the
-// dense mode streams over all n clients and m servers every round, the
-// sparse mode walks the active frontier and the touched-server list, and
-// auto switches from the first to the second when the paper's geometric
-// alive-ball decay has emptied 3/4 of the frontier.
-func BenchmarkSparseVsDense(b *testing.B) {
-	modes := []struct {
-		name string
-		mode core.EngineMode
-	}{
-		{"dense", core.EngineDense},
-		{"sparse", core.EngineSparse},
-		{"auto", core.EngineAuto},
-	}
-	for _, n := range []int{1 << 14, 1 << 16} {
-		g := benchGraph(b, n, 100)
-		for _, m := range modes {
-			b.Run(fmt.Sprintf("n=%d/%s", n, m.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := core.Run(g, core.SAER,
-						core.Params{D: 2, C: 4, Seed: uint64(i)}, core.Options{Engine: m.mode})
-					if err != nil || !res.Completed {
-						b.Fatalf("run failed: %v %v", err, res)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardedRound1 is the locality ablation of the sharded round
-// pipeline: it isolates the dense first round (MaxRounds=1, forced dense
-// engine) — the hot spot where every client's d destination draws land
-// as random increments across the whole m-server tally — and contrasts
-// the unsharded loop (shards=1: tally writes scattered over the full
-// 4·m-byte array) against the routed pipeline (phase A buckets
-// destinations by server shard, phase B applies each shard's increments
-// inside one contiguous cache-blocked window). Results are identical by
-// construction (the core equivalence tests sweep shard counts); only the
-// memory behaviour differs, so the ratio is pure locality: sharding pays
-// once the tally outgrows the cache (n = 2²⁰) and costs its routing
-// overhead below that (n = 2¹⁸) — see PERFORMANCE.md. CSR Δ=16 graphs
-// keep row reads free so the tally traffic dominates the measurement.
+// BenchmarkShardedRound1 is the locality ablation of the routed round
+// loop: it isolates the dense first round (MaxRounds=1, every client
+// active) — the hot spot where every client's d destination draws land
+// as random increments across the whole m-server tally — at two shard
+// counts: phase 1 buckets destinations by server shard, phase 2 folds
+// each shard's increments inside one contiguous cache-blocked window.
+// Results are identical by construction (the core equivalence tests
+// sweep shard counts); only the memory behaviour differs. CSR Δ=16
+// graphs keep row reads free so the tally traffic dominates the
+// measurement.
 func BenchmarkShardedRound1(b *testing.B) {
 	for _, n := range []int{1 << 18, 1 << 20} {
 		g := benchGraph(b, n, 16)
-		for _, shards := range []int{1, 8, 32} {
-			name := fmt.Sprintf("n=%d/unsharded", n)
-			if shards > 1 {
-				name = fmt.Sprintf("n=%d/shards=%d", n, shards)
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, shards := range []int{8, 32} {
+			b.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(b *testing.B) {
 				r, err := core.NewRunner(g, core.SAER,
 					core.Params{D: 2, C: 4, MaxRounds: 1},
-					core.Options{Engine: core.EngineDense, Shards: shards})
+					core.Options{Shards: shards})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -222,7 +182,7 @@ func BenchmarkTelemetryRound(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/shards=8/%s", n, mode.name), func(b *testing.B) {
 			r, err := core.NewRunner(g, core.SAER,
 				core.Params{D: 2, C: 4, MaxRounds: 1},
-				core.Options{Engine: core.EngineDense, Shards: 8, Telemetry: mode.reg})
+				core.Options{Shards: 8, Telemetry: mode.reg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -274,7 +234,7 @@ func BenchmarkPointQueryDraw(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/%s", n, access.name), func(b *testing.B) {
 			r, err := core.NewRunner(access.topo, core.SAER,
 				core.Params{D: 2, C: 4, MaxRounds: 1},
-				core.Options{Engine: core.EngineDense})
+				core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -294,43 +254,34 @@ func BenchmarkPointQueryDraw(b *testing.B) {
 	}
 }
 
-// BenchmarkLateRoundTail measures the workload the sparse engine is built
-// for: a near-threshold c forces heavy burning, so the run spends most of
-// its rounds on a long tail with a tiny alive frontier while the dense
-// engine keeps paying O(n + m·workers) per round for it.
+// BenchmarkLateRoundTail measures the long-tail workload: a
+// near-threshold c forces heavy burning, so the run spends most of its
+// rounds on a tiny alive frontier, which the round loop walks instead of
+// scanning all n clients.
 func BenchmarkLateRoundTail(b *testing.B) {
 	n := 1 << 16
 	g := benchGraph(b, n, 100)
-	for _, mode := range []struct {
-		name string
-		mode core.EngineMode
-	}{
-		{"dense", core.EngineDense},
-		{"auto", core.EngineAuto},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.SAER,
-					core.Params{D: 2, C: 2, Seed: uint64(i)}, core.Options{Engine: mode.mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rounds < 5 {
-					b.Fatalf("workload too easy to exercise the tail: %v", res)
-				}
+	b.Run("auto", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := core.Run(g, core.SAER,
+				core.Params{D: 2, C: 2, Seed: uint64(i)}, core.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if res.Rounds < 5 {
+				b.Fatalf("workload too easy to exercise the tail: %v", res)
+			}
+		}
+	})
 }
 
 // BenchmarkScaleFullRun is the multi-core scaling curve scripts/scale.sh
 // records (BENCH_SCALE_<date>.json, rendered in PERFORMANCE.md): one full
 // SAER run at n = 2²⁰ on an implicit topology with Params.Workers = 0, so
 // a `go test -cpu 1,2,4` sweep governs the worker count through
-// GOMAXPROCS. The sub-benchmarks separate the scheduler's contributions:
-// the autotuned work-stealing default, stealing forced off (static chunk
-// deal), and the unsharded single-lane pipeline.
+// GOMAXPROCS. The sub-benchmarks contrast the autotuned shard count with
+// a single shard (the one-lane path when the worker count is one).
 func BenchmarkScaleFullRun(b *testing.B) {
 	const n = 1 << 20
 	const delta = 16
@@ -343,7 +294,6 @@ func BenchmarkScaleFullRun(b *testing.B) {
 		opts core.Options
 	}{
 		{"auto", core.Options{}},
-		{"steal=off", core.Options{Steal: core.StealOff}},
 		{"shards=1", core.Options{Shards: 1}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {

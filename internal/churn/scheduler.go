@@ -195,10 +195,10 @@ type EpochOutcome struct {
 // Scheduler drives a continuous-time epoch loop over one churn Topology
 // and one reused core.Runner: per epoch it expires carried load, applies
 // the event's churn to the topology (O(changed) mutations), assembles
-// the demand, and runs the protocol via PatchTopology + Reseed on the
-// sharded pipeline. The whole scenario is deterministic in (topology
-// seed, scheduler seed, event sequence) and bit-for-bit independent of
-// the worker count, shard count, engine mode and topology backend.
+// the demand, and runs the protocol via PatchTopology + Reseed. The
+// whole scenario is deterministic in (topology seed, scheduler seed,
+// event sequence) and bit-for-bit independent of the worker count, shard
+// count and topology backend.
 type Scheduler struct {
 	topo *Topology
 	cfg  SchedulerConfig

@@ -16,8 +16,6 @@ type scenarioConfig struct {
 	backend Backend
 	workers int
 	shards  int
-	engine  core.EngineMode
-	steal   core.StealMode
 }
 
 // runTestScenario executes the shared ten-epoch scenario — exercising
@@ -42,8 +40,6 @@ func runTestScenario(t *testing.T, sc scenarioConfig) []*EpochOutcome {
 	proto := core.NewConfig(core.SAER, 2, 3, 0)
 	proto.Workers = sc.workers
 	proto.Shards = sc.shards
-	proto.Engine = sc.engine
-	proto.Steal = sc.steal
 	sch, err := NewScheduler(topo, SchedulerConfig{
 		Protocol:   proto,
 		LoadExpiry: 0.5, Policy: PolicyReinject, TrackRounds: true,
@@ -85,13 +81,12 @@ func runTestScenario(t *testing.T, sc scenarioConfig) []*EpochOutcome {
 // TestChurnSchedulerEquivalence is the churn subsystem's determinism
 // contract: the shared scenario's outcome series — including per-round
 // protocol series — must be bit-for-bit identical across topology
-// backends × engine modes × worker counts × shard counts × steal
-// schedules. The reference is the implicit backend on the dense
-// single-worker unsharded static-schedule path.
+// backends × worker counts × shard counts. The reference is the
+// implicit backend on the one-lane path (one worker, one shard); every
+// other configuration walks the routed pipeline, multi-worker ones under
+// the work-stealing scheduler.
 func TestChurnSchedulerEquivalence(t *testing.T) {
-	ref := runTestScenario(t, scenarioConfig{
-		backend: BackendImplicit, workers: 1, shards: 1, engine: core.EngineDense, steal: core.StealOff,
-	})
+	ref := runTestScenario(t, scenarioConfig{backend: BackendImplicit, workers: 1, shards: 1})
 	for _, o := range ref {
 		if o.Rounds == 0 && o.DemandBalls > 0 {
 			t.Fatalf("reference scenario epoch %d ran no rounds for %d demand balls", o.Epoch, o.DemandBalls)
@@ -101,21 +96,12 @@ func TestChurnSchedulerEquivalence(t *testing.T) {
 	if p := runtime.GOMAXPROCS(0); p > 3 {
 		workerCounts = append(workerCounts, p)
 	}
-	stealModes := []core.StealMode{core.StealAuto, core.StealOn, core.StealOff}
 	for _, backend := range backends() {
-		for _, engine := range []core.EngineMode{core.EngineDense, core.EngineSparse, core.EngineAuto} {
-			for _, steal := range stealModes {
-				for _, workers := range workerCounts {
-					got := runTestScenario(t, scenarioConfig{backend: backend, workers: workers, shards: 1, engine: engine, steal: steal})
-					if !reflect.DeepEqual(got, ref) {
-						t.Fatalf("scenario diverges: backend=%v engine=%d workers=%d steal=%d", backend, engine, workers, steal)
-					}
-				}
-				for _, shards := range []int{2, 3, 8} {
-					got := runTestScenario(t, scenarioConfig{backend: backend, workers: 2, shards: shards, engine: engine, steal: steal})
-					if !reflect.DeepEqual(got, ref) {
-						t.Fatalf("scenario diverges: backend=%v engine=%d shards=%d steal=%d", backend, engine, shards, steal)
-					}
+		for _, workers := range workerCounts {
+			for _, shards := range []int{0, 1, 2, 3, 8} {
+				got := runTestScenario(t, scenarioConfig{backend: backend, workers: workers, shards: shards})
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("scenario diverges: backend=%v workers=%d shards=%d", backend, workers, shards)
 				}
 			}
 		}

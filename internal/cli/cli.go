@@ -203,50 +203,3 @@ func ParseChurnBackend(name string) (churn.Backend, error) {
 		return churn.BackendImplicit, fmt.Errorf("cli: unknown churn backend %q (want implicit or csr-patch)", name)
 	}
 }
-
-// ParseEngineMode maps an engine-mode name to the core engine selector.
-// All modes compute the identical random process; the knob only trades
-// dense streaming scans against sparse active-frontier walks (see
-// core.EngineMode and PERFORMANCE.md).
-func ParseEngineMode(name string) (core.EngineMode, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "auto", "":
-		return core.EngineAuto, nil
-	case "dense":
-		return core.EngineDense, nil
-	case "sparse":
-		return core.EngineSparse, nil
-	default:
-		return core.EngineAuto, fmt.Errorf("cli: unknown engine mode %q (want auto, dense or sparse)", name)
-	}
-}
-
-// ParseStealMode maps a -steal flag value to the work-stealing schedule
-// selector. Like the engine mode, the knob only moves wall-clock: every
-// schedule produces bit-for-bit identical results (see core.StealMode).
-func ParseStealMode(name string) (core.StealMode, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "auto", "":
-		return core.StealAuto, nil
-	case "on":
-		return core.StealOn, nil
-	case "off":
-		return core.StealOff, nil
-	default:
-		return core.StealAuto, fmt.Errorf("cli: unknown steal mode %q (want auto, on or off)", name)
-	}
-}
-
-// ParseAutotuneMode maps a -autotune flag value to the knob-selection
-// mode (see core.AutotuneMode; explicit -shards/-sparse-divisor values
-// always win over the tuner).
-func ParseAutotuneMode(name string) (core.AutotuneMode, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "on", "":
-		return core.AutotuneOn, nil
-	case "off":
-		return core.AutotuneOff, nil
-	default:
-		return core.AutotuneOn, fmt.Errorf("cli: unknown autotune mode %q (want on or off)", name)
-	}
-}

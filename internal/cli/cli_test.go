@@ -98,56 +98,6 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
-func TestParseEngineMode(t *testing.T) {
-	cases := map[string]core.EngineMode{
-		"auto": core.EngineAuto, "AUTO": core.EngineAuto, "": core.EngineAuto,
-		"dense": core.EngineDense, " Dense ": core.EngineDense,
-		"sparse": core.EngineSparse, "SPARSE": core.EngineSparse,
-	}
-	for in, want := range cases {
-		got, err := ParseEngineMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseEngineMode(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseEngineMode("turbo"); err == nil {
-		t.Error("unknown engine mode accepted")
-	}
-}
-
-func TestParseStealMode(t *testing.T) {
-	cases := map[string]core.StealMode{
-		"auto": core.StealAuto, "AUTO": core.StealAuto, "": core.StealAuto,
-		"on": core.StealOn, " On ": core.StealOn,
-		"off": core.StealOff, "OFF": core.StealOff,
-	}
-	for in, want := range cases {
-		got, err := ParseStealMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseStealMode(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseStealMode("sometimes"); err == nil {
-		t.Error("unknown steal mode accepted")
-	}
-}
-
-func TestParseAutotuneMode(t *testing.T) {
-	cases := map[string]core.AutotuneMode{
-		"on": core.AutotuneOn, "ON": core.AutotuneOn, "": core.AutotuneOn,
-		"off": core.AutotuneOff, " Off ": core.AutotuneOff,
-	}
-	for in, want := range cases {
-		got, err := ParseAutotuneMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseAutotuneMode(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseAutotuneMode("maybe"); err == nil {
-		t.Error("unknown autotune mode accepted")
-	}
-}
-
 func TestParseTopologyMode(t *testing.T) {
 	cases := map[string]TopologyMode{
 		"csr": TopologyCSR, "CSR": TopologyCSR, "": TopologyCSR,

@@ -21,15 +21,10 @@ type RunFlags struct {
 	C         float64
 	Seed      uint64
 	MaxRounds int
-	// Workers, Shards, SparseDivisor, Engine, Steal and Autotune are the
-	// performance knobs; results are bit-for-bit independent of all of
-	// them.
-	Workers       int
-	Shards        int
-	SparseDivisor int
-	Engine        string
-	Steal         string
-	Autotune      string
+	// Workers and Shards are the performance knobs; results are
+	// bit-for-bit independent of both.
+	Workers int
+	Shards  int
 }
 
 // Register defines the shared run flags on fs, writing into f.
@@ -40,14 +35,10 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&f.Seed, "seed", 1, "random seed (graph seed = seed, protocol seed = seed+1)")
 	fs.IntVar(&f.MaxRounds, "max-rounds", 0, "round cap (0 = default)")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines per phase (0 = GOMAXPROCS)")
-	fs.IntVar(&f.Shards, "shards", 0, "server shards of the dense round pipeline (0 = worker count, 1 = unsharded; identical results, different locality)")
-	fs.IntVar(&f.SparseDivisor, "sparse-divisor", 0, "EngineAuto sparse-switch threshold: go sparse when active clients <= n/divisor (0 = default 4; identical results)")
-	fs.StringVar(&f.Engine, "engine", "auto", "round-loop engine: auto, dense or sparse (identical results, different wall-clock)")
-	fs.StringVar(&f.Steal, "steal", "auto", "work-stealing round schedule: auto (on when workers > 1), on or off (identical results, different wall-clock)")
-	fs.StringVar(&f.Autotune, "autotune", "on", "adaptive shard-width and sparse-switch selection from n, delta, m and the measured cache: on or off (explicit -shards/-sparse-divisor always win; identical results)")
+	fs.IntVar(&f.Shards, "shards", 0, "server shards of the routed round loop (0 = autotuned from n, m, workers and the cache; 1 = one shard; identical results, different locality)")
 }
 
-// Config parses the mode names and returns the validated core.Config.
+// Config parses the protocol name and returns the validated core.Config.
 // The protocol seed is Seed+1, matching the historical saer-sim
 // convention (graph seed = Seed). Callers that derive C from the graph
 // may pass C = 0 here and fill cfg.C before use; validation then runs in
@@ -58,26 +49,10 @@ func (f *RunFlags) Config() (core.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	engine, err := ParseEngineMode(f.Engine)
-	if err != nil {
-		return cfg, err
-	}
-	steal, err := ParseStealMode(f.Steal)
-	if err != nil {
-		return cfg, err
-	}
-	tune, err := ParseAutotuneMode(f.Autotune)
-	if err != nil {
-		return cfg, err
-	}
 	cfg = core.NewConfig(variant, f.D, f.C, f.Seed+1)
 	cfg.MaxRounds = f.MaxRounds
 	cfg.Workers = f.Workers
 	cfg.Shards = f.Shards
-	cfg.SparseSwitchDivisor = f.SparseDivisor
-	cfg.Engine = engine
-	cfg.Steal = steal
-	cfg.Autotune = tune
 	if cfg.C > 0 {
 		if err := cfg.Validate(); err != nil {
 			return cfg, err

@@ -2,58 +2,14 @@ package core
 
 import "repro/internal/engine"
 
-// AutotuneMode selects whether NewRunner derives unset performance knobs
-// from the instance and the machine instead of static defaults.
-type AutotuneMode int
-
-const (
-	// AutotuneOn (the default) fills every knob the caller left at zero
-	// — Shards and SparseSwitchDivisor — from AutotuneKnobs. Explicitly
-	// set knobs always win.
-	AutotuneOn AutotuneMode = iota
-	// AutotuneOff restores the static pre-tuner defaults: shards =
-	// workers, divisor = 4.
-	AutotuneOff
-)
-
-// StealMode selects the round loop's range scheduler.
-type StealMode int
-
-const (
-	// StealAuto (the default) uses work stealing exactly when the run has
-	// more than one worker; a single worker executes chunks in order, so
-	// a deque would be pure overhead.
-	StealAuto StealMode = iota
-	// StealOn forces the work-stealing chunk scheduler even for one
-	// worker (used by the equivalence suites to pin the schedule-
-	// independence of results).
-	StealOn
-	// StealOff forces the static one-shard-per-worker split.
-	StealOff
-)
-
-// TunedKnobs is the knob assignment AutotuneKnobs derives for one
-// instance.
-type TunedKnobs struct {
-	// Shards is the target server-shard count of the routed round
-	// pipeline (1 = unsharded).
-	Shards int
-	// SparseSwitchDivisor is EngineAuto's density threshold.
-	SparseSwitchDivisor int
-}
-
-// AutotuneKnobs derives the routed pipeline's shard count and the sparse-
-// switch divisor for an instance with n clients, maximum client degree
-// delta, m servers, and the given worker count, sizing shard windows
-// against the probed cache hierarchy. regenRows says whether client rows
-// are regenerated per visit: implicit topologies *without* point-query
-// support (bipartite.PointQueryable). Point-queryable implicit families
-// and materialized CSR graphs both read draws in O(1), so they pass
-// false.
+// AutotuneShards derives the routed round loop's target shard count for
+// an instance with n clients, m servers, and the given worker count,
+// sizing shard windows against the probed cache hierarchy. It fills
+// Config.Shards when the caller leaves it at zero.
 //
 // The function is pure: for fixed inputs it always returns the same
-// knobs, so runs stay reproducible on a fixed machine, and every knob it
-// picks is — like the explicit Options — bit-for-bit result-neutral.
+// count, so runs stay reproducible on a fixed machine, and the count it
+// picks is — like an explicit Shards — bit-for-bit result-neutral.
 // TestAutotuneDeterminism pins the table.
 //
 // The heuristics are calibrated on the measurements in PERFORMANCE.md:
@@ -63,28 +19,12 @@ type TunedKnobs struct {
 //     Sharding on a single worker is pure cache blocking, so it only
 //     pays once the whole tally outgrows L2 (measured: 6–8% loss at
 //     m = 2¹⁸ where the tally just fits, 1.2× win at m = 2²⁰ where it
-//     doesn't). Multi-worker runs always shard — phase-B parallelism —
-//     and at least as finely as the cache asks.
-//   - The shard count is capped so phase A still routes enough events
+//     doesn't); below that a one-worker run stays on one shard, the
+//     one-lane path. Multi-worker runs always shard — phase-2
+//     parallelism — and at least as finely as the cache asks.
+//   - The shard count is capped so phase 1 still routes enough events
 //     per shard for the fold loop to amortize (≥ ~256 clients' worth).
-//   - The sparse switch leaves the dense scan earlier (divisor 2: switch
-//     at 1/2 density instead of 1/4) when dense rounds are expensive
-//     relative to the frontier walk: a tally past L2 streams DRAM every
-//     round, and on *large* row-regenerating instances rows of large
-//     degree cost Θ(Δ) to regenerate per visit — the earlier the run
-//     goes sparse, the earlier the frontier row cache can pin the
-//     survivors' rows. The regen rule existed solely because of that
-//     tax: point-queryable implicit families (regular, trust-subset,
-//     almost-regular) now draw in O(1) per ball, so their dense rounds
-//     cost CSR-like work and they keep the default divisor — only the
-//     sequential-sampler families (Erdős–Rényi) and churn under active
-//     failures still pay Θ(Δ) and flee the dense scan early. The rule
-//     stays gated on n ≥ 2¹⁶: below that the dense scan is cheap (tally
-//     in L1/L2) and an earlier switch only buys frontier bookkeeping —
-//     measured on E16's churn scenario (n = 2¹², Δ = 144), where the
-//     ungated rule cost +37% wall-clock and re-snapshotted the row cache
-//     every epoch (25 MB/epoch of garbage).
-func AutotuneKnobs(n, delta, m, workers int, regenRows bool, cache engine.CacheInfo) TunedKnobs {
+func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
 	// Bytes per tally cell in the stamped pipeline: 4 B count + 4 B
 	// epoch stamp.
 	const perCell = 8
@@ -92,23 +32,13 @@ func AutotuneKnobs(n, delta, m, workers int, regenRows bool, cache engine.CacheI
 	if l2 <= 0 {
 		l2 = 256 << 10
 	}
-	k := TunedKnobs{Shards: 1, SparseSwitchDivisor: defaultSparseSwitchDivisor}
-	shardCells := l2 / 2 / perCell
-	if shardCells < 1<<12 {
-		shardCells = 1 << 12
-	}
-	tallyBytes := m * perCell
+	shardCells := max(l2/2/perCell, 1<<12)
+	shards := 1
 	switch {
 	case workers > 1:
-		k.Shards = max(workers, (m+shardCells-1)/shardCells)
-	case tallyBytes > l2:
-		k.Shards = (m + shardCells - 1) / shardCells
+		shards = max(workers, (m+shardCells-1)/shardCells)
+	case m*perCell > l2:
+		shards = (m + shardCells - 1) / shardCells
 	}
-	if maxShards := max(workers, n/256); k.Shards > maxShards {
-		k.Shards = maxShards
-	}
-	if tallyBytes > l2 || (regenRows && delta >= 64 && n >= 1<<16) {
-		k.SparseSwitchDivisor = 2
-	}
-	return k
+	return min(shards, max(workers, n/256))
 }

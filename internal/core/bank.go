@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RoundDecision is a server bank's phase-2 answer for one round: which
 // servers accepted the round's requests, which newly burned, and how
@@ -58,11 +55,12 @@ type ServerBank interface {
 }
 
 // ServerShard is the protocol's server-side state for a contiguous
-// server window [Lo, Hi): the single authoritative implementation of
-// the SAER/RAES threshold rules outside the Runner's fused round loop.
-// The in-process LocalBank composes shards directly; the wire server
-// process wraps one shard per listener. Methods are not concurrency-
-// safe — each shard is owned by one goroutine (or one process).
+// server window [Lo, Hi), and rule is the one implementation of the
+// SAER/RAES threshold rules. The Runner decides each router shard's
+// servers in process through rule, the LocalBank composes shards behind
+// the ServerBank interface, and the wire server process wraps one shard
+// per session. Methods are not concurrency-safe — each shard is owned by
+// one goroutine (or one process).
 type ServerShard struct {
 	variant  Variant
 	capacity int32
@@ -71,7 +69,6 @@ type ServerShard struct {
 	load          []int32
 	receivedTotal []int32
 	burned        []bool
-	burnedCount   int
 }
 
 // NewServerShard returns the server state for window [lo, hi).
@@ -86,15 +83,23 @@ func NewServerShard(variant Variant, capacity int32, lo, hi int) (*ServerShard, 
 		return nil, fmt.Errorf("core: invalid shard window [%d, %d)", lo, hi)
 	}
 	n := hi - lo
+	return windowShard(variant, capacity, lo, hi, make([]int32, n), make([]int32, n), make([]bool, n)), nil
+}
+
+// windowShard returns a shard for window [lo, hi) over caller-owned
+// state: load, receivedTotal and burned are the window's slices of
+// arrays covering every server, so a caller holding the whole arrays
+// reads the shards' burned flags and loads without copies.
+func windowShard(variant Variant, capacity int32, lo, hi int, load, receivedTotal []int32, burned []bool) *ServerShard {
 	return &ServerShard{
 		variant:       variant,
 		capacity:      capacity,
 		lo:            lo,
 		hi:            hi,
-		load:          make([]int32, n),
-		receivedTotal: make([]int32, n),
-		burned:        make([]bool, n),
-	}, nil
+		load:          load[:hi-lo],
+		receivedTotal: receivedTotal[:hi-lo],
+		burned:        burned[:hi-lo],
+	}
 }
 
 // Window returns the shard's server index range [lo, hi).
@@ -107,28 +112,69 @@ func (s *ServerShard) Reset(initialLoads []int32) error {
 	if initialLoads != nil && len(initialLoads) != s.hi-s.lo {
 		return fmt.Errorf("core: shard [%d,%d) reset with %d initial loads", s.lo, s.hi, len(initialLoads))
 	}
-	s.burnedCount = 0
-	for i := range s.load {
-		var l int32
-		if initialLoads != nil && initialLoads[i] > 0 {
-			l = initialLoads[i]
-		}
-		s.load[i] = l
-		s.receivedTotal[i] = l
-		// A server already at (or beyond) capacity can never accept
-		// another ball: under SAER it is burned from the start and under
-		// RAES the acceptance test always fails; marking it burned keeps
-		// the diagnostic series consistent (Runner.resetState's rule).
-		s.burned[i] = l >= s.capacity
-	}
+	resetShard(s, initialLoads, 0)
 	return nil
 }
 
-// Decide applies the variant's threshold rule to the shard's slice of
-// one round's batch: touched must lie inside the window, sorted
-// ascending without duplicates, counts parallel to it. Accepted and
+// resetFrom re-initializes the shard from its window of a run's initial
+// loads over every server (nil = all zero), without copying the window.
+func (s *ServerShard) resetFrom(initialLoads []int) { resetShard(s, initialLoads, s.lo) }
+
+// resetShard sets every window server j's starting load to
+// initialLoads[off+j] (nil or negative = 0). A server already at (or
+// beyond) capacity can never accept another ball: under SAER it is
+// burned from the start and under RAES the acceptance test always
+// fails; marking it burned keeps the diagnostic series consistent.
+func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
+	for j := range s.load {
+		var l int32
+		if initialLoads != nil {
+			l = max(int32(initialLoads[off+j]), 0)
+		}
+		s.load[j] = l
+		s.receivedTotal[j] = l
+		s.burned[j] = l >= s.capacity
+	}
+}
+
+// rule applies the variant's threshold rule to window server j, which
+// received recv > 0 requests this round, and reports whether it accepted
+// them, burned for the first time, and saturated (rejected the round
+// while not burned).
+func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated bool) {
+	s.receivedTotal[j] += recv
+	switch s.variant {
+	case SAER:
+		if s.burned[j] {
+			// A burned server rejects everything; not a new saturation
+			// event.
+			return false, false, false
+		}
+		if s.receivedTotal[j] > s.capacity {
+			s.burned[j] = true
+			return false, true, true
+		}
+	default: // RAES
+		if !s.burned[j] && s.receivedTotal[j] > s.capacity {
+			// Diagnostic only: the server would be burned under SAER's
+			// stronger rule; RAES itself keeps going.
+			s.burned[j] = true
+			newlyBurned = true
+		}
+		if s.load[j]+recv > s.capacity {
+			return false, newlyBurned, true
+		}
+	}
+	s.load[j] += recv
+	return true, newlyBurned, false
+}
+
+// Decide applies the threshold rule to the shard's slice of one round's
+// batch: touched must lie inside the window, strictly ascending (sorted,
+// no duplicates), counts parallel to it and positive. Accepted and
 // newly-burned servers are appended to the provided slices (preserving
-// input order) and returned with the saturation count.
+// input order) and returned with the saturation count. A malformed batch
+// is rejected at its first bad entry.
 func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []int32) (acc, nb []int32, saturated int, err error) {
 	if len(touched) != len(counts) {
 		return accepted, newlyBurned, 0, fmt.Errorf("core: shard decide with %d touched but %d counts", len(touched), len(counts))
@@ -137,42 +183,22 @@ func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []in
 		if int(u) < s.lo || int(u) >= s.hi {
 			return accepted, newlyBurned, saturated, fmt.Errorf("core: server %d outside shard window [%d, %d)", u, s.lo, s.hi)
 		}
+		if i > 0 && u <= touched[i-1] {
+			return accepted, newlyBurned, saturated, fmt.Errorf("core: round batch not strictly ascending at server %d", u)
+		}
 		recv := counts[i]
 		if recv <= 0 {
 			return accepted, newlyBurned, saturated, fmt.Errorf("core: server %d touched with count %d", u, recv)
 		}
-		j := int(u) - s.lo
-		s.receivedTotal[j] += recv
-		switch s.variant {
-		case SAER:
-			if s.burned[j] {
-				// A burned server rejects everything; not a new
-				// saturation event.
-				continue
-			}
-			if s.receivedTotal[j] > s.capacity {
-				s.burned[j] = true
-				s.burnedCount++
-				newlyBurned = append(newlyBurned, u)
-				saturated++
-				continue
-			}
-			s.load[j] += recv
+		a, b, sat := s.rule(int(u)-s.lo, recv)
+		if a {
 			accepted = append(accepted, u)
-		default: // RAES
-			if !s.burned[j] && s.receivedTotal[j] > s.capacity {
-				// Diagnostic only: the server would be burned under
-				// SAER's stronger rule; RAES itself keeps going.
-				s.burned[j] = true
-				s.burnedCount++
-				newlyBurned = append(newlyBurned, u)
-			}
-			if s.load[j]+recv > s.capacity {
-				saturated++
-				continue
-			}
-			s.load[j] += recv
-			accepted = append(accepted, u)
+		}
+		if b {
+			newlyBurned = append(newlyBurned, u)
+		}
+		if sat {
+			saturated++
 		}
 	}
 	return accepted, newlyBurned, saturated, nil
@@ -180,9 +206,6 @@ func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []in
 
 // Loads returns the shard's accepted load window (aliasing; read-only).
 func (s *ServerShard) Loads() []int32 { return s.load }
-
-// BurnedCount returns how many of the shard's servers are burned.
-func (s *ServerShard) BurnedCount() int { return s.burnedCount }
 
 // LocalBank is the in-process ServerBank: the shards live in this
 // process and decisions are applied directly. It is the reference
@@ -231,32 +254,20 @@ func (b *LocalBank) Reset(initialLoads []int) error {
 		return fmt.Errorf("core: bank reset with %d initial loads for %d servers", len(initialLoads), b.m)
 	}
 	for _, sh := range b.shards {
-		var window []int32
-		if initialLoads != nil {
-			lo, hi := sh.Window()
-			window = make([]int32, hi-lo)
-			for i, l := range initialLoads[lo:hi] {
-				window[i] = int32(l)
-			}
-		}
-		if err := sh.Reset(window); err != nil {
-			return err
-		}
+		sh.resetFrom(initialLoads)
 	}
 	return nil
 }
 
-// DecideRound splits the sorted batch across the shard windows and
-// applies each shard's rule. Shard windows are contiguous ascending
-// ranges, so concatenating the per-shard outputs in shard order keeps
-// the decision lists sorted.
+// DecideRound splits the batch across the shard windows and applies each
+// shard's rule; each shard rejects entries outside its window or out of
+// strictly ascending order, so an unsorted or duplicated batch fails.
+// Shard windows are contiguous ascending ranges, so concatenating the
+// per-shard outputs in shard order keeps the decision lists sorted.
 func (b *LocalBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
 	var dec RoundDecision
 	if len(touched) != len(counts) {
 		return dec, fmt.Errorf("core: round batch with %d touched but %d counts", len(touched), len(counts))
-	}
-	if !sort.SliceIsSorted(touched, func(i, j int) bool { return touched[i] < touched[j] }) {
-		return dec, fmt.Errorf("core: round batch not sorted")
 	}
 	from := 0
 	for _, sh := range b.shards {
@@ -268,14 +279,11 @@ func (b *LocalBank) DecideRound(touched, counts []int32) (RoundDecision, error) 
 		if to == from {
 			continue
 		}
-		var err error
-		dec.Accepted, dec.NewlyBurned, dec.Saturated, err = func() ([]int32, []int32, int, error) {
-			acc, nb, sat, err := sh.Decide(touched[from:to], counts[from:to], dec.Accepted, dec.NewlyBurned)
-			return acc, nb, dec.Saturated + sat, err
-		}()
+		acc, nb, sat, err := sh.Decide(touched[from:to], counts[from:to], dec.Accepted, dec.NewlyBurned)
 		if err != nil {
 			return RoundDecision{}, err
 		}
+		dec.Accepted, dec.NewlyBurned, dec.Saturated = acc, nb, dec.Saturated+sat
 		from = to
 	}
 	if from != len(touched) {

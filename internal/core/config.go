@@ -10,20 +10,18 @@ import (
 
 // Config is the single validated configuration surface of a protocol
 // execution: the protocol identity (Variant, D, C, MaxRounds, Seed), the
-// performance knobs (Workers, Engine, Shards, SparseSwitchDivisor,
-// Autotune, Steal — results are bit-for-bit independent of all of them),
-// and the optional diagnostics. It collapses the historical
-// (Variant, Params, Options) triple that every caller used to assemble
-// field by field; the simulator CLI, the sweep engine and the wire
+// performance knobs (Workers, Shards — results are bit-for-bit
+// independent of both), and the optional diagnostics. It collapses the
+// historical (Variant, Params, Options) triple that every caller used to
+// assemble field by field; the simulator CLI, the sweep engine and the wire
 // binaries all build a Config and go through its constructor methods, so
 // knob validation and normalization happen in exactly one place. Params
 // and Options remain as the internal split (and in Result, which echoes
 // them), produced by the Params/Options accessors.
 //
 // The zero value of every knob means "pick the default": Workers 0 is
-// GOMAXPROCS, Engine/Steal/Autotune zero values are the auto modes,
-// Shards/SparseSwitchDivisor 0 defer to the autotuner. ResolveKnobs
-// exposes the normalization itself for equivalence tests and diagnostics.
+// GOMAXPROCS and Shards 0 defers to the autotuner. ResolveKnobs exposes
+// the normalization itself for equivalence tests and diagnostics.
 type Config struct {
 	// Variant selects the threshold protocol (SAER or RAES).
 	Variant Variant
@@ -38,19 +36,9 @@ type Config struct {
 
 	// Workers is the number of goroutines per phase (0 = GOMAXPROCS).
 	Workers int
-	// Engine selects the round-loop iteration strategy (see EngineMode).
-	Engine EngineMode
-	// Shards is the target server-shard count of the dense round pipeline
-	// (0 = autotuned/worker count, 1 = unsharded; see Options.Shards).
+	// Shards is the target server-shard count of the routed round loop
+	// (0 = autotuned; see Options.Shards).
 	Shards int
-	// SparseSwitchDivisor overrides EngineAuto's density threshold
-	// (0 = autotuned or the static default; see Options).
-	SparseSwitchDivisor int
-	// Autotune selects whether unset performance knobs are derived per
-	// instance (the zero value is AutotuneOn; see AutotuneMode).
-	Autotune AutotuneMode
-	// Steal selects the round scheduler (the zero value is StealAuto).
-	Steal StealMode
 
 	// TrackRounds records a RoundStats entry per round.
 	TrackRounds bool
@@ -86,24 +74,20 @@ func NewConfig(variant Variant, d int, c float64, seed uint64) Config {
 // engine's Point grid). New code should build a Config directly.
 func ConfigFrom(variant Variant, p Params, o Options) Config {
 	return Config{
-		Variant:             variant,
-		D:                   p.D,
-		C:                   p.C,
-		MaxRounds:           p.MaxRounds,
-		Seed:                p.Seed,
-		Workers:             p.Workers,
-		Engine:              o.Engine,
-		Shards:              o.Shards,
-		SparseSwitchDivisor: o.SparseSwitchDivisor,
-		Autotune:            o.Autotune,
-		Steal:               o.Steal,
-		TrackRounds:         o.TrackRounds,
-		TrackNeighborhoods:  o.TrackNeighborhoods,
-		TrackLoads:          o.TrackLoads,
-		TrackAssignments:    o.TrackAssignments,
-		InitialLoads:        o.InitialLoads,
-		RequestCounts:       o.RequestCounts,
-		Telemetry:           o.Telemetry,
+		Variant:            variant,
+		D:                  p.D,
+		C:                  p.C,
+		MaxRounds:          p.MaxRounds,
+		Seed:               p.Seed,
+		Workers:            p.Workers,
+		Shards:             o.Shards,
+		TrackRounds:        o.TrackRounds,
+		TrackNeighborhoods: o.TrackNeighborhoods,
+		TrackLoads:         o.TrackLoads,
+		TrackAssignments:   o.TrackAssignments,
+		InitialLoads:       o.InitialLoads,
+		RequestCounts:      o.RequestCounts,
+		Telemetry:          o.Telemetry,
 	}
 }
 
@@ -116,25 +100,21 @@ func (c Config) Params() Params {
 // configuration.
 func (c Config) Options() Options {
 	return Options{
-		Engine:              c.Engine,
-		Shards:              c.Shards,
-		SparseSwitchDivisor: c.SparseSwitchDivisor,
-		Autotune:            c.Autotune,
-		Steal:               c.Steal,
-		TrackRounds:         c.TrackRounds,
-		TrackNeighborhoods:  c.TrackNeighborhoods,
-		TrackLoads:          c.TrackLoads,
-		TrackAssignments:    c.TrackAssignments,
-		InitialLoads:        c.InitialLoads,
-		RequestCounts:       c.RequestCounts,
-		Telemetry:           c.Telemetry,
+		Shards:             c.Shards,
+		TrackRounds:        c.TrackRounds,
+		TrackNeighborhoods: c.TrackNeighborhoods,
+		TrackLoads:         c.TrackLoads,
+		TrackAssignments:   c.TrackAssignments,
+		InitialLoads:       c.InitialLoads,
+		RequestCounts:      c.RequestCounts,
+		Telemetry:          c.Telemetry,
 	}
 }
 
 // Validate checks everything that can be checked without a topology:
-// the protocol parameters and the knob/mode enumerations. The
-// topology-dependent checks (InitialLoads/RequestCounts lengths) run in
-// NewRunner, which knows the instance shape.
+// the protocol parameters and the knob ranges. The topology-dependent
+// checks (InitialLoads/RequestCounts lengths) run in NewRunner and
+// NewDriver, which know the instance shape.
 func (c Config) Validate() error {
 	if c.Variant != SAER && c.Variant != RAES {
 		return fmt.Errorf("core: unknown protocol variant %d", int(c.Variant))
@@ -142,7 +122,10 @@ func (c Config) Validate() error {
 	if err := c.Params().Validate(); err != nil {
 		return err
 	}
-	return c.Options().validate()
+	if c.Shards < 0 {
+		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
+	}
+	return nil
 }
 
 // NewRunner validates the configuration against topo and allocates the
@@ -160,88 +143,27 @@ func (c Config) Run(topo bipartite.Topology) (*Result, error) {
 	return r.Run(), nil
 }
 
-// validate checks the option enumerations and value ranges that do not
-// depend on the instance shape.
-func (o Options) validate() error {
-	if o.Engine != EngineAuto && o.Engine != EngineDense && o.Engine != EngineSparse {
-		return fmt.Errorf("core: unknown engine mode %d", int(o.Engine))
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: Shards must be non-negative, got %d", o.Shards)
-	}
-	if o.SparseSwitchDivisor < 0 {
-		return fmt.Errorf("core: SparseSwitchDivisor must be non-negative, got %d", o.SparseSwitchDivisor)
-	}
-	if o.Autotune != AutotuneOn && o.Autotune != AutotuneOff {
-		return fmt.Errorf("core: unknown autotune mode %d", int(o.Autotune))
-	}
-	if o.Steal != StealAuto && o.Steal != StealOn && o.Steal != StealOff {
-		return fmt.Errorf("core: unknown steal mode %d", int(o.Steal))
-	}
-	return nil
-}
-
 // ResolvedKnobs is the concrete performance-knob assignment the
 // normalization step produces for one instance shape: what a Runner
 // built from the same configuration actually runs with. It exists so
-// equivalence tests can pin "new Config resolution == old NewRunner
-// resolution" without reaching into Runner internals, and so
-// diagnostics can report the effective knobs.
+// equivalence tests can pin the resolution without reaching into Runner
+// internals, and so diagnostics can report the effective knobs.
 type ResolvedKnobs struct {
 	// Workers is the effective worker count (GOMAXPROCS-resolved).
 	Workers int
-	// Shards is the target shard count handed to the router; the router
-	// may still collapse to 1 effective shard on tiny instances, in which
-	// case the pre-shard dense loop runs.
+	// Shards is the target shard count handed to the router, which may
+	// still collapse it on tiny instances. A one-worker run whose router
+	// ends up with one shard takes the one-lane path.
 	Shards int
-	// SparseSwitchDivisor is the effective EngineAuto density threshold.
-	SparseSwitchDivisor int
-	// Steal reports whether the work-stealing round scheduler is active.
-	Steal bool
 }
 
-// rowRegenerating reports whether topo's client rows cost Θ(Δ) to read
-// per visit: an implicit (non-CSR) topology without point-query support.
-// It is the autotuner's regenRows input — point-queryable families draw
-// in O(1) and tune like materialized graphs.
-func rowRegenerating(topo bipartite.Topology) bool {
-	if _, isCSR := topo.(*bipartite.Graph); isCSR {
-		return false
-	}
-	return bipartite.PointQuerier(topo) == nil
-}
-
-// resolveKnobs is the single knob-normalization step shared by NewRunner
-// and Config.ResolveKnobs: explicit values win, the autotuner fills what
-// is unset (when enabled), and static defaults cover the rest.
-func resolveKnobs(o Options, n, maxDeg, m, workers int, regenRows bool) ResolvedKnobs {
-	k := ResolvedKnobs{
-		Workers:             workers,
-		Shards:              o.Shards,
-		SparseSwitchDivisor: o.SparseSwitchDivisor,
-	}
-	if o.Autotune == AutotuneOn && (k.Shards == 0 || k.SparseSwitchDivisor == 0) {
-		tuned := AutotuneKnobs(n, maxDeg, m, workers, regenRows, engine.DetectCache())
-		if k.Shards == 0 {
-			k.Shards = tuned.Shards
-		}
-		if k.SparseSwitchDivisor == 0 {
-			k.SparseSwitchDivisor = tuned.SparseSwitchDivisor
-		}
-	}
-	if k.SparseSwitchDivisor == 0 {
-		k.SparseSwitchDivisor = defaultSparseSwitchDivisor
-	}
+// resolveKnobs is the single knob-normalization step shared by the
+// round loop and Config.ResolveKnobs: an explicit shard count wins, and
+// the autotuner fills an unset one.
+func resolveKnobs(c Config, n, m, workers int) ResolvedKnobs {
+	k := ResolvedKnobs{Workers: workers, Shards: c.Shards}
 	if k.Shards == 0 {
-		k.Shards = workers
-	}
-	switch o.Steal {
-	case StealOn:
-		k.Steal = true
-	case StealOff:
-		k.Steal = false
-	default:
-		k.Steal = workers > 1
+		k.Shards = AutotuneShards(n, m, workers, engine.DetectCache())
 	}
 	return k
 }
@@ -250,5 +172,5 @@ func resolveKnobs(o Options, n, maxDeg, m, workers int, regenRows bool) Resolved
 // resolves to on topo, without allocating any run state.
 func (c Config) ResolveKnobs(topo bipartite.Topology) ResolvedKnobs {
 	workers := engine.NewPool(c.Workers).Workers()
-	return resolveKnobs(c.Options(), topo.NumClients(), topo.MaxClientDegree(), topo.NumServers(), workers, rowRegenerating(topo))
+	return resolveKnobs(c, topo.NumClients(), topo.NumServers(), workers)
 }

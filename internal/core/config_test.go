@@ -14,8 +14,7 @@ import (
 func TestConfigViewsMatchLegacyTriple(t *testing.T) {
 	cfg := Config{
 		Variant: RAES, D: 3, C: 2.5, MaxRounds: 77, Seed: 42,
-		Workers: 2, Engine: EngineSparse, Shards: 4, SparseSwitchDivisor: 8,
-		Autotune: AutotuneOff, Steal: StealOn,
+		Workers: 2, Shards: 4,
 		TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true,
 		InitialLoads:  []int{1, 2},
 		RequestCounts: []int{0, 1, 2},
@@ -25,8 +24,7 @@ func TestConfigViewsMatchLegacyTriple(t *testing.T) {
 		t.Fatalf("Params mapping broken: %+v", p)
 	}
 	o := cfg.Options()
-	if o.Engine != EngineSparse || o.Shards != 4 || o.SparseSwitchDivisor != 8 ||
-		o.Autotune != AutotuneOff || o.Steal != StealOn ||
+	if o.Shards != 4 ||
 		!o.TrackRounds || !o.TrackNeighborhoods || !o.TrackLoads || !o.TrackAssignments ||
 		len(o.InitialLoads) != 2 || len(o.RequestCounts) != 3 {
 		t.Fatalf("Options mapping broken: %+v", o)
@@ -44,11 +42,7 @@ func TestConfigValidate(t *testing.T) {
 		{Variant: SAER, D: 0, C: 4},
 		{Variant: SAER, D: 2, C: 0},
 		{Variant: SAER, D: 2, C: 4, MaxRounds: -1},
-		{Variant: SAER, D: 2, C: 4, Engine: EngineMode(9)},
 		{Variant: SAER, D: 2, C: 4, Shards: -1},
-		{Variant: SAER, D: 2, C: 4, SparseSwitchDivisor: -1},
-		{Variant: SAER, D: 2, C: 4, Autotune: AutotuneMode(9)},
-		{Variant: SAER, D: 2, C: 4, Steal: StealMode(9)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -57,14 +51,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestResolveKnobsMatchesRunner pins the normalization equivalence the
-// api_redesign demands: across the whole knob grid, the knobs
-// Config.ResolveKnobs reports are exactly what a Runner built from the
-// same configuration runs with (its resolved sparse-switch divisor,
-// steal schedule, and router shard count). This is the old-vs-new
-// resolution suite — NewRunner's historical inline normalization moved
-// into resolveKnobs, and this test keeps the two callers pinned
-// together.
+// TestResolveKnobsMatchesRunner pins the normalization equivalence:
+// across the knob grid, the knobs Config.ResolveKnobs reports are
+// exactly what a Runner built from the same configuration runs with —
+// its worker count, its router's shard count, and the one path
+// selection they imply (one worker and one shard: the one-lane path).
 func TestResolveKnobsMatchesRunner(t *testing.T) {
 	g, err := gen.Regular(256, 8, rng.New(7))
 	if err != nil {
@@ -72,46 +63,36 @@ func TestResolveKnobsMatchesRunner(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, shards := range []int{0, 1, 2, 8} {
-			for _, div := range []int{0, 2, 16} {
-				for _, tune := range []AutotuneMode{AutotuneOn, AutotuneOff} {
-					for _, steal := range []StealMode{StealAuto, StealOn, StealOff} {
-						cfg := NewConfig(SAER, 2, 4, 1)
-						cfg.Workers = workers
-						cfg.Shards = shards
-						cfg.SparseSwitchDivisor = div
-						cfg.Autotune = tune
-						cfg.Steal = steal
-						want := cfg.ResolveKnobs(g)
-						r, err := cfg.NewRunner(g)
-						if err != nil {
-							t.Fatalf("workers=%d shards=%d div=%d tune=%d steal=%d: %v",
-								workers, shards, div, tune, steal, err)
-						}
-						if r.pool.Workers() != want.Workers {
-							t.Fatalf("workers=%d: runner has %d workers, resolved %d",
-								workers, r.pool.Workers(), want.Workers)
-						}
-						if r.switchDivisor != want.SparseSwitchDivisor {
-							t.Fatalf("div=%d tune=%d: runner divisor %d, resolved %d",
-								div, tune, r.switchDivisor, want.SparseSwitchDivisor)
-						}
-						if r.steal != want.Steal {
-							t.Fatalf("steal=%d workers=%d: runner steal %v, resolved %v",
-								steal, workers, r.steal, want.Steal)
-						}
-						// The router exists iff the resolved target exceeds
-						// one shard and survives the router's own collapse
-						// rule; when it exists its shard count never exceeds
-						// the target.
-						if want.Shards <= 1 && r.router != nil {
-							t.Fatalf("shards=%d: resolved %d but runner built a router", shards, want.Shards)
-						}
-						if r.router != nil && r.router.Shards() > want.Shards {
-							t.Fatalf("shards=%d: router has %d shards, resolved target %d",
-								shards, r.router.Shards(), want.Shards)
-						}
-					}
-				}
+			cfg := NewConfig(SAER, 2, 4, 1)
+			cfg.Workers = workers
+			cfg.Shards = shards
+			want := cfg.ResolveKnobs(g)
+			r, err := cfg.NewRunner(g)
+			if err != nil {
+				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+			}
+			if r.pool.Workers() != want.Workers {
+				t.Fatalf("workers=%d: runner has %d workers, resolved %d",
+					workers, r.pool.Workers(), want.Workers)
+			}
+			// The router never exceeds the resolved target, and it is
+			// absent exactly on the one-lane path.
+			wantOneLane := want.Workers == 1 && want.Shards == 1
+			if wantOneLane != (r.router == nil) {
+				t.Fatalf("workers=%d shards=%d: resolved %+v but router=%v",
+					workers, shards, want, r.router != nil)
+			}
+			if r.router != nil && r.router.Shards() > want.Shards {
+				t.Fatalf("shards=%d: router has %d shards, resolved target %d",
+					shards, r.router.Shards(), want.Shards)
+			}
+			wantServers := 1
+			if r.router != nil {
+				wantServers = r.router.Shards()
+			}
+			if len(r.servers) != wantServers {
+				t.Fatalf("workers=%d shards=%d: %d server shards for the router's windows",
+					workers, shards, len(r.servers))
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // driverEquivalenceCase runs the same configuration through the Runner
-// (dense single-worker reference) and through Driver+LocalBank across
+// (one-lane reference) and through Driver+LocalBank across
 // client worker counts and shard counts, and fails unless every Result —
 // PerRound series, load vectors, assignments, all of it — is bit-for-bit
 // identical. This is the contract the wire transport inherits: the
@@ -21,7 +21,7 @@ func driverEquivalenceCase(t *testing.T, name string, topo bipartite.Topology, c
 	ref := func() *Result {
 		rcfg := cfg
 		rcfg.Workers = 1
-		rcfg.Engine = EngineDense
+		rcfg.Shards = 1
 		res, err := rcfg.Run(topo)
 		if err != nil {
 			t.Fatalf("%s: runner reference failed: %v", name, err)
@@ -180,10 +180,52 @@ func TestLocalBankRejectsMalformedBatches(t *testing.T) {
 		{"unsorted", []int32{2, 1}, []int32{1, 1}},
 		{"out of range", []int32{3, 99}, []int32{1, 1}},
 		{"non-positive count", []int32{4}, []int32{0}},
+		{"duplicate", []int32{5, 5}, []int32{3, 3}},
+		{"unsorted inside one window", []int32{6, 5}, []int32{1, 1}},
 	}
 	for _, tc := range cases {
 		if _, err := bank.DecideRound(tc.touched, tc.counts); err == nil {
 			t.Errorf("%s: DecideRound accepted a malformed batch", tc.name)
+		}
+	}
+	// The wire server hands decoded frames straight to the shard, so the
+	// shard itself must reject a batch out of order within its window.
+	shard, err := NewServerShard(SAER, 8, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := shard.Decide([]int32{6, 2}, []int32{1, 1}, nil, nil); err == nil {
+		t.Error("ServerShard.Decide accepted an unsorted batch")
+	}
+}
+
+// TestLocalBankResetDoesNotAllocate pins the reset path the churn epoch
+// loop hits every epoch: resetting a bank (and through it every shard)
+// from a run's initial loads must not copy the loads into fresh
+// per-shard windows.
+func TestLocalBankResetDoesNotAllocate(t *testing.T) {
+	bank, err := NewLocalBank(RAES, 8, 1000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := make([]int, 1000)
+	for u := range loads {
+		loads[u] = u % 11
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := bank.Reset(loads); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("LocalBank.Reset with initial loads allocates %.1f objects per call", avg)
+	}
+	got, err := bank.Loads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, l := range got {
+		if int(l) != loads[u] {
+			t.Fatalf("server %d reset to load %d, want %d", u, l, loads[u])
 		}
 	}
 }

@@ -52,9 +52,8 @@ func TestPointQueryViewSelection(t *testing.T) {
 // TestPointQueryDrawEquivalence is the tentpole's proof obligation in
 // one place: for every point-queryable family, the point-query draw
 // path and the forced row-regeneration path must produce bit-for-bit
-// identical Results across engine modes, worker counts, shard counts
-// and steal schedules — all against the dense single-worker CSR
-// reference. (The broader topology/steal/driver matrices sweep the same
+// identical Results across worker counts and shard counts — all against
+// the one-lane CSR reference. (The broader topology/steal/driver matrices sweep the same
 // contract at scale; this test isolates the two access paths.)
 func TestPointQueryDrawEquivalence(t *testing.T) {
 	type fam struct {
@@ -85,73 +84,33 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := func() *Result {
-			pp := p
-			pp.Workers = 1
-			oo := opts
-			oo.Engine = EngineDense
-			res, err := Run(csr, SAER, pp, oo)
-			if err != nil {
-				t.Fatalf("%s: CSR reference: %v", fam.name, err)
-			}
-			return normalizedResult(res)
-		}()
+		rp, ro := oneLane(p, opts)
+		res, err := Run(csr, SAER, rp, ro)
+		if err != nil {
+			t.Fatalf("%s: CSR reference: %v", fam.name, err)
+		}
+		ref := normalizedResult(res)
 		paths := []struct {
 			name string
 			topo bipartite.Topology
 		}{{"point-query", fam.topo}, {"row-regen", rowOnly{fam.topo}}}
 		for _, path := range paths {
-			for _, mode := range []EngineMode{EngineDense, EngineSparse, EngineAuto} {
-				for _, workers := range []int{1, 2, 4} {
-					for _, shards := range []int{1, 3} {
-						for _, steal := range stealModes() {
-							pp := p
-							pp.Workers = workers
-							oo := opts
-							oo.Engine = mode
-							oo.Shards = shards
-							oo.Steal = steal
-							res, err := Run(path.topo, SAER, pp, oo)
-							if err != nil {
-								t.Fatalf("%s/%s mode=%d workers=%d shards=%d steal=%d: %v",
-									fam.name, path.name, mode, workers, shards, steal, err)
-							}
-							if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
-								t.Errorf("%s/%s: mode=%d workers=%d shards=%d steal=%d diverges from CSR reference",
-									fam.name, path.name, mode, workers, shards, steal)
-							}
-						}
+			for _, workers := range []int{1, 2, 4} {
+				for _, shards := range []int{1, 3} {
+					pp := p
+					pp.Workers = workers
+					oo := opts
+					oo.Shards = shards
+					res, err := Run(path.topo, SAER, pp, oo)
+					if err != nil {
+						t.Fatalf("%s/%s workers=%d shards=%d: %v", fam.name, path.name, workers, shards, err)
+					}
+					if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+						t.Errorf("%s/%s: workers=%d shards=%d diverges from CSR reference",
+							fam.name, path.name, workers, shards)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestPointQueryAutotuneDivisor pins the re-derived implicit-big-Δ
-// divisor rule: the early sparse switch existed to flee the Θ(Δ) row
-// regeneration tax, so it must fire only when rows are actually
-// regenerated — not for point-queryable implicit families, whose dense
-// rounds now cost CSR-like work.
-func TestPointQueryAutotuneDivisor(t *testing.T) {
-	topo, err := gen.RegularImplicit(1<<16, 64, 0xCAFE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := NewConfig(SAER, 2, 2, 1)
-	cfg.Workers = 1
-	if got := cfg.ResolveKnobs(topo).SparseSwitchDivisor; got != defaultSparseSwitchDivisor {
-		t.Errorf("point-queryable implicit big-Δ instance resolved divisor %d, want default %d",
-			got, defaultSparseSwitchDivisor)
-	}
-	if got := cfg.ResolveKnobs(rowOnly{topo}).SparseSwitchDivisor; got != 2 {
-		t.Errorf("row-regenerating implicit big-Δ instance resolved divisor %d, want 2", got)
-	}
-	csr, err := topo.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.ResolveKnobs(csr).SparseSwitchDivisor; got != defaultSparseSwitchDivisor {
-		t.Errorf("CSR big-Δ instance resolved divisor %d, want default %d", got, defaultSparseSwitchDivisor)
 	}
 }

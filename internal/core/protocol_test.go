@@ -362,6 +362,43 @@ func TestRunnerReseedReuse(t *testing.T) {
 	}
 }
 
+// TestRunnerSteadyStateAllocs bounds the garbage of a warmed Runner's
+// trial (Reseed + Run) at n = 2¹², Δ = 64. The bounds are the counts
+// the earlier four-path round loop allocated on this instance; a
+// pq-dense-sized trial allocates only a few KB in total, so any new
+// per-round allocation shows up here first.
+func TestRunnerSteadyStateAllocs(t *testing.T) {
+	g := regularGraph(t, 1<<12, 64, 0x5EED)
+	for _, tc := range []struct {
+		workers   int
+		c         float64
+		maxAllocs float64
+	}{
+		{1, 4, 11}, {1, 2, 40},
+		{2, 4, 32}, {2, 2, 111},
+	} {
+		cfg := NewConfig(SAER, 2, tc.c, 1)
+		cfg.Workers = tc.workers
+		r, err := cfg.NewRunner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(0)
+		trial := func() {
+			r.Reseed(seed)
+			r.Run()
+			seed++
+		}
+		for i := 0; i < 3; i++ {
+			trial()
+		}
+		if got := testing.AllocsPerRun(50, trial); got > tc.maxAllocs {
+			t.Errorf("workers=%d c=%v: %.0f allocations per trial, want at most %.0f",
+				tc.workers, tc.c, got, tc.maxAllocs)
+		}
+	}
+}
+
 func TestWorkPerBallReasonable(t *testing.T) {
 	g := regularGraph(t, 2048, 60, 6)
 	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 8}, Options{})

@@ -107,44 +107,16 @@ type Result struct {
 // is off by default because the neighborhood statistics cost O(|E|) per
 // round.
 type Options struct {
-	// Engine selects the round-loop iteration strategy (dense streaming
-	// scan, sparse active-frontier walk, or the automatic switch between
-	// them). All modes compute the identical random process; the result is
-	// bit-for-bit independent of this knob. See EngineMode.
-	Engine EngineMode
-	// Shards is the target server-shard count of the dense round pipeline:
-	// dense rounds route each ball's destination to the owning server
-	// shard in phase A and apply the buffered increments plus the
-	// accept/saturate decisions shard-locally in phase B, replacing the
-	// per-worker tally fold. Zero selects the worker count (so a parallel
-	// run shards by default); 1 disables sharding and runs the pre-shard
-	// dense loop. Like Engine and Params.Workers this is a pure
-	// performance knob: results are bit-for-bit independent of it (the
-	// equivalence tests sweep {1, 2, 3, 8}).
+	// Shards is the target server-shard count of the routed round loop:
+	// phase 1 routes each ball's destination to the lane of the server
+	// shard that owns it, and phase 2 folds each shard's lanes and
+	// decides its servers on the goroutine that owns the shard. Zero
+	// selects the autotuned count (AutotuneShards). A one-worker run with
+	// one shard takes the one-lane path: it counts into a plain tally and
+	// scans the servers. Like Params.Workers this is a pure performance
+	// knob: results are bit-for-bit independent of it (the equivalence
+	// tests sweep {0, 1, 2, 3, 8}).
 	Shards int
-	// SparseSwitchDivisor overrides EngineAuto's density threshold: the
-	// run switches to the sparse frontier path once
-	// activeClients × divisor ≤ numClients (larger values switch later).
-	// Zero selects the autotuned value (or the static default of 4 when
-	// Autotune is off). Results are independent of the value; only
-	// wall-clock changes.
-	SparseSwitchDivisor int
-	// Autotune selects whether the unset performance knobs — Shards and
-	// SparseSwitchDivisor — are derived per instance from (n, Δ, m,
-	// workers) and a measured-once cache-size probe (see AutotuneKnobs)
-	// instead of the static defaults. The zero value is AutotuneOn;
-	// explicitly set knobs always win over the tuner. Like every other
-	// knob in this struct's performance group, results are bit-for-bit
-	// independent of it.
-	Autotune AutotuneMode
-	// Steal selects the scheduler for the round loop's entity ranges:
-	// work-stealing chunk deques (late sparse rounds and skewed churn
-	// frontiers keep all workers busy) versus the static one-shard-per-
-	// worker split. The zero value is StealAuto: stealing on multi-worker
-	// runs, the static split on single-worker runs (where a deque would
-	// be pure overhead). Results are bit-for-bit independent of the
-	// schedule — see the determinism contract in engine.StealRange.
-	Steal StealMode
 	// TrackRounds records a RoundStats entry per round.
 	TrackRounds bool
 	// TrackNeighborhoods additionally computes S_t, r_t and K_t per round

@@ -14,40 +14,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewRunner(g, SAER, p, Options{Shards: -1}); err == nil {
 		t.Error("negative Shards accepted")
 	}
-	if _, err := NewRunner(g, SAER, p, Options{SparseSwitchDivisor: -2}); err == nil {
-		t.Error("negative SparseSwitchDivisor accepted")
-	}
-	for _, opts := range []Options{{Shards: 1}, {Shards: 8}, {SparseSwitchDivisor: 1}, {SparseSwitchDivisor: 64}} {
+	for _, opts := range []Options{{Shards: 0}, {Shards: 1}, {Shards: 8}} {
 		if _, err := NewRunner(g, SAER, p, opts); err != nil {
 			t.Errorf("valid options %+v rejected: %v", opts, err)
-		}
-	}
-}
-
-// TestSparseSwitchDivisorIsPerfKnob checks that the promoted
-// Options.SparseSwitchDivisor only moves the dense→sparse switch point,
-// never the outcome: divisor 1 goes sparse on round one, 64 stays dense
-// almost to the end, and both must match the default bit for bit.
-func TestSparseSwitchDivisorIsPerfKnob(t *testing.T) {
-	g := regularGraph(t, 1024, 40, 77)
-	p := Params{D: 2, C: 2, Seed: 0xFEED}
-	opts := Options{TrackRounds: true, TrackLoads: true}
-	ref, err := Run(g, SAER, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, divisor := range []int{1, 2, 4, 16, 64} {
-		for _, shards := range []int{1, 3} {
-			oo := opts
-			oo.SparseSwitchDivisor = divisor
-			oo.Shards = shards
-			res, err := Run(g, SAER, p, oo)
-			if err != nil {
-				t.Fatalf("divisor=%d shards=%d: %v", divisor, shards, err)
-			}
-			if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
-				t.Errorf("divisor=%d shards=%d diverges from the default divisor", divisor, shards)
-			}
 		}
 	}
 }
@@ -105,7 +74,7 @@ func TestShardedRunnerReuseAfterStarvedRun(t *testing.T) {
 // bound on an implicit topology at the scale the implicit layer is for
 // (n = 2¹⁶, the sweep engine's implicit threshold, where the edge budget
 // is n rather than its small-n floor): a near-threshold c forces a long
-// sparse tail, the cache must activate during it, stay within the edge
+// small-frontier tail, the cache must activate during it, stay within the edge
 // budget (a small fraction of what the CSR twin would materialize), and
 // leave results bit-for-bit equal to the materialized run. The topology
 // is wrapped rowOnly: point-queryable families skip the cache entirely

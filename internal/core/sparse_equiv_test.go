@@ -12,20 +12,19 @@ import (
 )
 
 // equivalenceWorkerCounts are the worker counts the contract is checked
-// against, per the determinism guarantee: results are independent of both
-// the worker count and the engine mode. (With Options.Shards zero the
-// shard count follows the worker count, so this sweep already exercises
-// the sharded route/apply pipeline at shards = 2, 4, ….)
+// against, per the determinism guarantee: results are independent of the
+// worker count and the steal schedule.
 func equivalenceWorkerCounts() []int {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 }
 
 // equivalenceShardCounts decouple the shard sweep from the worker sweep:
-// the sharded round pipeline must produce bit-for-bit identical results
-// for every shard count, including shard counts that differ from the
-// worker count (and 1, which compiles down to the pre-shard dense loop).
+// the round loop must produce bit-for-bit identical results for every
+// shard count, including the autotuned one (0), one shard (which with one
+// worker is the one-lane path) and shard counts that differ from the
+// worker count.
 func equivalenceShardCounts() []int {
-	return []int{1, 2, 3, 8}
+	return []int{0, 1, 2, 3, 8}
 }
 
 // normalizedResult strips the fields that legitimately differ between
@@ -37,61 +36,42 @@ func normalizedResult(res *Result) *Result {
 	return &c
 }
 
-// runEquivalenceCase executes the same run under every (engine mode,
-// worker count) combination and fails the test unless all Results —
+// oneLane returns p and opts set for the one-lane path: one worker and
+// one shard, counting into a plain tally and scanning the servers. It is
+// the reference every routed configuration is compared against.
+func oneLane(p Params, opts Options) (Params, Options) {
+	p.Workers = 1
+	opts.Shards = 1
+	return p, opts
+}
+
+// runEquivalenceCase executes the same run under every (worker count,
+// shard count) combination and fails the test unless all Results —
 // including the PerRound series, load vectors and assignments — are
-// bit-for-bit identical to the dense single-worker reference.
+// bit-for-bit identical to the one-lane reference (the plain tally with
+// a server scan); every other combination walks the routed stamped
+// pipeline.
 func runEquivalenceCase(t *testing.T, name string, g *bipartite.Graph, variant Variant, p Params, opts Options) {
 	t.Helper()
-	ref := func() *Result {
-		pp := p
-		pp.Workers = 1
-		oo := opts
-		oo.Engine = EngineDense
-		res, err := Run(g, variant, pp, oo)
-		if err != nil {
-			t.Fatalf("%s: dense reference failed: %v", name, err)
-		}
-		return normalizedResult(res)
-	}()
-	for _, mode := range []EngineMode{EngineDense, EngineSparse, EngineAuto} {
-		for _, workers := range equivalenceWorkerCounts() {
+	rp, ro := oneLane(p, opts)
+	res, err := Run(g, variant, rp, ro)
+	if err != nil {
+		t.Fatalf("%s: one-lane reference failed: %v", name, err)
+	}
+	ref := normalizedResult(res)
+	for _, workers := range equivalenceWorkerCounts() {
+		for _, shards := range equivalenceShardCounts() {
 			pp := p
 			pp.Workers = workers
 			oo := opts
-			oo.Engine = mode
+			oo.Shards = shards
 			res, err := Run(g, variant, pp, oo)
 			if err != nil {
-				t.Fatalf("%s mode=%d workers=%d: %v", name, mode, workers, err)
+				t.Fatalf("%s workers=%d shards=%d: %v", name, workers, shards, err)
 			}
-			got := normalizedResult(res)
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s: mode=%d workers=%d diverges from dense single-worker reference:\n  ref=%+v\n  got=%+v",
-					name, mode, workers, ref, got)
-			}
-		}
-	}
-	// Explicit shard sweep, decoupled from the worker count. EngineSparse
-	// is omitted: sharding only affects dense rounds, which a forced-sparse
-	// run never executes (EngineAuto covers the dense→sparse handoff with
-	// the router active).
-	for _, shards := range equivalenceShardCounts() {
-		for _, mode := range []EngineMode{EngineDense, EngineAuto} {
-			for _, workers := range []int{1, 4} {
-				pp := p
-				pp.Workers = workers
-				oo := opts
-				oo.Engine = mode
-				oo.Shards = shards
-				res, err := Run(g, variant, pp, oo)
-				if err != nil {
-					t.Fatalf("%s mode=%d workers=%d shards=%d: %v", name, mode, workers, shards, err)
-				}
-				got := normalizedResult(res)
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: mode=%d workers=%d shards=%d diverges from dense single-worker reference:\n  ref=%+v\n  got=%+v",
-						name, mode, workers, shards, ref, got)
-				}
+			if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: workers=%d shards=%d diverges from the one-lane reference:\n  ref=%+v\n  got=%+v",
+					name, workers, shards, ref, got)
 			}
 		}
 	}
@@ -107,8 +87,8 @@ func TestDenseSparseEquivalence(t *testing.T) {
 	n := 1024
 	g := regularGraph(t, n, 40, 77)
 	for _, variant := range []Variant{SAER, RAES} {
-		// c=4: fast completion, sparse switch late in the run.
-		// c=2: heavy burning, long tail of sparse rounds.
+		// c=4: fast completion.
+		// c=2: heavy burning, long tail of small-frontier rounds.
 		for _, c := range []float64{4, 2} {
 			runEquivalenceCase(t, variant.String(), g, variant,
 				Params{D: 2, C: c, Seed: 0xFEED}, fullTracking)
@@ -128,7 +108,7 @@ func TestDenseSparseEquivalenceIrregularGraph(t *testing.T) {
 
 func TestDenseSparseEquivalenceWithRequestCounts(t *testing.T) {
 	// A mostly idle client population: only 1 in 8 clients holds balls, so
-	// EngineAuto goes sparse on the very first round.
+	// the frontier is small from the very first round.
 	n := 1024
 	g := regularGraph(t, n, 32, 12)
 	counts := make([]int, n)
@@ -159,7 +139,8 @@ func TestDenseSparseEquivalenceWithInitialLoads(t *testing.T) {
 }
 
 func TestDenseSparseEquivalenceStarved(t *testing.T) {
-	// The starved-client early exit must fire identically on both paths.
+	// The starved-client early exit must fire identically on the one-lane
+	// and the routed paths.
 	b := bipartite.NewBuilder(2, 2)
 	b.AddEdge(0, 0).AddEdge(1, 0)
 	g, err := b.Build(bipartite.KeepParallelEdges)
@@ -171,8 +152,9 @@ func TestDenseSparseEquivalenceStarved(t *testing.T) {
 		Options{TrackRounds: true})
 }
 
-// Property: on random small instances, sparse and dense engines agree for
-// arbitrary seeds, variants, and thresholds.
+// Property: on random small instances, the one-lane path (plain dense
+// tally, server scan) and the routed path (stamped sparse fold) agree for
+// arbitrary seeds, variants, thresholds, worker and shard counts.
 func TestQuickDenseSparseEquivalence(t *testing.T) {
 	f := func(seed uint64, nRaw, cRaw, vRaw uint8) bool {
 		n := 96 + int(nRaw%160)
@@ -188,24 +170,24 @@ func TestQuickDenseSparseEquivalence(t *testing.T) {
 		p := Params{D: 2, C: c, Seed: seed ^ 0x5ca1ab1e, MaxRounds: 400}
 		opts := Options{TrackRounds: true, TrackLoads: true}
 
-		run := func(mode EngineMode, workers int) *Result {
+		run := func(workers, shards int) *Result {
 			pp := p
 			pp.Workers = workers
 			oo := opts
-			oo.Engine = mode
+			oo.Shards = shards
 			res, err := Run(g, variant, pp, oo)
 			if err != nil {
 				return nil
 			}
 			return normalizedResult(res)
 		}
-		ref := run(EngineDense, 1)
+		ref := run(1, 1)
 		if ref == nil {
 			return false
 		}
-		for _, mode := range []EngineMode{EngineSparse, EngineAuto} {
-			for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-				if got := run(mode, workers); got == nil || !reflect.DeepEqual(got, ref) {
+		for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+			for _, shards := range []int{0, 3} {
+				if got := run(workers, shards); got == nil || !reflect.DeepEqual(got, ref) {
 					return false
 				}
 			}
@@ -277,26 +259,37 @@ func TestRunnerReuseAfterStarvedRun(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseAcrossEngineModes reseeds a Runner through enough trials
-// that the tally's epoch stamps from earlier sparse phases are exercised
-// by later trials.
+// TestRunnerReuseAcrossEngineModes reseeds a Runner on each of the two
+// round paths — the one-lane plain tally and the routed stamped tally —
+// through enough trials that state left by earlier trials (tally
+// counts, epoch stamps, survivor ranges) is exercised by later ones.
 func TestRunnerReuseAcrossEngineModes(t *testing.T) {
 	g := regularGraph(t, 512, 30, 9)
-	for _, mode := range []EngineMode{EngineAuto, EngineSparse} {
-		r, err := NewRunner(g, SAER, Params{D: 2, C: 3, Seed: 0}, Options{Engine: mode, TrackLoads: true})
+	for _, path := range []struct {
+		name            string
+		workers, shards int
+	}{{"one-lane", 1, 1}, {"routed", 1, 4}, {"routed-parallel", 2, 3}} {
+		p := Params{D: 2, C: 3, Workers: path.workers}
+		opts := Options{Shards: path.shards, TrackLoads: true}
+		r, err := NewRunner(g, SAER, p, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if (r.router == nil) != (path.name == "one-lane") {
+			t.Fatalf("%s: router=%v, wrong path selected", path.name, r.router != nil)
 		}
 		for trial := 0; trial < 5; trial++ {
 			seed := 0xA5A5 + uint64(trial)
 			r.Reseed(seed)
 			reused := r.Run()
-			fresh, err := Run(g, SAER, Params{D: 2, C: 3, Seed: seed}, Options{Engine: mode, TrackLoads: true})
+			pp := p
+			pp.Seed = seed
+			fresh, err := Run(g, SAER, pp, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(normalizedResult(reused), normalizedResult(fresh)) {
-				t.Fatalf("mode=%d trial=%d: reused Runner diverges from fresh Runner", mode, trial)
+				t.Fatalf("%s trial=%d: reused Runner diverges from fresh Runner", path.name, trial)
 			}
 		}
 	}

@@ -10,18 +10,11 @@ import (
 	"repro/internal/gen"
 )
 
-// stealModes are the schedules the steal-schedule equivalence suite
-// sweeps: the resolved default, stealing forced on (exercises the chunk
-// deques even single-worker), and the static split.
-func stealModes() []StealMode {
-	return []StealMode{StealAuto, StealOn, StealOff}
-}
-
 // TestStealScheduleEquivalence is the work-stealing scheduler's
 // determinism contract: core.Results are bit-for-bit identical across
-// worker counts × shard counts × steal modes × engine modes × topology
-// backends. The reference is the dense, single-worker, steal-off run on
-// the materialized CSR graph; the implicit backend regenerates the exact
+// worker counts (every multi-worker run steals) × shard counts ×
+// topology backends. The reference is the one-lane run on the
+// materialized CSR graph; the implicit backend regenerates the exact
 // same edge multiset (Materialize twin), so its results must match too.
 func TestStealScheduleEquivalence(t *testing.T) {
 	const n, delta = 1024, 40
@@ -36,8 +29,8 @@ func TestStealScheduleEquivalence(t *testing.T) {
 	p := Params{D: 2, C: 2, Seed: 0xFEED}
 	opts := Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true}
 
-	refRes, err := Run(csr, SAER, func() Params { pp := p; pp.Workers = 1; return pp }(),
-		func() Options { oo := opts; oo.Engine = EngineDense; oo.Steal = StealOff; return oo }())
+	rp, ro := oneLane(p, opts)
+	refRes, err := Run(csr, SAER, rp, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,26 +41,19 @@ func TestStealScheduleEquivalence(t *testing.T) {
 		topo bipartite.Topology
 	}{{"csr", csr}, {"implicit", impl}, {"implicit-row", rowOnly{impl}}}
 	for _, backend := range backends {
-		for _, steal := range stealModes() {
-			for _, mode := range []EngineMode{EngineDense, EngineSparse, EngineAuto} {
-				for _, workers := range []int{1, 2, 4} {
-					for _, shards := range []int{0, 1, 3} {
-						pp := p
-						pp.Workers = workers
-						oo := opts
-						oo.Engine = mode
-						oo.Steal = steal
-						oo.Shards = shards
-						res, err := Run(backend.topo, SAER, pp, oo)
-						if err != nil {
-							t.Fatalf("%s steal=%d mode=%d workers=%d shards=%d: %v",
-								backend.name, steal, mode, workers, shards, err)
-						}
-						if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
-							t.Errorf("%s: steal=%d mode=%d workers=%d shards=%d diverges from reference:\n  ref=%+v\n  got=%+v",
-								backend.name, steal, mode, workers, shards, ref, got)
-						}
-					}
+		for _, workers := range []int{1, 2, 4} {
+			for _, shards := range equivalenceShardCounts() {
+				pp := p
+				pp.Workers = workers
+				oo := opts
+				oo.Shards = shards
+				res, err := Run(backend.topo, SAER, pp, oo)
+				if err != nil {
+					t.Fatalf("%s workers=%d shards=%d: %v", backend.name, workers, shards, err)
+				}
+				if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s: workers=%d shards=%d diverges from reference:\n  ref=%+v\n  got=%+v",
+						backend.name, workers, shards, ref, got)
 				}
 			}
 		}
@@ -93,7 +79,6 @@ func TestStealSkewEquivalence(t *testing.T) {
 	pp := p
 	pp.Workers = 4
 	oo := opts
-	oo.Steal = StealOn
 	r, err := NewRunner(g, SAER, pp, oo)
 	if err != nil {
 		t.Fatal(err)

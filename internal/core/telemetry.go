@@ -21,7 +21,8 @@ type runTel struct {
 	accepted *telemetry.Counter
 
 	// Phase histograms, labeled by the round-loop phase: draw (client
-	// draws + routing), fold (tally merge / lane fold), decide (server
+	// draws + routing), fold (the Driver's lane fold and batch assembly;
+	// the Runner folds each shard inside decide), decide (server
 	// accept/burn decisions), update (client ball retirement).
 	draw   *telemetry.Histogram
 	fold   *telemetry.Histogram

@@ -9,8 +9,8 @@ import (
 
 // TestTelemetryEquivalence pins the telemetry layer's core contract:
 // attaching a registry is pure observation. The same configuration runs
-// un-instrumented (the reference) and instrumented across engine modes,
-// worker counts and shard counts, and every Result must be bit-for-bit
+// un-instrumented (the reference) and instrumented across worker counts
+// and shard counts, and every Result must be bit-for-bit
 // identical — any divergence means an instrument leaked into the random
 // process or the round schedule.
 func TestTelemetryEquivalence(t *testing.T) {
@@ -20,49 +20,41 @@ func TestTelemetryEquivalence(t *testing.T) {
 	for _, variant := range []Variant{SAER, RAES} {
 		for _, c := range []float64{4, 2} {
 			p := Params{D: 2, C: c, Seed: 0xFEED}
-			ref := func() *Result {
-				pp := p
-				pp.Workers = 1
-				oo := opts
-				oo.Engine = EngineDense
-				res, err := Run(g, variant, pp, oo)
-				if err != nil {
-					t.Fatalf("%s c=%v: reference failed: %v", variant, c, err)
-				}
-				return normalizedResult(res)
-			}()
-			for _, mode := range []EngineMode{EngineDense, EngineSparse, EngineAuto} {
-				for _, workers := range []int{1, 4} {
-					for _, shards := range []int{0, 3} {
-						reg := telemetry.NewRegistry()
-						pp := p
-						pp.Workers = workers
-						oo := opts
-						oo.Engine = mode
-						oo.Shards = shards
-						oo.Telemetry = reg
-						res, err := Run(g, variant, pp, oo)
-						if err != nil {
-							t.Fatalf("%s c=%v mode=%d workers=%d shards=%d: %v", variant, c, mode, workers, shards, err)
-						}
-						if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
-							t.Errorf("%s c=%v: instrumented run (mode=%d workers=%d shards=%d) diverges from un-instrumented reference",
-								variant, c, mode, workers, shards)
-						}
-						// The instruments must actually have counted the run.
-						snap := reg.Snapshot()
-						if got := snap.Counters["saer_rounds_total"]; got != int64(res.Rounds) {
-							t.Errorf("%s c=%v mode=%d workers=%d shards=%d: saer_rounds_total=%d, want %d",
-								variant, c, mode, workers, shards, got, res.Rounds)
-						}
-						if got := snap.Counters["saer_requests_total"]; got != res.TotalRequests {
-							t.Errorf("%s c=%v mode=%d workers=%d shards=%d: saer_requests_total=%d, want %d",
-								variant, c, mode, workers, shards, got, res.TotalRequests)
-						}
-						if h, ok := snap.Histograms[`saer_phase_seconds{phase="draw"}`]; !ok || h.Count != int64(res.Rounds) {
-							t.Errorf("%s c=%v mode=%d workers=%d shards=%d: draw-phase histogram count=%d, want %d",
-								variant, c, mode, workers, shards, h.Count, res.Rounds)
-						}
+			rp, ro := oneLane(p, opts)
+			res, err := Run(g, variant, rp, ro)
+			if err != nil {
+				t.Fatalf("%s c=%v: reference failed: %v", variant, c, err)
+			}
+			ref := normalizedResult(res)
+			for _, workers := range []int{1, 4} {
+				for _, shards := range []int{0, 1, 3} {
+					reg := telemetry.NewRegistry()
+					pp := p
+					pp.Workers = workers
+					oo := opts
+					oo.Shards = shards
+					oo.Telemetry = reg
+					res, err := Run(g, variant, pp, oo)
+					if err != nil {
+						t.Fatalf("%s c=%v workers=%d shards=%d: %v", variant, c, workers, shards, err)
+					}
+					if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+						t.Errorf("%s c=%v: instrumented run (workers=%d shards=%d) diverges from un-instrumented reference",
+							variant, c, workers, shards)
+					}
+					// The instruments must actually have counted the run.
+					snap := reg.Snapshot()
+					if got := snap.Counters["saer_rounds_total"]; got != int64(res.Rounds) {
+						t.Errorf("%s c=%v workers=%d shards=%d: saer_rounds_total=%d, want %d",
+							variant, c, workers, shards, got, res.Rounds)
+					}
+					if got := snap.Counters["saer_requests_total"]; got != res.TotalRequests {
+						t.Errorf("%s c=%v workers=%d shards=%d: saer_requests_total=%d, want %d",
+							variant, c, workers, shards, got, res.TotalRequests)
+					}
+					if h, ok := snap.Histograms[`saer_phase_seconds{phase="draw"}`]; !ok || h.Count != int64(res.Rounds) {
+						t.Errorf("%s c=%v workers=%d shards=%d: draw-phase histogram count=%d, want %d",
+							variant, c, workers, shards, h.Count, res.Rounds)
 					}
 				}
 			}
@@ -82,7 +74,7 @@ func TestTelemetryEquivalenceDriver(t *testing.T) {
 	ref := func() *Result {
 		rcfg := cfg
 		rcfg.Workers = 1
-		rcfg.Engine = EngineDense
+		rcfg.Shards = 1
 		res, err := rcfg.Run(g)
 		if err != nil {
 			t.Fatalf("reference failed: %v", err)

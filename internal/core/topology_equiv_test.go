@@ -9,8 +9,8 @@ import (
 )
 
 // runTopologyEquivalenceCase executes the same run on the implicit
-// topology and on its materialized CSR twin under every engine mode,
-// worker count, and variant, and fails unless all Results — PerRound
+// topology and on its materialized CSR twin under every worker count,
+// shard count and variant, and fails unless all Results — PerRound
 // series, load vectors, assignment lists — are bit-for-bit identical.
 // This is the correctness contract of the implicit layer: the topology
 // representation is a pure memory/speed knob, never an outcome knob.
@@ -21,52 +21,28 @@ func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, p
 		t.Fatalf("%s: materialize: %v", name, err)
 	}
 	for _, variant := range []Variant{SAER, RAES} {
-		ref := func() *Result {
-			pp := p
-			pp.Workers = 1
-			oo := opts
-			oo.Engine = EngineDense
-			res, err := Run(csr, variant, pp, oo)
-			if err != nil {
-				t.Fatalf("%s/%s: CSR reference failed: %v", name, variant, err)
-			}
-			return normalizedResult(res)
-		}()
-		for _, mode := range []EngineMode{EngineDense, EngineSparse, EngineAuto} {
-			for _, workers := range equivalenceWorkerCounts() {
+		rp, ro := oneLane(p, opts)
+		res, err := Run(csr, variant, rp, ro)
+		if err != nil {
+			t.Fatalf("%s/%s: CSR reference failed: %v", name, variant, err)
+		}
+		ref := normalizedResult(res)
+		// The implicit runs draw by point query or regenerate rows (and
+		// pin the frontier's rows in the row cache once they fit), on the
+		// one-lane and the routed path alike.
+		for _, workers := range equivalenceWorkerCounts() {
+			for _, shards := range equivalenceShardCounts() {
 				pp := p
 				pp.Workers = workers
 				oo := opts
-				oo.Engine = mode
-				res, err := Run(topo, variant, pp, oo)
-				if err != nil {
-					t.Fatalf("%s/%s mode=%d workers=%d: %v", name, variant, mode, workers, err)
-				}
-				if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s/%s: implicit mode=%d workers=%d diverges from CSR dense single-worker reference:\n  ref=%+v\n  got=%+v",
-						name, variant, mode, workers, ref, got)
-				}
-			}
-		}
-		// Shard sweep on the implicit representation: the routed phase A
-		// regenerates rows while bucketing destinations, and EngineAuto
-		// additionally crosses into the sparse tail where the frontier row
-		// cache activates — all of it must stay bit-for-bit equal to the
-		// CSR dense single-worker reference.
-		for _, shards := range equivalenceShardCounts() {
-			for _, mode := range []EngineMode{EngineDense, EngineAuto} {
-				pp := p
-				pp.Workers = 2
-				oo := opts
-				oo.Engine = mode
 				oo.Shards = shards
 				res, err := Run(topo, variant, pp, oo)
 				if err != nil {
-					t.Fatalf("%s/%s mode=%d shards=%d: %v", name, variant, mode, shards, err)
+					t.Fatalf("%s/%s workers=%d shards=%d: %v", name, variant, workers, shards, err)
 				}
 				if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s/%s: implicit mode=%d shards=%d diverges from CSR dense single-worker reference:\n  ref=%+v\n  got=%+v",
-						name, variant, mode, shards, ref, got)
+					t.Errorf("%s/%s: implicit workers=%d shards=%d diverges from the CSR one-lane reference:\n  ref=%+v\n  got=%+v",
+						name, variant, workers, shards, ref, got)
 				}
 			}
 		}
@@ -84,8 +60,8 @@ func TestTopologyEquivalenceRegular(t *testing.T) {
 		TrackLoads:         true,
 		TrackAssignments:   true,
 	}
-	// c=4: fast completion; c=2: heavy burning, long sparse tail (and the
-	// starved-client exit on some seeds).
+	// c=4: fast completion; c=2: heavy burning, long small-frontier tail
+	// (and the starved-client exit on some seeds).
 	for _, c := range []float64{4, 2} {
 		runTopologyEquivalenceCase(t, "regular", topo, Params{D: 2, C: c, Seed: 0xFEED}, fullTracking)
 	}

@@ -4,24 +4,24 @@
 // The paper's model is a lock-step synchronous network: in every round all
 // clients act (phase 1), then all servers act (phase 2). The engine maps
 // this onto goroutines with a data-parallel pattern: entity ranges are cut
-// into one contiguous shard per worker, each worker operates on its shard
-// with worker-local scratch buffers, and a barrier separates the phases.
-// Because shard boundaries depend only on (range length, worker count) and
+// into chunks scheduled by work stealing (StealRange), route lanes bucket
+// each phase-1 event by the server shard that owns it (Router), and a
+// stamped tally folds each shard's lanes with shard-local writes (Tally).
+// Because chunk boundaries depend only on (range length, worker count) and
 // every entity owns a private random stream, simulation results are
-// bit-for-bit identical for any worker count — a property the tests check
-// explicitly.
+// bit-for-bit identical for any worker count and any steal schedule — a
+// property the tests check explicitly.
 package engine
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/telemetry"
 )
 
 // Pool executes data-parallel phases over a fixed number of workers.
 // A Pool is safe for use from a single goroutine at a time; concurrent
-// calls to ParallelRange on the same Pool must not overlap.
+// calls to StealRange on the same Pool must not overlap.
 type Pool struct {
 	workers int
 
@@ -42,13 +42,6 @@ type Pool struct {
 	// the hot loop identically. Set them before the first StealRange call
 	// (core wires them from Options.Telemetry).
 	Steals, StealFails *telemetry.Counter
-
-	// Reusable per-worker reduction accumulators: ReduceInt64 and
-	// ReduceMaxFloat64 run once or more per round, and a fresh
-	// per-call slice shows up as steady-state garbage in the churn
-	// epoch loop.
-	partialI64 []int64
-	partialF64 []float64
 }
 
 // NewPool returns a Pool with the requested number of workers. A value of
@@ -77,384 +70,93 @@ func (p *Pool) shard(n, w int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// ParallelRange splits [0, n) into contiguous shards, one per worker, and
-// invokes fn(worker, lo, hi) for each shard from its own goroutine,
-// returning when all have completed. When the pool has a single worker or
-// the range is small, fn is called inline to avoid scheduling overhead.
-func (p *Pool) ParallelRange(n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if p.workers == 1 || n < 2*p.workers {
-		// Run every shard inline, preserving the exact shard boundaries so
-		// that worker-indexed scratch buffers behave identically.
-		for w := 0; w < p.workers; w++ {
-			lo, hi := p.shard(n, w)
-			if lo < hi {
-				fn(w, lo, hi)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		lo, hi := p.shard(n, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// ReduceInt64 runs fn over the shards of [0, n) and returns the sum of the
-// per-shard results. It is the pattern used to count alive balls or sum
-// message totals without shared counters in the hot path.
-func (p *Pool) ReduceInt64(n int, fn func(worker, lo, hi int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	if p.workers == 1 || n < 2*p.workers {
-		// The inline path needs no per-worker accumulators at all —
-		// shards run sequentially, and workers with an empty shard are
-		// skipped entirely.
-		var total int64
-		for w := 0; w < p.workers; w++ {
-			lo, hi := p.shard(n, w)
-			if lo < hi {
-				total += fn(w, lo, hi)
-			}
-		}
-		return total
-	}
-	if p.partialI64 == nil {
-		p.partialI64 = make([]int64, p.workers)
-	}
-	partial := p.partialI64
-	clear(partial)
-	p.ParallelRange(n, func(w, lo, hi int) {
-		partial[w] += fn(w, lo, hi)
-	})
-	var total int64
-	for _, v := range partial {
-		total += v
-	}
-	return total
-}
-
-// ReduceMaxFloat64 runs fn over the shards of [0, n) and returns the
-// maximum of the per-shard results, or def when n <= 0.
-func (p *Pool) ReduceMaxFloat64(n int, def float64, fn func(worker, lo, hi int) float64) float64 {
-	if n <= 0 {
-		return def
-	}
-	if p.workers == 1 || n < 2*p.workers {
-		out := def
-		for w := 0; w < p.workers; w++ {
-			lo, hi := p.shard(n, w)
-			if lo < hi {
-				if v := fn(w, lo, hi); v > out {
-					out = v
-				}
-			}
-		}
-		return out
-	}
-	if p.partialF64 == nil {
-		p.partialF64 = make([]float64, p.workers)
-	}
-	partial := p.partialF64
-	for w := range partial {
-		partial[w] = def
-	}
-	p.ParallelRange(n, func(w, lo, hi int) {
-		v := fn(w, lo, hi)
-		if v > partial[w] {
-			partial[w] = v
-		}
-	})
-	out := def
-	for _, v := range partial {
-		if v > out {
-			out = v
-		}
-	}
-	return out
-}
-
-// Tally is a set of per-worker int32 accumulators of a common size plus a
-// merged view. It implements the "worker-local buffers merged after the
-// barrier" pattern: phase 1 workers bump their private counters without
-// any synchronization, then Merge folds them into the shared slice in a
-// second (also parallel) pass sharded by index rather than by worker.
+// Tally is the per-round request counter of one counts array, in one of
+// two modes fixed by its owner:
 //
-// The Tally has three operating modes:
+//   - Plain (the default): the counts array is written directly by a
+//     single goroutine and Reset zeroes it. The one-lane round loop —
+//     one worker, one server shard — counts straight into it and scans
+//     it, which beats any per-event bookkeeping when nothing runs in
+//     parallel.
 //
-//   - Dense (the default): workers write through Local(w) and the
-//     Merge/Reset pair costs O(size × workers) per round. This layout is
-//     streaming-friendly and wins while a large fraction of the cells is
-//     touched every round.
+//   - Stamped: after BeginStamped, the counts are epoch-guarded — a
+//     cell's count is valid only while its stamp matches the epoch, and
+//     StampedReset invalidates every count in O(1). This is the global
+//     level of the two-level SPA tally used by the routed round loop:
+//     Router.FoldShard writes counts straight into the array, detecting
+//     first touches by stamp instead of requiring pre-zeroed cells, so
+//     no zeroing pass ever streams the full counts array — the tally's
+//     resident set per fold is one shard window even when size outgrows
+//     L2.
 //
-//   - Sparse: after BeginSparse, workers accumulate with SparseAdd, which
-//     epoch-stamps each cell on first touch and records it in a per-worker
-//     touched list. SparseMerge and SparseReset then cost O(touched)
-//     instead of O(size × workers): untouched cells are never read,
-//     written, or zeroed — advancing the epoch invalidates every stamp in
-//     O(1).
-//
-//   - Stamped: after BeginStamped, the merged view itself is epoch-
-//     guarded — a cell's count is valid only while its merged stamp
-//     matches the epoch, and StampedReset invalidates every count in
-//     O(1). This is the global level of the two-level SPA tally used by
-//     the sharded round pipeline: Router.FoldShard writes counts straight
-//     into the merged view, detecting first touches by stamp instead of
-//     requiring pre-zeroed cells, so the per-worker local buffers (and
-//     their O(size × workers) memory) are never allocated and no zeroing
-//     pass ever streams the full counts array — the tally's resident set
-//     per fold is one shard window even when size outgrows L2.
-//
-// All modes produce identical counts (via ReceivedAt) for identical adds,
-// so a caller may switch from dense to sparse mid-run (after a dense
-// Reset) without observable effect. Switching back requires FullReset.
+// Both modes report identical counts through ReceivedAt for identical
+// adds.
 type Tally struct {
-	size   int
-	local  [][]int32
 	merged []int32
 
-	// Sparse/stamped-mode state, allocated lazily by BeginSparse and
-	// BeginStamped.
-	sparse      bool
 	stamped     bool
 	epoch       uint32
-	stamps      [][]uint32 // stamps[w][i] == epoch ⇔ local[w][i] is current
-	touched     [][]int32  // per-worker list of cells stamped this epoch
-	mergedStamp []uint32   // mergedStamp[i] == epoch ⇔ merged[i] is current
-	mergedTouch []int32    // deduped union of the touched lists
+	mergedStamp []uint32 // mergedStamp[i] == epoch ⇔ merged[i] is current
 }
 
-// NewTally returns a Tally with one local buffer per pool worker. With a
-// single worker the merged view aliases the one local buffer: there is
-// nothing to fold, so Merge becomes a no-op and Reset a single pass.
-// Multi-worker local buffers are allocated lazily on first use (Local or
-// BeginSparse): the sharded round pipeline writes phase-B counts straight
-// into the merged view through a Router, so a sharded run only pays the
-// O(size × workers) local (and stamp) memory if and when it crosses into
-// the sparse engine — forced-dense sharded runs never do.
-func NewTally(p *Pool, size int) *Tally {
-	t := &Tally{
-		size:   size,
-		local:  make([][]int32, p.Workers()),
-		merged: make([]int32, size),
-	}
-	if len(t.local) == 1 {
-		t.local[0] = t.merged
-	}
-	return t
+// NewTally returns a plain Tally of size cells. The pool argument names
+// the pool whose phases fill the tally; the tally itself keeps no
+// per-worker state, since every cell has a single writer (the plain
+// tally's one lane, or the stamped tally's shard owner).
+func NewTally(_ *Pool, size int) *Tally {
+	return &Tally{merged: make([]int32, size)}
 }
 
-// aliased reports whether merged shares storage with the single local
-// buffer (the one-worker fast path).
-func (t *Tally) aliased() bool { return len(t.local) == 1 }
-
-// Local returns worker w's private accumulator, allocating it on first
-// use. Concurrent callers must pass distinct w (they do: w is the
-// ParallelRange worker index).
-func (t *Tally) Local(w int) []int32 {
-	if t.local[w] == nil {
-		t.local[w] = make([]int32, t.size)
-	}
-	return t.local[w]
-}
-
-// Merged returns the merged view computed by the last Merge call.
+// Merged returns the counts array. In stamped mode a cell's entry is
+// only meaningful while it is stamped with the current epoch; read
+// through ReceivedAt when that is not known.
 func (t *Tally) Merged() []int32 { return t.merged }
 
-// Merge folds every worker-local buffer into the merged slice. The fold is
-// parallelized over indices, so each merged cell is written by exactly one
-// worker and no atomics are needed.
-func (t *Tally) Merge(p *Pool) []int32 {
-	if t.aliased() {
-		return t.merged
-	}
-	p.ParallelRange(t.size, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum int32
-			for w := range t.local {
-				if l := t.local[w]; l != nil {
-					sum += l[i]
-				}
-			}
-			t.merged[i] = sum
-		}
-	})
-	return t.merged
-}
-
-// Reset zeroes all local buffers and the merged view (dense mode).
-func (t *Tally) Reset(p *Pool) {
-	if t.aliased() {
-		clear(t.local[0])
-		return
-	}
-	p.ParallelRange(t.size, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.merged[i] = 0
-			for w := range t.local {
-				if l := t.local[w]; l != nil {
-					l[i] = 0
-				}
-			}
-		}
-	})
-}
-
-// IsSparse reports whether the tally is currently in sparse mode.
-func (t *Tally) IsSparse() bool { return t.sparse }
-
-// BeginSparse switches the tally into sparse mode. The local buffers must
-// be clean (i.e. a dense Reset, FullReset, or NewTally must precede it),
-// which the protocol guarantees by switching only at a round boundary.
-// Per-worker stamp and local buffers are allocated lazily by the first
-// SparseAdd of each worker, so workers that never touch a sparse range
-// (the common case once the frontier has collapsed below the chunk size)
-// never pay the O(size) allocation.
-func (t *Tally) BeginSparse() {
-	if t.stamps == nil {
-		t.stamps = make([][]uint32, len(t.local))
-		t.touched = make([][]int32, len(t.local))
-	}
-	if t.mergedStamp == nil {
-		t.mergedStamp = make([]uint32, t.size)
-	}
-	t.sparse = true
-	t.advanceEpoch()
-}
-
-// SparseAdd counts one event for cell i on behalf of worker w. On the
-// first touch of a cell in the current epoch the stale count is replaced
-// rather than cleared in advance, which is what makes reset O(1).
-func (t *Tally) SparseAdd(w int, i int32) {
-	stamps := t.stamps[w]
-	if stamps == nil {
-		stamps = make([]uint32, t.size)
-		t.stamps[w] = stamps
-		if t.local[w] == nil {
-			t.local[w] = make([]int32, t.size)
-		}
-	}
-	if stamps[i] == t.epoch {
-		t.local[w][i]++
-		return
-	}
-	stamps[i] = t.epoch
-	t.local[w][i] = 1
-	t.touched[w] = append(t.touched[w], i)
-}
-
-// SparseMerge folds the per-worker touched cells into the merged view and
-// returns the deduplicated list of touched cells. The list is ordered by
-// (first-touching worker, touch order), which is deterministic for a fixed
-// worker count but — unlike the merged counts themselves — may differ
-// across worker counts; callers must not let iteration order leak into
-// results (the protocol phases don't: per-cell state is independent).
-// The walk is sequential: by construction it runs only when the touched
-// set is small, where a parallel pass would cost more than it saves.
-func (t *Tally) SparseMerge() []int32 {
-	t.mergedTouch = t.mergedTouch[:0]
-	for w := range t.touched {
-		for _, i := range t.touched[w] {
-			if t.mergedStamp[i] != t.epoch {
-				t.mergedStamp[i] = t.epoch
-				t.merged[i] = t.local[w][i]
-				t.mergedTouch = append(t.mergedTouch, i)
-			} else {
-				t.merged[i] += t.local[w][i]
-			}
-		}
-	}
-	return t.mergedTouch
-}
-
-// ReceivedAt returns the merged count of cell i as of the last merge (or
-// fold). It is valid in every mode: in sparse and stamped modes a cell
-// not touched this epoch reads as zero without having been zeroed.
+// ReceivedAt returns the count of cell i this round. In stamped mode a
+// cell not touched this epoch reads as zero without having been zeroed.
 func (t *Tally) ReceivedAt(i int32) int32 {
-	if t.sparse || t.stamped {
-		if t.mergedStamp[i] != t.epoch {
-			return 0
-		}
-		return t.merged[i]
+	if t.stamped && t.mergedStamp[i] != t.epoch {
+		return 0
 	}
 	return t.merged[i]
 }
 
-// SparseReset invalidates all counts by advancing the epoch and truncating
-// the touched lists. Cost: O(workers), independent of size.
-func (t *Tally) SparseReset() {
-	for w := range t.touched {
-		t.touched[w] = t.touched[w][:0]
+// IsStamped reports whether the tally is in stamped mode.
+func (t *Tally) IsStamped() bool { return t.stamped }
+
+// BeginStamped switches the tally into epoch-guarded (stamped) mode: a
+// cell's count is valid only while its stamp matches the current epoch,
+// so folds that write counts directly into the array
+// (Router.FoldShard) detect first touches by stamp instead of requiring
+// pre-zeroed cells, and StampedReset invalidates everything in O(1).
+// Stamped mode is a property of the caller's pipeline, not of one run:
+// Reset keeps it.
+func (t *Tally) BeginStamped() {
+	if t.mergedStamp == nil {
+		t.mergedStamp = make([]uint32, len(t.merged))
 	}
-	t.advanceEpoch()
+	t.stamped = true
+	t.StampedReset()
 }
 
-// advanceEpoch bumps the epoch stamp, handling the (practically
-// unreachable) uint32 wraparound by clearing every stamp array so that no
-// stale stamp can collide with a recycled epoch value.
-func (t *Tally) advanceEpoch() {
+// StampedReset invalidates every count of a stamped tally by advancing
+// the epoch. Cost: O(1), independent of size. On the (practically
+// unreachable) uint32 wraparound every stamp is cleared so that no stale
+// stamp can collide with a recycled epoch value.
+func (t *Tally) StampedReset() {
 	t.epoch++
 	if t.epoch == 0 {
-		for w := range t.stamps {
-			clear(t.stamps[w])
-		}
 		clear(t.mergedStamp)
 		t.epoch = 1
 	}
 }
 
-// IsStamped reports whether the tally is currently in stamped mode.
-func (t *Tally) IsStamped() bool { return t.stamped }
-
-// BeginStamped switches the merged view into epoch-guarded (stamped)
-// mode: a cell's count is valid only while its merged stamp matches the
-// current epoch, so folds that write counts directly into the merged view
-// (Router.FoldShard) detect first touches by stamp instead of requiring
-// pre-zeroed cells, and StampedReset invalidates everything in O(1).
-// Stamped mode is a property of the caller's pipeline (the sharded round
-// loop), not of one run: it persists across FullReset.
-func (t *Tally) BeginStamped() {
-	if t.mergedStamp == nil {
-		t.mergedStamp = make([]uint32, t.size)
-	}
-	t.stamped = true
-	t.advanceEpoch()
-}
-
-// StampedReset invalidates every merged count by advancing the epoch.
-// Cost: O(1), independent of size — the stamped replacement for both the
-// dense O(size) Reset and the router's per-shard touched-list zeroing.
-func (t *Tally) StampedReset() {
-	t.advanceEpoch()
-}
-
-// FullReset restores the tally to a clean state between independent runs
-// that reuse the same Tally: counts invalidated, sparse mode off, touched
-// lists truncated. In stamped mode invalidation is a single epoch advance
-// (no pass over the counts, which stay epoch-guarded); in dense/sparse
-// mode all buffers are zeroed and the tally returns to its post-NewTally
-// dense state. The epoch is never rewound, so stamps from earlier use
-// stay invalid.
-func (t *Tally) FullReset(p *Pool) {
-	t.sparse = false
-	for w := range t.touched {
-		t.touched[w] = t.touched[w][:0]
-	}
+// Reset clears every count: an O(1) epoch advance in stamped mode, a
+// pass over the array in plain mode.
+func (t *Tally) Reset() {
 	if t.stamped {
-		t.advanceEpoch()
+		t.StampedReset()
 		return
 	}
-	t.Reset(p)
+	clear(t.merged)
 }

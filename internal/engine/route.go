@@ -2,20 +2,19 @@ package engine
 
 import "math/bits"
 
-// Router is the substrate of the sharded round pipeline (see the round
-// loop in internal/core): instead of every phase-A worker bumping a
-// private size-wide tally that a later pass folds, workers bucket each
-// event's destination cell into per-(worker, shard) route lanes, and
-// phase-B shard owners fold one shard's lanes at a time into the shared
-// counts array. All writes to a shard's counts happen on the goroutine
-// that owns the shard and land inside one contiguous 2^shift-cell window,
-// so they are cache-blocked; and because only routed cells are ever
-// written, the O(size × workers) dense merge and reset passes disappear —
-// folding costs O(routed events), and with the stamped tally (the global
-// level of the two-level SPA accumulator, see Tally.BeginStamped) the
-// round-end reset is a single O(1) epoch advance: no zeroing pass ever
-// streams the counts array, so the pipeline's per-round resident set is
-// one shard window even when the tally itself outgrows L2.
+// Router is the substrate of the routed round loop (see the client loop
+// in internal/core): instead of every phase-1 worker bumping a private
+// size-wide tally that a later pass merges, workers bucket each event's
+// destination cell into per-(worker, shard) route lanes, and phase-2
+// shard owners fold one shard's lanes at a time into the shared counts
+// array. All writes to a shard's counts happen on the goroutine that
+// owns the shard and land inside one contiguous 2^shift-cell window, so
+// they are cache-blocked; folding costs O(routed events), and with the
+// stamped tally (the global level of the two-level SPA accumulator, see
+// Tally.BeginStamped) the round-end reset is a single O(1) epoch
+// advance: no zeroing pass ever streams the counts array, so the loop's
+// per-round resident set is one shard window even when the tally itself
+// outgrows L2.
 //
 // Shards are contiguous cell ranges of width 2^shift: routing in the
 // phase-A inner loop is a single shift (ShardOf). The width is derived

@@ -106,7 +106,6 @@ func TestRouterFoldMatchesDense(t *testing.T) {
 func TestRouterDiscard(t *testing.T) {
 	rt := NewRouter(2, 2, 64)
 	ta := stampedTally(64)
-	pool := NewPool(2)
 	lanes := rt.Lanes(0)
 	for _, i := range []int32{1, 1, 40, 63} {
 		lanes[rt.ShardOf(i)] = append(lanes[rt.ShardOf(i)], i)
@@ -117,9 +116,9 @@ func TestRouterDiscard(t *testing.T) {
 	// Simulate the early-exit path: the tally is fully reset (an epoch
 	// advance in stamped mode), the Router is discarded, and the next
 	// round must start clean.
-	ta.FullReset(pool)
+	ta.Reset()
 	if !ta.IsStamped() {
-		t.Fatal("FullReset dropped stamped mode")
+		t.Fatal("Reset dropped stamped mode")
 	}
 	rt.Discard()
 	rt.ResetLanes()

@@ -16,27 +16,43 @@ func denseReference(size int, adds []int32) []int32 {
 	return ref
 }
 
+// routeAdds buckets every add into the lane of the worker chosen by
+// worker(k) and folds every shard, returning the touched lists' union in
+// shard order — one routed round of the two-level sparse accumulator
+// (per-(worker, shard) lanes below, the stamped tally above).
+func routeAdds(rt *Router, ta *Tally, adds []int32, worker func(k int) int) []int32 {
+	rt.ResetLanes()
+	for k, i := range adds {
+		lanes := rt.Lanes(worker(k))
+		s := rt.ShardOf(i)
+		lanes[s] = append(lanes[s], i)
+	}
+	var touched []int32
+	for s := 0; s < rt.Shards(); s++ {
+		touched = append(touched, rt.FoldShard(s, ta)...)
+	}
+	return touched
+}
+
+// TestSparseTallyMatchesDense drives sparse rounds — a small random
+// subset of cells touched with repeats, spread over four workers' lanes —
+// through the stamped accumulator, resetting only by epoch between
+// rounds, and checks every cell and the touched list against a dense
+// reference: stale counts from earlier rounds must never leak.
 func TestSparseTallyMatchesDense(t *testing.T) {
 	const size = 1000
-	p := NewPool(4)
-	ta := NewTally(p, size)
-	ta.BeginSparse()
-
+	const workers = 4
+	rt := NewRouter(workers, workers, size)
+	ta := stampedTally(size)
 	src := rng.New(42)
 	for round := 0; round < 5; round++ {
-		// Touch a small random subset, with repeats, spread over workers.
 		adds := make([]int32, 0, 64)
 		for k := 0; k < 64; k++ {
 			adds = append(adds, int32(src.Intn(size/10)))
 		}
-		for k, i := range adds {
-			ta.SparseAdd(k%p.Workers(), i)
-		}
-		touched := ta.SparseMerge()
+		touched := routeAdds(rt, ta, adds, func(k int) int { return k % workers })
 		ref := denseReference(size, adds)
 
-		// Every touched cell must carry its reference count and every
-		// untouched cell must read zero.
 		seen := make(map[int32]bool, len(touched))
 		for _, i := range touched {
 			if seen[i] {
@@ -55,106 +71,62 @@ func TestSparseTallyMatchesDense(t *testing.T) {
 				t.Fatalf("round %d: untouched cell %d is in the touched list", round, i)
 			}
 		}
-		ta.SparseReset()
+		ta.StampedReset()
 	}
 }
 
+// TestSparseTallyResetIsCheapAndComplete checks that the epoch advance
+// alone invalidates a round: after StampedReset every cell reads zero
+// although no count was zeroed, and folding empty lanes touches nothing.
 func TestSparseTallyResetIsCheapAndComplete(t *testing.T) {
-	p := NewPool(2)
-	ta := NewTally(p, 100)
-	ta.BeginSparse()
-	ta.SparseAdd(0, 7)
-	ta.SparseAdd(1, 7)
-	ta.SparseAdd(0, 9)
-	touched := ta.SparseMerge()
+	rt := NewRouter(2, 2, 100)
+	ta := stampedTally(100)
+	touched := routeAdds(rt, ta, []int32{7, 7, 9}, func(k int) int { return k % 2 })
 	if len(touched) != 2 {
 		t.Fatalf("touched = %v, want 2 distinct cells", touched)
 	}
 	if ta.ReceivedAt(7) != 2 || ta.ReceivedAt(9) != 1 {
-		t.Fatalf("merged counts wrong: %d, %d", ta.ReceivedAt(7), ta.ReceivedAt(9))
+		t.Fatalf("folded counts wrong: %d, %d", ta.ReceivedAt(7), ta.ReceivedAt(9))
 	}
-	ta.SparseReset()
-	// After reset every cell must read zero without any buffer having been
-	// zeroed (the stale values are invalidated by the epoch).
+	ta.StampedReset()
+	if ta.Merged()[7] != 2 {
+		t.Fatal("StampedReset wrote the counts array; it must only advance the epoch")
+	}
 	for i := int32(0); i < 100; i++ {
 		if ta.ReceivedAt(i) != 0 {
-			t.Fatalf("ReceivedAt(%d) = %d after SparseReset", i, ta.ReceivedAt(i))
+			t.Fatalf("ReceivedAt(%d) = %d after StampedReset", i, ta.ReceivedAt(i))
 		}
 	}
-	if got := ta.SparseMerge(); len(got) != 0 {
-		t.Fatalf("SparseMerge after reset returned %v", got)
+	if got := routeAdds(rt, ta, nil, nil); len(got) != 0 {
+		t.Fatalf("empty round after reset touched %v", got)
 	}
 }
 
-func TestTallyFullResetRestoresDenseMode(t *testing.T) {
-	p := NewPool(3)
-	ta := NewTally(p, 50)
-	ta.BeginSparse()
-	ta.SparseAdd(0, 3)
-	ta.SparseAdd(2, 3)
-	ta.SparseMerge()
-	ta.FullReset(p)
-	if ta.IsSparse() {
-		t.Fatal("tally still sparse after FullReset")
-	}
-	// Dense adds on the freshly reset tally must see clean buffers even at
-	// cells the sparse phase dirtied.
-	ta.Local(1)[3] += 5
-	merged := ta.Merge(p)
-	if merged[3] != 5 {
-		t.Fatalf("merged[3] = %d after FullReset + dense add, want 5", merged[3])
-	}
-	for i, v := range merged {
-		if i != 3 && v != 0 {
-			t.Fatalf("merged[%d] = %d, want 0", i, v)
-		}
-	}
-}
-
-func TestTallyDenseToSparseHandoff(t *testing.T) {
-	// A dense round followed by Reset, then sparse rounds: the pattern the
-	// protocol uses when crossing the density threshold mid-run.
-	p := NewPool(2)
-	ta := NewTally(p, 20)
-	ta.Local(0)[4]++
-	ta.Local(1)[4]++
-	if got := ta.Merge(p)[4]; got != 2 {
-		t.Fatalf("dense merged[4] = %d, want 2", got)
-	}
-	ta.Reset(p)
-	ta.BeginSparse()
-	ta.SparseAdd(0, 4)
-	ta.SparseMerge()
-	if got := ta.ReceivedAt(4); got != 1 {
-		t.Fatalf("sparse ReceivedAt(4) = %d, want 1", got)
-	}
-}
-
-// Property: for random add sequences and worker counts, the sparse path's
-// merged counts equal the dense reference.
+// Property: for random add sequences, random lane assignment and worker
+// counts, over several epoch-reset rounds, the stamped accumulator's
+// counts equal the dense reference.
 func TestQuickSparseTallyEquivalence(t *testing.T) {
 	f := func(seed uint64, wRaw, sizeRaw uint8) bool {
 		workers := 1 + int(wRaw%8)
 		size := 16 + int(sizeRaw)
-		p := NewPool(workers)
-		ta := NewTally(p, size)
-		ta.BeginSparse()
+		rt := NewRouter(workers, workers, size)
+		ta := stampedTally(size)
 		src := rng.New(seed)
 		for round := 0; round < 3; round++ {
-			count := src.Intn(3 * size)
-			adds := make([]int32, count)
+			adds := make([]int32, src.Intn(3*size))
+			lanes := make([]int, len(adds))
 			for k := range adds {
 				adds[k] = int32(src.Intn(size))
-				ta.SparseAdd(src.Intn(workers), adds[k])
+				lanes[k] = src.Intn(workers)
 			}
-			ta.SparseMerge()
+			routeAdds(rt, ta, adds, func(k int) int { return lanes[k] })
 			ref := denseReference(size, adds)
 			for i := int32(0); i < int32(size); i++ {
 				if ta.ReceivedAt(i) != ref[i] {
 					return false
 				}
 			}
-			ta.SparseReset()
+			ta.StampedReset()
 		}
 		return true
 	}

@@ -5,17 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// The chunked work-stealing scheduler. ParallelRange's static one-shard-
-// per-worker split is optimal when every index costs the same, but the
-// round loop's late phases are skewed: a sparse round's frontier is tiny
-// and unevenly expensive (row regeneration, burned-neighborhood scans),
-// and a churned topology concentrates the surviving work on whichever
-// clients kept their balls. A static split then leaves workers idle
-// behind one straggler. StealRange instead over-decomposes [0, n) into
-// cache-line-multiple chunks, deals them contiguously onto per-worker
-// deques, and lets idle workers steal half of a victim's remaining
-// chunks, so the phase finishes when the *work* runs out, not when the
-// slowest static shard does.
+// The chunked work-stealing scheduler, the pool's only range scheduler.
+// A static one-shard-per-worker split is optimal when every index costs
+// the same, but the round loop's phases are skewed: a late round's
+// frontier is tiny and unevenly expensive (row regeneration,
+// burned-neighborhood scans), and a churned topology concentrates the
+// surviving work on whichever clients kept their balls. A static split
+// then leaves workers idle behind one straggler. StealRange instead
+// over-decomposes [0, n) into cache-line-multiple chunks, deals them
+// contiguously onto per-worker deques, and lets idle workers steal half
+// of a victim's remaining chunks, so the phase finishes when the *work*
+// runs out, not when the slowest static shard does. A single-worker pool
+// runs the chunks inline, in order, with no deque traffic.
 //
 // Determinism contract: which worker executes a chunk is scheduling-
 // dependent, so a callback may only produce (a) per-chunk outputs
@@ -23,8 +24,8 @@ import (
 // (n, grain, worker count), and concatenating per-chunk outputs in chunk
 // index order is identical for every steal schedule — or (b) per-worker
 // accumulations whose fold is exact and order-independent (integer
-// sums, maxima). The protocol phases in internal/core use exactly these
-// two shapes, which is what keeps results bit-for-bit identical across
+// sums, maxima). The round loop in internal/core uses exactly these two
+// shapes, which is what keeps results bit-for-bit identical across
 // worker counts AND steal schedules (the steal-schedule equivalence
 // suite pins it).
 
@@ -155,16 +156,9 @@ func (p *Pool) StealRangeGrain(n, grain int, fn func(worker, chunk, lo, hi int))
 		p.deques = make([]chunkDeque, p.workers)
 	}
 	// Initial deal: contiguous chunk intervals, at most one apart in
-	// size — the same split ParallelRange would use over chunk indices.
+	// size.
 	for w := 0; w < p.workers; w++ {
-		per := numChunks / p.workers
-		rem := numChunks % p.workers
-		lo := w*per + min(w, rem)
-		size := per
-		if w < rem {
-			size++
-		}
-		p.deques[w].reset(lo, lo+size)
+		p.deques[w].reset(p.shard(numChunks, w))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {

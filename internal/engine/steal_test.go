@@ -104,35 +104,3 @@ func TestStealRangeStealsUnderSkew(t *testing.T) {
 		t.Error("no chunk of the stalled worker was stolen")
 	}
 }
-
-// TestReduceNoAllocSteadyState checks that the reduction helpers stop
-// allocating per call on the paths the churn epoch loop hits every
-// round: the single-worker pool, and the inline small-range path of a
-// multi-worker pool (range < worker count — the case where per-worker
-// accumulators used to be sized regardless). The parallel wide-range
-// path inherently allocates goroutine closures, but its per-worker
-// accumulator slices must be reused after the first call.
-func TestReduceNoAllocSteadyState(t *testing.T) {
-	reduce := func(p *Pool, n int) {
-		p.ReduceInt64(n, func(_, lo, hi int) int64 { return int64(hi - lo) })
-		p.ReduceMaxFloat64(n, 0, func(_, lo, hi int) float64 { return float64(hi) })
-	}
-	single := NewPool(1)
-	if avg := testing.AllocsPerRun(20, func() { reduce(single, 1000) }); avg > 0 {
-		t.Errorf("single-worker reductions allocate %.1f objects per call", avg)
-	}
-	small := NewPool(4)
-	if avg := testing.AllocsPerRun(20, func() { reduce(small, 3) }); avg > 0 {
-		t.Errorf("small-range reductions allocate %.1f objects per call", avg)
-	}
-	wide := NewPool(4)
-	reduce(wide, 1000) // first call allocates the reusable accumulators
-	base := testing.AllocsPerRun(20, func() { wide.ParallelRange(1000, func(_, _, _ int) {}) })
-	got := testing.AllocsPerRun(20, func() { reduce(wide, 1000) })
-	// Two reductions ≈ two ParallelRange invocations' goroutine overhead
-	// plus one callback closure each — but no per-call accumulator
-	// slices (which would add two more).
-	if got > 2*base+2 {
-		t.Errorf("wide-range reductions allocate %.1f objects per call (ParallelRange alone: %.1f)", got, base)
-	}
-}
