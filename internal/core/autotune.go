@@ -14,8 +14,8 @@ import "repro/internal/engine"
 //
 // The heuristics are calibrated on the measurements in PERFORMANCE.md:
 //
-//   - A fold window (one shard's counts + stamps, 8 B/cell) should fit
-//     half of L2, leaving the rest for the route lanes streaming in.
+//   - A fold window, budgeted at 8 B per cell, should fit half of L2,
+//     leaving the rest for the route lanes streaming in.
 //     Sharding on a single worker is pure cache blocking, so it only
 //     pays once the whole tally outgrows L2 (measured: 6–8% loss at
 //     m = 2¹⁸ where the tally just fits, 1.2× win at m = 2²⁰ where it
@@ -25,8 +25,10 @@ import "repro/internal/engine"
 //   - The shard count is capped so phase 1 still routes enough events
 //     per shard for the fold loop to amortize (≥ ~256 clients' worth).
 func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
-	// Bytes per tally cell in the stamped pipeline: 4 B count + 4 B
-	// epoch stamp.
+	// Bytes budgeted per tally cell: the 4 B count and its 1-bit
+	// occupancy flag, the rest headroom for the cell's share of the
+	// route lanes and the fold's touched list. The rule was calibrated
+	// with this budget, so keeping it keeps the shard counts.
 	const perCell = 8
 	l2 := cache.L2
 	if l2 <= 0 {

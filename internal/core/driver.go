@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/telemetry"
@@ -11,8 +10,8 @@ import (
 // Driver is the transport-agnostic front end of the protocol: the shared
 // client loop — identical per-client draws, frontier, starvation rule and
 // result assembly as the Runner — over a ServerBank. Each round's
-// (server, count) pairs are folded shard by shard, sorted window-locally
-// and shipped as one ascending batch. With a LocalBank the whole protocol
+// (server, count) pairs are folded shard by shard and shipped as one
+// ascending batch. With a LocalBank the whole protocol
 // runs in this process; with a wire bank the servers live in remote shard
 // processes and the Driver becomes the load generator. Either way the
 // outcome is bit-for-bit the Runner's for the same (topology, config,
@@ -20,16 +19,18 @@ import (
 // it end to end over real sockets.
 //
 // The batch is independent of the worker count and the steal schedule:
-// the per-shard folds produce sorted window-local touched lists whose
-// shard-order concatenation is the globally sorted batch, so the bank
-// sees exactly the same bytes either way; only the wall-clock changes.
+// each shard's fold lists its touched servers in ascending order (read
+// off the tally's occupancy bitmap), and the shard-order concatenation
+// of those window-local lists is the globally ascending batch — no sort
+// anywhere — so the bank sees exactly the same bytes either way; only
+// the wall-clock changes.
 type Driver struct {
 	clientLoop
 	bank ServerBank
 
 	touched      []int32
 	countsArg    []int32
-	shardTouched [][]int32 // per-shard sorted touched lists of the current round
+	shardTouched [][]int32 // per-shard ascending touched lists of the current round
 }
 
 // NewDriver validates the configuration against topo (the same checks as
@@ -83,26 +84,24 @@ func (dr *Driver) reset(initialLoads []int) error {
 func (dr *Driver) loads() ([]int32, error) { return dr.bank.Loads() }
 
 // decide folds the route lanes shard by shard (each fold owned by one
-// goroutine, each shard's touched list sorted window-locally),
-// concatenates the per-shard lists in shard order — contiguous ascending
-// windows, so the result is the globally sorted batch — ships it to the
-// bank, and applies the decision to the accept stamps and the burned
-// mirror.
+// goroutine and yielding the shard's touched servers in ascending
+// order), concatenates the per-shard lists in shard order — contiguous
+// ascending windows, so the result is the globally ascending batch —
+// ships it to the bank, and applies the checked decision to the accept
+// stamps and the burned mirror.
 func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(dr.tel.foldHist())
 	dr.pool.StealRangeGrain(len(dr.shardTouched), 1, func(_, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			t := dr.router.FoldShard(s, dr.tally)
-			slices.Sort(t)
-			dr.shardTouched[s] = t
+			dr.shardTouched[s] = dr.router.FoldShard(s, dr.tally)
 		}
 	})
 	dr.touched = dr.touched[:0]
 	dr.countsArg = dr.countsArg[:0]
 	merged := dr.tally.Merged()
 	for _, t := range dr.shardTouched {
+		dr.touched = append(dr.touched, t...)
 		for _, u := range t {
-			dr.touched = append(dr.touched, u)
 			dr.countsArg = append(dr.countsArg, merged[u])
 		}
 	}
@@ -113,11 +112,53 @@ func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, u := range dec.Accepted {
-		dr.acceptedEpoch[u] = dr.roundEpoch
-	}
-	for _, u := range dec.NewlyBurned {
-		dr.burned[u] = true
+	if err := dr.apply(dec); err != nil {
+		return 0, 0, err
 	}
 	return len(dec.NewlyBurned), dec.Saturated, nil
+}
+
+// apply checks a bank's decision against the batch it answers and
+// applies it: Accepted and NewlyBurned must be strictly ascending
+// subsets of the shipped batch, and Saturated must lie in
+// [0, len(batch)]. One merge-walk over the batch checks both lists and
+// stamps the servers it matches, so a malformed decision — an id out of
+// range, duplicated, unsorted or never shipped — is an error before it
+// can index per-server state.
+func (dr *Driver) apply(dec RoundDecision) error {
+	if dec.Saturated < 0 || dec.Saturated > len(dr.touched) {
+		return fmt.Errorf("bank decision: %d saturated servers in a batch of %d", dec.Saturated, len(dr.touched))
+	}
+	acc, nb := dec.Accepted, dec.NewlyBurned
+	i, j := 0, 0
+	for _, u := range dr.touched {
+		if i < len(acc) && acc[i] <= u {
+			if acc[i] < u {
+				return notInBatch("accepted", acc, i)
+			}
+			dr.acceptedEpoch[u] = dr.roundEpoch
+			i++
+		}
+		if j < len(nb) && nb[j] <= u {
+			if nb[j] < u {
+				return notInBatch("newly burned", nb, j)
+			}
+			dr.burned[u] = true
+			j++
+		}
+	}
+	if i < len(acc) {
+		return notInBatch("accepted", acc, i)
+	}
+	if j < len(nb) {
+		return notInBatch("newly burned", nb, j)
+	}
+	return nil
+}
+
+// notInBatch reports entry k of a decision list, which the merge-walk
+// could not match against the batch: out of range, duplicated, out of
+// order or never shipped.
+func notInBatch(kind string, list []int32, k int) error {
+	return fmt.Errorf("bank decision: %s server %d (entry %d) is not a strictly ascending member of the round batch", kind, list[k], k)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -227,5 +230,164 @@ func TestLocalBankResetDoesNotAllocate(t *testing.T) {
 		if int(l) != loads[u] {
 			t.Fatalf("server %d reset to load %d, want %d", u, l, loads[u])
 		}
+	}
+}
+
+// recordingBank is a LocalBank that checks every batch a Driver ships
+// before deciding it: strictly ascending, counts parallel and positive.
+type recordingBank struct {
+	*LocalBank
+	t       *testing.T
+	name    string
+	batches int
+}
+
+func (b *recordingBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
+	b.batches++
+	if len(counts) != len(touched) {
+		b.t.Errorf("%s batch %d: %d counts for %d servers", b.name, b.batches, len(counts), len(touched))
+	}
+	for i, u := range touched {
+		if i > 0 && u <= touched[i-1] {
+			b.t.Errorf("%s batch %d: not strictly ascending at index %d (%d after %d)",
+				b.name, b.batches, i, u, touched[i-1])
+			break
+		}
+	}
+	return b.LocalBank.DecideRound(touched, counts)
+}
+
+// TestDriverShipsAscendingBatches pins the ordered fold end to end: the
+// Driver concatenates its shards' touched lists without sorting, so
+// every batch it ships must already be strictly ascending — for every
+// worker count and route shard count — and the run must still match
+// the one-lane Runner reference.
+func TestDriverShipsAscendingBatches(t *testing.T) {
+	g := regularGraph(t, 1000, 24, 9)
+	cfg := NewConfig(SAER, 2, 2, 0xACE)
+	cfg.TrackRounds = true
+	cfg.TrackLoads = true
+	rcfg := cfg
+	rcfg.Workers, rcfg.Shards = 1, 1
+	ref, err := rcfg.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, shards := range []int{0, 1, 2, 3, 8} {
+			name := fmt.Sprintf("workers=%d shards=%d", workers, shards)
+			local, err := NewLocalBank(cfg.Variant, int32(cfg.Params().Capacity()), g.NumServers(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bank := &recordingBank{LocalBank: local, t: t, name: name}
+			wcfg := cfg
+			wcfg.Workers, wcfg.Shards = workers, shards
+			dr, err := NewDriver(g, wcfg, bank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dr.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if bank.batches != res.Rounds || res.Rounds < 2 {
+				t.Fatalf("%s: %d batches for %d rounds", name, bank.batches, res.Rounds)
+			}
+			if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
+				t.Errorf("%s: driver diverges from the runner reference", name)
+			}
+		}
+	}
+}
+
+// tamperBank answers like a LocalBank, then corrupts its decision for
+// round 1 — the stand-in for a buggy or hostile remote server.
+type tamperBank struct {
+	*LocalBank
+	calls  int
+	tamper func(touched []int32, dec *RoundDecision)
+}
+
+func (b *tamperBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
+	dec, err := b.LocalBank.DecideRound(touched, counts)
+	b.calls++
+	if err == nil && b.calls == 1 {
+		b.tamper(touched, &dec)
+	}
+	return dec, err
+}
+
+// TestDriverRejectsMalformedDecisions pins the round loop's validation of
+// the bank's answer: a decision naming a server out of range, twice, out of
+// order or outside the shipped batch, or claiming more saturations than
+// the batch holds, ends the run with a round-1 error instead of a panic
+// or a silently applied decision.
+func TestDriverRejectsMalformedDecisions(t *testing.T) {
+	g := regularGraph(t, 1024, 16, 5)
+	cfg := NewConfig(SAER, 2, 2, 77)
+	cfg.Workers = 2
+	notInBatch := func(touched []int32) int32 {
+		for u := int32(0); ; u++ {
+			if _, found := slices.BinarySearch(touched, u); !found {
+				return u
+			}
+		}
+	}
+	cases := []struct {
+		name   string
+		tamper func(touched []int32, dec *RoundDecision)
+	}{
+		{"out of range", func(_ []int32, dec *RoundDecision) {
+			dec.Accepted = append(dec.Accepted, 1<<20)
+		}},
+		{"negative", func(_ []int32, dec *RoundDecision) {
+			dec.Accepted = append(dec.Accepted, -1)
+		}},
+		{"duplicate", func(_ []int32, dec *RoundDecision) {
+			dec.Accepted = slices.Insert(dec.Accepted, 1, dec.Accepted[1])
+		}},
+		{"not in the batch", func(touched []int32, dec *RoundDecision) {
+			u := notInBatch(touched)
+			k, _ := slices.BinarySearch(dec.Accepted, u)
+			dec.Accepted = slices.Insert(dec.Accepted, k, u)
+		}},
+		{"unsorted", func(_ []int32, dec *RoundDecision) {
+			dec.Accepted[0], dec.Accepted[1] = dec.Accepted[1], dec.Accepted[0]
+		}},
+		{"newly burned not in the batch", func(touched []int32, dec *RoundDecision) {
+			dec.NewlyBurned = append(dec.NewlyBurned, notInBatch(touched))
+			slices.Sort(dec.NewlyBurned)
+		}},
+		{"saturated beyond the batch", func(touched []int32, dec *RoundDecision) {
+			dec.Saturated = len(touched) + 1
+		}},
+		{"negative saturated", func(_ []int32, dec *RoundDecision) {
+			dec.Saturated = -1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			local, err := NewLocalBank(cfg.Variant, int32(cfg.Params().Capacity()), g.NumServers(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr, err := NewDriver(g, cfg, &tamperBank{LocalBank: local, tamper: tc.tamper})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Driver.Run panicked: %v", p)
+				}
+			}()
+			_, err = dr.Run()
+			if err == nil {
+				t.Fatal("Driver.Run accepted a malformed decision")
+			}
+			if !strings.Contains(err.Error(), "core: round 1: bank decision") {
+				t.Errorf("error %q does not name round 1's bank decision", err)
+			}
+		})
 	}
 }

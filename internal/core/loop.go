@@ -162,7 +162,7 @@ func validateInstance(topo bipartite.Topology, cfg Config) error {
 // init validates cfg against topo and allocates the client half. The
 // one-lane path is taken when the resolved run has one worker and one
 // shard, unless alwaysRoute is set: a Driver always routes, since its
-// bank needs sorted per-shard batches.
+// batch is the concatenation of the folds' ascending per-shard lists.
 func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool) error {
 	if err := validateInstance(topo, cfg); err != nil {
 		return err

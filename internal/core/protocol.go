@@ -27,9 +27,9 @@ func Run(topo bipartite.Topology, variant Variant, p Params, opts Options) (*Res
 //
 // Each router shard owns one ServerShard over the same server window, and
 // a round's phase 2 folds a shard's route lanes and decides exactly the
-// servers the fold touched, on the goroutine that owns the shard — no
-// sort, no decision lists. The one-lane run (one worker, one shard)
-// scans its plain tally instead.
+// servers the fold touched, in address order, on the goroutine that owns
+// the shard — no decision lists. The one-lane run (one worker, one
+// shard) scans its plain tally instead.
 type Runner struct {
 	clientLoop
 
@@ -87,11 +87,11 @@ func (r *Runner) loads() ([]int32, error) { return r.load, nil }
 
 // decide is phase 2. On the routed path the shard owners fold their
 // lanes into the stamped tally and apply the rule to exactly the servers
-// each fold touched; on the one-lane path the single shard scans the
-// plain tally. Iteration order differs across shard counts and steal
-// schedules but never leaks into results: each server's update depends
-// only on its own state, and the burned/saturated partials are
-// order-independent sums.
+// each fold touched, ascending within the shard; on the one-lane path
+// the single shard scans the plain tally. The order in which shards run
+// differs across shard counts and steal schedules but never leaks into
+// results: each server's update depends only on its own state, and the
+// burned/saturated partials are order-independent sums.
 func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(r.tel.decideHist())
 	defer sp.End()

@@ -262,7 +262,7 @@ func TestRunnerReuseAfterStarvedRun(t *testing.T) {
 // TestRunnerReuseAcrossEngineModes reseeds a Runner on each of the two
 // round paths — the one-lane plain tally and the routed stamped tally —
 // through enough trials that state left by earlier trials (tally
-// counts, epoch stamps, survivor ranges) is exercised by later ones.
+// counts, occupancy bits, survivor ranges) is exercised by later ones.
 func TestRunnerReuseAcrossEngineModes(t *testing.T) {
 	g := regularGraph(t, 512, 30, 9)
 	for _, path := range []struct {

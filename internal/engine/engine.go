@@ -6,7 +6,9 @@
 // this onto goroutines with a data-parallel pattern: entity ranges are cut
 // into chunks scheduled by work stealing (StealRange), route lanes bucket
 // each phase-1 event by the server shard that owns it (Router), and a
-// stamped tally folds each shard's lanes with shard-local writes (Tally).
+// stamped tally folds each shard's lanes with shard-local writes (Tally),
+// marking every touched cell in a one-bit occupancy map from which the
+// fold reads the shard's touched cells in ascending order.
 // Because chunk boundaries depend only on (range length, worker count) and
 // every entity owns a private random stream, simulation results are
 // bit-for-bit identical for any worker count and any steal schedule — a
@@ -79,24 +81,26 @@ func (p *Pool) shard(n, w int) (lo, hi int) {
 //     it, which beats any per-event bookkeeping when nothing runs in
 //     parallel.
 //
-//   - Stamped: after BeginStamped, the counts are epoch-guarded — a
-//     cell's count is valid only while its stamp matches the epoch, and
-//     StampedReset invalidates every count in O(1). This is the global
-//     level of the two-level SPA tally used by the routed round loop:
-//     Router.FoldShard writes counts straight into the array, detecting
-//     first touches by stamp instead of requiring pre-zeroed cells, so
-//     no zeroing pass ever streams the full counts array — the tally's
-//     resident set per fold is one shard window even when size outgrows
-//     L2.
+//   - Stamped: after BeginStamped, a one-bit occupancy map guards the
+//     counts — a cell's count is valid only while its bit is set, and
+//     StampedReset clears the bitmap (size/8 bytes, 32× less than the
+//     counts array). This is the global level of the two-level SPA
+//     tally used by the routed round loop: Router.FoldShard writes
+//     counts straight into the array, detecting first touches by the bit
+//     instead of requiring pre-zeroed cells, so no zeroing pass ever
+//     streams the counts array — the tally's resident set per fold is
+//     one shard window even when size outgrows L2 — and it reads the
+//     shard's touched cells off the bitmap in ascending order.
 //
 // Both modes report identical counts through ReceivedAt for identical
 // adds.
 type Tally struct {
 	merged []int32
 
-	stamped     bool
-	epoch       uint32
-	mergedStamp []uint32 // mergedStamp[i] == epoch ⇔ merged[i] is current
+	// occupied is the stamped mode's occupancy bitmap: bit i&63 of word
+	// i>>6 is set ⇔ cell i was touched since the last reset, i.e.
+	// merged[i] is current. Nil in plain mode.
+	occupied []uint64
 }
 
 // NewTally returns a plain Tally of size cells. The pool argument names
@@ -108,53 +112,46 @@ func NewTally(_ *Pool, size int) *Tally {
 }
 
 // Merged returns the counts array. In stamped mode a cell's entry is
-// only meaningful while it is stamped with the current epoch; read
-// through ReceivedAt when that is not known.
+// only meaningful while its occupancy bit is set; read through
+// ReceivedAt when that is not known.
 func (t *Tally) Merged() []int32 { return t.merged }
 
 // ReceivedAt returns the count of cell i this round. In stamped mode a
-// cell not touched this epoch reads as zero without having been zeroed.
+// cell not touched since the last reset reads as zero without having
+// been zeroed.
 func (t *Tally) ReceivedAt(i int32) int32 {
-	if t.stamped && t.mergedStamp[i] != t.epoch {
+	if t.occupied != nil && t.occupied[i>>6]&(1<<(i&63)) == 0 {
 		return 0
 	}
 	return t.merged[i]
 }
 
 // IsStamped reports whether the tally is in stamped mode.
-func (t *Tally) IsStamped() bool { return t.stamped }
+func (t *Tally) IsStamped() bool { return t.occupied != nil }
 
-// BeginStamped switches the tally into epoch-guarded (stamped) mode: a
-// cell's count is valid only while its stamp matches the current epoch,
-// so folds that write counts directly into the array
-// (Router.FoldShard) detect first touches by stamp instead of requiring
-// pre-zeroed cells, and StampedReset invalidates everything in O(1).
-// Stamped mode is a property of the caller's pipeline, not of one run:
-// Reset keeps it.
+// BeginStamped switches the tally into stamped mode: a cell's count is
+// valid only while its occupancy bit is set, so folds that write counts
+// directly into the array (Router.FoldShard) detect first touches by
+// the bit instead of requiring pre-zeroed cells, and StampedReset
+// invalidates everything by clearing the bitmap. Stamped mode is a
+// property of the caller's pipeline, not of one run: Reset keeps it.
 func (t *Tally) BeginStamped() {
-	if t.mergedStamp == nil {
-		t.mergedStamp = make([]uint32, len(t.merged))
+	if t.occupied == nil {
+		t.occupied = make([]uint64, (len(t.merged)+63)/64)
 	}
-	t.stamped = true
 	t.StampedReset()
 }
 
-// StampedReset invalidates every count of a stamped tally by advancing
-// the epoch. Cost: O(1), independent of size. On the (practically
-// unreachable) uint32 wraparound every stamp is cleared so that no stale
-// stamp can collide with a recycled epoch value.
-func (t *Tally) StampedReset() {
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.mergedStamp)
-		t.epoch = 1
-	}
-}
+// StampedReset invalidates every count of a stamped tally by clearing
+// its occupancy bitmap — one bit per cell, so size/8 bytes — without
+// writing the counts array. Afterwards every cell reads 0 and the next
+// fold starts clean.
+func (t *Tally) StampedReset() { clear(t.occupied) }
 
-// Reset clears every count: an O(1) epoch advance in stamped mode, a
-// pass over the array in plain mode.
+// Reset clears every count: a bitmap clear in stamped mode, a pass over
+// the array in plain mode.
 func (t *Tally) Reset() {
-	if t.stamped {
+	if t.occupied != nil {
 		t.StampedReset()
 		return
 	}

@@ -9,24 +9,28 @@ import "math/bits"
 // shard owners fold one shard's lanes at a time into the shared counts
 // array. All writes to a shard's counts happen on the goroutine that
 // owns the shard and land inside one contiguous 2^shift-cell window, so
-// they are cache-blocked; folding costs O(routed events), and with the
-// stamped tally (the global level of the two-level SPA accumulator, see
-// Tally.BeginStamped) the round-end reset is a single O(1) epoch
-// advance: no zeroing pass ever streams the counts array, so the loop's
-// per-round resident set is one shard window even when the tally itself
-// outgrows L2.
+// they are cache-blocked; folding costs O(routed events + window/64),
+// and with the stamped tally (the global level of the two-level SPA
+// accumulator, see Tally.BeginStamped) the round-end reset clears a
+// one-bit-per-cell occupancy map: no zeroing pass ever streams the
+// counts array, so the loop's per-round resident set is one shard
+// window even when the tally itself outgrows L2.
 //
 // Shards are contiguous cell ranges of width 2^shift: routing in the
-// phase-A inner loop is a single shift (ShardOf). The width is derived
-// from a target shard count so that the actual count lands in
-// [target, 2·target] whenever size ≥ target — every owner gets work, and
-// a finer split only shrinks the per-fold cache window.
+// phase-A inner loop is a single shift (ShardOf). The width is at least
+// 64 cells — one occupancy word — so a window starts on a word boundary
+// and concurrent folds never write the same bitmap word. Above that
+// floor it is derived from a target shard count so that the actual
+// count lands in [target, 2·target] whenever size ≥ 64·target — every
+// owner gets work, and a finer split only shrinks the per-fold cache
+// window.
 //
 // Determinism: a shard's fold visits lanes in (worker, append) order,
 // which varies with the worker count — but a fold only produces per-cell
-// sums and a duplicate-free touched set, both order-independent, so
-// simulation results stay bit-for-bit identical across worker AND shard
-// counts. The equivalence tests in internal/core sweep both.
+// sums and the set of touched cells, which it lists in ascending order
+// off the occupancy bitmap, so simulation results stay bit-for-bit
+// identical across worker AND shard counts. The equivalence tests in
+// internal/core sweep both.
 type Router struct {
 	workers int
 	shards  int
@@ -34,8 +38,8 @@ type Router struct {
 	// lanes[w*shards+s] holds the cells worker w routed to shard s this
 	// round. Truncated (capacity kept) by ResetLanes.
 	lanes [][]int32
-	// touched[s] is the duplicate-free list of cells shard s's last fold
-	// incremented — reused across rounds for its capacity.
+	// touched[s] is the ascending list of cells shard s's last fold
+	// found occupied — reused across rounds for its capacity.
 	touched [][]int32
 	// topoVersion is the topology version the lanes were last synced to
 	// (see bipartite.Versioned and SyncTopologyVersion). Static
@@ -43,8 +47,13 @@ type Router struct {
 	topoVersion uint64
 }
 
+// minShardShift is log2 of the narrowest shard window: one 64-cell
+// occupancy word, so every window starts on a word boundary.
+const minShardShift = 6
+
 // NewRouter returns a Router for `workers` phase-A workers over a counts
-// array of `size` cells, splitting it into about targetShards shards.
+// array of `size` cells, splitting it into about targetShards shards of
+// at least 64 cells.
 func NewRouter(workers, targetShards, size int) *Router {
 	if workers < 1 {
 		workers = 1
@@ -52,18 +61,16 @@ func NewRouter(workers, targetShards, size int) *Router {
 	if targetShards < 1 {
 		targetShards = 1
 	}
-	shift := uint(0)
-	if size > targetShards {
-		// Largest power-of-two width with ceil(size/width) ≥ targetShards:
-		// width ≤ size/targetShards < 2·width, so the shard count is in
-		// [targetShards, 2·targetShards].
-		shift = uint(bits.Len64(uint64(size/targetShards))) - 1
+	// Largest power-of-two width ≤ size/targetShards, so that
+	// width ≤ size/targetShards < 2·width and the shard count is in
+	// [targetShards, 2·targetShards] — unless that is under the 64-cell
+	// floor, which leaves fewer shards.
+	shift := uint(minShardShift)
+	if per := size / targetShards; per > 0 {
+		shift = max(shift, uint(bits.Len64(uint64(per)))-1)
 	}
 	width := 1 << shift
-	shards := (size + width - 1) / width
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max((size+width-1)/width, 1)
 	return &Router{
 		workers: workers,
 		shards:  shards,
@@ -99,27 +106,37 @@ func (rt *Router) ResetLanes() {
 	}
 }
 
-// FoldShard folds every worker's lane of shard s into the stamped tally's
-// merged view and returns the shard's duplicate-free touched list (cells
-// first stamped this epoch). The tally must be in stamped mode
-// (Tally.BeginStamped): a first touch is detected by the cell's merged
-// stamp differing from the current epoch, so the shard's counts may hold
-// arbitrary stale values — no zeroing pass ever precedes a fold, and the
-// round-end reset is the O(1) Tally.StampedReset. Shard owners call
+// FoldShard folds every worker's lane of shard s into the stamped tally
+// and returns the shard's touched cells, ascending and duplicate-free.
+// The tally must be in stamped mode (Tally.BeginStamped): a first touch
+// is detected by the cell's occupancy bit, so the shard's counts may
+// hold arbitrary stale values — no zeroing pass ever precedes a fold.
+// The touched list is then read off the occupancy words of the shard's
+// window, at O(window/64 + touched) cost, so it comes out in address
+// order whatever order the lanes arrived in. Shard owners call
 // FoldShard for distinct s concurrently: a cell belongs to exactly one
-// shard, so each (count, stamp) pair is written by exactly one goroutine.
+// shard and a window spans whole occupancy words, so each count and
+// each bitmap word is written by exactly one goroutine.
 func (rt *Router) FoldShard(s int, t *Tally) []int32 {
-	touched := rt.touched[s][:0]
-	counts, stamps, epoch := t.merged, t.mergedStamp, t.epoch
+	counts, occ := t.merged, t.occupied
 	for w := 0; w < rt.workers; w++ {
 		for _, i := range rt.lanes[w*rt.shards+s] {
-			if stamps[i] == epoch {
+			word, bit := i>>6, uint64(1)<<(i&63)
+			if occ[word]&bit != 0 {
 				counts[i]++
 			} else {
-				stamps[i] = epoch
+				occ[word] |= bit
 				counts[i] = 1
-				touched = append(touched, i)
 			}
+		}
+	}
+	touched := rt.touched[s][:0]
+	lo := s << (rt.shift - minShardShift)
+	hi := min(lo+1<<(rt.shift-minShardShift), len(occ))
+	for k, word := range occ[lo:hi] {
+		base := int32(lo+k) << 6
+		for ; word != 0; word &= word - 1 {
+			touched = append(touched, base+int32(bits.TrailingZeros64(word)))
 		}
 	}
 	rt.touched[s] = touched
@@ -142,8 +159,8 @@ func (rt *Router) SyncTopologyVersion(v uint64) bool {
 }
 
 // Discard truncates every lane and touched list without touching the
-// tally: the reset to pair with Tally.FullReset when a run abandoned a
-// round between fold and reset.
+// tally: pair it with Tally.Reset when a run abandoned a round between
+// fold and reset.
 func (rt *Router) Discard() {
 	rt.ResetLanes()
 	for s := range rt.touched {

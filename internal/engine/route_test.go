@@ -1,17 +1,29 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
 
+// TestRouterGeometry pins the shard layout: a window is a power of two
+// of at least 64 cells (one occupancy word, so concurrent folds never
+// share a bitmap word), and the shard count lands in [target, 2·target]
+// whenever that floor leaves room for it (size ≥ 64·target).
 func TestRouterGeometry(t *testing.T) {
 	for _, target := range []int{1, 2, 3, 4, 7, 8, 16} {
-		for _, size := range []int{1, 2, 7, 16, 100, 1000, 1 << 16, 1<<16 + 1} {
+		for _, size := range []int{1, 2, 7, 16, 63, 64, 65, 100, 1000, 1 << 16, 1<<16 + 1} {
 			rt := NewRouter(3, target, size)
-			if size >= target {
+			width := 1 << rt.Shift()
+			if width < 64 {
+				t.Fatalf("target=%d size=%d: shard width %d < 64", target, size, width)
+			}
+			if want := (size + width - 1) / width; rt.Shards() != max(want, 1) {
+				t.Fatalf("target=%d size=%d: %d shards of width %d", target, size, rt.Shards(), width)
+			}
+			if size >= 64*target {
 				if rt.Shards() < target || rt.Shards() > 2*target {
 					t.Fatalf("target=%d size=%d: %d shards outside [target, 2·target]",
 						target, size, rt.Shards())
@@ -47,7 +59,7 @@ func stampedTally(size int) *Tally {
 // FoldShard on a stamped tally and checks counts and touched lists
 // against a plain dense accumulation. Between rounds only StampedReset
 // runs — the counts are never zeroed, which is exactly the stale-value
-// situation the epoch stamps must mask.
+// situation the occupancy bits must mask.
 func TestRouterFoldMatchesDense(t *testing.T) {
 	const size = 500
 	const workers = 3
@@ -113,9 +125,9 @@ func TestRouterDiscard(t *testing.T) {
 	for s := 0; s < rt.Shards(); s++ {
 		rt.FoldShard(s, ta)
 	}
-	// Simulate the early-exit path: the tally is fully reset (an epoch
-	// advance in stamped mode), the Router is discarded, and the next
-	// round must start clean.
+	// Simulate the early-exit path: the tally is fully reset (a bitmap
+	// clear in stamped mode), the Router is discarded, and the next round
+	// must start clean.
 	ta.Reset()
 	if !ta.IsStamped() {
 		t.Fatal("Reset dropped stamped mode")
@@ -135,7 +147,9 @@ func TestRouterDiscard(t *testing.T) {
 }
 
 // Property: folded counts are independent of the worker count and the
-// target shard count.
+// target shard count, and every shard's FoldShard list is strictly
+// ascending, lies inside the shard's window and holds exactly the
+// window's cells with a non-zero count.
 func TestQuickRouterInvariance(t *testing.T) {
 	f := func(seed uint64, wRaw, tRaw, sizeRaw uint8) bool {
 		workers := 1 + int(wRaw%6)
@@ -151,18 +165,68 @@ func TestQuickRouterInvariance(t *testing.T) {
 			s := int(adds[k]) >> rt.Shift()
 			lanes[s] = append(lanes[s], adds[k])
 		}
+		var listed []int32
 		for s := 0; s < rt.Shards(); s++ {
-			rt.FoldShard(s, ta)
+			for k, i := range rt.FoldShard(s, ta) {
+				if rt.ShardOf(i) != s || (k > 0 && i <= listed[len(listed)-1]) {
+					t.Logf("size=%d shard %d: cell %d out of window or order", size, s, i)
+					return false
+				}
+				listed = append(listed, i)
+			}
 		}
 		ref := denseReference(size, adds)
 		for i := range ref {
 			if ta.ReceivedAt(int32(i)) != ref[i] {
 				return false
 			}
+			if ref[i] > 0 {
+				if len(listed) == 0 || listed[0] != int32(i) {
+					t.Logf("size=%d: cell %d has count %d but is not next in the lists", size, i, ref[i])
+					return false
+				}
+				listed = listed[1:]
+			}
 		}
-		return true
+		return len(listed) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkFoldShard measures the fold layer as the routed round loop
+// runs it every round: the stamped tally is reset, then every shard's
+// lanes — two workers', filled before the timer starts — are folded and
+// the shard's ascending touched list read off the occupancy bitmap.
+// "round1" routes 2 balls per server (round 1 of an n = m instance at
+// d = 2), "tail" 1% of that (a late round). Shard windows are 2^14
+// cells, the autotuner's window at its 256 KiB L2 fallback. Reports
+// ns per routed ball.
+func BenchmarkFoldShard(b *testing.B) {
+	for _, m := range []int{1 << 16, 1 << 20} {
+		for _, load := range []struct {
+			name  string
+			balls int
+		}{{"round1", 2 * m}, {"tail", 2 * m / 100}} {
+			b.Run(fmt.Sprintf("m=%d/%s", m, load.name), func(b *testing.B) {
+				rt := NewRouter(2, m>>14, m)
+				ta := stampedTally(m)
+				src := rng.New(1)
+				for k := 0; k < load.balls; k++ {
+					i := int32(src.Intn(m))
+					lanes := rt.Lanes(2 * k / load.balls)
+					lanes[rt.ShardOf(i)] = append(lanes[rt.ShardOf(i)], i)
+				}
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					ta.StampedReset()
+					for s := 0; s < rt.Shards(); s++ {
+						rt.FoldShard(s, ta)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(load.balls), "ns/ball")
+			})
+		}
 	}
 }
