@@ -10,7 +10,7 @@ import (
 	"repro/internal/sweep"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the JSON record golden file")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the JSON record golden files")
 
 // TestJSONRecordGolden pins the machine-readable record schema of
 // `saer-experiments -json`: the full E1 quick-mode stream (fixed seed,
@@ -20,15 +20,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the JSON record go
 //
 //	go test ./internal/experiments -run TestJSONRecordGolden -update-golden
 func TestJSONRecordGolden(t *testing.T) {
-	cfg := QuickSuiteConfig()
-	cfg.Trials = 2
-	cfg.TrialParallelism = 3 // the stream must not depend on parallelism
-	var buf bytes.Buffer
-	cfg.Records = sweep.NewRecorder(&buf)
-	if _, err := ExperimentCompletionScaling(cfg); err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "e1_quick_records.golden", buf.Bytes())
+	compareGolden(t, "e1_quick_records.golden", quickRecords(t, ExperimentCompletionScaling))
 }
 
 // TestJSONRecordGoldenDynamic pins the record stream of the dynamic
@@ -38,21 +30,55 @@ func TestJSONRecordGolden(t *testing.T) {
 // its epoch. The incremental path runs through the churn subsystem, so
 // this golden also pins that the scenario is deterministic end to end.
 func TestJSONRecordGoldenDynamic(t *testing.T) {
+	got := quickRecords(t, ExperimentDynamic)
+	if !bytes.Contains(got, []byte(`"type":"round"`)) {
+		t.Fatal("E12 stream contains no round records")
+	}
+	if !bytes.Contains(got, []byte(`"epoch":`)) {
+		t.Fatal("E12 round records carry no epoch tags")
+	}
+	compareGolden(t, "e12_quick_records.golden", got)
+}
+
+// TestJSONRecordGoldenRows pins the quick record streams of the
+// experiments that regenerate partial-shuffle rows (gen.SampleRow:
+// trust-subset and almost-regular topologies, churn's TrustSampler) or
+// filter failed servers out of rows. The other pins and the equivalence
+// suites compare paths inside one build, so only a pin across versions
+// catches a change to the row sampler itself. Regenerate after an
+// intentional change with:
+//
+//	go test ./internal/experiments -run TestJSONRecordGoldenRows -update-golden
+func TestJSONRecordGoldenRows(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		run func(SuiteConfig) (*Table, error)
+	}{
+		{"e5", ExperimentMaxLoad},
+		{"e8", ExperimentAlmostRegular},
+		{"e15", ExperimentChurnRate},
+		{"e16", ExperimentFailureWaves},
+		{"e17", ExperimentArrivalProcesses},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			compareGolden(t, tc.id+"_quick_records.golden", quickRecords(t, tc.run))
+		})
+	}
+}
+
+// quickRecords runs one experiment in quick mode (fixed seed, 2 trials)
+// and returns its JSON record stream.
+func quickRecords(t *testing.T, run func(SuiteConfig) (*Table, error)) []byte {
+	t.Helper()
 	cfg := QuickSuiteConfig()
 	cfg.Trials = 2
 	cfg.TrialParallelism = 3 // the stream must not depend on parallelism
 	var buf bytes.Buffer
 	cfg.Records = sweep.NewRecorder(&buf)
-	if _, err := ExperimentDynamic(cfg); err != nil {
+	if _, err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"type":"round"`)) {
-		t.Fatal("E12 stream contains no round records")
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"epoch":`)) {
-		t.Fatal("E12 round records carry no epoch tags")
-	}
-	compareGolden(t, "e12_quick_records.golden", buf.Bytes())
+	return buf.Bytes()
 }
 
 func compareGolden(t *testing.T, name string, got []byte) {
