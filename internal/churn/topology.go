@@ -149,8 +149,10 @@ type Topology struct {
 	present    []bool
 	numPresent int
 
-	failed    []bool
-	numFailed int
+	// failedBits holds one bit per server, set while the server is
+	// failed: ⌈m/64⌉ words that row filtering reads without branching.
+	failedBits []uint64
+	numFailed  int
 	// live lists the non-failed servers ascending; it is rebuilt on
 	// every failure/recovery batch (mutation time, never read time) and
 	// backs the deterministic fallback edge of fully-failed rows.
@@ -201,7 +203,7 @@ func New(cfg Config) (*Topology, error) {
 		rewired:    make([]int32, n),
 		present:    make([]bool, n),
 		numPresent: n,
-		failed:     make([]bool, m),
+		failedBits: make([]uint64, (m+63)/64),
 		live:       make([]int32, m),
 		maxDeg:     max(cfg.Base.MaxClientDegree(), cfg.Sampler.MaxDegree),
 	}
@@ -330,32 +332,15 @@ func (t *Topology) Validate() error {
 // implicit backend resamples into buf anyway).
 func (t *Topology) AppendClientNeighbors(v int, buf []int32) []int32 {
 	start := len(buf)
-	if e := t.rewired[v]; e >= 0 {
-		if t.patch != nil {
-			prow, _ := t.patch.row(v)
-			if t.numFailed == 0 {
-				return append(buf, prow...)
-			}
-			for _, u := range prow {
-				if !t.failed[u] {
-					buf = append(buf, u)
-				}
-			}
-			return t.withFallback(v, buf, start)
-		}
+	switch e := t.rewired[v]; {
+	case e >= 0 && t.patch != nil:
+		prow, _ := t.patch.row(v)
+		buf = append(buf, prow...)
+	case e >= 0:
 		buf = t.sampler.Row(t.EpochSeed(int(e)), v, buf)
-	} else if t.baseCSR != nil {
-		nbrs := t.baseCSR.ClientNeighbors(v)
-		if t.numFailed == 0 {
-			return append(buf, nbrs...)
-		}
-		for _, u := range nbrs {
-			if !t.failed[u] {
-				buf = append(buf, u)
-			}
-		}
-		return t.withFallback(v, buf, start)
-	} else {
+	case t.baseCSR != nil:
+		buf = append(buf, t.baseCSR.ClientNeighbors(v)...)
+	default:
 		// Non-CSR bases (gen.Implicit, another churn Topology) append
 		// into buf by construction, so the no-alias guarantee holds.
 		buf = t.base.AppendClientNeighbors(v, buf)
@@ -363,15 +348,20 @@ func (t *Topology) AppendClientNeighbors(v int, buf []int32) []int32 {
 	if t.numFailed == 0 {
 		return buf
 	}
-	// Filter the appended row in place: the write cursor never passes
-	// the read cursor because entries are only dropped.
-	out := buf[:start]
+	return t.withFallback(v, t.dropFailed(buf, start), start)
+}
+
+// dropFailed filters buf[start:] in place against the failed-server
+// bitset. It has no data-dependent branch: every entry is written at the
+// cursor, which then advances by the entry's live bit. The cursor never
+// passes the read position because entries are only dropped.
+func (t *Topology) dropFailed(buf []int32, start int) []int32 {
+	out := start
 	for _, u := range buf[start:] {
-		if !t.failed[u] {
-			out = append(out, u)
-		}
+		buf[out] = u
+		out += int(^t.failedBits[u>>6]>>(uint32(u)&63)) & 1
 	}
-	return t.withFallback(v, out, start)
+	return buf[:out]
 }
 
 // withFallback guarantees a non-empty row: when failure filtering left
@@ -457,27 +447,36 @@ func (t *Topology) Depart(clients []int32) {
 
 // FailServers marks the listed servers failed: their edges are filtered
 // out of every row at read time, so the mutation itself is O(servers)
-// plus the O(m) live-list rebuild. Failing every server is refused.
+// plus the O(m) live-list rebuild. A server listed twice counts once.
+// Failing every server is refused, and a refused call changes nothing.
 func (t *Topology) FailServers(servers []int32) error {
 	if len(servers) == 0 {
 		return nil
 	}
+	for _, u := range servers {
+		if u < 0 || int(u) >= t.m {
+			return fmt.Errorf("churn: server %d out of range [0, %d)", u, t.m)
+		}
+	}
+	// Marking while counting makes a repeated id count once.
 	newly := 0
 	for _, u := range servers {
-		if !t.failed[u] {
+		if !t.FailedServer(int(u)) {
+			t.failedBits[u>>6] |= 1 << (uint32(u) & 63)
 			newly++
 		}
 	}
 	if t.numFailed+newly >= t.m {
+		// The marks above only set bits, and live still lists every
+		// server that was live before the call: clearing those bits
+		// restores the bitset.
+		for _, u := range t.live {
+			t.failedBits[u>>6] &^= 1 << (uint32(u) & 63)
+		}
 		return fmt.Errorf("churn: failing %d servers would fail all %d", newly, t.m)
 	}
 	t.version++
-	for _, u := range servers {
-		if !t.failed[u] {
-			t.failed[u] = true
-			t.numFailed++
-		}
-	}
+	t.numFailed += newly
 	t.rebuildLive()
 	return nil
 }
@@ -490,8 +489,8 @@ func (t *Topology) RecoverServers(servers []int32) {
 	}
 	t.version++
 	for _, u := range servers {
-		if t.failed[u] {
-			t.failed[u] = false
+		if t.FailedServer(int(u)) {
+			t.failedBits[u>>6] &^= 1 << (uint32(u) & 63)
 			t.numFailed--
 		}
 	}
@@ -501,7 +500,7 @@ func (t *Topology) RecoverServers(servers []int32) {
 func (t *Topology) rebuildLive() {
 	t.live = t.live[:0]
 	for u := 0; u < t.m; u++ {
-		if !t.failed[u] {
+		if !t.FailedServer(u) {
 			t.live = append(t.live, int32(u))
 		}
 	}
@@ -527,7 +526,7 @@ func (t *Topology) AppendPresentClients(buf []int32) []int32 {
 }
 
 // FailedServer reports whether server u is currently failed.
-func (t *Topology) FailedServer(u int) bool { return t.failed[u] }
+func (t *Topology) FailedServer(u int) bool { return t.failedBits[u>>6]>>(uint(u)&63)&1 != 0 }
 
 // NumFailed returns the number of failed servers.
 func (t *Topology) NumFailed() int { return t.numFailed }

@@ -1,11 +1,14 @@
 package churn
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/rng"
 )
 
 func mustTrustBase(t *testing.T, n, m, k int, seed uint64) *gen.Implicit {
@@ -189,6 +192,138 @@ func TestChurnFailAllRefused(t *testing.T) {
 	}
 	if topo.NumFailed() != 3 {
 		t.Fatalf("refused batch mutated state: %d failed", topo.NumFailed())
+	}
+	for _, bad := range []int32{-1, 4} {
+		if err := topo.FailServers([]int32{bad}); err == nil {
+			t.Fatalf("out-of-range server %d was accepted", bad)
+		}
+	}
+
+	// A server listed twice is one newly failed server: failing {0, 0, 1}
+	// of three leaves server 2 live, so it must be accepted.
+	three := mustTopology(t, Config{
+		Base: mustTrustBase(t, 10, 3, 2, 1), Sampler: TrustSampler(3, 2), Seed: 1, Backend: BackendImplicit,
+	})
+	if err := three.FailServers([]int32{0, 0, 1}); err != nil {
+		t.Fatalf("failing {0, 0, 1} of 3 servers: %v", err)
+	}
+	if three.NumFailed() != 2 || three.FailedServer(2) || !reflect.DeepEqual(three.LiveServers(), []int32{2}) {
+		t.Fatalf("after failing {0, 0, 1}: %d failed, live %v", three.NumFailed(), three.LiveServers())
+	}
+	if err := three.FailServers([]int32{2, 2, 0}); err == nil {
+		t.Fatal("failing the last live server (listed twice) was accepted")
+	}
+	if three.NumFailed() != 2 || three.FailedServer(2) || !three.FailedServer(0) || !three.FailedServer(1) {
+		t.Fatal("refused batch with a repeated id mutated state")
+	}
+}
+
+// TestChurnFailureBitset drives random fail/recover batches, with
+// repeated ids and refused batches, on both backends over an implicit
+// and a CSR base. m is not a multiple of 64, so the bitset's last word
+// is partial. After every step the failed set must match a reference
+// model, the bitset must hold exactly NumFailed bits and none past m,
+// and every row, appended after a non-empty prefix, must equal the
+// reference filter: the row without failures minus FailedServer's
+// servers, or the deterministic live fallback when nothing survives.
+func TestChurnFailureBitset(t *testing.T) {
+	const n, m, k = 60, 150, 3
+	impl := mustTrustBase(t, n, m, k, 5)
+	csr, err := impl.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []bipartite.Topology{impl, csr} {
+		for _, backend := range backends() {
+			topo := mustTopology(t, Config{Base: base, Sampler: TrustSampler(m, k), Seed: 9, Backend: backend})
+			topo.Rewire(1, []int32{0, 3, 7, 11, 40})
+			unfailed := make([][]int32, n)
+			for v := range unfailed {
+				unfailed[v] = row(topo, v)
+			}
+			ref := make([]bool, m)
+			numRef, refusals, fallbacks := 0, 0, 0
+			r := rng.New(17)
+			for step := 0; step < 400; step++ {
+				batch := make([]int32, 1+r.Intn(12))
+				for i := range batch {
+					batch[i] = int32(r.Intn(m))
+				}
+				batch = append(batch, batch[0]) // a repeated id in every batch
+				op := r.Intn(10)
+				if op == 0 {
+					batch = append(batch, topo.LiveServers()...) // refused
+				}
+				if op < 7 {
+					newly := map[int32]bool{}
+					for _, u := range batch {
+						if !ref[u] {
+							newly[u] = true
+						}
+					}
+					err := topo.FailServers(batch)
+					if refuse := numRef+len(newly) >= m; refuse != (err != nil) {
+						t.Fatalf("%v: step %d: FailServers error %v, want refusal %v", backend, step, err, refuse)
+					}
+					if err != nil {
+						refusals++
+					} else {
+						for u := range newly {
+							ref[u] = true
+						}
+						numRef += len(newly)
+					}
+				} else {
+					topo.RecoverServers(batch)
+					for _, u := range batch {
+						if ref[u] {
+							ref[u] = false
+							numRef--
+						}
+					}
+				}
+
+				var live []int32
+				for u := 0; u < m; u++ {
+					if topo.FailedServer(u) != ref[u] {
+						t.Fatalf("%v: step %d: FailedServer(%d) = %v, want %v", backend, step, u, !ref[u], ref[u])
+					}
+					if !ref[u] {
+						live = append(live, int32(u))
+					}
+				}
+				ones := 0
+				for _, w := range topo.failedBits {
+					ones += bits.OnesCount64(w)
+				}
+				if topo.NumFailed() != numRef || ones != numRef || topo.failedBits[m/64]>>(m%64) != 0 {
+					t.Fatalf("%v: step %d: NumFailed %d, %d bits set, want %d (last word %#x)",
+						backend, step, topo.NumFailed(), ones, numRef, topo.failedBits[m/64])
+				}
+				if !reflect.DeepEqual(topo.LiveServers(), live) {
+					t.Fatalf("%v: step %d: LiveServers %v, want %v", backend, step, topo.LiveServers(), live)
+				}
+				for v := 0; v < n; v++ {
+					want := []int32{-1, -2}
+					for _, u := range unfailed[v] {
+						if !topo.FailedServer(int(u)) {
+							want = append(want, u)
+						}
+					}
+					if len(want) == 2 {
+						s := rng.StreamAt(9^fallbackSalt, v)
+						want = append(want, live[s.Intn(len(live))])
+						fallbacks++
+					}
+					if got := topo.AppendClientNeighbors(v, []int32{-1, -2}); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v: step %d: row %d = %v, want %v", backend, step, v, got, want)
+					}
+				}
+			}
+			if refusals == 0 || fallbacks == 0 {
+				t.Errorf("%v over %T: %d refused batches, %d fallback rows; want both > 0", backend, base, refusals, fallbacks)
+			}
+		}
 	}
 }
 

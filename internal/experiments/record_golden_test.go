@@ -41,12 +41,13 @@ func TestJSONRecordGoldenDynamic(t *testing.T) {
 }
 
 // TestJSONRecordGoldenRows pins the quick record streams of the
-// experiments that regenerate partial-shuffle rows (gen.SampleRow:
-// trust-subset and almost-regular topologies, churn's TrustSampler) or
-// filter failed servers out of rows. The other pins and the equivalence
-// suites compare paths inside one build, so only a pin across versions
-// catches a change to the row sampler itself. Regenerate after an
-// intentional change with:
+// experiments built on the partial-shuffle sampler (gen.SampleRow and
+// gen.SampleAt: trust-subset and almost-regular topologies, churn's
+// TrustSampler) or on failed-server filtering. E16 fails servers, so its
+// draws read whole rows; the others draw their sampler-built neighbors
+// through point queries (gen.SampleAt). The equivalence suites compare
+// paths inside one build, so only a pin across versions catches a change
+// to the sampler itself. Regenerate after an intentional change with:
 //
 //	go test ./internal/experiments -run TestJSONRecordGoldenRows -update-golden
 func TestJSONRecordGoldenRows(t *testing.T) {

@@ -194,14 +194,14 @@ func newFeistel(n int, seed uint64) feistel {
 	return f
 }
 
-// roundF is the Feistel round function: a SplitMix-style scramble of the
-// half-block mixed with the round key, truncated to halfBits.
-func (f *feistel) roundF(r uint32, round int) uint32 {
-	z := uint64(r) + f.keys[round]
+// roundMix is the Feistel round function before truncation: a
+// SplitMix-style scramble of the half-block mixed with the round key.
+func roundMix(r uint32, key uint64) uint32 {
+	z := uint64(r) + key
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return uint32(z) & f.mask
+	return uint32(z)
 }
 
 // applyOnce runs the network once over the padded power-of-two domain.
@@ -209,20 +209,95 @@ func (f *feistel) applyOnce(x uint64) uint64 {
 	l := uint32(x>>f.halfBits) & f.mask
 	r := uint32(x) & f.mask
 	for i := 0; i < 4; i++ {
-		l, r = r, l^f.roundF(r, i)
+		l, r = r, l^roundMix(r, f.keys[i])&f.mask
 	}
 	return uint64(l)<<f.halfBits | uint64(r)
 }
 
-// apply maps x ∈ [0, domain) to its image under the permutation,
-// cycle-walking through the padded domain (expected < 2 iterations, since
-// the padded domain is < 4·domain).
+// apply maps x ∈ [0, domain) to its image under the permutation. It is
+// the scalar reference the row kernel (lockstep) must match, and the
+// point-query path (SampleAt, NeighborAt).
 func (f *feistel) apply(x uint64) uint64 {
-	y := f.applyOnce(x)
+	return f.walk(f.applyOnce(x))
+}
+
+// walk takes the output y of a network pass, which may lie anywhere in
+// the padded domain, and cycle-walks it back into [0, domain), one pass
+// per step. The padded domain is < 4·domain, so a walk takes fewer than
+// 3 steps in expectation.
+func (f *feistel) walk(y uint64) uint64 {
 	for y >= f.domain {
 		y = f.applyOnce(y)
 	}
 	return y
+}
+
+// lockstep is the row kernel behind every implicit row: lane j maps x_j
+// to p_j.apply(x_j), bit for bit. The four permutations share one shape
+// (newFeistel over one domain) and may differ in their keys. A scalar
+// pass is one dependent chain of eight multiplies; here the four lanes'
+// rounds interleave, with halves and round keys in locals, so the four
+// chains overlap. Lanes that leave the domain then finish one at a time
+// with apply's cycle walk.
+func lockstep(p0, p1, p2, p3 *feistel, x0, x1, x2, x3 uint64) (y0, y1, y2, y3 uint64) {
+	hb, mask := p0.halfBits, p0.mask
+	a0, a1, a2, a3 := p0.keys[0], p0.keys[1], p0.keys[2], p0.keys[3]
+	b0, b1, b2, b3 := p1.keys[0], p1.keys[1], p1.keys[2], p1.keys[3]
+	c0, c1, c2, c3 := p2.keys[0], p2.keys[1], p2.keys[2], p2.keys[3]
+	d0, d1, d2, d3 := p3.keys[0], p3.keys[1], p3.keys[2], p3.keys[3]
+	l0, r0 := uint32(x0>>hb)&mask, uint32(x0)&mask
+	l1, r1 := uint32(x1>>hb)&mask, uint32(x1)&mask
+	l2, r2 := uint32(x2>>hb)&mask, uint32(x2)&mask
+	l3, r3 := uint32(x3>>hb)&mask, uint32(x3)&mask
+	l0, r0 = r0, l0^roundMix(r0, a0)&mask
+	l1, r1 = r1, l1^roundMix(r1, b0)&mask
+	l2, r2 = r2, l2^roundMix(r2, c0)&mask
+	l3, r3 = r3, l3^roundMix(r3, d0)&mask
+	l0, r0 = r0, l0^roundMix(r0, a1)&mask
+	l1, r1 = r1, l1^roundMix(r1, b1)&mask
+	l2, r2 = r2, l2^roundMix(r2, c1)&mask
+	l3, r3 = r3, l3^roundMix(r3, d1)&mask
+	l0, r0 = r0, l0^roundMix(r0, a2)&mask
+	l1, r1 = r1, l1^roundMix(r1, b2)&mask
+	l2, r2 = r2, l2^roundMix(r2, c2)&mask
+	l3, r3 = r3, l3^roundMix(r3, d2)&mask
+	l0, r0 = r0, l0^roundMix(r0, a3)&mask
+	l1, r1 = r1, l1^roundMix(r1, b3)&mask
+	l2, r2 = r2, l2^roundMix(r2, c3)&mask
+	l3, r3 = r3, l3^roundMix(r3, d3)&mask
+	return p0.walk(uint64(l0)<<hb | uint64(r0)), p1.walk(uint64(l1)<<hb | uint64(r1)),
+		p2.walk(uint64(l2)<<hb | uint64(r2)), p3.walk(uint64(l3)<<hb | uint64(r3))
+}
+
+// appendPrefix appends the images of 0, 1, …, k−1 under f, four per
+// kernel step; the last k mod 4 entries go through apply.
+func (f *feistel) appendPrefix(buf []int32, k int) []int32 {
+	i := 0
+	for ; i+4 <= k; i += 4 {
+		x := uint64(i)
+		y0, y1, y2, y3 := lockstep(f, f, f, f, x, x+1, x+2, x+3)
+		buf = append(buf, int32(y0), int32(y1), int32(y2), int32(y3))
+	}
+	for ; i < k; i++ {
+		buf = append(buf, int32(f.apply(uint64(i))))
+	}
+	return buf
+}
+
+// appendImagesOf appends the image of x under each permutation of perms,
+// in order, four per kernel step; the last len(perms) mod 4 entries go
+// through apply.
+func appendImagesOf(buf []int32, perms []feistel, x uint64) []int32 {
+	i := 0
+	for ; i+4 <= len(perms); i += 4 {
+		p := perms[i : i+4 : i+4]
+		y0, y1, y2, y3 := lockstep(&p[0], &p[1], &p[2], &p[3], x, x, x, x)
+		buf = append(buf, int32(y0), int32(y1), int32(y2), int32(y3))
+	}
+	for ; i < len(perms); i++ {
+		buf = append(buf, int32(perms[i].apply(x)))
+	}
+	return buf
 }
 
 // RegularImplicit returns the implicit random Δ-regular bipartite
@@ -256,10 +331,7 @@ func RegularImplicit(n, delta int, seed uint64) (*Implicit, error) {
 		uniformServerDeg: delta,
 		degree:           func(int) int { return delta },
 		row: func(v int, buf []int32) []int32 {
-			for k := range perms {
-				buf = append(buf, int32(perms[k].apply(uint64(v))))
-			}
-			return buf
+			return appendImagesOf(buf, perms, uint64(v))
 		},
 		at: func(v, i int) int32 {
 			return int32(perms[i].apply(uint64(v)))

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -27,6 +28,69 @@ func TestFeistelIsPermutation(t *testing.T) {
 				t.Fatalf("n=%d: apply not injective at image %d", n, y)
 			}
 			seen[y] = true
+		}
+	}
+}
+
+// TestLockstepRowsMatchApply pins the row kernel to the scalar
+// reference: appendPrefix must append exactly apply(0), …, apply(k−1)
+// and appendImagesOf exactly perms[i].apply(x), for pools of even and
+// odd bit width (the odd ones cycle-walk), k on both sides of every
+// multiple of 4, and buffers that are empty, carry a prefix, or lack the
+// capacity for the row.
+func TestLockstepRowsMatchApply(t *testing.T) {
+	pools := []int{1, 2, 3, 5, 7, 64, 1000, 1 << 16, 1<<16 + 1, 1 << 17, 70000, 1 << 18}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257}
+	bufs := map[string]func(k int) []int32{
+		"empty":          func(int) []int32 { return nil },
+		"prefix":         func(k int) []int32 { return append(make([]int32, 0, k+3), -1, -2, -3) },
+		"under-capacity": func(k int) []int32 { return append(make([]int32, 0, 2+k/2), -1, -2) },
+	}
+	check := func(name string, buf, got, want []int32) {
+		t.Helper()
+		if len(got) != len(buf)+len(want) {
+			t.Fatalf("%s: appended %d entries to %d, want %d", name, len(got)-len(buf), len(buf), len(want))
+		}
+		for i := range buf {
+			if got[i] != buf[i] {
+				t.Fatalf("%s: prefix entry %d overwritten: %d, want %d", name, i, got[i], buf[i])
+			}
+		}
+		for i, w := range want {
+			if g := got[len(buf)+i]; g != w {
+				t.Fatalf("%s: entry %d = %d, scalar apply gives %d", name, i, g, w)
+			}
+		}
+	}
+	for _, pool := range pools {
+		for _, k := range ks {
+			for seed := uint64(0); seed < 3; seed++ {
+				perms := make([]feistel, k)
+				for i := range perms {
+					perms[i] = newFeistel(pool, seed<<32|uint64(pool)*31+uint64(i))
+				}
+				for bufName, mk := range bufs {
+					if k <= pool {
+						f := &perms[0]
+						want := make([]int32, k)
+						for i := range want {
+							want[i] = int32(f.apply(uint64(i)))
+						}
+						buf := mk(k)
+						name := fmt.Sprintf("appendPrefix pool=%d k=%d seed=%d buf=%s", pool, k, seed, bufName)
+						check(name, buf, f.appendPrefix(buf, k), want)
+					}
+					for _, x := range []int{0, pool / 2, pool - 1} {
+						want := make([]int32, k)
+						for i := range want {
+							want[i] = int32(perms[i].apply(uint64(x)))
+						}
+						buf := mk(k)
+						name := fmt.Sprintf("appendImagesOf pool=%d k=%d x=%d seed=%d buf=%s", pool, k, x, seed, bufName)
+						check(name, buf, appendImagesOf(buf, perms, uint64(x)), want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,14 +10,18 @@ import (
 // partial-shuffle sampler: SampleAt(s, pool, i) equals
 // SampleRow(s, pool, k, nil)[i] for every i < k, and both consume
 // exactly one stream value (the permutation key), leaving the stream in
-// the same state.
+// the same state. SampleRow runs the lockstep kernel and SampleAt the
+// scalar apply, so the cases include the churn-rows benchmark shape
+// (pool 2¹⁶, k = 256) and pools of odd bit width, whose images
+// cycle-walk.
 func TestSampleAtMatchesSampleRow(t *testing.T) {
-	for _, pool := range []int{1, 2, 7, 64, 1000} {
+	cases := []struct{ pool, k int }{
+		{1, 1}, {2, 2}, {7, 7}, {64, 40}, {1000, 40},
+		{1 << 16, 256}, {1<<16 + 1, 257}, {1 << 17, 256}, {70000, 255}, {1 << 9, 130},
+	}
+	for _, tc := range cases {
+		pool, k := tc.pool, tc.k
 		for seed := uint64(0); seed < 5; seed++ {
-			k := pool
-			if k > 40 {
-				k = 40
-			}
 			s := rng.StreamAt(seed, 11)
 			row := SampleRow(&s, pool, k, nil)
 			after := s.Uint64()
@@ -44,6 +48,13 @@ func TestNeighborAtMatchesRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows run four permutations per kernel step; Δ = 19 and Δ = 22 leave
+	// a tail of 3 and 2, and n = 300 has an odd bit width, so its images
+	// cycle-walk.
+	regularOdd, err := RegularImplicit(300, 22, 0xD1CE)
+	if err != nil {
+		t.Fatal(err)
+	}
 	trust, err := TrustSubsetImplicit(200, 111, 17, 0x7057)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +76,7 @@ func TestNeighborAtMatchesRow(t *testing.T) {
 		topo *Implicit
 	}{
 		{"regular", regular},
+		{"regular-odd-width", regularOdd},
 		{"trust-subset", trust},
 		{"almost-regular", almost},
 	} {

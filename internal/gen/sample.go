@@ -16,9 +16,13 @@ import (
 // replaces it with a partial shuffle over a keyed permutation: the row is
 // the image of 0, 1, …, k−1 under a Feistel permutation of [0, pool)
 // keyed from the client's stream, so each regeneration costs O(k) Feistel
-// applications (~a dozen nanoseconds each), allocates nothing, and needs
-// no per-row dedup state at all — a k-subset in pseudo-random order,
-// exactly like the prefix of a Fisher–Yates shuffle of the pool.
+// applications, allocates nothing, and needs no per-row dedup state at
+// all — a k-subset in pseudo-random order, exactly like the prefix of a
+// Fisher–Yates shuffle of the pool. The row runs through the lockstep
+// kernel, four images per step. BenchmarkFeistelRow on a 2-vCPU Xeon VM
+// puts a 256-entry row at 13–15 ns per entry on pools of even bit width
+// (2¹⁶, 2¹⁸), and at 49–106 ns on odd widths (2¹⁶+1, 2¹⁷, 70,000),
+// where the images cycle-walk back into the pool (PERFORMANCE.md).
 
 // SampleRow appends k distinct values from [0, pool) to buf, drawn as
 // the first k images of a pseudo-random permutation keyed by the next
@@ -31,10 +35,7 @@ func SampleRow(s *rng.Stream, pool, k int, buf []int32) []int32 {
 		panic("gen: SampleRow called with k > pool")
 	}
 	f := newFeistel(pool, s.Uint64())
-	for i := 0; i < k; i++ {
-		buf = append(buf, int32(f.apply(uint64(i))))
-	}
-	return buf
+	return f.appendPrefix(buf, k)
 }
 
 // SampleAt returns element i of the row SampleRow(s, pool, k, nil)

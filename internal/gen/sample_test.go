@@ -237,3 +237,38 @@ func BenchmarkAlmostRegularImplicitRegen(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFeistelRow measures the lockstep row kernel per row entry at
+// k = 256, the churn-rows row width (Δ = log² 2¹⁶). "sample" is a
+// SampleRow partial-shuffle row (one permutation, images of 0…255);
+// "regular" is a RegularImplicit row (one client through 256
+// permutations). Pools 2¹⁶ and 2¹⁸ have even bit width and never walk;
+// 2¹⁶+1, 2¹⁷ and 70,000 pad to 2¹⁸ and cycle-walk back into the pool.
+func BenchmarkFeistelRow(b *testing.B) {
+	const k = 256
+	for _, pool := range []int{1 << 16, 1<<16 + 1, 1 << 17, 70000, 1 << 18} {
+		b.Run(fmt.Sprintf("sample/pool=%d", pool), func(b *testing.B) {
+			buf := make([]int32, 0, k)
+			i := 0
+			for b.Loop() {
+				s := rng.StreamAt(7, i)
+				buf = SampleRow(&s, pool, k, buf[:0])
+				i++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*k), "ns/edge")
+		})
+		b.Run(fmt.Sprintf("regular/pool=%d", pool), func(b *testing.B) {
+			topo, err := RegularImplicit(pool, k, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]int32, 0, k)
+			i := 0
+			for b.Loop() {
+				buf = topo.AppendClientNeighbors(i%pool, buf[:0])
+				i++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*k), "ns/edge")
+		})
+	}
+}
