@@ -233,8 +233,9 @@ func (f *feistel) walk(y uint64) uint64 {
 }
 
 // lockstep is the row kernel behind every implicit row: lane j maps x_j
-// to p_j.apply(x_j), bit for bit. The four permutations share one shape
-// (newFeistel over one domain) and may differ in their keys. A scalar
+// to p_j.apply(x_j), bit for bit, so each x_j must lie in [0, domain) as
+// for apply. The four permutations share one shape (newFeistel over one
+// domain) and may differ in their keys. A scalar
 // pass is one dependent chain of eight multiplies; here the four lanes'
 // rounds interleave, with halves and round keys in locals, so the four
 // chains overlap. Lanes that leave the domain then finish one at a time
