@@ -67,6 +67,37 @@ func TestJSONRecordGoldenRows(t *testing.T) {
 	}
 }
 
+// TestJSONRecordGoldenQuick pins the quick record streams of the
+// remaining experiments, so that with the E1, E12 and row-path pins every
+// quick stream of the suite is fixed across versions: a change to shared
+// code (the client loop's draw, a stream derivation, the record encoder)
+// moves them all together and passes every in-build equivalence suite,
+// so only a committed stream catches it. Regenerate after an intentional
+// change with:
+//
+//	go test ./internal/experiments -run TestJSONRecordGoldenQuick -update-golden
+func TestJSONRecordGoldenQuick(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		run func(SuiteConfig) (*Table, error)
+	}{
+		{"e2", ExperimentWorkScaling},
+		{"e3", ExperimentBurnedFraction},
+		{"e4", ExperimentSAERvsRAES},
+		{"e6", ExperimentDegreeSweep},
+		{"e7", ExperimentSequentialBaselines},
+		{"e9", ExperimentThresholdSweep},
+		{"e10", ExperimentDenseRegime},
+		{"e11", ExperimentAliveDecay},
+		{"e13", ExperimentExpanderExtraction},
+		{"e14", ExperimentHeterogeneousDemand},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			compareGolden(t, tc.id+"_quick_records.golden", quickRecords(t, tc.run))
+		})
+	}
+}
+
 // quickRecords runs one experiment in quick mode (fixed seed, 2 trials)
 // and returns its JSON record stream.
 func quickRecords(t *testing.T, run func(SuiteConfig) (*Table, error)) []byte {
