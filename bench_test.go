@@ -113,7 +113,7 @@ func BenchmarkSAERRun(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.SAER, core.Params{D: 2, C: 4, Seed: uint64(i)}, core.Options{})
+				res, err := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: uint64(i)}.Run(g)
 				if err != nil || !res.Completed {
 					b.Fatalf("run failed: %v %v", err, res)
 				}
@@ -137,9 +137,7 @@ func BenchmarkShardedRound1(b *testing.B) {
 		g := benchGraph(b, n, 16)
 		for _, shards := range []int{8, 32} {
 			b.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(b *testing.B) {
-				r, err := core.NewRunner(g, core.SAER,
-					core.Params{D: 2, C: 4, MaxRounds: 1},
-					core.Options{Shards: shards})
+				r, err := core.Config{Variant: core.SAER, D: 2, C: 4, MaxRounds: 1, Shards: shards}.NewRunner(g)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -180,9 +178,8 @@ func BenchmarkTelemetryRound(b *testing.B) {
 		{"on", telemetry.NewRegistry()},
 	} {
 		b.Run(fmt.Sprintf("n=%d/shards=8/%s", n, mode.name), func(b *testing.B) {
-			r, err := core.NewRunner(g, core.SAER,
-				core.Params{D: 2, C: 4, MaxRounds: 1},
-				core.Options{Shards: 8, Telemetry: mode.reg})
+			cfg := core.Config{Variant: core.SAER, D: 2, C: 4, MaxRounds: 1, Shards: 8, Telemetry: mode.reg}
+			r, err := cfg.NewRunner(g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -232,9 +229,7 @@ func BenchmarkPointQueryDraw(b *testing.B) {
 		{"row-regen", benchRowOnly{impl}},
 	} {
 		b.Run(fmt.Sprintf("n=%d/%s", n, access.name), func(b *testing.B) {
-			r, err := core.NewRunner(access.topo, core.SAER,
-				core.Params{D: 2, C: 4, MaxRounds: 1},
-				core.Options{})
+			r, err := core.Config{Variant: core.SAER, D: 2, C: 4, MaxRounds: 1}.NewRunner(access.topo)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -264,8 +259,7 @@ func BenchmarkLateRoundTail(b *testing.B) {
 	b.Run("auto", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.Run(g, core.SAER,
-				core.Params{D: 2, C: 2, Seed: uint64(i)}, core.Options{})
+			res, err := core.Config{Variant: core.SAER, D: 2, C: 2, Seed: uint64(i)}.Run(g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -278,7 +272,7 @@ func BenchmarkLateRoundTail(b *testing.B) {
 
 // BenchmarkScaleFullRun is the multi-core scaling curve scripts/scale.sh
 // records (BENCH_SCALE_<date>.json, rendered in PERFORMANCE.md): one full
-// SAER run at n = 2²⁰ on an implicit topology with Params.Workers = 0, so
+// SAER run at n = 2²⁰ on an implicit topology with Config.Workers = 0, so
 // a `go test -cpu 1,2,4` sweep governs the worker count through
 // GOMAXPROCS. The sub-benchmarks contrast the autotuned shard count with
 // a single shard (the one-lane path when the worker count is one).
@@ -289,15 +283,15 @@ func BenchmarkScaleFullRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name string
-		opts core.Options
+	for _, tc := range []struct {
+		name   string
+		shards int
 	}{
-		{"auto", core.Options{}},
-		{"shards=1", core.Options{Shards: 1}},
+		{"auto", 0},
+		{"shards=1", 1},
 	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			r, err := core.NewRunner(impl, core.SAER, core.Params{D: 2, C: 4}, cfg.opts)
+		b.Run(tc.name, func(b *testing.B) {
+			r, err := core.Config{Variant: core.SAER, D: 2, C: 4, Shards: tc.shards}.NewRunner(impl)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,8 +323,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.SAER,
-					core.Params{D: 2, C: 4, Seed: uint64(i), Workers: workers}, core.Options{})
+				res, err := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: uint64(i), Workers: workers}.Run(g)
 				if err != nil || !res.Completed {
 					b.Fatalf("run failed: %v %v", err, res)
 				}
@@ -346,8 +339,8 @@ func BenchmarkAblationTracking(b *testing.B) {
 	for _, track := range []bool{false, true} {
 		b.Run(fmt.Sprintf("track=%v", track), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, core.SAER, core.Params{D: 2, C: 4, Seed: uint64(i)},
-					core.Options{TrackNeighborhoods: track})
+				res, err := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: uint64(i),
+					TrackNeighborhoods: track}.Run(g)
 				if err != nil || !res.Completed {
 					b.Fatalf("run failed: %v %v", err, res)
 				}
@@ -363,7 +356,7 @@ func BenchmarkAblationVariant(b *testing.B) {
 	for _, variant := range []core.Variant{core.SAER, core.RAES} {
 		b.Run(variant.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, variant, core.Params{D: 2, C: 2.5, Seed: uint64(i)}, core.Options{})
+				res, err := core.Config{Variant: variant, D: 2, C: 2.5, Seed: uint64(i)}.Run(g)
 				if err != nil || !res.Completed {
 					b.Fatalf("run failed: %v %v", err, res)
 				}
@@ -378,17 +371,17 @@ func BenchmarkAblationVariant(b *testing.B) {
 // price of literal message passing.
 func BenchmarkAblationEngine(b *testing.B) {
 	g := benchGraph(b, 1<<12, 100)
-	params := core.Params{D: 2, C: 4, Seed: 3}
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 3}
 	b.Run("core-array", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(g, core.SAER, params, core.Options{}); err != nil {
+			if _, err := cfg.Run(g); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("netsim-channels", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := netsim.Run(g, core.SAER, params, core.Options{}); err != nil {
+			if _, err := netsim.Run(g, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -527,7 +520,7 @@ func BenchmarkChurnEpoch(b *testing.B) {
 				b.Fatal(err)
 			}
 			sch, err := churn.NewScheduler(topo, churn.SchedulerConfig{
-				Protocol: core.NewConfig(core.SAER, d, c, 0), LoadExpiry: 0.5,
+				Protocol: core.Config{Variant: core.SAER, D: d, C: c}, LoadExpiry: 0.5,
 			}, 3)
 			if err != nil {
 				b.Fatal(err)
@@ -564,9 +557,9 @@ func BenchmarkChurnEpoch(b *testing.B) {
 				b.Fatal(err)
 			}
 			if runner == nil {
-				runner, err = core.NewRunner(g, core.SAER,
-					core.Params{D: d, C: c, Seed: src.Uint64()},
-					core.Options{InitialLoads: loads, TrackLoads: true})
+				proto := core.Config{Variant: core.SAER, D: d, C: c, Seed: src.Uint64(),
+					InitialLoads: loads, TrackLoads: true}
+				runner, err = proto.NewRunner(g)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -625,7 +618,7 @@ func BenchmarkWireRoundLoopback(b *testing.B) {
 	const n = 1 << 12
 	const shards = 2
 	g := benchGraph(b, n, 24)
-	cfg := core.NewConfig(core.SAER, 2, 4, 1)
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 1}
 	for _, sessions := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("n=%d/sessions=%d", n, sessions), func(b *testing.B) {
 			ss, err := wire.StartLocalSet(shards)

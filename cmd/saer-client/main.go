@@ -2,7 +2,7 @@
 // all n simulated clients of a SAER/RAES execution over pooled
 // connections to the shard servers named by -connect, drawing every
 // destination from the same per-client RNG streams as the in-process
-// engine. A loopback wire run therefore reproduces core.Run's result
+// engine. A loopback wire run therefore reproduces core.Config.Run's result
 // bit-for-bit — pass -verify to have the client check exactly that every
 // trial. Per-round scatter/gather latency and request throughput are
 // measured via internal/metrics; -records streams the trials, per-shard

@@ -50,8 +50,7 @@ func main() {
 		st.MinServerDegree, st.MeanServerDeg, st.MaxServerDegree, st.RegularityRatio)
 	fmt.Printf("  %d clients needed the nearest-server fallback\n", gg.FallbackEdges)
 
-	params := core.Params{D: d, C: 4, Seed: 99}
-	result, err := core.Run(g, core.SAER, params, core.Options{TrackLoads: true})
+	result, err := core.Config{Variant: core.SAER, D: d, C: 4, Seed: 99, TrackLoads: true}.Run(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,8 +59,8 @@ func main() {
 	dist := metrics.AnalyzeLoads(result.Loads)
 	fmt.Println("\nedge-server load distribution:")
 	fmt.Printf("  %s\n", dist)
-	fmt.Printf("  capacity per server: %d requests (c·d)\n", params.Capacity())
-	fmt.Printf("  servers at capacity: %d of %d\n", dist.Histogram[params.Capacity()], n)
+	fmt.Printf("  capacity per server: %d requests (c·d)\n", result.LoadBound())
+	fmt.Printf("  servers at capacity: %d of %d\n", dist.Histogram[result.LoadBound()], n)
 	fmt.Printf("  empty servers (no request landed nearby): %d\n", dist.EmptyServers)
 
 	// Geographic sanity check: every request ended on a server within the

@@ -27,17 +27,20 @@ func main() {
 	}
 	fmt.Println("topology:", g)
 
-	// 2. Configure the protocol: every client holds d = 2 requests, every
-	//    server accepts at most c·d = 8 of them in total.
-	params := core.Params{
-		D:    2,
-		C:    4,
-		Seed: 7,
+	// 2. Configure the protocol: SAER, every client holds d = 2 requests,
+	//    every server accepts at most c·d = 8 of them in total. Tracking is
+	//    enabled so we can inspect the per-round burned-server fractions
+	//    the analysis is about.
+	cfg := core.Config{
+		Variant:            core.SAER,
+		D:                  2,
+		C:                  4,
+		Seed:               7,
+		TrackNeighborhoods: true,
 	}
 
-	// 3. Run SAER. Tracking is enabled so we can inspect the per-round
-	//    burned-server fractions the analysis is about.
-	result, err := core.Run(g, core.SAER, params, core.Options{TrackNeighborhoods: true})
+	// 3. Run it.
+	result, err := cfg.Run(g)
 	if err != nil {
 		log.Fatal(err)
 	}

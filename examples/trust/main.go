@@ -38,8 +38,7 @@ func main() {
 	fmt.Printf("trust topology: every one of the %d clients trusts %d of the %d servers\n\n", n, trusted, n)
 
 	// SAER: parallel, servers only answer accept/reject.
-	params := core.Params{D: d, C: 4, Seed: 11}
-	saer, err := core.Run(g, core.SAER, params, core.Options{})
+	saer, err := core.Config{Variant: core.SAER, D: d, C: 4, Seed: 11}.Run(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func main() {
 	fmt.Printf("%-22s %-10d %-14s %-12.2f %-12s %s\n",
 		"SAER (this paper)", saer.MaxLoad,
 		fmt.Sprintf("%d rounds", saer.Rounds), float64(saer.Work)/balls,
-		"none", fmt.Sprintf("cap c·d = %d, servers answer 1 bit", params.Capacity()))
+		"none", fmt.Sprintf("cap c·d = %d, servers answer 1 bit", saer.LoadBound()))
 	fmt.Printf("%-22s %-10d %-14s %-12.2f %-12s %s\n",
 		"greedy best-of-2", greedy.MaxLoad,
 		fmt.Sprintf("%d seq. steps", greedy.Steps), float64(greedy.Work)/balls,
@@ -74,7 +73,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Printf("SAER places all %d requests in %d parallel rounds with max load %d ≤ %d,\n",
-		int(balls), saer.Rounds, saer.MaxLoad, params.Capacity())
+		int(balls), saer.Rounds, saer.MaxLoad, saer.LoadBound())
 	fmt.Println("while never letting a client learn more than one accept/reject bit per request —")
 	fmt.Println("the privacy property highlighted in Section 2.2, remark (ii) of the paper.")
 	fmt.Printf("Greedy reaches max load %d but is sequential (%d steps) and leaks load values.\n",

@@ -188,7 +188,7 @@ func TestCheckTheorem1OnRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(g, core.SAER, core.Params{D: 2, C: 8, Seed: 5}, core.Options{TrackNeighborhoods: true})
+	res, err := core.Config{Variant: core.SAER, D: 2, C: 8, Seed: 5, TrackNeighborhoods: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCheckTheorem1WithoutTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(g, core.SAER, core.Params{D: 2, C: 4, Seed: 1}, core.Options{})
+	res, err := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 1}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

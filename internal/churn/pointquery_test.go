@@ -97,13 +97,12 @@ func TestChurnPointQueryNeedsSamplerSupport(t *testing.T) {
 // epoch's graph, for both backends.
 func TestChurnPointQueryRunEquivalence(t *testing.T) {
 	const n, m, k = 160, 140, 9
-	p := core.Params{D: 2, C: 3, Seed: 777, Workers: 2}
-	opts := core.Options{TrackRounds: true, TrackLoads: true}
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 3, Seed: 777, Workers: 2, TrackRounds: true, TrackLoads: true}
 	for _, backend := range backends() {
 		topo := mustTopology(t, Config{
 			Base: mustTrustBase(t, n, m, k, 13), Sampler: TrustSampler(m, k), Seed: 21, Backend: backend,
 		})
-		r, err := core.NewRunner(topo, core.SAER, p, opts)
+		r, err := cfg.NewRunner(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,20 +112,20 @@ func TestChurnPointQueryRunEquivalence(t *testing.T) {
 			if err := r.PatchTopology(); err != nil {
 				t.Fatal(err)
 			}
-			seed := p.Seed + topo.TopologyVersion()
+			seed := cfg.Seed + topo.TopologyVersion()
 			r.Reseed(seed)
 			got := r.Run()
 			twin, err := bipartite.Materialize(topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pp := p
-			pp.Seed = seed
-			want, err := core.Run(twin, core.SAER, pp, opts)
+			c := cfg
+			c.Seed = seed
+			want, err := c.Run(twin)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizedChurnResult(got), normalizedChurnResult(want)) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v/%s: run on churn topology diverges from materialized twin", backend, stage)
 			}
 		}
@@ -139,13 +138,4 @@ func TestChurnPointQueryRunEquivalence(t *testing.T) {
 		step("recover", func() { topo.RecoverServers([]int32{4, 5, 6}) })
 		step("rewire-after-recover", func() { topo.Rewire(7, []int32{9, 10, 11}) })
 	}
-}
-
-// normalizedChurnResult strips the worker count echoed in Params so
-// runs with different worker counts compare bit-for-bit on everything
-// else (the churn twin of internal/core's normalizedResult).
-func normalizedChurnResult(res *core.Result) *core.Result {
-	c := *res
-	c.Params.Workers = 0
-	return &c
 }

@@ -37,9 +37,7 @@ func runTestScenario(t *testing.T, sc scenarioConfig) []*EpochOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto := core.NewConfig(core.SAER, 2, 3, 0)
-	proto.Workers = sc.workers
-	proto.Shards = sc.shards
+	proto := core.Config{Variant: core.SAER, D: 2, C: 3, Workers: sc.workers, Shards: sc.shards}
 	sch, err := NewScheduler(topo, SchedulerConfig{
 		Protocol:   proto,
 		LoadExpiry: 0.5, Policy: PolicyReinject, TrackRounds: true,
@@ -122,8 +120,7 @@ func TestSchedulerPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proto := core.NewConfig(core.SAER, 2, 4, 0)
-		proto.Workers = 1
+		proto := core.Config{Variant: core.SAER, D: 2, C: 4, Workers: 1}
 		sch, err := NewScheduler(topo, SchedulerConfig{Protocol: proto, Policy: policy}, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -194,8 +191,7 @@ func TestSchedulerArrivalDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneWorker := core.NewConfig(core.SAER, 2, 4, 0)
-	oneWorker.Workers = 1
+	oneWorker := core.Config{Variant: core.SAER, D: 2, C: 4, Workers: 1}
 	sch, err := NewScheduler(topo, SchedulerConfig{Protocol: oneWorker}, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +234,13 @@ func TestSchedulerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewScheduler(topo, SchedulerConfig{Protocol: core.NewConfig(core.SAER, 0, 4, 1)}, 1); err == nil {
+	proto := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 1}
+	noBalls := proto
+	noBalls.D = 0
+	if _, err := NewScheduler(topo, SchedulerConfig{Protocol: noBalls}, 1); err == nil {
 		t.Error("D=0 accepted")
 	}
-	if _, err := NewScheduler(topo, SchedulerConfig{Protocol: core.NewConfig(core.SAER, 2, 4, 1), LoadExpiry: 1.5}, 1); err == nil {
+	if _, err := NewScheduler(topo, SchedulerConfig{Protocol: proto, LoadExpiry: 1.5}, 1); err == nil {
 		t.Error("LoadExpiry=1.5 accepted")
 	}
 	if _, err := New(Config{Base: base, Sampler: Sampler{}, Seed: 1}); err == nil {

@@ -102,13 +102,12 @@ func TestChurnRewireAllEquivalence(t *testing.T) {
 				t.Fatalf("%v: row %d: got %v want %v", backend, v, got, want)
 			}
 		}
-		p := core.Params{D: 2, C: 3, Seed: 999, Workers: 2}
-		opts := core.Options{TrackRounds: true, TrackLoads: true}
-		onChurn, err := core.Run(topo, core.SAER, p, opts)
+		cfg := core.Config{Variant: core.SAER, D: 2, C: 3, Seed: 999, Workers: 2, TrackRounds: true, TrackLoads: true}
+		onChurn, err := cfg.Run(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		onFresh, err := core.Run(fresh, core.SAER, p, opts)
+		onFresh, err := cfg.Run(fresh)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,8 @@ import (
 // RunFlags bundles the protocol and performance flags every run-style
 // binary shares (saer-sim, the wire server/client, and any future
 // driver): one Register call defines the flags, one Config call parses
-// the mode names and produces the validated core.Config. The binaries
-// never assemble core.Params/core.Options field by field — knob
-// normalization and validation live behind core.Config's constructor,
-// in one place.
+// the protocol name and produces the validated core.Config, so knob
+// validation lives in one place, core.Config.Validate.
 type RunFlags struct {
 	// Protocol is the variant name (saer or raes).
 	Protocol string
@@ -44,15 +42,19 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 // may pass C = 0 here and fill cfg.C before use; validation then runs in
 // core.Config.NewRunner.
 func (f *RunFlags) Config() (core.Config, error) {
-	var cfg core.Config
 	variant, err := ParseProtocol(f.Protocol)
 	if err != nil {
-		return cfg, err
+		return core.Config{}, err
 	}
-	cfg = core.NewConfig(variant, f.D, f.C, f.Seed+1)
-	cfg.MaxRounds = f.MaxRounds
-	cfg.Workers = f.Workers
-	cfg.Shards = f.Shards
+	cfg := core.Config{
+		Variant:   variant,
+		D:         f.D,
+		C:         f.C,
+		Seed:      f.Seed + 1,
+		MaxRounds: f.MaxRounds,
+		Workers:   f.Workers,
+		Shards:    f.Shards,
+	}
 	if cfg.C > 0 {
 		if err := cfg.Validate(); err != nil {
 			return cfg, err

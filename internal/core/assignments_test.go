@@ -14,7 +14,7 @@ func TestTrackAssignmentsCompleteRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := 3
-	res, err := Run(g, SAER, Params{D: d, C: 4, Seed: 11}, Options{TrackAssignments: true, TrackLoads: true})
+	res, err := Config{Variant: SAER, D: d, C: 4, Seed: 11, TrackAssignments: true, TrackLoads: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestAssignmentGraphProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := 2
-	params := Params{D: d, C: 4, Seed: 21}
-	res, err := Run(g, RAES, params, Options{TrackAssignments: true})
+	cfg := Config{Variant: RAES, D: d, C: 4, Seed: 21, TrackAssignments: true}
+	res, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestAssignmentGraphProperties(t *testing.T) {
 		}
 	}
 	for u := 0; u < sub.NumServers(); u++ {
-		if sub.ServerDegree(u) > params.Capacity() {
-			t.Fatalf("server %d degree %d exceeds cap %d", u, sub.ServerDegree(u), params.Capacity())
+		if sub.ServerDegree(u) > cfg.Params().Capacity() {
+			t.Fatalf("server %d degree %d exceeds cap %d", u, sub.ServerDegree(u), cfg.Params().Capacity())
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestAssignmentGraphRequiresTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 1}, Options{})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 1}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +96,17 @@ func TestRequestCountsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(g, SAER, Params{D: 2, C: 4}, Options{RequestCounts: []int{1, 2}}); err == nil {
+	if _, err := (Config{Variant: SAER, D: 2, C: 4, RequestCounts: []int{1, 2}}).Run(g); err == nil {
 		t.Error("wrong-length RequestCounts accepted")
 	}
 	bad := make([]int, 64)
 	bad[3] = 5 // exceeds D=2
-	if _, err := Run(g, SAER, Params{D: 2, C: 4}, Options{RequestCounts: bad}); err == nil {
+	if _, err := (Config{Variant: SAER, D: 2, C: 4, RequestCounts: bad}).Run(g); err == nil {
 		t.Error("out-of-range RequestCounts accepted")
 	}
 	neg := make([]int, 64)
 	neg[0] = -1
-	if _, err := Run(g, SAER, Params{D: 2, C: 4}, Options{RequestCounts: neg}); err == nil {
+	if _, err := (Config{Variant: SAER, D: 2, C: 4, RequestCounts: neg}).Run(g); err == nil {
 		t.Error("negative RequestCounts accepted")
 	}
 }
@@ -126,8 +126,8 @@ func TestRequestCountsGeneralCase(t *testing.T) {
 		counts[i] = src.Intn(d + 1)
 		total += counts[i]
 	}
-	res, err := Run(g, SAER, Params{D: d, C: 4, Seed: 3},
-		Options{RequestCounts: counts, TrackAssignments: true, TrackLoads: true})
+	res, err := Config{Variant: SAER, D: d, C: 4, Seed: 3,
+		RequestCounts: counts, TrackAssignments: true, TrackLoads: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRequestCountsZeroClientsFinishImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make([]int, 128) // everyone has zero requests
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 1}, Options{RequestCounts: counts})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 1, RequestCounts: counts}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,7 @@ func TestQuickRequestCountsConservation(t *testing.T) {
 			counts[i] = src.Intn(d + 1)
 			total += counts[i]
 		}
-		res, err := Run(g, RAES, Params{D: d, C: 5, Seed: seed},
-			Options{RequestCounts: counts, TrackLoads: true})
+		res, err := Config{Variant: RAES, D: d, C: 5, Seed: seed, RequestCounts: counts, TrackLoads: true}.Run(g)
 		if err != nil || !res.Completed {
 			return false
 		}

@@ -63,20 +63,21 @@ func TestAutotuneDeterminism(t *testing.T) {
 // bit-for-bit identical results — the tuner may only move wall-clock.
 func TestAutotuneKnobsAreResultNeutral(t *testing.T) {
 	g := regularGraph(t, 1024, 36, 17)
-	p := Params{D: 2, C: 2.5, Seed: 0xAB}
-	ref, err := Run(g, SAER, p, Options{Shards: 1, TrackRounds: true, TrackLoads: true})
+	cfg := Config{Variant: SAER, D: 2, C: 2.5, Seed: 0xAB, Shards: 1, TrackRounds: true, TrackLoads: true}
+	ref, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{0, 5, 16} {
 		for _, workers := range []int{1, 2} {
-			pp := p
-			pp.Workers = workers
-			got, err := Run(g, SAER, pp, Options{Shards: shards, TrackRounds: true, TrackLoads: true})
+			c := cfg
+			c.Workers = workers
+			c.Shards = shards
+			got, err := c.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizedResult(got), normalizedResult(ref)) {
+			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("shards=%d workers=%d: result differs from the one-shard reference", shards, workers)
 			}
 		}

@@ -27,7 +27,7 @@ type RoundDecision struct {
 // wire client (internal/wire) implements the same interface by sending
 // batched round frames to remote server-shard processes. The Driver is
 // the client side that runs the full protocol against any bank, and its
-// results are bit-for-bit those of core.Run — the interface carries
+// results are bit-for-bit those of Config.Run — the interface carries
 // per-round (server, count) batches, not per-ball messages, which is
 // what makes the wire transport viable at millions of balls.
 //
@@ -39,7 +39,7 @@ type ServerBank interface {
 	// Reset re-initializes every server for a new run. initialLoads
 	// pre-loads the servers (nil = all zero; otherwise one entry per
 	// server): a server starting at or beyond the capacity is burned
-	// from the start, matching Options.InitialLoads semantics.
+	// from the start, matching Config.InitialLoads semantics.
 	Reset(initialLoads []int) error
 	// DecideRound applies the variant's threshold rule to one round's
 	// received batch: touched lists the servers that received requests

@@ -2,42 +2,54 @@ package core
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/bipartite"
-	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
-// Config is the single validated configuration surface of a protocol
-// execution: the protocol identity (Variant, D, C, MaxRounds, Seed), the
-// performance knobs (Workers, Shards — results are bit-for-bit
-// independent of both), and the optional diagnostics. It collapses the
-// historical (Variant, Params, Options) triple that every caller used to
-// assemble field by field; the simulator CLI, the sweep engine and the wire
-// binaries all build a Config and go through its constructor methods, so
-// knob validation and normalization happen in exactly one place. Params
-// and Options remain as the internal split (and in Result, which echoes
-// them), produced by the Params/Options accessors.
+// Config describes one protocol execution, and it is the only way to
+// start one: Config.Run for a single run, Config.NewRunner for a Runner
+// that is reused across trials, NewDriver for the transport-agnostic
+// front end. It holds the protocol identity (Variant, D, C, MaxRounds,
+// Seed — what Result echoes as Params), the performance knobs (Workers,
+// Shards — results are bit-for-bit independent of both), and the
+// optional diagnostics and inputs. Validate checks everything that does
+// not depend on the topology, in one place.
 //
 // The zero value of every knob means "pick the default": Workers 0 is
-// GOMAXPROCS and Shards 0 defers to the autotuner. ResolveKnobs exposes
-// the normalization itself for equivalence tests and diagnostics.
+// GOMAXPROCS and Shards 0 defers to the autotuner. All tracking is off
+// by default because the neighborhood statistics cost O(|E|) per round.
 type Config struct {
 	// Variant selects the threshold protocol (SAER or RAES).
 	Variant Variant
-	// D is the request number d: the number of balls each client places.
+	// D is the request number d: the number of balls each client must
+	// place. The paper treats it as an arbitrary constant > 1, but any
+	// positive value is accepted.
 	D int
-	// C is the threshold constant c; the per-server capacity is ⌊C·D⌋.
+	// C is the threshold constant c. Every server accepts at most
+	// ⌊C·D⌋ balls, which must lie in [1, MaxInt32]. The analysis requires
+	// C ≥ max(32·ρ, 288/(η·d)); in practice much smaller constants already
+	// give fast termination (experiment E9 quantifies this).
 	C float64
-	// MaxRounds caps the run; zero selects DefaultMaxRounds(n).
+	// MaxRounds caps the run. Zero selects DefaultMaxRounds(n). If the
+	// cap is reached before every ball is placed, Result.Completed is
+	// false.
 	MaxRounds int
 	// Seed determines every random choice of the run.
 	Seed uint64
 
-	// Workers is the number of goroutines per phase (0 = GOMAXPROCS).
+	// Workers is the number of goroutines per phase; zero selects
+	// GOMAXPROCS. The result does not depend on this value.
 	Workers int
-	// Shards is the target server-shard count of the routed round loop
-	// (0 = autotuned; see Options.Shards).
+	// Shards is the target server-shard count of the routed round loop:
+	// phase 1 routes each ball's destination to the lane of the server
+	// shard that owns it, and phase 2 folds each shard's lanes and
+	// decides its servers on the goroutine that owns the shard. Zero
+	// selects the autotuned count (AutotuneShards). A one-worker run with
+	// one shard takes the one-lane path: it counts into a plain tally and
+	// scans the servers. Like Workers this is a pure performance knob:
+	// results are bit-for-bit independent of it (the equivalence tests
+	// sweep {0, 1, 2, 3, 8}).
 	Shards int
 
 	// TrackRounds records a RoundStats entry per round.
@@ -47,130 +59,70 @@ type Config struct {
 	TrackNeighborhoods bool
 	// TrackLoads stores the final per-server load vector in the result.
 	TrackLoads bool
-	// TrackAssignments records which server accepted each client ball.
+	// TrackAssignments records, for every client, which server accepted
+	// each of its balls (Result.Assignments). This is what a real client
+	// application needs — the actual request→server mapping — and it also
+	// exposes the bounded-degree assignment subgraph that Becchetti et
+	// al.'s expander construction is built from.
 	TrackAssignments bool
-	// InitialLoads pre-loads the servers (dynamic scenarios); length must
-	// equal the server count when non-nil.
+	// InitialLoads, when non-nil, pre-loads every server with the given
+	// number of already-accepted balls before the first round. This models
+	// the dynamic/online scenario of the paper's future-work section, where
+	// new client batches arrive while servers still carry load from earlier
+	// batches. The slice length must equal the number of servers; a server
+	// whose initial load already reaches the capacity starts burned (SAER)
+	// or permanently saturated (RAES).
 	InitialLoads []int
-	// RequestCounts gives each client its own ball count in [0, D];
-	// length must equal the client count when non-nil.
+	// RequestCounts, when non-nil, gives each client its own number of
+	// balls (the paper's general "at most d" case). Entries must be in
+	// [0, D]; the slice length must equal the number of clients. When nil,
+	// every client has exactly D balls.
 	RequestCounts []int
 
-	// Telemetry, when non-nil, receives live run counters and phase
-	// histograms (see Options.Telemetry and internal/telemetry). Results
-	// are bit-for-bit independent of it.
+	// Telemetry, when non-nil, receives live counters and per-phase
+	// latency histograms from the run (rounds/requests totals, phase
+	// spans, steal and row-cache counters; see internal/telemetry).
+	// Pure observation: results are bit-for-bit identical whether it is
+	// set or nil — the telemetry equivalence suite pins this — and the
+	// nil path costs one pointer test per phase per round.
 	Telemetry *telemetry.Registry
 }
 
-// NewConfig returns a Config for one protocol execution with every
-// performance knob at its self-tuning default.
-func NewConfig(variant Variant, d int, c float64, seed uint64) Config {
-	return Config{Variant: variant, D: d, C: c, Seed: seed}
-}
-
-// ConfigFrom assembles a Config from the historical
-// (variant, params, options) triple: the migration bridge for callers
-// whose declarative surface still carries the split types (the sweep
-// engine's Point grid). New code should build a Config directly.
-func ConfigFrom(variant Variant, p Params, o Options) Config {
-	return Config{
-		Variant:            variant,
-		D:                  p.D,
-		C:                  p.C,
-		MaxRounds:          p.MaxRounds,
-		Seed:               p.Seed,
-		Workers:            p.Workers,
-		Shards:             o.Shards,
-		TrackRounds:        o.TrackRounds,
-		TrackNeighborhoods: o.TrackNeighborhoods,
-		TrackLoads:         o.TrackLoads,
-		TrackAssignments:   o.TrackAssignments,
-		InitialLoads:       o.InitialLoads,
-		RequestCounts:      o.RequestCounts,
-		Telemetry:          o.Telemetry,
-	}
-}
-
-// Params returns the run-parameter view of the configuration.
+// Params returns the protocol identity of the configuration, the part a
+// Result echoes.
 func (c Config) Params() Params {
-	return Params{D: c.D, C: c.C, MaxRounds: c.MaxRounds, Workers: c.Workers, Seed: c.Seed}
-}
-
-// Options returns the diagnostics/performance-knob view of the
-// configuration.
-func (c Config) Options() Options {
-	return Options{
-		Shards:             c.Shards,
-		TrackRounds:        c.TrackRounds,
-		TrackNeighborhoods: c.TrackNeighborhoods,
-		TrackLoads:         c.TrackLoads,
-		TrackAssignments:   c.TrackAssignments,
-		InitialLoads:       c.InitialLoads,
-		RequestCounts:      c.RequestCounts,
-		Telemetry:          c.Telemetry,
-	}
+	return Params{D: c.D, C: c.C, MaxRounds: c.MaxRounds, Seed: c.Seed}
 }
 
 // Validate checks everything that can be checked without a topology:
-// the protocol parameters and the knob ranges. The topology-dependent
+// the protocol parameters and the knob ranges. The capacity must fit
+// the int32 that every server half holds it in. The topology-dependent
 // checks (InitialLoads/RequestCounts lengths) run in NewRunner and
 // NewDriver, which know the instance shape.
 func (c Config) Validate() error {
 	if c.Variant != SAER && c.Variant != RAES {
 		return fmt.Errorf("core: unknown protocol variant %d", int(c.Variant))
 	}
-	if err := c.Params().Validate(); err != nil {
-		return err
+	if c.D <= 0 {
+		return fmt.Errorf("core: request number D must be positive, got %d", c.D)
+	}
+	// NaN fails every comparison, so it is caught here too.
+	if !(c.C > 0) || math.IsInf(c.C, 1) {
+		return fmt.Errorf("core: threshold constant C must be positive and finite, got %v", c.C)
+	}
+	// Compare before converting: Go's float-to-int conversion of an
+	// out-of-range value is platform-dependent.
+	if capacity := math.Floor(c.C * float64(c.D)); capacity < 1 || capacity > math.MaxInt32 {
+		return fmt.Errorf("core: capacity floor(C*D) = %.0f is outside [1, %d]", capacity, math.MaxInt32)
+	}
+	if c.MaxRounds < 0 {
+		return fmt.Errorf("core: MaxRounds must be non-negative, got %d", c.MaxRounds)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("core: Workers must be non-negative, got %d", c.Workers)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
 	}
 	return nil
-}
-
-// NewRunner validates the configuration against topo and allocates the
-// run state.
-func (c Config) NewRunner(topo bipartite.Topology) (*Runner, error) {
-	return NewRunner(topo, c.Variant, c.Params(), c.Options())
-}
-
-// Run executes one full protocol run of the configuration on topo.
-func (c Config) Run(topo bipartite.Topology) (*Result, error) {
-	r, err := c.NewRunner(topo)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(), nil
-}
-
-// ResolvedKnobs is the concrete performance-knob assignment the
-// normalization step produces for one instance shape: what a Runner
-// built from the same configuration actually runs with. It exists so
-// equivalence tests can pin the resolution without reaching into Runner
-// internals, and so diagnostics can report the effective knobs.
-type ResolvedKnobs struct {
-	// Workers is the effective worker count (GOMAXPROCS-resolved).
-	Workers int
-	// Shards is the target shard count handed to the router, which may
-	// still collapse it on tiny instances. A one-worker run whose router
-	// ends up with one shard takes the one-lane path.
-	Shards int
-}
-
-// resolveKnobs is the single knob-normalization step shared by the
-// round loop and Config.ResolveKnobs: an explicit shard count wins, and
-// the autotuner fills an unset one.
-func resolveKnobs(c Config, n, m, workers int) ResolvedKnobs {
-	k := ResolvedKnobs{Workers: workers, Shards: c.Shards}
-	if k.Shards == 0 {
-		k.Shards = AutotuneShards(n, m, workers, engine.DetectCache())
-	}
-	return k
-}
-
-// ResolveKnobs reports the effective performance knobs the configuration
-// resolves to on topo, without allocating any run state.
-func (c Config) ResolveKnobs(topo bipartite.Topology) ResolvedKnobs {
-	workers := engine.NewPool(c.Workers).Workers()
-	return resolveKnobs(c, topo.NumClients(), topo.NumServers(), workers)
 }

@@ -33,10 +33,10 @@ type Driver struct {
 	shardTouched [][]int32 // per-shard ascending touched lists of the current round
 }
 
-// NewDriver validates the configuration against topo (the same checks as
-// NewRunner) and allocates the client-side run state. The bank is not
-// touched until Run, which Resets it first — so a freshly dialed wire
-// bank can be handed over as-is.
+// NewDriver validates the configuration against topo (the same checks
+// as Config.NewRunner) and allocates the client-side run state. The bank
+// is not touched until Run, which Resets it first — so a freshly dialed
+// wire bank can be handed over as-is.
 func NewDriver(topo bipartite.Topology, cfg Config, bank ServerBank) (*Driver, error) {
 	if bank == nil {
 		return nil, fmt.Errorf("core: driver needs a server bank")

@@ -21,16 +21,10 @@ import (
 // the LocalBank stands where the remote shard processes will.
 func driverEquivalenceCase(t *testing.T, name string, topo bipartite.Topology, cfg Config) {
 	t.Helper()
-	ref := func() *Result {
-		rcfg := cfg
-		rcfg.Workers = 1
-		rcfg.Shards = 1
-		res, err := rcfg.Run(topo)
-		if err != nil {
-			t.Fatalf("%s: runner reference failed: %v", name, err)
-		}
-		return normalizedResult(res)
-	}()
+	ref, err := oneLane(cfg).Run(topo)
+	if err != nil {
+		t.Fatalf("%s: runner reference failed: %v", name, err)
+	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, shards := range []int{1, 2, 3, 8} {
 			wcfg := cfg
@@ -39,11 +33,10 @@ func driverEquivalenceCase(t *testing.T, name string, topo bipartite.Topology, c
 			if err != nil {
 				t.Fatalf("%s workers=%d shards=%d: %v", name, workers, shards, err)
 			}
-			res, err := dr.Run()
+			got, err := dr.Run()
 			if err != nil {
 				t.Fatalf("%s workers=%d shards=%d: %v", name, workers, shards, err)
 			}
-			got := normalizedResult(res)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("%s: driver workers=%d shards=%d diverges from runner reference:\n  ref=%+v\n  got=%+v",
 					name, workers, shards, ref, got)
@@ -58,11 +51,8 @@ func TestDriverMatchesRunner(t *testing.T) {
 	for _, variant := range []Variant{SAER, RAES} {
 		// c=4: fast completion; c=2: heavy burning and saturation.
 		for _, c := range []float64{4, 2} {
-			cfg := NewConfig(variant, 2, c, 0xFEED)
-			cfg.TrackRounds = true
-			cfg.TrackNeighborhoods = true
-			cfg.TrackLoads = true
-			cfg.TrackAssignments = true
+			cfg := Config{Variant: variant, D: 2, C: c, Seed: 0xFEED,
+				TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true}
 			driverEquivalenceCase(t, variant.String(), g, cfg)
 		}
 	}
@@ -73,9 +63,7 @@ func TestDriverMatchesRunnerIrregularGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewConfig(SAER, 3, 3, 99)
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
+	cfg := Config{Variant: SAER, D: 3, C: 3, Seed: 99, TrackRounds: true, TrackLoads: true}
 	driverEquivalenceCase(t, "trust-subset", g, cfg)
 }
 
@@ -85,10 +73,7 @@ func TestDriverMatchesRunnerDynamicState(t *testing.T) {
 	// executor must carry across epochs.
 	n := 512
 	g := regularGraph(t, n, 24, 31)
-	cfg := NewConfig(SAER, 2, 4, 13)
-	cfg.MaxRounds = 300
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
+	cfg := Config{Variant: SAER, D: 2, C: 4, Seed: 13, MaxRounds: 300, TrackRounds: true, TrackLoads: true}
 	cfg.InitialLoads = make([]int, n)
 	cfg.RequestCounts = make([]int, n)
 	src := rng.New(42)
@@ -108,9 +93,7 @@ func TestDriverMatchesRunnerStarved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewConfig(SAER, 2, 1, 1)
-	cfg.MaxRounds = 50
-	cfg.TrackRounds = true
+	cfg := Config{Variant: SAER, D: 2, C: 1, Seed: 1, MaxRounds: 50, TrackRounds: true}
 	driverEquivalenceCase(t, "starved", g, cfg)
 }
 
@@ -119,9 +102,7 @@ func TestDriverMatchesRunnerImplicitTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewConfig(RAES, 2, 3, 0xBEEF)
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
+	cfg := Config{Variant: RAES, D: 2, C: 3, Seed: 0xBEEF, TrackRounds: true, TrackLoads: true}
 	// The bare topology drives the Driver's point-query draw path, the
 	// rowOnly wrapper its row-regeneration path; both must match the
 	// Runner reference bit for bit.
@@ -134,10 +115,8 @@ func TestDriverMatchesRunnerImplicitTopology(t *testing.T) {
 // starved early exit left mid-round state behind.
 func TestDriverReseedReuse(t *testing.T) {
 	g := regularGraph(t, 256, 16, 3)
-	cfg := NewConfig(SAER, 2, 2, 0)
-	cfg.Workers = 2 // reuse must also reset the parallel phase state
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
+	// Two workers: reuse must also reset the parallel phase state.
+	cfg := Config{Variant: SAER, D: 2, C: 2, Workers: 2, TrackRounds: true, TrackLoads: true}
 	reused, err := NewLocalDriver(g, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -264,12 +243,8 @@ func (b *recordingBank) DecideRound(touched, counts []int32) (RoundDecision, err
 // the one-lane Runner reference.
 func TestDriverShipsAscendingBatches(t *testing.T) {
 	g := regularGraph(t, 1000, 24, 9)
-	cfg := NewConfig(SAER, 2, 2, 0xACE)
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
-	rcfg := cfg
-	rcfg.Workers, rcfg.Shards = 1, 1
-	ref, err := rcfg.Run(g)
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xACE, TrackRounds: true, TrackLoads: true}
+	ref, err := oneLane(cfg).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +269,7 @@ func TestDriverShipsAscendingBatches(t *testing.T) {
 			if bank.batches != res.Rounds || res.Rounds < 2 {
 				t.Fatalf("%s: %d batches for %d rounds", name, bank.batches, res.Rounds)
 			}
-			if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
+			if !reflect.DeepEqual(res, ref) {
 				t.Errorf("%s: driver diverges from the runner reference", name)
 			}
 		}
@@ -325,8 +300,7 @@ func (b *tamperBank) DecideRound(touched, counts []int32) (RoundDecision, error)
 // or a silently applied decision.
 func TestDriverRejectsMalformedDecisions(t *testing.T) {
 	g := regularGraph(t, 1024, 16, 5)
-	cfg := NewConfig(SAER, 2, 2, 77)
-	cfg.Workers = 2
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 77, Workers: 2}
 	notInBatch := func(touched []int32) int32 {
 		for u := int32(0); ; u++ {
 			if _, found := slices.BinarySearch(touched, u); !found {

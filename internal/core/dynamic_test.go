@@ -12,7 +12,7 @@ func TestInitialLoadsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(g, SAER, Params{D: 2, C: 4, Seed: 1}, Options{InitialLoads: make([]int, 10)})
+	_, err = Config{Variant: SAER, D: 2, C: 4, Seed: 1, InitialLoads: make([]int, 10)}.Run(g)
 	if err == nil {
 		t.Fatal("InitialLoads with wrong length accepted")
 	}
@@ -27,7 +27,7 @@ func TestInitialLoadsRespected(t *testing.T) {
 	for u := range init {
 		init[u] = 3 // capacity will be 8, so plenty of room remains
 	}
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 5}, Options{InitialLoads: init, TrackLoads: true})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 5, InitialLoads: init, TrackLoads: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestInitialLoadsAtCapacityBlockServers(t *testing.T) {
 	for u := 0; u < g.NumServers()/2; u++ {
 		init[u] = capPerServer
 	}
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 9}, Options{InitialLoads: init, TrackLoads: true})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 9, InitialLoads: init, TrackLoads: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

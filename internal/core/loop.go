@@ -195,8 +195,11 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	l.tel = newRunTel(cfg.Telemetry)
 	instrumentPool(cfg.Telemetry, l.pool)
 	l.tally = engine.NewTally(l.pool, m)
-	knobs := resolveKnobs(cfg, n, m, workers)
-	if rt := engine.NewRouter(workers, knobs.Shards, m); alwaysRoute || workers > 1 || rt.Shards() > 1 {
+	shards := cfg.Shards
+	if shards == 0 {
+		shards = AutotuneShards(n, m, workers, engine.DetectCache())
+	}
+	if rt := engine.NewRouter(workers, shards, m); alwaysRoute || workers > 1 || rt.Shards() > 1 {
 		l.router = rt
 		l.tally.BeginStamped()
 	}

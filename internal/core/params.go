@@ -24,9 +24,11 @@
 // The protocol completes when every ball has been accepted; at that point
 // every server's load is at most c·d by construction.
 //
-// The implementation executes rounds in parallel with worker goroutines
-// (see package engine) yet is fully deterministic given the Params.Seed,
-// independent of the worker count.
+// A run is described by a Config and started with Config.Run (or
+// Config.NewRunner, or NewDriver over a ServerBank). The implementation
+// executes rounds in parallel with worker goroutines (see package engine)
+// yet is fully deterministic given Config.Seed, independent of the worker
+// and shard counts.
 package core
 
 import (
@@ -61,26 +63,13 @@ func (v Variant) String() string {
 	}
 }
 
-// Params are the run parameters of a protocol execution.
+// Params is the protocol identity of a run, the part of its Config that
+// Result echoes: D, C, MaxRounds and Seed as documented on Config.
 type Params struct {
-	// D is the request number d: the number of balls each client must
-	// place. The paper treats it as an arbitrary constant > 1, but any
-	// positive value is accepted.
-	D int
-	// C is the threshold constant c. Every server accepts at most
-	// Capacity() = ⌊C·D⌋ balls. The analysis requires
-	// C ≥ max(32·ρ, 288/(η·d)); in practice much smaller constants already
-	// give fast termination (experiment E9 quantifies this).
-	C float64
-	// MaxRounds caps the simulation. Zero selects DefaultMaxRounds(n).
-	// If the cap is reached before every ball is placed, Result.Completed
-	// is false.
+	D         int
+	C         float64
 	MaxRounds int
-	// Workers is the number of goroutines used per phase; zero selects
-	// GOMAXPROCS. The result does not depend on this value.
-	Workers int
-	// Seed determines all random choices of the run.
-	Seed uint64
+	Seed      uint64
 }
 
 // Capacity returns the per-server acceptance threshold ⌊C·D⌋.
@@ -88,25 +77,8 @@ func (p Params) Capacity() int {
 	return int(math.Floor(p.C * float64(p.D)))
 }
 
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.D <= 0 {
-		return fmt.Errorf("core: request number D must be positive, got %d", p.D)
-	}
-	if p.C <= 0 {
-		return fmt.Errorf("core: threshold constant C must be positive, got %v", p.C)
-	}
-	if p.Capacity() < 1 {
-		return fmt.Errorf("core: capacity floor(C*D) = %d is below 1", p.Capacity())
-	}
-	if p.MaxRounds < 0 {
-		return fmt.Errorf("core: MaxRounds must be non-negative, got %d", p.MaxRounds)
-	}
-	return nil
-}
-
 // DefaultMaxRounds returns the default round cap used when
-// Params.MaxRounds is zero: a comfortable multiple of the paper's
+// Config.MaxRounds is zero: a comfortable multiple of the paper's
 // 3·log₂ n completion bound, so that a misconfigured run terminates with
 // Completed == false instead of spinning forever.
 func DefaultMaxRounds(n int) int {

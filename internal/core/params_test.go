@@ -37,26 +37,6 @@ func TestParamsCapacity(t *testing.T) {
 	}
 }
 
-func TestParamsValidate(t *testing.T) {
-	good := Params{D: 2, C: 4}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
-	}
-	bad := []Params{
-		{D: 0, C: 4},
-		{D: -1, C: 4},
-		{D: 2, C: 0},
-		{D: 2, C: -1},
-		{D: 2, C: 0.3}, // capacity floor(0.6) = 0
-		{D: 2, C: 4, MaxRounds: -1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: invalid params accepted: %+v", i, p)
-		}
-	}
-}
-
 func TestDefaultMaxRounds(t *testing.T) {
 	if DefaultMaxRounds(0) <= 0 || DefaultMaxRounds(1) <= 0 {
 		t.Error("degenerate sizes should still get a positive cap")

@@ -74,8 +74,8 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 		mk("trust-subset", trust, trustErr),
 		mk("almost-regular", almost, almostErr),
 	}
-	p := Params{D: 2, C: 2.5, Seed: 0xFEED}
-	opts := Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true}
+	cfg := Config{Variant: SAER, D: 2, C: 2.5, Seed: 0xFEED,
+		TrackRounds: true, TrackLoads: true, TrackAssignments: true}
 	for _, fam := range families {
 		if bipartite.PointQuerier(fam.topo) == nil {
 			t.Fatalf("%s: family is not point-queryable", fam.name)
@@ -84,12 +84,10 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, ro := oneLane(p, opts)
-		res, err := Run(csr, SAER, rp, ro)
+		ref, err := oneLane(cfg).Run(csr)
 		if err != nil {
 			t.Fatalf("%s: CSR reference: %v", fam.name, err)
 		}
-		ref := normalizedResult(res)
 		paths := []struct {
 			name string
 			topo bipartite.Topology
@@ -97,15 +95,14 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 		for _, path := range paths {
 			for _, workers := range []int{1, 2, 4} {
 				for _, shards := range []int{1, 3} {
-					pp := p
-					pp.Workers = workers
-					oo := opts
-					oo.Shards = shards
-					res, err := Run(path.topo, SAER, pp, oo)
+					c := cfg
+					c.Workers = workers
+					c.Shards = shards
+					got, err := c.Run(path.topo)
 					if err != nil {
 						t.Fatalf("%s/%s workers=%d shards=%d: %v", fam.name, path.name, workers, shards, err)
 					}
-					if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+					if !reflect.DeepEqual(got, ref) {
 						t.Errorf("%s/%s: workers=%d shards=%d diverges from CSR reference",
 							fam.name, path.name, workers, shards)
 					}

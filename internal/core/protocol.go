@@ -5,25 +5,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Run executes one full protocol run of the selected variant on topo and
-// returns its Result. The run is deterministic in (topo, variant, p.Seed)
-// and independent of p.Workers, Options.Shards, and — for topologies that
-// describe the same edge multiset in the same per-client order, such as an
-// implicit topology and its materialized CSR twin — of the topology
-// representation.
-func Run(topo bipartite.Topology, variant Variant, p Params, opts Options) (*Result, error) {
-	r, err := NewRunner(topo, variant, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(), nil
-}
-
 // Runner is the in-process protocol execution: the shared client loop
 // over server shards that live in this process. It exists as a separate
 // type so that benchmarks and the experiment harness can reuse the
 // allocations between trials (Reseed, SwapTopology, PatchTopology); most
-// callers can simply use Run.
+// callers can simply use Config.Run.
 //
 // Each router shard owns one ServerShard over the same server window, and
 // a round's phase 2 folds a shard's route lanes and decides exactly the
@@ -44,10 +30,25 @@ type Runner struct {
 	partialSat    []int64
 }
 
-// NewRunner validates the inputs and allocates the run state.
-func NewRunner(topo bipartite.Topology, variant Variant, p Params, opts Options) (*Runner, error) {
+// Run executes one full protocol run of the configuration on topo and
+// returns its Result. The run is deterministic in (topo, Variant, Seed)
+// and independent of Workers, Shards, and — for topologies that describe
+// the same edge multiset in the same per-client order, such as an
+// implicit topology and its materialized CSR twin — of the topology
+// representation.
+func (c Config) Run(topo bipartite.Topology) (*Result, error) {
+	r, err := c.NewRunner(topo)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(), nil
+}
+
+// NewRunner validates the configuration against topo and allocates the
+// run state.
+func (c Config) NewRunner(topo bipartite.Topology) (*Runner, error) {
 	r := &Runner{}
-	if err := r.init(topo, ConfigFrom(variant, p, opts), false); err != nil {
+	if err := r.init(topo, c, false); err != nil {
 		return nil, err
 	}
 	m := topo.NumServers()
@@ -59,7 +60,7 @@ func NewRunner(topo bipartite.Topology, variant Variant, p Params, opts Options)
 	}
 	for lo := 0; lo < m; lo += width {
 		hi := min(lo+width, m)
-		r.servers = append(r.servers, windowShard(variant, r.capacity, lo, hi,
+		r.servers = append(r.servers, windowShard(c.Variant, r.capacity, lo, hi,
 			r.load[lo:], received[lo:], r.burned[lo:]))
 	}
 	r.partialBurned = make([]int64, r.pool.Workers())

@@ -24,7 +24,7 @@ func TestSAERCompletesOnRegularGraph(t *testing.T) {
 	n := 2048
 	delta := 60 // about log²(2048) ≈ 58
 	g := regularGraph(t, n, delta, 1)
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 7}, Options{})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 7}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSAERCompletesOnRegularGraph(t *testing.T) {
 func TestRAESCompletesOnRegularGraph(t *testing.T) {
 	n := 2048
 	g := regularGraph(t, n, 60, 2)
-	res, err := Run(g, RAES, Params{D: 2, C: 4, Seed: 7}, Options{})
+	res, err := Config{Variant: RAES, D: 2, C: 4, Seed: 7}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestLoadNeverExceedsCapacity(t *testing.T) {
 	g := regularGraph(t, 512, 16, 3)
 	for _, variant := range []Variant{SAER, RAES} {
 		for _, c := range []float64{1, 1.5, 2, 4} {
-			res, err := Run(g, variant, Params{D: 3, C: c, Seed: 11, MaxRounds: 100}, Options{TrackLoads: true})
+			res, err := Config{Variant: variant, D: 3, C: c, Seed: 11, MaxRounds: 100, TrackLoads: true}.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestLoadNeverExceedsCapacity(t *testing.T) {
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	g := regularGraph(t, 1024, 40, 5)
 	baseline := func(workers int) *Result {
-		res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 99, Workers: workers}, Options{TrackRounds: true})
+		res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 99, Workers: workers, TrackRounds: true}.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,18 +118,18 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := regularGraph(t, 512, 30, 8)
-	a, err := Run(g, RAES, Params{D: 2, C: 4, Seed: 123}, Options{})
+	a, err := Config{Variant: RAES, D: 2, C: 4, Seed: 123}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, RAES, Params{D: 2, C: 4, Seed: 123}, Options{})
+	b, err := Config{Variant: RAES, D: 2, C: 4, Seed: 123}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Rounds != b.Rounds || a.TotalRequests != b.TotalRequests || a.MaxLoad != b.MaxLoad {
 		t.Fatalf("identical seeds gave different results: %v vs %v", a, b)
 	}
-	c, err := Run(g, RAES, Params{D: 2, C: 4, Seed: 124}, Options{})
+	c, err := Config{Variant: RAES, D: 2, C: 4, Seed: 124}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCompleteGraphIsEasy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, variant := range []Variant{SAER, RAES} {
-		res, err := Run(g, variant, Params{D: 2, C: 4, Seed: 3}, Options{})
+		res, err := Config{Variant: variant, D: 2, C: 4, Seed: 3}.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestTinyCFailsGracefully(t *testing.T) {
 	// many servers to finish on a sparse graph. Whatever happens, the run
 	// must stop, respect the cap and report a consistent state.
 	g := regularGraph(t, 256, 12, 13)
-	res, err := Run(g, SAER, Params{D: 4, C: 1, Seed: 5, MaxRounds: 200}, Options{})
+	res, err := Config{Variant: SAER, D: 4, C: 1, Seed: 5, MaxRounds: 200}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestStarvedClientDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, SAER, Params{D: 2, C: 1, Seed: 1, MaxRounds: 50}, Options{})
+	res, err := Config{Variant: SAER, D: 2, C: 1, Seed: 1, MaxRounds: 50}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestStarvedClientDetected(t *testing.T) {
 
 func TestPerRoundTracking(t *testing.T) {
 	g := regularGraph(t, 512, 40, 21)
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 9}, Options{TrackRounds: true, TrackNeighborhoods: true})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 9, TrackRounds: true, TrackNeighborhoods: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSAERBurnedFractionStaysBelowHalf(t *testing.T) {
 	g := regularGraph(t, n, delta, 31)
 	st := g.Stats()
 	c := MinCRegular(st.Eta, 2)
-	res, err := Run(g, SAER, Params{D: 2, C: c, Seed: 17}, Options{TrackNeighborhoods: true})
+	res, err := Config{Variant: SAER, D: 2, C: c, Seed: 17, TrackNeighborhoods: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestRAESDominatesSAERInAcceptedBalls(t *testing.T) {
 	g := regularGraph(t, 1024, 36, 41)
 	var saerRounds, raesRounds int
 	for seed := uint64(0); seed < 10; seed++ {
-		rs, err := Run(g, SAER, Params{D: 2, C: 3, Seed: seed}, Options{})
+		rs, err := Config{Variant: SAER, D: 2, C: 3, Seed: seed}.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := Run(g, RAES, Params{D: 2, C: 3, Seed: seed}, Options{})
+		rr, err := Config{Variant: RAES, D: 2, C: 3, Seed: seed}.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,10 +319,10 @@ func TestRAESDominatesSAERInAcceptedBalls(t *testing.T) {
 
 func TestRunRejectsInvalidInput(t *testing.T) {
 	g := regularGraph(t, 64, 8, 1)
-	if _, err := Run(g, SAER, Params{D: 0, C: 4}, Options{}); err == nil {
+	if _, err := (Config{Variant: SAER, D: 0, C: 4}).Run(g); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := Run(g, Variant(42), Params{D: 2, C: 4}, Options{}); err == nil {
+	if _, err := (Config{Variant: Variant(42), D: 2, C: 4}).Run(g); err == nil {
 		t.Error("unknown variant accepted")
 	}
 	// Graph with an isolated client must be rejected.
@@ -330,14 +330,14 @@ func TestRunRejectsInvalidInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(bad, SAER, Params{D: 2, C: 4}, Options{}); err == nil {
+	if _, err := (Config{Variant: SAER, D: 2, C: 4}).Run(bad); err == nil {
 		t.Error("graph with isolated client accepted")
 	}
 }
 
 func TestRunnerReseedReuse(t *testing.T) {
 	g := regularGraph(t, 512, 30, 2)
-	r, err := NewRunner(g, SAER, Params{D: 2, C: 4, Seed: 1}, Options{})
+	r, err := Config{Variant: SAER, D: 2, C: 4, Seed: 1}.NewRunner(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestRunnerReseedReuse(t *testing.T) {
 		t.Error("reseeded run did not complete")
 	}
 	// Fresh-runner cross-check: Reseed must behave exactly like a new Runner.
-	fresh, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 2}, Options{})
+	fresh, err := Config{Variant: SAER, D: 2, C: 4, Seed: 2}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +377,7 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 		{1, 4, 11}, {1, 2, 40},
 		{2, 4, 32}, {2, 2, 111},
 	} {
-		cfg := NewConfig(SAER, 2, tc.c, 1)
-		cfg.Workers = tc.workers
+		cfg := Config{Variant: SAER, D: 2, C: tc.c, Seed: 1, Workers: tc.workers}
 		r, err := cfg.NewRunner(g)
 		if err != nil {
 			t.Fatal(err)
@@ -401,7 +400,7 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 
 func TestWorkPerBallReasonable(t *testing.T) {
 	g := regularGraph(t, 2048, 60, 6)
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 8}, Options{})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 8}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +417,7 @@ func TestWorkPerBallReasonable(t *testing.T) {
 
 func TestMeanLoadMatchesBallCount(t *testing.T) {
 	g := regularGraph(t, 1000, 50, 10)
-	res, err := Run(g, RAES, Params{D: 3, C: 4, Seed: 2}, Options{})
+	res, err := Config{Variant: RAES, D: 3, C: 4, Seed: 2}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +434,7 @@ func TestMeanLoadMatchesBallCount(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	g := regularGraph(t, 128, 16, 3)
-	res, err := Run(g, SAER, Params{D: 2, C: 4, Seed: 4}, Options{})
+	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 4}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +459,7 @@ func TestQuickSAERInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(g, SAER, Params{D: d, C: 6, Seed: seed ^ 0xabcd}, Options{})
+		res, err := Config{Variant: SAER, D: d, C: 6, Seed: seed ^ 0xabcd}.Run(g)
 		if err != nil {
 			return false
 		}
@@ -487,7 +486,7 @@ func TestQuickRAESInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(g, RAES, Params{D: 2, C: 6, Seed: seed}, Options{})
+		res, err := Config{Variant: RAES, D: 2, C: 6, Seed: seed}.Run(g)
 		if err != nil {
 			return false
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bipartite"
-	"repro/internal/telemetry"
 )
 
 // RoundStats records the observable quantities of a single round. The
@@ -38,21 +37,21 @@ type RoundStats struct {
 	SaturatedThisRound int
 	// MaxNeighborhoodBurnedFrac is S_t = max_v S_t(v): the maximum over
 	// clients of the fraction of burned servers in the client's
-	// neighborhood. Populated only when Options.TrackNeighborhoods is set.
+	// neighborhood. Populated only when Config.TrackNeighborhoods is set.
 	MaxNeighborhoodBurnedFrac float64
 	// MaxNeighborhoodReceived is r_t = max_v r_t(N(v)): the maximum over
 	// clients of the total requests received this round by the client's
-	// neighborhood. Populated only when Options.TrackNeighborhoods is set.
+	// neighborhood. Populated only when Config.TrackNeighborhoods is set.
 	MaxNeighborhoodReceived int
 	// MaxKt is K_t = max_v (1/(c·d·∆_v))·Σ_{i≤t} r_i(N(v)), the quantity the
 	// paper's induction bounds (Definition 6 / eq. 26). Populated only when
-	// Options.TrackNeighborhoods is set.
+	// Config.TrackNeighborhoods is set.
 	MaxKt float64
 }
 
 // Result is the outcome of one protocol execution.
 type Result struct {
-	// Variant and Params echo the run configuration.
+	// Variant and Params echo the run's protocol identity.
 	Variant Variant
 	Params  Params
 	// NumClients and NumServers echo the graph dimensions.
@@ -88,68 +87,19 @@ type Result struct {
 	UnassignedBalls int
 
 	// Loads is the per-server accepted load. Populated only when
-	// Options.TrackLoads is set.
+	// Config.TrackLoads is set.
 	Loads []int
 	// PerRound is the per-round series. Populated only when
-	// Options.TrackRounds (or TrackNeighborhoods) is set.
+	// Config.TrackRounds (or TrackNeighborhoods) is set.
 	PerRound []RoundStats
 	// Assignments[v] lists the servers that accepted client v's balls, in
 	// acceptance order (length ≤ the client's request count; equal to it
 	// iff the run completed). Populated only when
-	// Options.TrackAssignments is set.
+	// Config.TrackAssignments is set.
 	Assignments [][]int32
 	// TotalBalls is the overall number of balls the clients had to place
 	// (n·d, or the sum of RequestCounts when per-client counts are used).
 	TotalBalls int64
-}
-
-// Options selects which optional diagnostics a run records. All tracking
-// is off by default because the neighborhood statistics cost O(|E|) per
-// round.
-type Options struct {
-	// Shards is the target server-shard count of the routed round loop:
-	// phase 1 routes each ball's destination to the lane of the server
-	// shard that owns it, and phase 2 folds each shard's lanes and
-	// decides its servers on the goroutine that owns the shard. Zero
-	// selects the autotuned count (AutotuneShards). A one-worker run with
-	// one shard takes the one-lane path: it counts into a plain tally and
-	// scans the servers. Like Params.Workers this is a pure performance
-	// knob: results are bit-for-bit independent of it (the equivalence
-	// tests sweep {0, 1, 2, 3, 8}).
-	Shards int
-	// TrackRounds records a RoundStats entry per round.
-	TrackRounds bool
-	// TrackNeighborhoods additionally computes S_t, r_t and K_t per round
-	// (implies TrackRounds).
-	TrackNeighborhoods bool
-	// TrackLoads stores the final per-server load vector in the result.
-	TrackLoads bool
-	// InitialLoads, when non-nil, pre-loads every server with the given
-	// number of already-accepted balls before the first round. This models
-	// the dynamic/online scenario of the paper's future-work section, where
-	// new client batches arrive while servers still carry load from earlier
-	// batches. The slice length must equal the number of servers; a server
-	// whose initial load already exceeds the capacity starts burned (SAER)
-	// or permanently saturated (RAES).
-	InitialLoads []int
-	// TrackAssignments records, for every client, which server accepted
-	// each of its balls (Result.Assignments). This is what a real client
-	// application needs — the actual request→server mapping — and it also
-	// exposes the bounded-degree assignment subgraph that Becchetti et
-	// al.'s expander construction is built from.
-	TrackAssignments bool
-	// RequestCounts, when non-nil, gives each client its own number of
-	// balls (the paper's general "at most d" case). Entries must be in
-	// [0, D]; the slice length must equal the number of clients. When nil,
-	// every client has exactly D balls.
-	RequestCounts []int
-	// Telemetry, when non-nil, receives live counters and per-phase
-	// latency histograms from the run (rounds/requests totals, phase
-	// spans, steal and row-cache counters; see internal/telemetry).
-	// Pure observation: results are bit-for-bit identical whether it is
-	// set or nil — the telemetry equivalence suite pins this — and the
-	// nil path costs one pointer test per phase per round.
-	Telemetry *telemetry.Registry
 }
 
 // String summarizes the result in one line.
@@ -183,10 +133,10 @@ func (r *Result) WorkPerBall() float64 {
 // count and every server has degree at most ⌊c·d⌋ — this is the
 // bounded-degree subgraph that Becchetti et al.'s expander construction
 // extracts from RAES. It requires the run to have been executed with
-// Options.TrackAssignments.
+// Config.TrackAssignments.
 func (r *Result) AssignmentGraph() (*bipartite.Graph, error) {
 	if r.Assignments == nil {
-		return nil, errors.New("core: AssignmentGraph requires Options.TrackAssignments")
+		return nil, errors.New("core: AssignmentGraph requires Config.TrackAssignments")
 	}
 	b := bipartite.NewBuilder(r.NumClients, r.NumServers)
 	for v, servers := range r.Assignments {

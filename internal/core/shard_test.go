@@ -8,15 +8,24 @@ import (
 	"repro/internal/gen"
 )
 
+// TestOptionsValidation checks that NewRunner rejects negative
+// performance knobs and accepts the shard counts the equivalence suites
+// sweep.
 func TestOptionsValidation(t *testing.T) {
 	g := regularGraph(t, 64, 8, 1)
-	p := Params{D: 2, C: 4, Seed: 1}
-	if _, err := NewRunner(g, SAER, p, Options{Shards: -1}); err == nil {
-		t.Error("negative Shards accepted")
+	cfg := Config{Variant: SAER, D: 2, C: 4, Seed: 1}
+	for _, bad := range []Config{{Shards: -1}, {Workers: -1}} {
+		c := cfg
+		c.Shards, c.Workers = bad.Shards, bad.Workers
+		if _, err := c.NewRunner(g); err == nil {
+			t.Errorf("negative knob accepted: Shards=%d Workers=%d", c.Shards, c.Workers)
+		}
 	}
-	for _, opts := range []Options{{Shards: 0}, {Shards: 1}, {Shards: 8}} {
-		if _, err := NewRunner(g, SAER, p, opts); err != nil {
-			t.Errorf("valid options %+v rejected: %v", opts, err)
+	for _, shards := range []int{0, 1, 8} {
+		c := cfg
+		c.Shards = shards
+		if _, err := c.NewRunner(g); err != nil {
+			t.Errorf("valid Shards=%d rejected: %v", shards, err)
 		}
 	}
 }
@@ -35,9 +44,9 @@ func TestShardedRunnerReuseAfterStarvedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{D: 2, C: 1.5, Seed: 0, MaxRounds: 50, Workers: 2}
-	opts := Options{TrackRounds: true, TrackLoads: true, Shards: 2}
-	r, err := NewRunner(g, SAER, p, opts)
+	cfg := Config{Variant: SAER, D: 2, C: 1.5, Seed: 0, MaxRounds: 50, Workers: 2,
+		TrackRounds: true, TrackLoads: true, Shards: 2}
+	r, err := cfg.NewRunner(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +60,13 @@ func TestShardedRunnerReuseAfterStarvedRun(t *testing.T) {
 		for reseed := uint64(100); reseed < 108; reseed++ {
 			r.Reseed(reseed)
 			reused := r.Run()
-			pp := p
-			pp.Seed = reseed
-			fresh, err := Run(g, SAER, pp, opts)
+			c := cfg
+			c.Seed = reseed
+			fresh, err := c.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizedResult(reused), normalizedResult(fresh)) {
+			if !reflect.DeepEqual(reused, fresh) {
 				t.Fatalf("dirty=%d reseed=%d: reused sharded Runner diverges from fresh Runner",
 					dirtySeed, reseed)
 			}
@@ -90,9 +99,8 @@ func TestShardedRowCacheMemoryGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{D: 2, C: 2, Seed: 9, Workers: 2}
-	opts := Options{TrackRounds: true, TrackLoads: true, Shards: 4}
-	r, err := NewRunner(rowOnly{topo}, SAER, p, opts)
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 9, Workers: 2, TrackRounds: true, TrackLoads: true, Shards: 4}
+	r, err := cfg.NewRunner(rowOnly{topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +122,13 @@ func TestShardedRowCacheMemoryGuard(t *testing.T) {
 		if cacheBytes*10 > csrBytes {
 			t.Fatalf("trial %d: cache %d B exceeds 10%% of the CSR twin's %d B", trial, cacheBytes, csrBytes)
 		}
-		pp := p
-		pp.Seed = seed
-		fromCSR, err := Run(csr, SAER, pp, opts)
+		c := cfg
+		c.Seed = seed
+		fromCSR, err := c.Run(csr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(normalizedResult(res), normalizedResult(fromCSR)) {
+		if !reflect.DeepEqual(res, fromCSR) {
 			t.Fatalf("trial %d: cached implicit run diverges from the CSR run", trial)
 		}
 	}
@@ -139,9 +147,8 @@ func TestRowCacheInvalidatedOnSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{D: 2, C: 2, Seed: 5, Workers: 2}
-	opts := Options{TrackLoads: true, Shards: 2}
-	r, err := NewRunner(rowOnly{first}, SAER, p, opts)
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 5, Workers: 2, TrackLoads: true, Shards: 2}
+	r, err := cfg.NewRunner(rowOnly{first})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +161,11 @@ func TestRowCacheInvalidatedOnSwap(t *testing.T) {
 	}
 	r.Reseed(5)
 	swapped := r.Run()
-	fresh, err := Run(second, SAER, p, opts)
+	fresh, err := cfg.Run(second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(normalizedResult(swapped), normalizedResult(fresh)) {
+	if !reflect.DeepEqual(swapped, fresh) {
 		t.Fatal("run after SwapTopology diverges from a fresh run: stale cached rows served")
 	}
 }

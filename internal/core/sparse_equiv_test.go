@@ -27,22 +27,13 @@ func equivalenceShardCounts() []int {
 	return []int{0, 1, 2, 3, 8}
 }
 
-// normalizedResult strips the fields that legitimately differ between
-// configurations (only Params.Workers — a config echo, not an outcome) so
-// the rest can be compared with reflect.DeepEqual.
-func normalizedResult(res *Result) *Result {
-	c := *res
-	c.Params.Workers = 0
-	return &c
-}
-
-// oneLane returns p and opts set for the one-lane path: one worker and
-// one shard, counting into a plain tally and scanning the servers. It is
-// the reference every routed configuration is compared against.
-func oneLane(p Params, opts Options) (Params, Options) {
-	p.Workers = 1
-	opts.Shards = 1
-	return p, opts
+// oneLane returns cfg set for the one-lane path: one worker and one
+// shard, counting into a plain tally and scanning the servers. It is the
+// reference every routed configuration is compared against.
+func oneLane(cfg Config) Config {
+	cfg.Workers = 1
+	cfg.Shards = 1
+	return cfg
 }
 
 // runEquivalenceCase executes the same run under every (worker count,
@@ -51,25 +42,22 @@ func oneLane(p Params, opts Options) (Params, Options) {
 // bit-for-bit identical to the one-lane reference (the plain tally with
 // a server scan); every other combination walks the routed stamped
 // pipeline.
-func runEquivalenceCase(t *testing.T, name string, g *bipartite.Graph, variant Variant, p Params, opts Options) {
+func runEquivalenceCase(t *testing.T, name string, g *bipartite.Graph, cfg Config) {
 	t.Helper()
-	rp, ro := oneLane(p, opts)
-	res, err := Run(g, variant, rp, ro)
+	ref, err := oneLane(cfg).Run(g)
 	if err != nil {
 		t.Fatalf("%s: one-lane reference failed: %v", name, err)
 	}
-	ref := normalizedResult(res)
 	for _, workers := range equivalenceWorkerCounts() {
 		for _, shards := range equivalenceShardCounts() {
-			pp := p
-			pp.Workers = workers
-			oo := opts
-			oo.Shards = shards
-			res, err := Run(g, variant, pp, oo)
+			c := cfg
+			c.Workers = workers
+			c.Shards = shards
+			got, err := c.Run(g)
 			if err != nil {
 				t.Fatalf("%s workers=%d shards=%d: %v", name, workers, shards, err)
 			}
-			if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("%s: workers=%d shards=%d diverges from the one-lane reference:\n  ref=%+v\n  got=%+v",
 					name, workers, shards, ref, got)
 			}
@@ -78,20 +66,16 @@ func runEquivalenceCase(t *testing.T, name string, g *bipartite.Graph, variant V
 }
 
 func TestDenseSparseEquivalence(t *testing.T) {
-	fullTracking := Options{
-		TrackRounds:        true,
-		TrackNeighborhoods: true,
-		TrackLoads:         true,
-		TrackAssignments:   true,
-	}
 	n := 1024
 	g := regularGraph(t, n, 40, 77)
 	for _, variant := range []Variant{SAER, RAES} {
 		// c=4: fast completion.
 		// c=2: heavy burning, long tail of small-frontier rounds.
 		for _, c := range []float64{4, 2} {
-			runEquivalenceCase(t, variant.String(), g, variant,
-				Params{D: 2, C: c, Seed: 0xFEED}, fullTracking)
+			runEquivalenceCase(t, variant.String(), g, Config{
+				Variant: variant, D: 2, C: c, Seed: 0xFEED,
+				TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true,
+			})
 		}
 	}
 }
@@ -101,9 +85,8 @@ func TestDenseSparseEquivalenceIrregularGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runEquivalenceCase(t, "trust-subset", g, SAER,
-		Params{D: 3, C: 2.5, Seed: 31},
-		Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true})
+	runEquivalenceCase(t, "trust-subset", g, Config{Variant: SAER, D: 3, C: 2.5, Seed: 31,
+		TrackRounds: true, TrackLoads: true, TrackAssignments: true})
 }
 
 func TestDenseSparseEquivalenceWithRequestCounts(t *testing.T) {
@@ -118,9 +101,8 @@ func TestDenseSparseEquivalenceWithRequestCounts(t *testing.T) {
 			counts[v] = 1 + src.Intn(2)
 		}
 	}
-	runEquivalenceCase(t, "sparse-demand", g, SAER,
-		Params{D: 2, C: 3, Seed: 7},
-		Options{RequestCounts: counts, TrackRounds: true, TrackLoads: true})
+	runEquivalenceCase(t, "sparse-demand", g, Config{Variant: SAER, D: 2, C: 3, Seed: 7,
+		RequestCounts: counts, TrackRounds: true, TrackLoads: true})
 }
 
 func TestDenseSparseEquivalenceWithInitialLoads(t *testing.T) {
@@ -133,9 +115,8 @@ func TestDenseSparseEquivalenceWithInitialLoads(t *testing.T) {
 	for u := range loads {
 		loads[u] = src.Intn(10) // capacity is 8, so some servers start burned
 	}
-	runEquivalenceCase(t, "initial-loads", g, SAER,
-		Params{D: 2, C: 4, Seed: 13, MaxRounds: 300},
-		Options{InitialLoads: loads, TrackRounds: true, TrackLoads: true})
+	runEquivalenceCase(t, "initial-loads", g, Config{Variant: SAER, D: 2, C: 4, Seed: 13, MaxRounds: 300,
+		InitialLoads: loads, TrackRounds: true, TrackLoads: true})
 }
 
 func TestDenseSparseEquivalenceStarved(t *testing.T) {
@@ -147,9 +128,8 @@ func TestDenseSparseEquivalenceStarved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runEquivalenceCase(t, "starved", g, SAER,
-		Params{D: 2, C: 1, Seed: 1, MaxRounds: 50},
-		Options{TrackRounds: true})
+	runEquivalenceCase(t, "starved", g, Config{Variant: SAER, D: 2, C: 1, Seed: 1, MaxRounds: 50,
+		TrackRounds: true})
 }
 
 // Property: on random small instances, the one-lane path (plain dense
@@ -167,19 +147,18 @@ func TestQuickDenseSparseEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p := Params{D: 2, C: c, Seed: seed ^ 0x5ca1ab1e, MaxRounds: 400}
-		opts := Options{TrackRounds: true, TrackLoads: true}
+		cfg := Config{Variant: variant, D: 2, C: c, Seed: seed ^ 0x5ca1ab1e, MaxRounds: 400,
+			TrackRounds: true, TrackLoads: true}
 
 		run := func(workers, shards int) *Result {
-			pp := p
-			pp.Workers = workers
-			oo := opts
-			oo.Shards = shards
-			res, err := Run(g, variant, pp, oo)
+			c := cfg
+			c.Workers = workers
+			c.Shards = shards
+			res, err := c.Run(g)
 			if err != nil {
 				return nil
 			}
-			return normalizedResult(res)
+			return res
 		}
 		ref := run(1, 1)
 		if ref == nil {
@@ -220,9 +199,8 @@ func TestRunnerReuseAfterStarvedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{D: 2, C: 1.5, Seed: 0, MaxRounds: 50}
-	opts := Options{TrackRounds: true, TrackLoads: true}
-	r, err := NewRunner(g, SAER, p, opts)
+	cfg := Config{Variant: SAER, D: 2, C: 1.5, Seed: 0, MaxRounds: 50, TrackRounds: true, TrackLoads: true}
+	r, err := cfg.NewRunner(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +217,13 @@ func TestRunnerReuseAfterStarvedRun(t *testing.T) {
 		for reseed := uint64(100); reseed < 116; reseed++ {
 			r.Reseed(reseed)
 			reused := r.Run()
-			pp := p
-			pp.Seed = reseed
-			fresh, err := Run(g, SAER, pp, opts)
+			c := cfg
+			c.Seed = reseed
+			fresh, err := c.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizedResult(reused), normalizedResult(fresh)) {
+			if !reflect.DeepEqual(reused, fresh) {
 				t.Fatalf("dirty=%d reseed=%d: reused Runner after starved run diverges from fresh Runner:\n  fresh=%+v\n  reused=%+v",
 					dirtySeed, reseed, fresh, reused)
 			}
@@ -269,9 +247,8 @@ func TestRunnerReuseAcrossEngineModes(t *testing.T) {
 		name            string
 		workers, shards int
 	}{{"one-lane", 1, 1}, {"routed", 1, 4}, {"routed-parallel", 2, 3}} {
-		p := Params{D: 2, C: 3, Workers: path.workers}
-		opts := Options{Shards: path.shards, TrackLoads: true}
-		r, err := NewRunner(g, SAER, p, opts)
+		cfg := Config{Variant: SAER, D: 2, C: 3, Workers: path.workers, Shards: path.shards, TrackLoads: true}
+		r, err := cfg.NewRunner(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,13 +259,13 @@ func TestRunnerReuseAcrossEngineModes(t *testing.T) {
 			seed := 0xA5A5 + uint64(trial)
 			r.Reseed(seed)
 			reused := r.Run()
-			pp := p
-			pp.Seed = seed
-			fresh, err := Run(g, SAER, pp, opts)
+			c := cfg
+			c.Seed = seed
+			fresh, err := c.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizedResult(reused), normalizedResult(fresh)) {
+			if !reflect.DeepEqual(reused, fresh) {
 				t.Fatalf("%s trial=%d: reused Runner diverges from fresh Runner", path.name, trial)
 			}
 		}

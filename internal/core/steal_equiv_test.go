@@ -26,15 +26,12 @@ func TestStealScheduleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{D: 2, C: 2, Seed: 0xFEED}
-	opts := Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true}
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xFEED, TrackRounds: true, TrackLoads: true, TrackAssignments: true}
 
-	rp, ro := oneLane(p, opts)
-	refRes, err := Run(csr, SAER, rp, ro)
+	ref, err := oneLane(cfg).Run(csr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := normalizedResult(refRes)
 
 	backends := []struct {
 		name string
@@ -43,15 +40,14 @@ func TestStealScheduleEquivalence(t *testing.T) {
 	for _, backend := range backends {
 		for _, workers := range []int{1, 2, 4} {
 			for _, shards := range equivalenceShardCounts() {
-				pp := p
-				pp.Workers = workers
-				oo := opts
-				oo.Shards = shards
-				res, err := Run(backend.topo, SAER, pp, oo)
+				c := cfg
+				c.Workers = workers
+				c.Shards = shards
+				got, err := c.Run(backend.topo)
 				if err != nil {
 					t.Fatalf("%s workers=%d shards=%d: %v", backend.name, workers, shards, err)
 				}
-				if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+				if !reflect.DeepEqual(got, ref) {
 					t.Errorf("%s: workers=%d shards=%d diverges from reference:\n  ref=%+v\n  got=%+v",
 						backend.name, workers, shards, ref, got)
 				}
@@ -68,18 +64,18 @@ func TestStealScheduleEquivalence(t *testing.T) {
 // chunk (scheduling).
 func TestStealSkewEquivalence(t *testing.T) {
 	g := regularGraph(t, 2048, 40, 31)
-	p := Params{D: 2, C: 2, Seed: 0xD00F}
-	opts := Options{TrackRounds: true, TrackLoads: true}
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xD00F, TrackRounds: true, TrackLoads: true}
 
-	ref, err := Run(g, SAER, func() Params { pp := p; pp.Workers = 1; return pp }(), opts)
+	one := cfg
+	one.Workers = 1
+	ref, err := one.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pp := p
-	pp.Workers = 4
-	oo := opts
-	r, err := NewRunner(g, SAER, pp, oo)
+	four := cfg
+	four.Workers = 4
+	r, err := four.NewRunner(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +89,9 @@ func TestStealSkewEquivalence(t *testing.T) {
 	}
 	for trial := 0; trial < 3; trial++ {
 		stalls.Store(0)
-		r.Reseed(p.Seed)
+		r.Reseed(cfg.Seed)
 		got := r.Run()
-		if !reflect.DeepEqual(normalizedResult(got), normalizedResult(ref)) {
+		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: skewed steal schedule diverges from single-worker reference:\n  ref=%+v\n  got=%+v",
 				trial, ref, got)
 		}

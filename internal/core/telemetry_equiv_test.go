@@ -16,29 +16,26 @@ import (
 func TestTelemetryEquivalence(t *testing.T) {
 	n := 1024
 	g := regularGraph(t, n, 40, 77)
-	opts := Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true}
 	for _, variant := range []Variant{SAER, RAES} {
 		for _, c := range []float64{4, 2} {
-			p := Params{D: 2, C: c, Seed: 0xFEED}
-			rp, ro := oneLane(p, opts)
-			res, err := Run(g, variant, rp, ro)
+			cfg := Config{Variant: variant, D: 2, C: c, Seed: 0xFEED,
+				TrackRounds: true, TrackLoads: true, TrackAssignments: true}
+			ref, err := oneLane(cfg).Run(g)
 			if err != nil {
 				t.Fatalf("%s c=%v: reference failed: %v", variant, c, err)
 			}
-			ref := normalizedResult(res)
 			for _, workers := range []int{1, 4} {
 				for _, shards := range []int{0, 1, 3} {
 					reg := telemetry.NewRegistry()
-					pp := p
-					pp.Workers = workers
-					oo := opts
-					oo.Shards = shards
-					oo.Telemetry = reg
-					res, err := Run(g, variant, pp, oo)
+					ic := cfg
+					ic.Workers = workers
+					ic.Shards = shards
+					ic.Telemetry = reg
+					res, err := ic.Run(g)
 					if err != nil {
 						t.Fatalf("%s c=%v workers=%d shards=%d: %v", variant, c, workers, shards, err)
 					}
-					if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+					if !reflect.DeepEqual(res, ref) {
 						t.Errorf("%s c=%v: instrumented run (workers=%d shards=%d) diverges from un-instrumented reference",
 							variant, c, workers, shards)
 					}
@@ -68,19 +65,11 @@ func TestTelemetryEquivalence(t *testing.T) {
 // the shared instrument names must tally the driver's rounds.
 func TestTelemetryEquivalenceDriver(t *testing.T) {
 	g := regularGraph(t, 1024, 40, 77)
-	cfg := NewConfig(SAER, 2, 2, 0xFEED)
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
-	ref := func() *Result {
-		rcfg := cfg
-		rcfg.Workers = 1
-		rcfg.Shards = 1
-		res, err := rcfg.Run(g)
-		if err != nil {
-			t.Fatalf("reference failed: %v", err)
-		}
-		return normalizedResult(res)
-	}()
+	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xFEED, TrackRounds: true, TrackLoads: true}
+	ref, err := oneLane(cfg).Run(g)
+	if err != nil {
+		t.Fatalf("reference failed: %v", err)
+	}
 	for _, workers := range []int{1, 4} {
 		for _, shards := range []int{1, 3} {
 			reg := telemetry.NewRegistry()
@@ -95,7 +84,7 @@ func TestTelemetryEquivalenceDriver(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
 			}
-			if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+			if !reflect.DeepEqual(res, ref) {
 				t.Errorf("instrumented driver (workers=%d shards=%d) diverges from un-instrumented runner", workers, shards)
 			}
 			snap := reg.Snapshot()
@@ -113,7 +102,7 @@ func TestTelemetryEquivalenceDriver(t *testing.T) {
 func TestTelemetryEquivalenceRepeatedRuns(t *testing.T) {
 	g := regularGraph(t, 512, 30, 9)
 	reg := telemetry.NewRegistry()
-	cfg := NewConfig(RAES, 2, 3, 1)
+	cfg := Config{Variant: RAES, D: 2, C: 3, Seed: 1}
 	icfg := cfg
 	icfg.Telemetry = reg
 	r, err := icfg.NewRunner(g)
@@ -131,7 +120,7 @@ func TestTelemetryEquivalenceRepeatedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(normalizedResult(got), normalizedResult(want)) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("trial %d: instrumented reseeded run diverges from fresh un-instrumented run", trial)
 		}
 		totalRounds += got.Rounds

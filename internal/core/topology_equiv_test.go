@@ -14,33 +14,32 @@ import (
 // series, load vectors, assignment lists — are bit-for-bit identical.
 // This is the correctness contract of the implicit layer: the topology
 // representation is a pure memory/speed knob, never an outcome knob.
-func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, p Params, opts Options) {
+// cfg's Variant is ignored: the case runs both.
+func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, cfg Config) {
 	t.Helper()
 	csr, err := topo.Materialize()
 	if err != nil {
 		t.Fatalf("%s: materialize: %v", name, err)
 	}
 	for _, variant := range []Variant{SAER, RAES} {
-		rp, ro := oneLane(p, opts)
-		res, err := Run(csr, variant, rp, ro)
+		cfg.Variant = variant
+		ref, err := oneLane(cfg).Run(csr)
 		if err != nil {
 			t.Fatalf("%s/%s: CSR reference failed: %v", name, variant, err)
 		}
-		ref := normalizedResult(res)
 		// The implicit runs draw by point query or regenerate rows (and
 		// pin the frontier's rows in the row cache once they fit), on the
 		// one-lane and the routed path alike.
 		for _, workers := range equivalenceWorkerCounts() {
 			for _, shards := range equivalenceShardCounts() {
-				pp := p
-				pp.Workers = workers
-				oo := opts
-				oo.Shards = shards
-				res, err := Run(topo, variant, pp, oo)
+				c := cfg
+				c.Workers = workers
+				c.Shards = shards
+				got, err := c.Run(topo)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d shards=%d: %v", name, variant, workers, shards, err)
 				}
-				if got := normalizedResult(res); !reflect.DeepEqual(got, ref) {
+				if !reflect.DeepEqual(got, ref) {
 					t.Errorf("%s/%s: implicit workers=%d shards=%d diverges from the CSR one-lane reference:\n  ref=%+v\n  got=%+v",
 						name, variant, workers, shards, ref, got)
 				}
@@ -54,16 +53,11 @@ func TestTopologyEquivalenceRegular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullTracking := Options{
-		TrackRounds:        true,
-		TrackNeighborhoods: true,
-		TrackLoads:         true,
-		TrackAssignments:   true,
-	}
 	// c=4: fast completion; c=2: heavy burning, long small-frontier tail
 	// (and the starved-client exit on some seeds).
 	for _, c := range []float64{4, 2} {
-		runTopologyEquivalenceCase(t, "regular", topo, Params{D: 2, C: c, Seed: 0xFEED}, fullTracking)
+		runTopologyEquivalenceCase(t, "regular", topo, Config{D: 2, C: c, Seed: 0xFEED,
+			TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true})
 	}
 }
 
@@ -72,9 +66,8 @@ func TestTopologyEquivalenceErdosRenyi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTopologyEquivalenceCase(t, "erdos-renyi", topo,
-		Params{D: 3, C: 2.5, Seed: 17, MaxRounds: 400},
-		Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true})
+	runTopologyEquivalenceCase(t, "erdos-renyi", topo, Config{D: 3, C: 2.5, Seed: 17, MaxRounds: 400,
+		TrackRounds: true, TrackLoads: true, TrackAssignments: true})
 }
 
 func TestTopologyEquivalenceTrustSubset(t *testing.T) {
@@ -82,9 +75,8 @@ func TestTopologyEquivalenceTrustSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTopologyEquivalenceCase(t, "trust-subset", topo,
-		Params{D: 2, C: 2.5, Seed: 23},
-		Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true})
+	runTopologyEquivalenceCase(t, "trust-subset", topo, Config{D: 2, C: 2.5, Seed: 23,
+		TrackRounds: true, TrackLoads: true, TrackAssignments: true})
 }
 
 func TestTopologyEquivalenceAlmostRegular(t *testing.T) {
@@ -92,9 +84,8 @@ func TestTopologyEquivalenceAlmostRegular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTopologyEquivalenceCase(t, "almost-regular", topo,
-		Params{D: 2, C: 3, Seed: 5},
-		Options{TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true})
+	runTopologyEquivalenceCase(t, "almost-regular", topo, Config{D: 2, C: 3, Seed: 5,
+		TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true})
 }
 
 // TestTopologySwapReuse checks the E12 reuse pattern: one Runner stepped
@@ -104,14 +95,13 @@ func TestTopologyEquivalenceAlmostRegular(t *testing.T) {
 func TestTopologySwapReuse(t *testing.T) {
 	n := 512
 	loads := make([]int, n)
-	opts := Options{InitialLoads: loads, TrackLoads: true}
-	p := Params{D: 2, C: 4, Seed: 0, Workers: 1}
+	cfg := Config{Variant: SAER, D: 2, C: 4, Seed: 0, Workers: 1, InitialLoads: loads, TrackLoads: true}
 
 	first, err := gen.RegularImplicit(n, 24, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(first, SAER, p, opts)
+	r, err := cfg.NewRunner(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +117,13 @@ func TestTopologySwapReuse(t *testing.T) {
 		r.Reseed(seed)
 		reused := r.Run()
 
-		pp := p
-		pp.Seed = seed
-		fresh, err := Run(topo, SAER, pp, opts)
+		c := cfg
+		c.Seed = seed
+		fresh, err := c.Run(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(normalizedResult(reused), normalizedResult(fresh)) {
+		if !reflect.DeepEqual(reused, fresh) {
 			t.Fatalf("batch %d: reused Runner diverges from fresh Runner", batch)
 		}
 		// Carry the accepted loads into the next batch, as E12 does.
@@ -158,7 +148,7 @@ func TestTopologySwapRejectsMismatchedDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(a, SAER, Params{D: 2, C: 4, Seed: 1}, Options{})
+	r, err := Config{Variant: SAER, D: 2, C: 4, Seed: 1}.NewRunner(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +169,7 @@ func TestTopologySwapCSRToImplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{D: 2, C: 3, Seed: 0, Workers: 2}
-	r, err := NewRunner(csr, SAER, p, Options{TrackLoads: true})
+	r, err := Config{Variant: SAER, D: 2, C: 3, Seed: 0, Workers: 2, TrackLoads: true}.NewRunner(csr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +180,7 @@ func TestTopologySwapCSRToImplicit(t *testing.T) {
 	}
 	r.Reseed(42)
 	fromImplicit := r.Run()
-	if !reflect.DeepEqual(normalizedResult(fromCSR), normalizedResult(fromImplicit)) {
+	if !reflect.DeepEqual(fromCSR, fromImplicit) {
 		t.Fatal("same seed on CSR and implicit twins diverged after SwapTopology")
 	}
 }

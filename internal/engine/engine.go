@@ -42,7 +42,7 @@ type Pool struct {
 	// drained). Both sit on the steal slow path only — the pop fast path
 	// never touches them — so instrumented and uninstrumented pools run
 	// the hot loop identically. Set them before the first StealRange call
-	// (core wires them from Options.Telemetry).
+	// (core wires them from Config.Telemetry).
 	Steals, StealFails *telemetry.Counter
 }
 

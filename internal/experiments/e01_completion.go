@@ -35,8 +35,7 @@ func ExperimentCompletionScaling(cfg SuiteConfig) (*Table, error) {
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       fmt.Sprintf("n=%d", n),
 			Topology: regularTopo(n, delta, 1, uint64(n)),
-			Variant:  core.SAER,
-			Params:   core.Params{D: d, C: cconst},
+			Protocol: core.Config{Variant: core.SAER, D: d, C: cconst},
 			SeedKey:  []uint64{1, uint64(n)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				agg := metrics.Aggregate(out.Results)

@@ -29,8 +29,7 @@ func ExperimentWorkScaling(cfg SuiteConfig) (*Table, error) {
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       fmt.Sprintf("n=%d", n),
 			Topology: regularTopo(n, delta, 2, uint64(n)),
-			Variant:  core.SAER,
-			Params:   core.Params{D: d, C: 4},
+			Protocol: core.Config{Variant: core.SAER, D: d, C: 4},
 			SeedKey:  []uint64{2, uint64(n)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				agg := metrics.Aggregate(out.Results)

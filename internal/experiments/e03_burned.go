@@ -35,9 +35,7 @@ func ExperimentBurnedFraction(cfg SuiteConfig) (*Table, error) {
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       fmt.Sprintf("n=%d", n),
 			Topology: regularTopo(n, delta, 3, uint64(n)),
-			Variant:  core.SAER,
-			Params:   core.Params{D: d, C: c},
-			Options:  core.Options{TrackNeighborhoods: true},
+			Protocol: core.Config{Variant: core.SAER, D: d, C: c, TrackNeighborhoods: true},
 			SeedKey:  []uint64{3, uint64(n)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				maxSt, maxKt := 0.0, 0.0

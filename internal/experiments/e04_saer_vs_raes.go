@@ -37,8 +37,7 @@ func ExperimentSAERvsRAES(cfg SuiteConfig) (*Table, error) {
 			spec.Points = append(spec.Points, sweep.Point{
 				ID:       fmt.Sprintf("n=%d/%s", n, variant),
 				Topology: regularTopo(n, delta, 4, uint64(n)),
-				Variant:  variant,
-				Params:   core.Params{D: d, C: cconst},
+				Protocol: core.Config{Variant: variant, D: d, C: cconst},
 				SeedKey:  []uint64{4, uint64(n)},
 				Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 					agg := metrics.Aggregate(out.Results)

@@ -61,16 +61,15 @@ func ExperimentMaxLoad(cfg SuiteConfig) (*Table, error) {
 		fam := fam
 		for _, pc := range paramGrid {
 			pc := pc
-			params := core.Params{D: pc.d, C: pc.c}
+			proto := core.Config{Variant: core.SAER, D: pc.d, C: pc.c}
 			spec.Points = append(spec.Points, sweep.Point{
 				ID:       fmt.Sprintf("%s/d=%d/c=%g", fam.name, pc.d, pc.c),
 				Topology: fam.topo,
-				Variant:  core.SAER,
-				Params:   params,
+				Protocol: proto,
 				SeedKey:  []uint64{5, fam.topo.SeedKey[1], uint64(pc.d)},
 				Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 					agg := metrics.Aggregate(out.Results)
-					capacity := params.Capacity()
+					capacity := proto.Params().Capacity()
 					within := agg.MaxLoad.Max <= float64(capacity)
 					t.AddRowf(fam.name, nLarge, pc.d, pc.c, capacity, agg.Trials,
 						agg.MaxLoad.Max, fmtBool(within), fmtRate(agg.SuccessRate))

@@ -54,9 +54,7 @@ func ExperimentDegreeSweep(cfg SuiteConfig) (*Table, error) {
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       fmt.Sprintf("delta=%d", delta),
 			Topology: regularTopo(n, delta, 6, uint64(delta)),
-			Variant:  core.SAER,
-			Params:   core.Params{D: d, C: 4},
-			Options:  core.Options{TrackNeighborhoods: true},
+			Protocol: core.Config{Variant: core.SAER, D: d, C: 4, TrackNeighborhoods: true},
 			SeedKey:  []uint64{6, uint64(delta)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				agg := metrics.Aggregate(out.Results)

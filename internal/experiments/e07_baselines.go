@@ -51,8 +51,7 @@ func ExperimentSequentialBaselines(cfg SuiteConfig) (*Table, error) {
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       "protocol/" + variant.String(),
 			Topology: topo,
-			Variant:  variant,
-			Params:   core.Params{D: d, C: 4},
+			Protocol: core.Config{Variant: variant, D: d, C: 4},
 			SeedKey:  []uint64{7, uint64(variant)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				agg := metrics.Aggregate(out.Results)

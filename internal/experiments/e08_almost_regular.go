@@ -46,24 +46,22 @@ func ExperimentAlmostRegular(cfg SuiteConfig) (*Table, error) {
 			ID: fmt.Sprintf("n=%d", n),
 			Topology: sweep.Topo{Family: sweep.FamAlmostRegular, N: n,
 				Almost: gen.DefaultAlmostRegularConfig(n), SeedKey: []uint64{8, uint64(n)}},
-			Variant: core.SAER,
-			ParamsFrom: func(cfg SuiteConfig, g bipartite.Topology) (core.Params, error) {
+			ProtocolFrom: func(cfg SuiteConfig, g bipartite.Topology) (core.Config, error) {
 				var ok bool
 				st, ok = bipartite.TopologyStats(g)
 				if !ok {
-					return core.Params{}, fmt.Errorf("almost-regular topology %v reports no exact degree statistics", g)
+					return core.Config{}, fmt.Errorf("almost-regular topology %v reports no exact degree statistics", g)
 				}
 				c = core.MinCAlmostRegular(st.Eta, st.RegularityRatio, d)
 				cRun = min(c, 64)
-				return core.Params{D: d, C: cRun}, nil
+				return core.Config{Variant: core.SAER, D: d, C: cRun}, nil
 			},
 			SeedKey: []uint64{8, uint64(n)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
-				params := core.Params{D: d, C: cRun}
 				agg := metrics.Aggregate(out.Results)
 				t.AddRowf(n, st.MinClientDegree, st.MaxClientDegree, st.MaxServerDegree, st.RegularityRatio,
 					c, agg.Trials, fmtRate(agg.SuccessRate), agg.Rounds.Mean, core.CompletionBound(n),
-					agg.MaxLoad.Max, params.Capacity())
+					agg.MaxLoad.Max, core.Params{D: d, C: cRun}.Capacity())
 				return nil
 			},
 		})

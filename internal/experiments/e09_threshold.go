@@ -37,13 +37,11 @@ func ExperimentThresholdSweep(cfg SuiteConfig) (*Table, error) {
 	cs := []float64{1, 1.25, 1.5, 2, 3, 4, 8, 16, 32, core.MinCRegular(eta, d)}
 	for _, c := range cs {
 		c := c
-		params := core.Params{D: d, C: c}
+		proto := core.Config{Variant: core.SAER, D: d, C: c, TrackNeighborhoods: true}
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       fmt.Sprintf("c=%g", c),
 			Topology: regularTopo(n, delta, 9, uint64(n)),
-			Variant:  core.SAER,
-			Params:   params,
-			Options:  core.Options{TrackNeighborhoods: true},
+			Protocol: proto,
 			SeedKey:  []uint64{9, uint64(c * 1000)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				agg := metrics.Aggregate(out.Results)
@@ -58,7 +56,7 @@ func ExperimentThresholdSweep(cfg SuiteConfig) (*Table, error) {
 					unassigned += float64(r.UnassignedBalls)
 				}
 				unassigned /= float64(len(out.Results))
-				t.AddRowf(c, params.Capacity(), agg.Trials, fmtRate(agg.SuccessRate),
+				t.AddRowf(c, proto.Params().Capacity(), agg.Trials, fmtRate(agg.SuccessRate),
 					agg.Rounds.Mean, agg.Rounds.Max, agg.Burned.Mean, maxSt, unassigned)
 				return nil
 			},

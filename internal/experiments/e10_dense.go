@@ -54,9 +54,7 @@ func ExperimentDenseRegime(cfg SuiteConfig) (*Table, error) {
 			spec.Points = append(spec.Points, sweep.Point{
 				ID:       fmt.Sprintf("%s/%s", dens.name, variant),
 				Topology: topo,
-				Variant:  variant,
-				Params:   core.Params{D: d, C: 4},
-				Options:  core.Options{TrackNeighborhoods: true},
+				Protocol: core.Config{Variant: variant, D: d, C: 4, TrackNeighborhoods: true},
 				SeedKey:  []uint64{10, uint64(dens.delta), uint64(variant)},
 				Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 					agg := metrics.Aggregate(out.Results)

@@ -35,13 +35,11 @@ func ExperimentAliveDecay(cfg SuiteConfig) (*Table, error) {
 	spec.Points = append(spec.Points, sweep.Point{
 		ID:       fmt.Sprintf("n=%d", n),
 		Topology: regularTopo(n, regularDelta(n), 11, uint64(n)),
-		Variant:  core.SAER,
 		// c = 2 keeps enough servers at the threshold that the decay spans
 		// several rounds (with a large c almost every ball lands in round 1
 		// and there is nothing to plot).
-		Params:  core.Params{D: d, C: 2},
-		Options: core.Options{TrackRounds: true},
-		SeedKey: []uint64{11, uint64(n)},
+		Protocol: core.Config{Variant: core.SAER, D: d, C: 2, TrackRounds: true},
+		SeedKey:  []uint64{11, uint64(n)},
 		Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 			// Average the alive-ball series across trials round by round.
 			results := out.Results

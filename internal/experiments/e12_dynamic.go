@@ -127,9 +127,7 @@ func runDynamicIncremental(dc DynamicConfig, seed uint64) ([]DynamicBatchOutcome
 	if workers == 0 {
 		workers = 1
 	}
-	proto := core.NewConfig(core.SAER, dc.D, dc.C, 0)
-	proto.Workers = workers
-	proto.Shards = dc.Shards
+	proto := core.Config{Variant: core.SAER, D: dc.D, C: dc.C, Workers: workers, Shards: dc.Shards}
 	sch, err := churn.NewScheduler(topo, churn.SchedulerConfig{
 		Protocol:    proto,
 		LoadExpiry:  dc.ChurnFraction,
@@ -175,7 +173,7 @@ func runDynamicRebuild(dc DynamicConfig, seed uint64) ([]DynamicBatchOutcome, er
 	// One Runner serves every batch: the batch shape (clients × servers)
 	// is constant, so the per-batch topology is swapped in and the run
 	// state reset via Reseed instead of reallocating ~O(n) state per
-	// batch. Options.InitialLoads aliases the loads slice, so each Reseed
+	// batch. Config.InitialLoads aliases the loads slice, so each Reseed
 	// picks up the churned carry-over loads in place.
 	var runner *core.Runner
 	for batch := 0; batch < dc.Batches; batch++ {
@@ -208,8 +206,9 @@ func runDynamicRebuild(dc DynamicConfig, seed uint64) ([]DynamicBatchOutcome, er
 		}
 		batchSeed := src.Uint64()
 		if runner == nil {
-			runner, err = core.NewRunner(g, core.SAER, core.Params{D: dc.D, C: dc.C, Seed: batchSeed, Workers: 1},
-				core.Options{InitialLoads: loads, TrackLoads: true, TrackRounds: dc.TrackRounds})
+			proto := core.Config{Variant: core.SAER, D: dc.D, C: dc.C, Seed: batchSeed, Workers: 1,
+				InitialLoads: loads, TrackLoads: true, TrackRounds: dc.TrackRounds}
+			runner, err = proto.NewRunner(g)
 			if err != nil {
 				return nil, err
 			}

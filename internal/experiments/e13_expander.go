@@ -60,9 +60,7 @@ func ExperimentExpanderExtraction(cfg SuiteConfig) (*Table, error) {
 			spec.Points = append(spec.Points, sweep.Point{
 				ID:       fmt.Sprintf("%s/%s", dens.name, variant),
 				Topology: topo,
-				Variant:  variant,
-				Params:   core.Params{D: d, C: 4},
-				Options:  core.Options{TrackAssignments: true},
+				Protocol: core.Config{Variant: variant, D: d, C: 4, TrackAssignments: true},
 				Trials:   1,
 				Seed: func(cfg SuiteConfig, _ int) uint64 {
 					return cfg.TrialSeed(13, uint64(dens.delta), uint64(variant))

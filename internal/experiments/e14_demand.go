@@ -55,18 +55,16 @@ func ExperimentHeterogeneousDemand(cfg SuiteConfig) (*Table, error) {
 		if err := demand.Validate(); err != nil {
 			return nil, err
 		}
-		params := core.Params{D: sp.d, C: 4}
+		proto := core.Config{Variant: core.SAER, D: sp.d, C: 4, RequestCounts: demand.Counts}
 		spec.Points = append(spec.Points, sweep.Point{
 			ID:       "workload/" + sp.name,
 			Topology: regularTopo(n, regularDelta(n), 14, uint64(n)),
-			Variant:  core.SAER,
-			Params:   params,
-			Options:  core.Options{RequestCounts: demand.Counts},
+			Protocol: proto,
 			SeedKey:  []uint64{14, uint64(si)},
 			Render: func(cfg SuiteConfig, out *sweep.Outcome, t *Table) error {
 				agg := metrics.Aggregate(out.Results)
 				t.AddRowf(sp.name, sp.d, demand.MeanDemand(), demand.Total, agg.Trials, fmtRate(agg.SuccessRate),
-					agg.Rounds.Mean, agg.Rounds.Max, agg.WorkPerBall.Mean, agg.MaxLoad.Max, params.Capacity())
+					agg.Rounds.Mean, agg.Rounds.Max, agg.WorkPerBall.Mean, agg.MaxLoad.Max, proto.Params().Capacity())
 				return nil
 			},
 		})

@@ -22,9 +22,7 @@ import (
 // scenarios run with: single-threaded, so the historical per-epoch
 // seeds and outcomes stay pinned.
 func singleWorkerConfig(d int, c float64) core.Config {
-	cfg := core.NewConfig(core.SAER, d, c, 0)
-	cfg.Workers = 1
-	return cfg
+	return core.Config{Variant: core.SAER, D: d, C: c, Workers: 1}
 }
 
 func churnScenarioSetup(n, m, delta int, scfg churn.SchedulerConfig, seed uint64) (*churn.Topology, *churn.Scheduler, *rng.Source, error) {

@@ -372,8 +372,8 @@ func TestAssignmentDegreeCheckHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := core.Params{D: 2, C: 4, Seed: 5, Workers: 1}
-	res, err := core.Run(g, core.SAER, params, core.Options{TrackAssignments: true})
+	proto := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 5, Workers: 1, TrackAssignments: true}
+	res, err := proto.Run(g)
 	if err != nil || !res.Completed {
 		t.Fatalf("run failed: %v %v", err, res)
 	}
@@ -381,10 +381,10 @@ func TestAssignmentDegreeCheckHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := assignmentDegreeCheck(sub, 2, params.Capacity()); err != nil {
+	if err := assignmentDegreeCheck(sub, 2, proto.Params().Capacity()); err != nil {
 		t.Errorf("degree check failed: %v", err)
 	}
-	if err := assignmentDegreeCheck(sub, 3, params.Capacity()); err == nil {
+	if err := assignmentDegreeCheck(sub, 3, proto.Params().Capacity()); err == nil {
 		t.Error("degree check should fail for the wrong d")
 	}
 }

@@ -69,13 +69,9 @@ func runTrials(t *testing.T, trials int, track bool) []*core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{}
-	if track {
-		opts.TrackNeighborhoods = true
-	}
 	out := make([]*core.Result, 0, trials)
 	for i := 0; i < trials; i++ {
-		res, err := core.Run(g, core.SAER, core.Params{D: 2, C: 4, Seed: uint64(100 + i)}, opts)
+		res, err := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: uint64(100 + i), TrackNeighborhoods: track}.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}

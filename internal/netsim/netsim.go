@@ -17,7 +17,7 @@
 //     (rounds, loads, burned servers). A bug in either implementation
 //     would have to be mirrored in the other to go unnoticed.
 //
-// netsim is intentionally not optimized; use core.Run for large
+// netsim is intentionally not optimized; use core.Config.Run for large
 // simulations.
 package netsim
 
@@ -51,47 +51,45 @@ type serverReport struct {
 	saturated   bool
 }
 
-// Run executes one protocol run of the selected variant using one
-// goroutine per client and per server. It accepts the same parameters as
-// core.Run and returns a core.Result with the aggregate fields populated
-// (per-round neighborhood statistics are not computed by this engine; the
-// TrackNeighborhoods option is ignored).
+// Run executes one protocol run of cfg using one goroutine per client
+// and per server. It accepts the same configuration as core.Config.Run
+// and returns a core.Result with the aggregate fields populated
+// (per-round neighborhood statistics are not computed by this engine;
+// TrackNeighborhoods is ignored, and so are the performance knobs
+// Workers and Shards).
 //
-// The random process is identical to core.Run's for the same seed: each
-// client owns the same private stream and draws destinations in the same
-// ball order, and servers apply the same threshold rules.
-func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Options) (*core.Result, error) {
-	if err := p.Validate(); err != nil {
+// The random process is identical to core.Config.Run's for the same
+// seed: each client owns the same private stream and draws destinations
+// in the same ball order, and servers apply the same threshold rules.
+func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
-	if variant != core.SAER && variant != core.RAES {
-		return nil, fmt.Errorf("netsim: unknown protocol variant %d", int(variant))
+	if cfg.InitialLoads != nil && len(cfg.InitialLoads) != g.NumServers() {
+		return nil, fmt.Errorf("netsim: InitialLoads has %d entries for %d servers", len(cfg.InitialLoads), g.NumServers())
 	}
-	if opts.InitialLoads != nil && len(opts.InitialLoads) != g.NumServers() {
-		return nil, fmt.Errorf("netsim: InitialLoads has %d entries for %d servers", len(opts.InitialLoads), g.NumServers())
-	}
-	if opts.RequestCounts != nil {
-		if len(opts.RequestCounts) != g.NumClients() {
-			return nil, fmt.Errorf("netsim: RequestCounts has %d entries for %d clients", len(opts.RequestCounts), g.NumClients())
+	if cfg.RequestCounts != nil {
+		if len(cfg.RequestCounts) != g.NumClients() {
+			return nil, fmt.Errorf("netsim: RequestCounts has %d entries for %d clients", len(cfg.RequestCounts), g.NumClients())
 		}
-		for v, c := range opts.RequestCounts {
-			if c < 0 || c > p.D {
-				return nil, fmt.Errorf("netsim: RequestCounts[%d] = %d outside [0, D=%d]", v, c, p.D)
+		for v, c := range cfg.RequestCounts {
+			if c < 0 || c > cfg.D {
+				return nil, fmt.Errorf("netsim: RequestCounts[%d] = %d outside [0, D=%d]", v, c, cfg.D)
 			}
 		}
 	}
 
 	n := g.NumClients()
 	m := g.NumServers()
-	maxRounds := p.MaxRounds
+	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = core.DefaultMaxRounds(n)
 	}
-	capacity := int32(p.Capacity())
-	streams := rng.NewStreamSlice(p.Seed, n)
+	capacity := int32(cfg.Params().Capacity())
+	streams := rng.NewStreamSlice(cfg.Seed, n)
 
 	// Per-server inbox channels (buffered; servers drain them actively
 	// during phase 1) and per-client reply channels (buffered to the
@@ -103,7 +101,7 @@ func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Opti
 	}
 	replies := make([]chan bool, n)
 	for v := range replies {
-		replies[v] = make(chan bool, p.D)
+		replies[v] = make(chan bool, cfg.D)
 	}
 
 	// Per-entity control channels: each client/server owns its own start
@@ -131,8 +129,8 @@ func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Opti
 			defer wg.Done()
 			var load, receivedTotal int32
 			burned := false
-			if opts.InitialLoads != nil {
-				l := opts.InitialLoads[u]
+			if cfg.InitialLoads != nil {
+				l := cfg.InitialLoads[u]
 				if l < 0 {
 					l = 0
 				}
@@ -173,7 +171,7 @@ func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Opti
 				saturated := false
 				if recv > 0 {
 					receivedTotal += recv
-					switch variant {
+					switch cfg.Variant {
 					case core.SAER:
 						if !burned {
 							if receivedTotal > capacity {
@@ -211,9 +209,9 @@ func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Opti
 		wg.Add(1)
 		go func(v int) {
 			defer wg.Done()
-			alive := p.D
-			if opts.RequestCounts != nil {
-				alive = opts.RequestCounts[v]
+			alive := cfg.D
+			if cfg.RequestCounts != nil {
+				alive = cfg.RequestCounts[v]
 			}
 			nbrs := g.ClientNeighbors(v)
 			src := &streams[v]
@@ -243,25 +241,25 @@ func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Opti
 
 	// --- Coordinator ---------------------------------------------------------
 	res := &core.Result{
-		Variant:    variant,
-		Params:     p,
+		Variant:    cfg.Variant,
+		Params:     cfg.Params(),
 		NumClients: n,
 		NumServers: m,
 	}
 	totalBalls := int64(0)
-	if opts.RequestCounts != nil {
-		for _, c := range opts.RequestCounts {
+	if cfg.RequestCounts != nil {
+		for _, c := range cfg.RequestCounts {
 			totalBalls += int64(c)
 		}
 	} else {
-		totalBalls = int64(n) * int64(p.D)
+		totalBalls = int64(n) * int64(cfg.D)
 	}
 	res.TotalBalls = totalBalls
 
 	aliveTotal := totalBalls
 	burnedTotal := 0
 	loads := make([]int, m)
-	trackRounds := opts.TrackRounds || opts.TrackNeighborhoods
+	trackRounds := cfg.TrackRounds || cfg.TrackNeighborhoods
 	round := 0
 	for aliveTotal > 0 && round < maxRounds {
 		round++
@@ -339,7 +337,7 @@ func Run(g *bipartite.Graph, variant core.Variant, p core.Params, opts core.Opti
 	res.MaxLoad = maxLoad
 	res.MinLoad = minLoad
 	res.MeanLoad = float64(sum) / float64(m)
-	if opts.TrackLoads {
+	if cfg.TrackLoads {
 		res.Loads = append([]int(nil), loads...)
 	}
 	return res, nil

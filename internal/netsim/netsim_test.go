@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,7 @@ func testGraph(t testing.TB, n, delta int, seed uint64) *bipartite.Graph {
 
 func TestNetsimCompletes(t *testing.T) {
 	g := testGraph(t, 512, 30, 1)
-	res, err := Run(g, core.SAER, core.Params{D: 2, C: 4, Seed: 9}, core.Options{TrackLoads: true})
+	res, err := Run(g, core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 9, TrackLoads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,26 +46,26 @@ func TestNetsimCompletes(t *testing.T) {
 // process, so with identical seeds every observable outcome must agree.
 func TestNetsimMatchesCoreExactly(t *testing.T) {
 	cases := []struct {
-		name    string
-		n       int
-		delta   int
-		variant core.Variant
-		params  core.Params
+		name  string
+		n     int
+		delta int
+		cfg   core.Config
 	}{
-		{"saer-easy", 512, 30, core.SAER, core.Params{D: 2, C: 4, Seed: 11}},
-		{"saer-tight", 512, 30, core.SAER, core.Params{D: 2, C: 2, Seed: 12}},
-		{"raes-easy", 512, 30, core.RAES, core.Params{D: 3, C: 4, Seed: 13}},
-		{"raes-tight", 256, 20, core.RAES, core.Params{D: 2, C: 1.75, Seed: 14}},
+		{"saer-easy", 512, 30, core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 11}},
+		{"saer-tight", 512, 30, core.Config{Variant: core.SAER, D: 2, C: 2, Seed: 12}},
+		{"raes-easy", 512, 30, core.Config{Variant: core.RAES, D: 3, C: 4, Seed: 13}},
+		{"raes-tight", 256, 20, core.Config{Variant: core.RAES, D: 2, C: 1.75, Seed: 14}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := testGraph(t, tc.n, tc.delta, 100+uint64(tc.n))
-			opts := core.Options{TrackRounds: true, TrackLoads: true}
-			fast, err := core.Run(g, tc.variant, tc.params, opts)
+			cfg := tc.cfg
+			cfg.TrackRounds, cfg.TrackLoads = true, true
+			fast, err := cfg.Run(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := Run(g, tc.variant, tc.params, opts)
+			slow, err := Run(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,13 +111,13 @@ func TestNetsimRequestCountsAndInitialLoads(t *testing.T) {
 	for i := range init {
 		init[i] = 2
 	}
-	opts := core.Options{RequestCounts: counts, InitialLoads: init, TrackLoads: true}
-	params := core.Params{D: 2, C: 4, Seed: 77}
-	fast, err := core.Run(g, core.SAER, params, opts)
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 77,
+		RequestCounts: counts, InitialLoads: init, TrackLoads: true}
+	fast, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(g, core.SAER, params, opts)
+	slow, err := Run(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,24 +133,51 @@ func TestNetsimRequestCountsAndInitialLoads(t *testing.T) {
 
 func TestNetsimValidation(t *testing.T) {
 	g := testGraph(t, 64, 8, 4)
-	if _, err := Run(g, core.SAER, core.Params{D: 0, C: 4}, core.Options{}); err == nil {
+	if _, err := Run(g, core.Config{Variant: core.SAER, D: 0, C: 4}); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := Run(g, core.Variant(9), core.Params{D: 2, C: 4}, core.Options{}); err == nil {
+	if _, err := Run(g, core.Config{Variant: core.Variant(9), D: 2, C: 4}); err == nil {
 		t.Error("unknown variant accepted")
 	}
-	if _, err := Run(g, core.SAER, core.Params{D: 2, C: 4}, core.Options{InitialLoads: []int{1}}); err == nil {
+	if _, err := Run(g, core.Config{Variant: core.SAER, D: 2, C: 4, InitialLoads: []int{1}}); err == nil {
 		t.Error("wrong-length InitialLoads accepted")
 	}
-	if _, err := Run(g, core.SAER, core.Params{D: 2, C: 4}, core.Options{RequestCounts: []int{1}}); err == nil {
+	if _, err := Run(g, core.Config{Variant: core.SAER, D: 2, C: 4, RequestCounts: []int{1}}); err == nil {
 		t.Error("wrong-length RequestCounts accepted")
 	}
 	bad, err := bipartite.NewBuilder(2, 2).AddEdge(0, 0).Build(bipartite.KeepParallelEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(bad, core.SAER, core.Params{D: 2, C: 4}, core.Options{}); err == nil {
+	if _, err := Run(bad, core.Config{Variant: core.SAER, D: 2, C: 4}); err == nil {
 		t.Error("isolated client accepted")
+	}
+}
+
+// TestCapacityOverflowRejected is the regression test for a capacity
+// ⌊C·D⌋ above MaxInt32: every server half holds the capacity as int32,
+// so such a config used to validate and then wrap to a negative
+// capacity that rejects every request. All three ways to start a run —
+// Config.Run, NewDriver and netsim.Run — must refuse it with an error
+// that names the capacity.
+func TestCapacityOverflowRejected(t *testing.T) {
+	g := testGraph(t, 256, 8, 7)
+	cfg := core.Config{Variant: core.SAER, D: 1, C: 3e9}
+	bank, err := core.NewLocalBank(core.SAER, 1, g.NumServers(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, start := range map[string]func() error{
+		"Config.Run": func() error { _, err := cfg.Run(g); return err },
+		"NewDriver":  func() error { _, err := core.NewDriver(g, cfg, bank); return err },
+		"netsim.Run": func() error { _, err := Run(g, cfg); return err },
+	} {
+		err := start()
+		if err == nil {
+			t.Errorf("%s accepted capacity 3e9", name)
+		} else if !strings.Contains(err.Error(), "3000000000") {
+			t.Errorf("%s: error %q does not name the capacity", name, err)
+		}
 	}
 }
 
@@ -162,7 +190,7 @@ func TestNetsimRoundCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, core.RAES, core.Params{D: 2, C: 1, Seed: 1, MaxRounds: 7}, core.Options{})
+	res, err := Run(g, core.Config{Variant: core.RAES, D: 2, C: 1, Seed: 1, MaxRounds: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +220,12 @@ func TestQuickEnginesAgree(t *testing.T) {
 		if tight {
 			c = 2.0
 		}
-		params := core.Params{D: 2, C: c, Seed: seed ^ 0xbeef}
-		fast, err := core.Run(g, core.RAES, params, core.Options{})
+		cfg := core.Config{Variant: core.RAES, D: 2, C: c, Seed: seed ^ 0xbeef}
+		fast, err := cfg.Run(g)
 		if err != nil {
 			return false
 		}
-		slow, err := Run(g, core.RAES, params, core.Options{})
+		slow, err := Run(g, cfg)
 		if err != nil {
 			return false
 		}

@@ -139,7 +139,7 @@ func TestAssignmentGraphOfSAERIsWellConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(g, core.SAER, core.Params{D: 3, C: 4, Seed: 13}, core.Options{TrackAssignments: true})
+	res, err := core.Config{Variant: core.SAER, D: 3, C: 4, Seed: 13, TrackAssignments: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

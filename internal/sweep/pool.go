@@ -95,29 +95,25 @@ func trialWorkers(cfg Config, trials int, g bipartite.Topology) int {
 }
 
 // runPooledTrials runs independent Monte-Carlo trials of the same
-// (graph, variant, params, options) configuration concurrently on a
-// shared pool of reusable Runners: each pool worker lazily builds one
-// Runner and drives it through successive trials via Reseed, so graph
-// validation and state allocation happen once per worker instead of once
-// per trial. The worker budget is split by trialWorkers: small points
+// (graph, protocol) configuration concurrently on a shared pool of
+// reusable Runners: each pool worker lazily builds one Runner and drives
+// it through successive trials via Reseed, so graph validation and state
+// allocation happen once per worker instead of once per trial. The worker budget is split by trialWorkers: small points
 // run each trial single-threaded, big points with spare budget run each
 // trial on a sharded multi-worker Runner. Results are returned in trial
 // order and are bit-for-bit identical to fresh single-threaded runs for
 // every split (the determinism contract of core.Runner).
-func runPooledTrials(cfg Config, trials int, g bipartite.Topology, variant core.Variant,
-	params core.Params, opts core.Options, seed func(trial int) uint64) ([]*core.Result, error) {
-	params.Workers = trialWorkers(cfg, trials, g)
-	// The Point grid still declares the (variant, params, options) triple;
-	// execution goes through the single validated core.Config surface.
-	rcfg := core.ConfigFrom(variant, params, opts)
-	rcfg.Telemetry = cfg.Telemetry
+func runPooledTrials(cfg Config, trials int, g bipartite.Topology, proto core.Config,
+	seed func(trial int) uint64) ([]*core.Result, error) {
+	proto.Workers = trialWorkers(cfg, trials, g)
+	proto.Telemetry = cfg.Telemetry
 	results := make([]*core.Result, trials)
 	runners := make([]*core.Runner, concurrentTrials(cfg, trials, g))
 	err := forEachTrial(cfg, trials, g, func(worker, i int) error {
 		r := runners[worker]
 		if r == nil {
 			var e error
-			r, e = rcfg.NewRunner(g)
+			r, e = proto.NewRunner(g)
 			if e != nil {
 				return e
 			}

@@ -61,24 +61,23 @@ func TestRunPooledTrialsMatchesFreshRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := core.Params{D: 2, C: 2.5}
-	opts := core.Options{TrackRounds: true, TrackLoads: true}
+	proto := core.Config{Variant: core.SAER, D: 2, C: 2.5, TrackRounds: true, TrackLoads: true}
 	seed := func(trial int) uint64 { return 0xBEEF + uint64(trial)*7 }
 	const trials = 12
 
 	fresh := make([]*core.Result, trials)
 	for i := 0; i < trials; i++ {
-		p := params
+		p := proto
 		p.Workers = 1
 		p.Seed = seed(i)
-		fresh[i], err = core.Run(g, core.SAER, p, opts)
+		fresh[i], err = p.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, par := range []int{1, 3, 8} {
 		cfg := Config{Quick: true, TrialParallelism: par}
-		got, err := runPooledTrials(cfg, trials, g, core.SAER, params, opts, seed)
+		got, err := runPooledTrials(cfg, trials, g, proto, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,37 +141,32 @@ func TestTrialWorkersSplit(t *testing.T) {
 // TestRunPooledTrialsIntraTrialDeterminism pins the worker-budget split's
 // determinism: a big point whose trials run on multi-worker sharded
 // Runners must produce results bit-for-bit identical to fresh
-// single-threaded runs (up to the Params.Workers config echo).
+// single-threaded runs.
 func TestRunPooledTrialsIntraTrialDeterminism(t *testing.T) {
 	g, err := gen.RegularImplicit(intraTrialMinClients, 12, 44)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := core.Params{D: 2, C: 4}
-	opts := core.Options{TrackLoads: true}
+	proto := core.Config{Variant: core.SAER, D: 2, C: 4, TrackLoads: true}
 	seed := func(trial int) uint64 { return 0xF00D + uint64(trial) }
 	const trials = 2
 	cfg := Config{TrialParallelism: 8}
 	if w := trialWorkers(cfg, trials, g); w <= 1 {
 		t.Fatalf("setup broken: split gave %d workers, want > 1", w)
 	}
-	got, err := runPooledTrials(cfg, trials, g, core.SAER, params, opts, seed)
+	got, err := runPooledTrials(cfg, trials, g, proto, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
-		p := params
+		p := proto
 		p.Workers = 1
 		p.Seed = seed(i)
-		fresh, err := core.Run(g, core.SAER, p, opts)
+		fresh, err := p.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gi := *got[i]
-		gi.Params.Workers = 0
-		fi := *fresh
-		fi.Params.Workers = 0
-		if !reflect.DeepEqual(&gi, &fi) {
+		if !reflect.DeepEqual(got[i], fresh) {
 			t.Fatalf("trial %d: multi-worker pooled result diverges from fresh single-threaded run", i)
 		}
 	}
@@ -185,8 +179,8 @@ func TestRunPooledTrialsPropagatesRunnerError(t *testing.T) {
 	}
 	cfg := Config{Quick: true}
 	// D = 0 is invalid and must surface as an error, not a panic.
-	if _, err := runPooledTrials(cfg, 3, g, core.SAER, core.Params{D: 0, C: 4}, core.Options{},
+	if _, err := runPooledTrials(cfg, 3, g, core.Config{Variant: core.SAER, D: 0, C: 4},
 		func(trial int) uint64 { return uint64(trial) }); err == nil {
-		t.Fatal("invalid params did not produce an error")
+		t.Fatal("invalid config did not produce an error")
 	}
 }

@@ -170,14 +170,13 @@ type Point struct {
 	// Topology declares the graph; consecutive points with identical
 	// declarations share one built topology.
 	Topology Topo
-	// Variant, Params and Options configure the protocol runs.
-	Variant core.Variant
-	Params  core.Params
-	Options core.Options
-	// ParamsFrom, when non-nil, derives the run parameters from the built
-	// topology (replacing Params) — for experiments whose threshold
-	// constant depends on measured graph statistics.
-	ParamsFrom func(cfg Config, g bipartite.Topology) (core.Params, error)
+	// Protocol configures the protocol runs. The engine overrides its
+	// Seed per trial and its Workers and Telemetry per point.
+	Protocol core.Config
+	// ProtocolFrom, when non-nil, derives the protocol configuration from
+	// the built topology (replacing Protocol) — for experiments whose
+	// threshold constant depends on measured graph statistics.
+	ProtocolFrom func(cfg Config, g bipartite.Topology) (core.Config, error)
 	// SeedKey derives trial t's seed as cfg.TrialSeed(SeedKey..., t);
 	// Seed, when non-nil, overrides that derivation (used by the few
 	// points whose historical seeds do not append the trial index).
@@ -330,15 +329,15 @@ func runPoint(cfg Config, expID string, p *Point, g bipartite.Topology) (*Outcom
 	if g == nil {
 		return nil, fmt.Errorf("sweep: %s point %q: protocol trials need a topology (Family is FamNone)", expID, p.ID)
 	}
-	params := p.Params
-	if p.ParamsFrom != nil {
+	proto := p.Protocol
+	if p.ProtocolFrom != nil {
 		var err error
-		params, err = p.ParamsFrom(cfg, g)
+		proto, err = p.ProtocolFrom(cfg, g)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %s point %q: deriving params: %w", expID, p.ID, err)
+			return nil, fmt.Errorf("sweep: %s point %q: deriving the protocol: %w", expID, p.ID, err)
 		}
 	}
-	results, err := runPooledTrials(cfg, trials, g, p.Variant, params, p.Options, seed)
+	results, err := runPooledTrials(cfg, trials, g, proto, seed)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %s point %q: %w", expID, p.ID, err)
 	}

@@ -24,8 +24,7 @@ func testSpec() Spec {
 		spec.Points = append(spec.Points, Point{
 			ID:       fmt.Sprintf("n=%d", n),
 			Topology: Topo{Family: FamRegular, N: n, Delta: 16, SeedKey: []uint64{1, uint64(n)}},
-			Variant:  core.SAER,
-			Params:   core.Params{D: 2, C: 4},
+			Protocol: core.Config{Variant: core.SAER, D: 2, C: 4},
 			SeedKey:  []uint64{1, uint64(n)},
 			Render: func(cfg Config, out *Outcome, t *Table) error {
 				maxRounds, completed := 0, true
@@ -87,8 +86,7 @@ func TestRunTopologyCache(t *testing.T) {
 		spec.Points = append(spec.Points, Point{
 			ID:       fmt.Sprintf("p%d", i),
 			Topology: custom(key),
-			Variant:  core.SAER,
-			Params:   core.Params{D: 1, C: 4},
+			Protocol: core.Config{Variant: core.SAER, D: 1, C: 4},
 			SeedKey:  []uint64{uint64(i)},
 			Trials:   1,
 		})
@@ -102,19 +100,18 @@ func TestRunTopologyCache(t *testing.T) {
 	}
 }
 
-// TestRunParamsFrom checks that parameters can be derived from the built
-// topology.
+// TestRunParamsFrom checks that the run parameters can be derived from
+// the built topology through ProtocolFrom.
 func TestRunParamsFrom(t *testing.T) {
 	spec := Spec{ID: "T3", Title: "params", Columns: []string{"cap"}}
 	spec.Points = append(spec.Points, Point{
 		ID:       "p",
 		Topology: Topo{Family: FamRegular, N: 64, Delta: 8, SeedKey: []uint64{3}},
-		Variant:  core.SAER,
-		ParamsFrom: func(cfg Config, g bipartite.Topology) (core.Params, error) {
+		ProtocolFrom: func(cfg Config, g bipartite.Topology) (core.Config, error) {
 			if g.NumClients() != 64 {
-				return core.Params{}, fmt.Errorf("wrong topology: %d clients", g.NumClients())
+				return core.Config{}, fmt.Errorf("wrong topology: %d clients", g.NumClients())
 			}
-			return core.Params{D: 2, C: 3}, nil
+			return core.Config{Variant: core.SAER, D: 2, C: 3}, nil
 		},
 		SeedKey: []uint64{3},
 		Trials:  1,
@@ -169,7 +166,7 @@ func TestRunCustomAndSeedOverride(t *testing.T) {
 // TestRunRejectsProtocolPointWithoutTopology guards the FamNone misuse.
 func TestRunRejectsProtocolPointWithoutTopology(t *testing.T) {
 	spec := Spec{ID: "T5", Title: "bad", Columns: []string{"x"}}
-	spec.Points = append(spec.Points, Point{ID: "p", Variant: core.SAER, Params: core.Params{D: 1, C: 4}, Trials: 1})
+	spec.Points = append(spec.Points, Point{ID: "p", Protocol: core.Config{Variant: core.SAER, D: 1, C: 4}, Trials: 1})
 	if _, err := Run(Config{}, spec); err == nil || !strings.Contains(err.Error(), "FamNone") {
 		t.Fatalf("protocol point without topology accepted: %v", err)
 	}

@@ -17,8 +17,7 @@ func trackedResult(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(g, core.SAER, core.Params{D: 2, C: 4, Seed: 3},
-		core.Options{TrackNeighborhoods: true, TrackLoads: true})
+	res, err := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 3, TrackNeighborhoods: true, TrackLoads: true}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestRAESRoundTripKeepsVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(g, core.RAES, core.Params{D: 2, C: 4, Seed: 1}, core.Options{})
+	res, err := core.Config{Variant: core.RAES, D: 2, C: 4, Seed: 1}.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

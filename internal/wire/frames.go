@@ -6,7 +6,7 @@
 // server window (cmd/saer-server). Because the bank interface carries
 // one batched (server, count) message per round — not per-ball messages
 // — and the server side reuses core.ServerShard verbatim, a loopback
-// wire run reproduces the in-process core.Run result bit for bit; the
+// wire run reproduces the in-process core.Config.Run result bit for bit; the
 // equivalence tests and the CI service smoke pin exactly that.
 //
 // Frame format (protocol version 2): every frame is length-prefixed,

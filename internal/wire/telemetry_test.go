@@ -18,10 +18,8 @@ import (
 func TestWireTelemetryEquivalence(t *testing.T) {
 	n := 512
 	g := testGraph(t, n, 24, 77)
-	cfg := core.NewConfig(core.SAER, 2, 2, 0xFEED)
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
-	cfg.TrackAssignments = true
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 2, Seed: 0xFEED,
+		TrackRounds: true, TrackLoads: true, TrackAssignments: true}
 	ref, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +53,7 @@ func TestWireTelemetryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
+			if !reflect.DeepEqual(res, ref) {
 				t.Errorf("shards=%d workers=%d: instrumented wire run diverges from un-instrumented in-process run",
 					shards, workers)
 			}
@@ -121,8 +119,7 @@ func TestWireTelemetryEquivalence(t *testing.T) {
 func TestWireTelemetrySpills(t *testing.T) {
 	n := 256
 	g := testGraph(t, n, 16, 9)
-	cfg := core.NewConfig(core.SAER, 2, 4, 0xBEEF)
-	cfg.TrackLoads = true
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 0xBEEF, TrackLoads: true}
 	ref, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +151,7 @@ func TestWireTelemetrySpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
+	if !reflect.DeepEqual(res, ref) {
 		t.Error("spilling instrumented run diverges from in-process reference")
 	}
 	count := func(snap *telemetry.Snapshot, prefix string) int64 {

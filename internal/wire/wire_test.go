@@ -61,15 +61,6 @@ func runWire(t *testing.T, topo bipartite.Topology, cfg core.Config, shards int)
 	return res, bank, ss
 }
 
-// normalizedResult strips the one field that legitimately differs
-// between runs of the same instance — the worker count echoed in
-// Params — so bit-for-bit comparison covers everything else.
-func normalizedResult(res *core.Result) *core.Result {
-	c := *res
-	c.Params.Workers = 0
-	return &c
-}
-
 // runWireSessions runs one trial per session concurrently — every
 // session drives its own Driver with the same seed over the shared
 // connections — and requires each session's result to equal ref.
@@ -96,7 +87,7 @@ func runWireSessions(t *testing.T, g bipartite.Topology, cfg core.Config, bank *
 		if errs[s] != nil {
 			t.Fatalf("%s session %d: %v", label, s, errs[s])
 		}
-		if !reflect.DeepEqual(normalizedResult(results[s]), normalizedResult(ref)) {
+		if !reflect.DeepEqual(results[s], ref) {
 			t.Errorf("%s session %d: wire run diverges from in-process run:\n  ref=%+v\n  got=%+v",
 				label, s, ref, results[s])
 		}
@@ -105,7 +96,7 @@ func runWireSessions(t *testing.T, g bipartite.Topology, cfg core.Config, bank *
 
 // TestWireLoopbackEquivalence is the service mode's core contract: a
 // loopback wire run — real TCP sockets, one server-shard listener per
-// window — reproduces the in-process core.Run result bit for bit, for
+// window — reproduces the in-process Config.Run result bit for bit, for
 // both variants, across shard counts, client worker counts, and
 // multiplexed session counts (every session running the same trial
 // concurrently over the shared connections).
@@ -114,11 +105,8 @@ func TestWireLoopbackEquivalence(t *testing.T) {
 	g := testGraph(t, n, 24, 77)
 	for _, variant := range []core.Variant{core.SAER, core.RAES} {
 		for _, c := range []float64{4, 2} {
-			cfg := core.NewConfig(variant, 2, c, 0xFEED)
-			cfg.TrackRounds = true
-			cfg.TrackNeighborhoods = true
-			cfg.TrackLoads = true
-			cfg.TrackAssignments = true
+			cfg := core.Config{Variant: variant, D: 2, C: c, Seed: 0xFEED,
+				TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true}
 			ref, err := cfg.Run(g)
 			if err != nil {
 				t.Fatal(err)
@@ -185,10 +173,7 @@ func TestWireLoopbackPointQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.NewConfig(core.SAER, 2, 2.5, 0xFEED)
-	cfg.Workers = 2
-	cfg.TrackRounds = true
-	cfg.TrackLoads = true
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 2.5, Seed: 0xFEED, Workers: 2, TrackRounds: true, TrackLoads: true}
 	ref, err := cfg.Run(topo)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +185,7 @@ func TestWireLoopbackPointQuery(t *testing.T) {
 	for _, path := range paths {
 		for _, shards := range []int{1, 3} {
 			res, bank, ss := runWire(t, path.topo, cfg, shards)
-			if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
+			if !reflect.DeepEqual(res, ref) {
 				t.Errorf("%s shards=%d: wire run diverges from in-process run:\n  ref=%+v\n  got=%+v",
 					path.name, shards, ref, res)
 			}
@@ -218,9 +203,7 @@ func TestWireLoopbackPointQuery(t *testing.T) {
 func TestWireDynamicState(t *testing.T) {
 	n := 256
 	g := testGraph(t, n, 16, 31)
-	cfg := core.NewConfig(core.SAER, 2, 4, 13)
-	cfg.TrackLoads = true
-	cfg.TrackRounds = true
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 13, TrackLoads: true, TrackRounds: true}
 	cfg.InitialLoads = make([]int, n)
 	cfg.RequestCounts = make([]int, n)
 	src := rng.New(42)
@@ -250,8 +233,7 @@ func TestWireDynamicState(t *testing.T) {
 func TestWireSpillLoopback(t *testing.T) {
 	n := 256
 	g := testGraph(t, n, 16, 9)
-	cfg := core.NewConfig(core.SAER, 2, 4, 0xBEEF)
-	cfg.TrackLoads = true
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 0xBEEF, TrackLoads: true}
 	ref, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +261,7 @@ func TestWireSpillLoopback(t *testing.T) {
 // sessions match fresh in-process runs.
 func TestWireDriverReuse(t *testing.T) {
 	g := testGraph(t, 256, 16, 3)
-	cfg := core.NewConfig(core.RAES, 2, 3, 0)
-	cfg.TrackLoads = true
+	cfg := core.Config{Variant: core.RAES, D: 2, C: 3, TrackLoads: true}
 	ss, err := StartLocalSet(2)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +310,7 @@ func TestWireDriverReuse(t *testing.T) {
 // jittered backoff until the listener returns.
 func TestWireRedialBackoff(t *testing.T) {
 	g := testGraph(t, 128, 8, 21)
-	cfg := core.NewConfig(core.SAER, 2, 4, 5)
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 5}
 	ref, err := cfg.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -421,8 +402,7 @@ func wireChurnScenario(t *testing.T, policy churn.Policy, factory func(*churn.To
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto := core.NewConfig(core.SAER, 2, 4, 0)
-	proto.Workers = 1
+	proto := core.Config{Variant: core.SAER, D: 2, C: 4, Workers: 1}
 	sch, err := churn.NewScheduler(topo, churn.SchedulerConfig{
 		Protocol:    proto,
 		LoadExpiry:  0.5,

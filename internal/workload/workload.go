@@ -18,7 +18,7 @@
 //     baseline demand, modeling tenant bursts.
 //
 // All generators return a demand vector compatible with
-// core.Options.RequestCounts (entries in [0, maxD]) together with the
+// core.Config.RequestCounts (entries in [0, maxD]) together with the
 // total number of balls.
 package workload
 
