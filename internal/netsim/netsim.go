@@ -53,10 +53,10 @@ type serverReport struct {
 
 // Run executes one protocol run of cfg using one goroutine per client
 // and per server. It accepts the same configuration as core.Config.Run
-// and returns a core.Result with the aggregate fields populated
-// (per-round neighborhood statistics are not computed by this engine;
-// TrackNeighborhoods is ignored, and so are the performance knobs
-// Workers and Shards).
+// and returns a core.Result with the aggregate fields, the per-round
+// series (TrackRounds) and the loads (TrackLoads) populated. This engine
+// computes no neighborhood statistics or assignments, and it ignores
+// Workers, Shards and Telemetry.
 //
 // The random process is identical to core.Config.Run's for the same
 // seed: each client owns the same private stream and draws destinations
