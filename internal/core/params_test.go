@@ -37,6 +37,34 @@ func TestParamsCapacity(t *testing.T) {
 	}
 }
 
+// TestParamsValidate checks that Config.Validate rejects an invalid
+// protocol identity under either variant: the Params a Config carries
+// are validated with it.
+func TestParamsValidate(t *testing.T) {
+	withParams := func(v Variant, p Params) Config {
+		return Config{Variant: v, D: p.D, C: p.C, MaxRounds: p.MaxRounds, Seed: p.Seed}
+	}
+	good := Params{D: 2, C: 4}
+	bad := []Params{
+		{D: 0, C: 4},
+		{D: -1, C: 4},
+		{D: 2, C: 0},
+		{D: 2, C: -1},
+		{D: 2, C: 0.3}, // capacity floor(0.6) = 0
+		{D: 2, C: 4, MaxRounds: -1},
+	}
+	for _, v := range []Variant{SAER, RAES} {
+		if err := withParams(v, good).Validate(); err != nil {
+			t.Errorf("%v: valid params rejected: %v", v, err)
+		}
+		for i, p := range bad {
+			if err := withParams(v, p).Validate(); err == nil {
+				t.Errorf("%v case %d: invalid params accepted: %+v", v, i, p)
+			}
+		}
+	}
+}
+
 func TestDefaultMaxRounds(t *testing.T) {
 	if DefaultMaxRounds(0) <= 0 || DefaultMaxRounds(1) <= 0 {
 		t.Error("degenerate sizes should still get a positive cap")
