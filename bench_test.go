@@ -272,25 +272,28 @@ func BenchmarkLateRoundTail(b *testing.B) {
 
 // BenchmarkScaleFullRun is the multi-core scaling curve scripts/scale.sh
 // records (BENCH_SCALE_<date>.json, rendered in PERFORMANCE.md): one full
-// SAER run at n = 2²⁰ on an implicit topology with Config.Workers = 0, so
-// a `go test -cpu 1,2,4` sweep governs the worker count through
-// GOMAXPROCS. The sub-benchmarks contrast the autotuned shard count with
-// a single shard (the one-lane path when the worker count is one).
+// SAER run on an implicit topology with Config.Workers = 0, so a
+// `go test -cpu 1,2,4` sweep governs the worker count through
+// GOMAXPROCS. At n = 2²⁰, Δ = 16 the sub-benchmarks contrast the
+// autotuned shard count with a single shard (the one-lane path when the
+// worker count is one). "n=65536" is the wire-loopback workload's shape
+// (n = 2¹⁶, Δ = 256, autotuned shards) run in process, where few shards
+// make the draw's route step the part that must scale.
 func BenchmarkScaleFullRun(b *testing.B) {
-	const n = 1 << 20
-	const delta = 16
-	impl, err := gen.RegularImplicit(n, delta, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name   string
-		shards int
+		name     string
+		n, delta int
+		shards   int
 	}{
-		{"auto", 0},
-		{"shards=1", 1},
+		{"auto", 1 << 20, 16, 0},
+		{"shards=1", 1 << 20, 16, 1},
+		{"n=65536", 1 << 16, 256, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			impl, err := gen.RegularImplicit(tc.n, tc.delta, 9)
+			if err != nil {
+				b.Fatal(err)
+			}
 			r, err := core.Config{Variant: core.SAER, D: 2, C: 4, Shards: tc.shards}.NewRunner(impl)
 			if err != nil {
 				b.Fatal(err)

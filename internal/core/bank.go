@@ -161,7 +161,9 @@ func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated 
 			s.burned[j] = true
 			newlyBurned = true
 		}
-		if s.load[j]+recv > s.capacity {
+		// recv > capacity-load is load+recv > capacity without the
+		// int32 overflow a load near MaxInt32 would cause.
+		if recv > s.capacity-s.load[j] {
 			return false, newlyBurned, true
 		}
 	}
@@ -250,8 +252,8 @@ func (b *LocalBank) Shards() int { return len(b.shards) }
 
 // Reset re-initializes every shard with its window of initialLoads.
 func (b *LocalBank) Reset(initialLoads []int) error {
-	if initialLoads != nil && len(initialLoads) != b.m {
-		return fmt.Errorf("core: bank reset with %d initial loads for %d servers", len(initialLoads), b.m)
+	if err := CheckInitialLoads(initialLoads, b.m); err != nil {
+		return err
 	}
 	for _, sh := range b.shards {
 		sh.resetFrom(initialLoads)

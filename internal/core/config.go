@@ -69,9 +69,10 @@ type Config struct {
 	// number of already-accepted balls before the first round. This models
 	// the dynamic/online scenario of the paper's future-work section, where
 	// new client batches arrive while servers still carry load from earlier
-	// batches. The slice length must equal the number of servers; a server
-	// whose initial load already reaches the capacity starts burned (SAER)
-	// or permanently saturated (RAES).
+	// batches. The slice length must equal the number of servers and no
+	// entry may exceed MaxInt32 (see CheckInitialLoads); a negative entry
+	// counts as zero, and a server whose initial load already reaches the
+	// capacity starts burned (SAER) or permanently saturated (RAES).
 	InitialLoads []int
 	// RequestCounts, when non-nil, gives each client its own number of
 	// balls (the paper's general "at most d" case). Entries must be in
@@ -123,6 +124,26 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
+	}
+	return nil
+}
+
+// CheckInitialLoads checks a run's initial server loads against m
+// servers: nil, or one entry per server. Every server half holds a load
+// as int32, so an entry above MaxInt32 is an error that names the server;
+// converting it would wrap silently. Every way to start or reset a run
+// applies this one check.
+func CheckInitialLoads(initialLoads []int, m int) error {
+	if initialLoads == nil {
+		return nil
+	}
+	if len(initialLoads) != m {
+		return fmt.Errorf("core: InitialLoads has %d entries for %d servers", len(initialLoads), m)
+	}
+	for u, l := range initialLoads {
+		if l > math.MaxInt32 {
+			return fmt.Errorf("core: initial load %d of server %d exceeds %d", l, u, math.MaxInt32)
+		}
 	}
 	return nil
 }

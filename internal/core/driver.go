@@ -76,7 +76,7 @@ func (dr *Driver) Run() (*Result, error) { return dr.run(dr) }
 func (dr *Driver) reset(initialLoads []int) error {
 	clear(dr.burned)
 	for u, l := range initialLoads {
-		dr.burned[u] = int32(l) >= dr.capacity
+		dr.burned[u] = l >= int(dr.capacity)
 	}
 	return dr.bank.Reset(initialLoads)
 }

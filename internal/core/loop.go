@@ -142,11 +142,11 @@ func validateInstance(topo bipartite.Topology, cfg Config) error {
 	if err := topo.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidGraph, err)
 	}
-	n, m := topo.NumClients(), topo.NumServers()
-	if cfg.InitialLoads != nil && len(cfg.InitialLoads) != m {
-		return fmt.Errorf("core: InitialLoads has %d entries for %d servers", len(cfg.InitialLoads), m)
+	if err := CheckInitialLoads(cfg.InitialLoads, topo.NumServers()); err != nil {
+		return err
 	}
 	if cfg.RequestCounts != nil {
+		n := topo.NumClients()
 		if len(cfg.RequestCounts) != n {
 			return fmt.Errorf("core: RequestCounts has %d entries for %d clients", len(cfg.RequestCounts), n)
 		}

@@ -31,12 +31,21 @@ import "math/bits"
 // off the occupancy bitmap, so simulation results stay bit-for-bit
 // identical across worker AND shard counts. The equivalence tests in
 // internal/core sweep both.
+//
+// Layout: per-worker state that a hot loop writes gets cache lines of
+// its own. Every routed ball rewrites its lane header's length, so the
+// workers' blocks of lane headers sit at least one cache line apart;
+// with two shards, two unpadded blocks of 48 bytes would share a line
+// and bounce it between cores once per ball.
 type Router struct {
 	workers int
 	shards  int
 	shift   uint
-	// lanes[w*shards+s] holds the cells worker w routed to shard s this
-	// round. Truncated (capacity kept) by ResetLanes.
+	// lanes holds every worker's lane headers in one backing array:
+	// lanes[laneBase(w)+s] holds the cells worker w routed to shard s
+	// this round. lanePad unused (nil) headers lie before the first
+	// block, between blocks and after the last, so no cache line holds
+	// headers of two workers. Truncated (capacity kept) by ResetLanes.
 	lanes [][]int32
 	// touched[s] is the ascending list of cells shard s's last fold
 	// found occupied — reused across rounds for its capacity.
@@ -50,6 +59,16 @@ type Router struct {
 // minShardShift is log2 of the narrowest shard window: one 64-cell
 // occupancy word, so every window starts on a word boundary.
 const minShardShift = 6
+
+// cacheLine is the coherence granule the lane layout pads against.
+const cacheLine = 64
+
+// lanePad is the fewest slice headers (three words each) that span a
+// whole cache line: the gap Router keeps around each worker's block of
+// lane headers, whatever the backing array's alignment.
+const lanePad = (cacheLine + sliceHeaderSize - 1) / sliceHeaderSize
+
+const sliceHeaderSize = 3 * bits.UintSize / 8
 
 // NewRouter returns a Router for `workers` phase-A workers over a counts
 // array of `size` cells, splitting it into about targetShards shards of
@@ -75,7 +94,7 @@ func NewRouter(workers, targetShards, size int) *Router {
 		workers: workers,
 		shards:  shards,
 		shift:   shift,
-		lanes:   make([][]int32, workers*shards),
+		lanes:   make([][]int32, lanePad+workers*(shards+lanePad)),
 		touched: make([][]int32, shards),
 	}
 }
@@ -95,8 +114,12 @@ func (rt *Router) ShardOf(i int32) int { return int(i) >> rt.shift }
 // i to Lanes(w)[i>>Shift()]. The returned slice aliases the Router's
 // state; each worker must only touch its own view.
 func (rt *Router) Lanes(w int) [][]int32 {
-	return rt.lanes[w*rt.shards : (w+1)*rt.shards : (w+1)*rt.shards]
+	lo := rt.laneBase(w)
+	return rt.lanes[lo : lo+rt.shards : lo+rt.shards]
 }
+
+// laneBase is the index of worker w's first lane header in rt.lanes.
+func (rt *Router) laneBase(w int) int { return lanePad + w*(rt.shards+lanePad) }
 
 // ResetLanes truncates every lane, keeping capacity. Call at the start of
 // each routed round.
@@ -120,7 +143,7 @@ func (rt *Router) ResetLanes() {
 func (rt *Router) FoldShard(s int, t *Tally) []int32 {
 	counts, occ := t.merged, t.occupied
 	for w := 0; w < rt.workers; w++ {
-		for _, i := range rt.lanes[w*rt.shards+s] {
+		for _, i := range rt.lanes[rt.laneBase(w)+s] {
 			word, bit := i>>6, uint64(1)<<(i&63)
 			if occ[word]&bit != 0 {
 				counts[i]++

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -42,6 +45,102 @@ func TestRouterGeometry(t *testing.T) {
 					t.Fatalf("target=%d size=%d: shard mapping not monotone", target, size)
 				}
 				last = s
+			}
+		}
+	}
+}
+
+// TestRouterLanesDoNotShareCacheLines pins the lane layout: the draw
+// rewrites a lane header's length on every routed ball, so no 64-byte
+// cache line may hold lane headers of two workers, whatever the shard
+// count and the backing array's alignment. Every view spans exactly the
+// router's shards.
+func TestRouterLanesDoNotShareCacheLines(t *testing.T) {
+	const line = 64
+	header := unsafe.Sizeof([]int32(nil))
+	for _, workers := range []int{2, 3, 4} {
+		for _, target := range []int{1, 2, 3, 8} {
+			for _, size := range []int{64, 1000, 1 << 16} {
+				rt := NewRouter(workers, target, size)
+				owner := map[uintptr]int{}
+				for w := 0; w < workers; w++ {
+					lanes := rt.Lanes(w)
+					if len(lanes) != rt.Shards() || cap(lanes) != rt.Shards() {
+						t.Fatalf("workers=%d target=%d size=%d: worker %d view has len %d cap %d, want %d",
+							workers, target, size, w, len(lanes), cap(lanes), rt.Shards())
+					}
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(lanes)))
+					hi := lo + uintptr(len(lanes))*header
+					for l := lo / line; l <= (hi-1)/line; l++ {
+						if o, ok := owner[l]; ok && o != w {
+							t.Fatalf("workers=%d target=%d size=%d (%d shards): a cache line holds lane headers of workers %d and %d",
+								workers, target, size, rt.Shards(), o, w)
+						}
+						owner[l] = w
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRouterConcurrentFold runs routed rounds the way the client loop
+// does: the workers append random cells into their own lane views at
+// the same time, then shard owners fold on a Pool. Counts and touched
+// lists must equal a dense reference. Run it under -race -count=10.
+func TestRouterConcurrentFold(t *testing.T) {
+	const size = 5000
+	for _, workers := range []int{2, 3, 4} {
+		for _, target := range []int{1, 2, 8} {
+			rt := NewRouter(workers, target, size)
+			ta := stampedTally(size)
+			pool := NewPool(workers)
+			src := rng.New(uint64(10*workers + target))
+			for round := 0; round < 3; round++ {
+				adds := make([][]int32, workers)
+				var all []int32
+				for w := range adds {
+					for k := src.Intn(3 * size); k > 0; k-- {
+						adds[w] = append(adds[w], int32(src.Intn(size)))
+					}
+					all = append(all, adds[w]...)
+				}
+				rt.ResetLanes()
+				var wg sync.WaitGroup
+				for w := range adds {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						lanes := rt.Lanes(w)
+						for _, i := range adds[w] {
+							s := int(i) >> rt.Shift()
+							lanes[s] = append(lanes[s], i)
+						}
+					}()
+				}
+				wg.Wait()
+				touched := make([][]int32, rt.Shards())
+				pool.StealRangeGrain(rt.Shards(), 1, func(_, _, lo, hi int) {
+					for s := lo; s < hi; s++ {
+						touched[s] = rt.FoldShard(s, ta)
+					}
+				})
+				ref := denseReference(size, all)
+				var want []int32
+				for i, c := range ref {
+					if got := ta.ReceivedAt(int32(i)); got != c {
+						t.Fatalf("workers=%d target=%d round %d: ReceivedAt(%d) = %d, want %d",
+							workers, target, round, i, got, c)
+					}
+					if c > 0 {
+						want = append(want, int32(i))
+					}
+				}
+				if got := slices.Concat(touched...); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d target=%d round %d: touched lists %v, want %v",
+						workers, target, round, got, want)
+				}
+				ta.StampedReset()
 			}
 		}
 	}
@@ -228,5 +327,47 @@ func BenchmarkFoldShard(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(load.balls), "ns/ball")
 			})
 		}
+	}
+}
+
+// BenchmarkRouteLanes measures the route step as the draw runs it: two
+// goroutines each append 2^16 pre-drawn destinations into their own
+// Lanes(w) at the same time, at m = 2^16 split into 2, 4 and 8 shards.
+// Lanes keep their capacity across iterations, as across rounds. Run it
+// at -cpu 2 so that the two workers run on two cores. Reports ns per
+// routed ball.
+func BenchmarkRouteLanes(b *testing.B) {
+	const m, workers, perWorker = 1 << 16, 2, 1 << 16
+	for _, target := range []int{2, 4, 8} {
+		rt := NewRouter(workers, target, m)
+		b.Run(fmt.Sprintf("shards=%d", rt.Shards()), func(b *testing.B) {
+			src := rng.New(1)
+			dests := make([][]int32, workers)
+			for w := range dests {
+				dests[w] = make([]int32, perWorker)
+				for k := range dests[w] {
+					dests[w][k] = int32(src.Intn(m))
+				}
+			}
+			var wg sync.WaitGroup
+			route := func(w int) {
+				defer wg.Done()
+				lanes, shift := rt.Lanes(w), rt.Shift()
+				for _, u := range dests[w] {
+					s := int(u) >> shift
+					lanes[s] = append(lanes[s], u)
+				}
+			}
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				rt.ResetLanes()
+				wg.Add(workers)
+				for w := 0; w < workers; w++ {
+					go route(w)
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(workers*perWorker), "ns/ball")
+		})
 	}
 }

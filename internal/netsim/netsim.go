@@ -68,8 +68,8 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
-	if cfg.InitialLoads != nil && len(cfg.InitialLoads) != g.NumServers() {
-		return nil, fmt.Errorf("netsim: InitialLoads has %d entries for %d servers", len(cfg.InitialLoads), g.NumServers())
+	if err := core.CheckInitialLoads(cfg.InitialLoads, g.NumServers()); err != nil {
+		return nil, err
 	}
 	if cfg.RequestCounts != nil {
 		if len(cfg.RequestCounts) != g.NumClients() {
@@ -188,7 +188,7 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 							burned = true
 							newlyBurned = true
 						}
-						if load+recv > capacity {
+						if recv > capacity-load { // load+recv could overflow
 							saturated = true
 						} else {
 							load += recv

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,6 +179,75 @@ func TestCapacityOverflowRejected(t *testing.T) {
 			t.Errorf("%s accepted capacity 3e9", name)
 		} else if !strings.Contains(err.Error(), "3000000000") {
 			t.Errorf("%s: error %q does not name the capacity", name, err)
+		}
+	}
+}
+
+// TestInitialLoadOverflowRejected is the regression test for an
+// InitialLoads entry above MaxInt32: every server half holds a load as
+// int32, so such an entry used to wrap silently, and a SAER run whose
+// servers all start burned reported Completed (2³¹ wrapped to a negative
+// load that clamped to 0, 2³²+1 to a load of 1). All three ways to start
+// a run must refuse it with an error that names the server and the
+// value, and accept MaxInt32 itself: no server can take another ball,
+// under SAER or RAES, and every load stays at MaxInt32.
+func TestInitialLoadOverflowRejected(t *testing.T) {
+	g := testGraph(t, 64, 8, 7)
+	m := g.NumServers()
+	bank, err := core.NewLocalBank(core.SAER, 8, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raesBank, err := core.NewLocalBank(core.RAES, 8, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload := func(variant core.Variant, l, at int) core.Config {
+		loads := make([]int, m)
+		for u := range loads {
+			loads[u] = min(l, math.MaxInt32)
+		}
+		loads[at] = l
+		return core.Config{Variant: variant, D: 2, C: 4, Seed: 1, MaxRounds: 3, TrackLoads: true, InitialLoads: loads}
+	}
+	for name, start := range map[string]func(core.Config) (*core.Result, error){
+		"Config.Run": func(cfg core.Config) (*core.Result, error) { return cfg.Run(g) },
+		"NewDriver": func(cfg core.Config) (*core.Result, error) {
+			b := bank
+			if cfg.Variant == core.RAES {
+				b = raesBank
+			}
+			dr, err := core.NewDriver(g, cfg, b)
+			if err != nil {
+				return nil, err
+			}
+			return dr.Run()
+		},
+		"netsim.Run": func(cfg core.Config) (*core.Result, error) { return Run(g, cfg) },
+	} {
+		for _, l := range []int{1 << 31, 1<<32 + 1} {
+			_, err := start(preload(core.SAER, l, 5))
+			if err == nil {
+				t.Errorf("%s accepted initial load %d", name, l)
+			} else if msg := err.Error(); !strings.Contains(msg, strconv.Itoa(l)) || !strings.Contains(msg, "server 5") {
+				t.Errorf("%s: error %q does not name server 5 and load %d", name, msg, l)
+			}
+		}
+		for _, variant := range []core.Variant{core.SAER, core.RAES} {
+			res, err := start(preload(variant, math.MaxInt32, 0))
+			if err != nil {
+				t.Errorf("%s %v: initial load MaxInt32 rejected: %v", name, variant, err)
+				continue
+			}
+			if res.Completed || res.MaxLoad != math.MaxInt32 {
+				t.Errorf("%s %v: completed=%v max load %d with every server at MaxInt32",
+					name, variant, res.Completed, res.MaxLoad)
+			}
+			for u, l := range res.Loads {
+				if l != math.MaxInt32 {
+					t.Fatalf("%s %v: server %d ends at load %d, want MaxInt32", name, variant, u, l)
+				}
+			}
 		}
 	}
 }

@@ -310,8 +310,8 @@ func parseEmpty(payload []byte) error {
 // the retry redials — with the Bank's bounded backoff — and replays the
 // reset against the fresh process.
 func (s *Session) Reset(initialLoads []int) error {
-	if initialLoads != nil && len(initialLoads) != s.b.m {
-		return fmt.Errorf("wire: reset with %d initial loads for %d servers", len(initialLoads), s.b.m)
+	if err := core.CheckInitialLoads(initialLoads, s.b.m); err != nil {
+		return err
 	}
 	for i, sc := range s.b.conns {
 		ss := s.shards[i]

@@ -3,8 +3,11 @@ package wire
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +224,46 @@ func TestWireDynamicState(t *testing.T) {
 	defer bank.Close()
 	if !reflect.DeepEqual(res, ref) {
 		t.Errorf("dynamic state wire run diverges:\n  ref=%+v\n  got=%+v", ref, res)
+	}
+}
+
+// TestWireResetRejectsLoadOverflow pins the InitialLoads bound on the
+// wire bank: a load above MaxInt32 would wrap in the frame's int32, so
+// Session.Reset refuses it and names the server, and a MaxInt32 load
+// crosses the wire intact and runs exactly as in process.
+func TestWireResetRejectsLoadOverflow(t *testing.T) {
+	n := 64
+	g := testGraph(t, n, 8, 7)
+	loads := make([]int, n)
+	for u := range loads {
+		loads[u] = math.MaxInt32
+	}
+	for _, variant := range []core.Variant{core.SAER, core.RAES} {
+		cfg := core.Config{Variant: variant, D: 2, C: 4, Seed: 3, MaxRounds: 3, TrackLoads: true, InitialLoads: loads}
+		bank, ss := startWire(t, cfg, n, 2, BankConfig{})
+		bad := slices.Clone(loads)
+		bad[40] = 1 << 31
+		if err := bank.Session(0).Reset(bad); err == nil {
+			t.Errorf("%v: Session.Reset accepted initial load 2^31", variant)
+		} else if msg := err.Error(); !strings.Contains(msg, "server 40") || !strings.Contains(msg, "2147483648") {
+			t.Errorf("%v: error %q does not name server 40 and its load", variant, msg)
+		}
+		ref, err := cfg.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := core.NewDriver(g, cfg, bank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dr.Run()
+		if err != nil {
+			t.Errorf("%v: wire run with MaxInt32 loads: %v", variant, err)
+		} else if !reflect.DeepEqual(res, ref) {
+			t.Errorf("%v: wire run diverges:\n  ref=%+v\n  got=%+v", variant, ref, res)
+		}
+		bank.Close()
+		ss.Close()
 	}
 }
 
