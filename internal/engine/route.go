@@ -43,9 +43,9 @@ type Router struct {
 	shift   uint
 	// lanes holds every worker's lane headers in one backing array:
 	// lanes[laneBase(w)+s] holds the cells worker w routed to shard s
-	// this round. lanePad unused (nil) headers lie before the first
-	// block, between blocks and after the last, so no cache line holds
-	// headers of two workers. Truncated (capacity kept) by ResetLanes.
+	// this round, and lanePad unused (nil) headers lie before, between
+	// and after the workers' blocks. Truncated (capacity kept) by
+	// ResetLanes.
 	lanes [][]int32
 	// touched[s] is the ascending list of cells shard s's last fold
 	// found occupied — reused across rounds for its capacity.
@@ -68,6 +68,8 @@ const cacheLine = 64
 // lane headers, whatever the backing array's alignment.
 const lanePad = (cacheLine + sliceHeaderSize - 1) / sliceHeaderSize
 
+// sliceHeaderSize is the size of a slice header: pointer, length and
+// capacity.
 const sliceHeaderSize = 3 * bits.UintSize / 8
 
 // NewRouter returns a Router for `workers` phase-A workers over a counts
