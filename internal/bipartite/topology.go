@@ -58,7 +58,11 @@ type Topology interface {
 // protocol engines use this to draw a client's d = O(1) ball
 // destinations in O(d) point lookups instead of regenerating the full
 // Θ(Δ) row — in the paper's Δ = log²n regime that removes ~99% of the
-// dense client phase's per-visit work (see internal/core).
+// dense client phase's per-visit work (see internal/core). The draw
+// collects the lookups of many balls and resolves them with one
+// NeighborsAt call, which an implementation may answer with a vector
+// kernel (internal/gen's regular family does, where the CPU has
+// AVX-512) or by looping over NeighborAt.
 //
 // CanPointQuery may change over the lifetime of a mutable topology:
 // internal/churn's Topology answers point queries through its rewire
@@ -79,6 +83,11 @@ type PointQueryable interface {
 	// equal to AppendClientNeighbors(v, nil)[i]. Behavior is undefined
 	// when CanPointQuery is false or i is out of range.
 	NeighborAt(v, i int) int32
+	// NeighborsAt is the batched NeighborAt: it sets
+	// out[j] = NeighborAt(vs[j], idx[j]) for every j, bit for bit. vs
+	// and idx must be at least as long as out; the same preconditions
+	// hold per lane.
+	NeighborsAt(vs, idx, out []int32)
 }
 
 // PointQuerier returns t as a PointQueryable when t implements the
@@ -167,6 +176,14 @@ func (g *Graph) CanPointQuery() bool { return true }
 // NeighborAt returns the i-th neighbor of client v in O(1).
 func (g *Graph) NeighborAt(v, i int) int32 {
 	return g.clientNbr[int(g.clientOff[v])+i]
+}
+
+// NeighborsAt sets out[j] = NeighborAt(vs[j], idx[j]) for every j.
+func (g *Graph) NeighborsAt(vs, idx, out []int32) {
+	vs, idx = vs[:len(out)], idx[:len(out)]
+	for j := range out {
+		out[j] = g.NeighborAt(int(vs[j]), int(idx[j]))
+	}
 }
 
 var _ PointQueryable = (*Graph)(nil)

@@ -10,13 +10,15 @@ import (
 
 // checkPointQueries verifies the PointQueryable contract over the whole
 // topology at its current version: every NeighborAt(v, i) equals the
-// regenerated row's entry i and ClientDegree equals the row length.
+// regenerated row's entry i, ClientDegree equals the row length, and one
+// NeighborsAt call over every (v, i) pair equals NeighborAt lane by
+// lane.
 func checkPointQueries(t *testing.T, stage string, topo *Topology) {
 	t.Helper()
 	if !topo.CanPointQuery() {
 		t.Fatalf("%s: topology does not answer point queries", stage)
 	}
-	var buf []int32
+	var buf, vs, idx []int32
 	for v := 0; v < topo.NumClients(); v++ {
 		buf = topo.AppendClientNeighbors(v, buf[:0])
 		if got := topo.ClientDegree(v); got != len(buf) {
@@ -26,6 +28,14 @@ func checkPointQueries(t *testing.T, stage string, topo *Topology) {
 			if got := topo.NeighborAt(v, i); got != want {
 				t.Fatalf("%s: NeighborAt(%d, %d) = %d, row[%d] = %d", stage, v, i, got, i, want)
 			}
+			vs, idx = append(vs, int32(v)), append(idx, int32(i))
+		}
+	}
+	out := make([]int32, len(vs))
+	topo.NeighborsAt(vs, idx, out)
+	for j, got := range out {
+		if want := topo.NeighborAt(int(vs[j]), int(idx[j])); got != want {
+			t.Fatalf("%s: NeighborsAt lane %d = %d, NeighborAt(%d, %d) = %d", stage, j, got, vs[j], idx[j], want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bipartite"
+	"repro/internal/cpufeat"
 	"repro/internal/gen"
 	"repro/internal/rng"
 )
@@ -45,7 +46,9 @@ func (b Backend) String() string {
 // the same inputs, and never produce an empty row — the per-client
 // stream is derived from epochSeed via rng.StreamAt, so regeneration is
 // O(row) with no shared state. MaxDegree bounds the length of any row
-// the sampler can produce (it sizes scratch buffers).
+// the sampler can produce (it sizes scratch buffers), and NumServers is
+// the server count the rows draw from: New requires it to equal the
+// base topology's and MaxDegree not to exceed it.
 type Sampler struct {
 	Row func(epochSeed uint64, v int, buf []int32) []int32
 	// At returns Row(epochSeed, v, nil)[i] in O(1) without producing the
@@ -58,7 +61,8 @@ type Sampler struct {
 	At     func(epochSeed uint64, v, i int) int32
 	Degree func(epochSeed uint64, v int) int
 
-	MaxDegree int
+	MaxDegree  int
+	NumServers int
 }
 
 // TrustSampler rewires a client to k servers drawn without replacement
@@ -76,8 +80,9 @@ func TrustSampler(numServers, k int) Sampler {
 			s := rng.StreamAt(epochSeed, v)
 			return gen.SampleAt(&s, numServers, i)
 		},
-		Degree:    func(uint64, int) int { return k },
-		MaxDegree: k,
+		Degree:     func(uint64, int) int { return k },
+		MaxDegree:  k,
+		NumServers: numServers,
 	}
 }
 
@@ -91,7 +96,8 @@ func ErdosRenyiSampler(numServers int, p float64) Sampler {
 			s := rng.StreamAt(epochSeed, v)
 			return gen.ErdosRenyiRow(&s, numServers, p, true, buf)
 		},
-		MaxDegree: numServers,
+		MaxDegree:  numServers,
+		NumServers: numServers,
 	}
 }
 
@@ -189,6 +195,13 @@ func New(cfg Config) (*Topology, error) {
 	}
 	n := cfg.Base.NumClients()
 	m := cfg.Base.NumServers()
+	if cfg.Sampler.NumServers != m {
+		return nil, fmt.Errorf("churn: Config.Sampler draws from %d servers, the base topology has %d",
+			cfg.Sampler.NumServers, m)
+	}
+	if cfg.Sampler.MaxDegree > m {
+		return nil, fmt.Errorf("churn: Config.Sampler.MaxDegree %d exceeds the %d servers", cfg.Sampler.MaxDegree, m)
+	}
 	baseCSR, _ := cfg.Base.(*bipartite.Graph)
 	basePQ, _ := cfg.Base.(bipartite.PointQueryable)
 	t := &Topology{
@@ -303,6 +316,15 @@ func (t *Topology) NeighborAt(v, i int) int32 {
 	return t.basePQ.NeighborAt(v, i)
 }
 
+// NeighborsAt sets out[j] = NeighborAt(vs[j], idx[j]) for every j. It
+// must only be called while CanPointQuery reports true.
+func (t *Topology) NeighborsAt(vs, idx, out []int32) {
+	vs, idx = vs[:len(out)], idx[:len(out)]
+	for j := range out {
+		out[j] = t.NeighborAt(int(vs[j]), int(idx[j]))
+	}
+}
+
 var _ bipartite.PointQueryable = (*Topology)(nil)
 
 // Validate answers from construction-time and mutation-time guarantees
@@ -352,14 +374,35 @@ func (t *Topology) AppendClientNeighbors(v int, buf []int32) []int32 {
 }
 
 // dropFailed filters buf[start:] in place against the failed-server
-// bitset. It has no data-dependent branch: every entry is written at the
-// cursor, which then advances by the entry's live bit. The cursor never
-// passes the read position because entries are only dropped.
+// bitset, keeping the live entries in order. Where the CPU has AVX-512
+// (cpufeat), whole blocks of 16 go through the filter kernel; the last
+// (len(buf)−start) mod 16 entries, and every entry elsewhere, go through
+// keepLive.
 func (t *Topology) dropFailed(buf []int32, start int) []int32 {
-	out := start
-	for _, u := range buf[start:] {
+	out, from := start, start
+	if cpufeat.AVX512() {
+		from += (len(buf) - start) &^ 15
+		if from > start {
+			n := dropFailedAVX512(buf[start:from], t.failedBits)
+			if n < 0 {
+				panic("churn: row lists a server outside the topology")
+			}
+			out += n
+		}
+	}
+	return keepLive(buf, out, from, t.failedBits)
+}
+
+// keepLive is the portable filter: it moves the entries of buf[from:]
+// whose bit in failed is clear to the write cursor out ≤ from, in order,
+// and returns buf[:cursor]. It has no data-dependent branch: every entry
+// is written at the cursor, which then advances by the entry's live bit.
+// The cursor never passes the read position because entries are only
+// dropped.
+func keepLive(buf []int32, out, from int, failed []uint64) []int32 {
+	for _, u := range buf[from:] {
 		buf[out] = u
-		out += int(^t.failedBits[u>>6]>>(uint32(u)&63)) & 1
+		out += int(^failed[u>>6]>>(uint32(u)&63)) & 1
 	}
 	return buf[:out]
 }

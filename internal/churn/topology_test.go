@@ -3,6 +3,7 @@ package churn
 import (
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -456,5 +457,40 @@ func TestChurnSamplers(t *testing.T) {
 	}
 	if got := ts.Row(9, 3, nil); len(got) != 5 {
 		t.Fatalf("trust sampler degree %d, want 5", len(got))
+	}
+}
+
+// TestChurnNewRejectsMismatchedSampler pins New's sampler checks: a
+// sampler that draws from another server count than the base's, or
+// whose rows could be longer than the server count, is refused with
+// both numbers in the error. Before the check, the first case panicked
+// inside a protocol run after RewireAll (a rewired row listed server 306
+// of 64), and the second repeated servers in a 100-entry row over 64.
+func TestChurnNewRejectsMismatchedSampler(t *testing.T) {
+	const n, m = 80, 64
+	base := mustTrustBase(t, n, m, 8, 1)
+	for _, tc := range []struct {
+		name    string
+		sampler Sampler
+		want    []string
+	}{
+		{"server count", TrustSampler(1000, 8), []string{"1000", "64"}},
+		{"max degree", TrustSampler(m, 100), []string{"100", "64"}},
+		{"erdos-renyi server count", ErdosRenyiSampler(65, 0.1), []string{"65", "64"}},
+	} {
+		for _, backend := range backends() {
+			_, err := New(Config{Base: base, Sampler: tc.sampler, Seed: 3, Backend: backend})
+			if err == nil {
+				t.Fatalf("%s/%v: New accepted the sampler", tc.name, backend)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s/%v: error %q does not name %s", tc.name, backend, err, w)
+				}
+			}
+		}
+	}
+	if _, err := New(Config{Base: base, Sampler: TrustSampler(m, m), Seed: 3}); err != nil {
+		t.Errorf("a full-width sampler over the base's servers was refused: %v", err)
 	}
 }

@@ -48,6 +48,8 @@ type ServerBank interface {
 	// received nothing and must not change state.
 	DecideRound(touched, counts []int32) (RoundDecision, error)
 	// Loads returns the per-server accepted load vector (all servers).
+	// The vector may be the bank's own buffer, overwritten by its next
+	// Loads call; a caller that keeps it copies it.
 	Loads() ([]int32, error)
 	// Close releases the bank's resources (network connections for
 	// remote banks; a no-op locally).

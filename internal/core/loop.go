@@ -23,6 +23,33 @@ func rowCacheEdgeBudget(n int) int {
 	return n
 }
 
+// pqBlockBalls is the number of balls a point-query block holds: enough
+// to amortize one NeighborsAt call over whole kernel blocks, few enough
+// that a worker's three arrays stay in L1.
+const pqBlockBalls = 128
+
+// pqBlock is one worker's point-query scratch: ball j of the block was
+// drawn by client vs[j] at row index idx[j], and NeighborsAt writes its
+// destination to out[j].
+type pqBlock struct{ vs, idx, out []int32 }
+
+// cacheLineWords is the number of int32s in a 64-byte cache line.
+const cacheLineWords = 64 / 4
+
+// newPQBlocks allocates one block of size balls per worker in one
+// backing array, with a cache line of padding before, between and after
+// the workers' arrays, so two workers never write the same line.
+func newPQBlocks(workers, size int) []pqBlock {
+	stride := 3*size + cacheLineWords
+	backing := make([]int32, cacheLineWords+workers*stride)
+	blocks := make([]pqBlock, workers)
+	for w := range blocks {
+		b := backing[cacheLineWords+w*stride:]
+		blocks[w] = pqBlock{vs: b[:size:size], idx: b[size : 2*size : 2*size], out: b[2*size : 3*size : 3*size]}
+	}
+	return blocks
+}
+
 // serverHalf is phase 2 of a round as the client loop sees it: the
 // Runner's in-process server shards or the Driver's ServerBank.
 type serverHalf interface {
@@ -63,13 +90,16 @@ type clientLoop struct {
 	// csr is non-nil when topo is a materialized CSR graph, whose rows
 	// are read zero-copy. pq is the point-query view of any other
 	// topology that answers point queries: a ball's destination is one
-	// NeighborAt lookup instead of a Θ(Δ) row regeneration, with the same
-	// Intn draw sequence, so results are bit-for-bit the row path's. Both
-	// are nil for row-regenerating topologies (Erdős–Rényi, churn under
-	// failures), whose rows go through the per-worker nbrBuf scratch — or
-	// the late-round row cache once the frontier's rows fit its budget.
+	// point lookup instead of a Θ(Δ) row regeneration, with the same
+	// Intn draw sequence, so results are bit-for-bit the row path's. Each
+	// worker collects its balls' lookups in its pqBlocks entry and
+	// resolves a block with one NeighborsAt call. csr and pq are nil for
+	// row-regenerating topologies (Erdős–Rényi, churn under failures),
+	// whose rows go through the per-worker nbrBuf scratch — or the
+	// late-round row cache once the frontier's rows fit its budget.
 	csr           *bipartite.Graph
 	pq            bipartite.PointQueryable
+	pqBlocks      []pqBlock
 	nbrBuf        [][]int32
 	maxDeg        int
 	rowCache      *bipartite.RowCache
@@ -183,6 +213,7 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	l.partialSent = make([]int64, workers)
 	l.partialAcc = make([]int64, workers)
 	l.partialAlive = make([]int64, workers)
+	l.pqBlocks = newPQBlocks(workers, max(pqBlockBalls, cfg.D))
 	if cfg.TrackNeighborhoods {
 		l.cumNbrReceived = make([]int64, n)
 		l.partialFrac = make([]float64, workers)
@@ -468,7 +499,10 @@ func (l *clientLoop) beginRound() {
 // routes it into the owning shard's lane (or counts it into the plain
 // tally on the one-lane path). The draws depend only on the per-client
 // streams, so the routed multiset is independent of the worker count and
-// the steal schedule. Returns the number of requests submitted.
+// the steal schedule. On the point-query path a worker draws the row
+// indices of whole clients into its block and resolves the block before
+// it would overflow; destinations are written and routed in draw order
+// either way. Returns the number of requests submitted.
 func (l *clientLoop) draw() int64 {
 	if l.router != nil {
 		l.router.ResetLanes()
@@ -482,34 +516,40 @@ func (l *clientLoop) draw() int64 {
 		}
 		counts := l.tally.Merged()
 		var sent int64
-		for _, vv := range l.frontier[lo:hi] {
-			v := int(vv)
-			a := int(l.alive[v])
-			src := &l.streams[v]
-			dst := l.choices[v*l.d : v*l.d+a]
-			if pq := l.pq; pq != nil {
-				deg := pq.ClientDegree(v)
-				for i := range dst {
-					dst[i] = pq.NeighborAt(v, src.Intn(deg))
+		if pq := l.pq; pq != nil {
+			blk := &l.pqBlocks[w]
+			vs, idx := blk.vs, blk.idx
+			n := 0
+			for _, vv := range l.frontier[lo:hi] {
+				v := int(vv)
+				a := int(l.alive[v])
+				if n+a > len(vs) {
+					l.resolve(pq, blk, n, lanes, shift, counts)
+					n = 0
 				}
-			} else {
+				src := &l.streams[v]
+				deg := pq.ClientDegree(v)
+				for range a {
+					vs[n], idx[n] = vv, int32(src.Intn(deg))
+					n++
+				}
+				sent += int64(a)
+			}
+			l.resolve(pq, blk, n, lanes, shift, counts)
+		} else {
+			for _, vv := range l.frontier[lo:hi] {
+				v := int(vv)
+				a := int(l.alive[v])
+				src := &l.streams[v]
+				dst := l.choices[v*l.d : v*l.d+a]
 				nbrs := l.neighbors(w, v)
 				deg := len(nbrs)
 				for i := range dst {
 					dst[i] = nbrs[src.Intn(deg)]
 				}
+				route(dst, lanes, shift, counts)
+				sent += int64(a)
 			}
-			if lanes != nil {
-				for _, u := range dst {
-					s := int(u) >> shift
-					lanes[s] = append(lanes[s], u)
-				}
-			} else {
-				for _, u := range dst {
-					counts[u]++
-				}
-			}
-			sent += int64(a)
 		}
 		l.partialSent[w] += sent
 	})
@@ -518,6 +558,37 @@ func (l *clientLoop) draw() int64 {
 		sent += s
 	}
 	return sent
+}
+
+// resolve answers the first n balls of blk with one NeighborsAt call,
+// copies each client's destinations into its choices slots and routes
+// them, in draw order. Every client's balls lie in one block.
+func (l *clientLoop) resolve(pq bipartite.PointQueryable, blk *pqBlock, n int, lanes [][]int32, shift uint, counts []int32) {
+	if n == 0 {
+		return
+	}
+	vs, out := blk.vs[:n], blk.out[:n]
+	pq.NeighborsAt(vs, blk.idx[:n], out)
+	for j := 0; j < n; {
+		v := int(vs[j])
+		j += copy(l.choices[v*l.d:v*l.d+int(l.alive[v])], out[j:])
+	}
+	route(out, lanes, shift, counts)
+}
+
+// route appends each destination of dst to its shard's lane, or counts
+// it into the plain tally on the one-lane path (lanes == nil).
+func route(dst []int32, lanes [][]int32, shift uint, counts []int32) {
+	if lanes != nil {
+		for _, u := range dst {
+			s := int(u) >> shift
+			lanes[s] = append(lanes[s], u)
+		}
+		return
+	}
+	for _, u := range dst {
+		counts[u]++
+	}
 }
 
 // update counts each frontier client's accepted requests, retires them,

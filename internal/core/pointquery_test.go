@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/gen"
+	"repro/internal/rng"
 )
 
 // rowOnly hides a topology's point-query (and version) support, forcing
@@ -106,6 +107,44 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 						t.Errorf("%s/%s: workers=%d shards=%d diverges from CSR reference",
 							fam.name, path.name, workers, shards)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestPointQueryDrawBlocks pins the batched draw at its block edges: with
+// per-client request counts drawn from [0, D] the point-query blocks
+// fill to every length and flush before clients of every size, and
+// D = 130 exceeds the 128-ball block, so the block grows to hold one
+// client. Every case must equal the forced row path bit for bit.
+func TestPointQueryDrawBlocks(t *testing.T) {
+	topo, err := gen.RegularImplicit(600, 40, 0xB10C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{1, 3, 127, 130} {
+		counts := make([]int, topo.NumClients())
+		r := rng.New(uint64(d))
+		for v := range counts {
+			counts[v] = r.Intn(d + 1)
+		}
+		cfg := Config{Variant: RAES, D: d, C: 2, Seed: 0xD1CE, RequestCounts: counts,
+			TrackRounds: true, TrackLoads: true, TrackAssignments: true}
+		ref, err := oneLane(cfg).Run(rowOnly{topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			for _, shards := range []int{1, 3} {
+				c := cfg
+				c.Workers, c.Shards = workers, shards
+				got, err := c.Run(topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("D=%d workers=%d shards=%d: point-query draw diverges from the row path", d, workers, shards)
 				}
 			}
 		}

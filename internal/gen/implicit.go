@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/bipartite"
+	"repro/internal/cpufeat"
 	"repro/internal/rng"
 )
 
@@ -47,6 +49,9 @@ type Implicit struct {
 	// sequentially (Erdős–Rényi skip-sampling), which then report
 	// CanPointQuery() == false and keep the row-regeneration path.
 	at func(v, i int) int32
+	// neighborsAt answers a batch of point queries at once (regular:
+	// the keyed kernel). Nil when the family loops over at.
+	neighborsAt func(vs, idx, out []int32)
 
 	// serverDegFn computes the exact per-server degree table for the
 	// families whose threshold prescriptions need measured server degrees
@@ -119,6 +124,22 @@ func (t *Implicit) CanPointQuery() bool { return t.at != nil }
 // NeighborAt returns row(v)[i] in O(1). It must only be called when
 // CanPointQuery reports true.
 func (t *Implicit) NeighborAt(v, i int) int32 { return t.at(v, i) }
+
+// NeighborsAt sets out[j] = NeighborAt(vs[j], idx[j]) for every j; vs
+// and idx must be at least as long as out. The regular family answers
+// the batch through the keyed kernel. The partial-shuffle families loop
+// over NeighborAt, because each lane derives its own key from its
+// client's stream.
+func (t *Implicit) NeighborsAt(vs, idx, out []int32) {
+	if t.neighborsAt != nil {
+		t.neighborsAt(vs, idx, out)
+		return
+	}
+	vs, idx = vs[:len(out)], idx[:len(out)]
+	for j := range out {
+		out[j] = t.at(int(vs[j]), int(idx[j]))
+	}
+}
 
 var _ bipartite.PointQueryable = (*Implicit)(nil)
 
@@ -215,8 +236,8 @@ func (f *feistel) applyOnce(x uint64) uint64 {
 }
 
 // apply maps x ∈ [0, domain) to its image under the permutation. It is
-// the scalar reference the row kernel (lockstep) must match, and the
-// point-query path (SampleAt, NeighborAt).
+// the scalar reference every kernel (lockstep and the AVX-512 kernels)
+// must match, and the point-query path (SampleAt, NeighborAt).
 func (f *feistel) apply(x uint64) uint64 {
 	return f.walk(f.applyOnce(x))
 }
@@ -231,6 +252,10 @@ func (f *feistel) walk(y uint64) uint64 {
 	}
 	return y
 }
+
+// walks reports whether a network pass can land outside the domain:
+// the padded domain 2^(2·halfBits) is larger than the pool.
+func (f *feistel) walks() bool { return uint64(1)<<(2*f.halfBits) != f.domain }
 
 // lockstep is the row kernel behind every implicit row: lane j maps x_j
 // to p_j.apply(x_j), bit for bit, so each x_j must lie in [0, domain) as
@@ -270,24 +295,60 @@ func lockstep(p0, p1, p2, p3 *feistel, x0, x1, x2, x3 uint64) (y0, y1, y2, y3 ui
 		p2.walk(uint64(l2)<<hb | uint64(r2)), p3.walk(uint64(l3)<<hb | uint64(r3))
 }
 
-// appendPrefix appends the images of 0, 1, …, k−1 under f, four per
-// kernel step; the last k mod 4 entries go through apply.
+// appendPrefix appends the images of 0, 1, …, k−1 under f. Where the
+// CPU has AVX-512 (cpufeat), whole blocks of 16 go through the prefix
+// kernel; the last k mod 16 entries, and every entry elsewhere, go
+// through appendRange.
 func (f *feistel) appendPrefix(buf []int32, k int) []int32 {
 	i := 0
-	for ; i+4 <= k; i += 4 {
+	if cpufeat.AVX512() {
+		i = k &^ 15
+		buf = f.appendPrefixAVX512(buf, i)
+	}
+	return f.appendRange(buf, i, k)
+}
+
+// appendRange appends the images of lo, lo+1, …, hi−1 under f, four per
+// lockstep step; the last (hi−lo) mod 4 entries go through apply. It is
+// the portable row path.
+func (f *feistel) appendRange(buf []int32, lo, hi int) []int32 {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
 		x := uint64(i)
 		y0, y1, y2, y3 := lockstep(f, f, f, f, x, x+1, x+2, x+3)
 		buf = append(buf, int32(y0), int32(y1), int32(y2), int32(y3))
 	}
-	for ; i < k; i++ {
+	for ; i < hi; i++ {
 		buf = append(buf, int32(f.apply(uint64(i))))
 	}
 	return buf
 }
 
+// appendPrefixAVX512 appends the images of 0, 1, …, n−1 under f through
+// the prefix kernel; n must be a multiple of 16. Lanes that land outside
+// the pool finish with the scalar walk, and the check is skipped when
+// the padded domain is the pool.
+func (f *feistel) appendPrefixAVX512(buf []int32, n int) []int32 {
+	if n == 0 {
+		return buf
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, n)[:start+n]
+	out := buf[start:]
+	feistelPrefixAVX512(&f.keys, uint64(f.halfBits), uint64(f.mask), 0, out)
+	if f.walks() {
+		for j, y := range out {
+			if uint64(uint32(y)) >= f.domain {
+				out[j] = int32(f.walk(uint64(uint32(y))))
+			}
+		}
+	}
+	return buf
+}
+
 // appendImagesOf appends the image of x under each permutation of perms,
-// in order, four per kernel step; the last len(perms) mod 4 entries go
-// through apply.
+// in order, four per lockstep step; the last len(perms) mod 4 entries go
+// through apply. It is the portable path of matchings.appendRow.
 func appendImagesOf(buf []int32, perms []feistel, x uint64) []int32 {
 	i := 0
 	for ; i+4 <= len(perms); i += 4 {
@@ -299,6 +360,93 @@ func appendImagesOf(buf []int32, perms []feistel, x uint64) []int32 {
 		buf = append(buf, int32(perms[i].apply(x)))
 	}
 	return buf
+}
+
+// matchings is RegularImplicit's family of Δ permutations π_0, …, π_{Δ−1}
+// of one pool, perms[k] = π_k, with the same round keys also laid out
+// for the keyed kernel.
+type matchings struct {
+	perms []feistel
+	// keys holds the four per-round key arrays, Δ words each:
+	// keys[r·Δ+k] = perms[k].keys[r].
+	keys []uint64
+	// ks is 0, 1, …, Δ−1: the key indices of a whole row.
+	ks []int32
+}
+
+// newMatchings lays out the round keys of perms, which must share one
+// domain, for the keyed kernel.
+func newMatchings(perms []feistel) *matchings {
+	delta := len(perms)
+	m := &matchings{perms: perms, keys: make([]uint64, 4*delta), ks: make([]int32, delta)}
+	for k := range perms {
+		for r, key := range perms[k].keys {
+			m.keys[r*delta+k] = key
+		}
+		m.ks[k] = int32(k)
+	}
+	return m
+}
+
+// appendRow appends π_0(x), …, π_{Δ−1}(x). Where the CPU has AVX-512,
+// whole blocks of 16 go through the keyed kernel with every lane's
+// input set to x; the last Δ mod 16 entries, and every entry elsewhere,
+// go through appendImagesOf.
+func (m *matchings) appendRow(buf []int32, x uint64) []int32 {
+	i := 0
+	if cpufeat.AVX512() {
+		i = len(m.perms) &^ 15
+		start := len(buf)
+		buf = slices.Grow(buf, i)[:start+i]
+		out := buf[start:]
+		for j := range out {
+			out[j] = int32(x)
+		}
+		m.keyedAVX512(out, m.ks[:i], out)
+	}
+	return appendImagesOf(buf, m.perms[i:], x)
+}
+
+// neighborsAt sets out[j] = π_{idx[j]}(vs[j]): whole blocks of 16
+// through the keyed kernel where the CPU has AVX-512, the rest four per
+// lockstep step and then through apply.
+func (m *matchings) neighborsAt(vs, idx, out []int32) {
+	vs, idx = vs[:len(out)], idx[:len(out)]
+	i := 0
+	if cpufeat.AVX512() {
+		i = len(out) &^ 15
+		m.keyedAVX512(vs[:i], idx[:i], out[:i])
+	}
+	p := m.perms
+	for ; i+4 <= len(out); i += 4 {
+		y0, y1, y2, y3 := lockstep(&p[idx[i]], &p[idx[i+1]], &p[idx[i+2]], &p[idx[i+3]],
+			uint64(vs[i]), uint64(vs[i+1]), uint64(vs[i+2]), uint64(vs[i+3]))
+		out[i], out[i+1], out[i+2], out[i+3] = int32(y0), int32(y1), int32(y2), int32(y3)
+	}
+	for ; i < len(out); i++ {
+		out[i] = int32(p[idx[i]].apply(uint64(vs[i])))
+	}
+}
+
+// keyedAVX512 sets out[j] = π_{ks[j]}(xs[j]) through the keyed kernel;
+// len(out) must be a multiple of 16, and xs may be out itself. Lanes
+// that land outside the pool finish with their permutation's scalar
+// walk, and the check is skipped when the padded domain is the pool.
+func (m *matchings) keyedAVX512(xs, ks, out []int32) {
+	if len(out) == 0 {
+		return
+	}
+	f := &m.perms[0]
+	if !feistelKeyedAVX512(m.keys, uint64(f.halfBits), uint64(f.mask), xs, ks, out) {
+		panic("gen: point query index outside the client's row")
+	}
+	if f.walks() {
+		for j, y := range out {
+			if uint64(uint32(y)) >= f.domain {
+				out[j] = int32(m.perms[ks[j]].walk(uint64(uint32(y))))
+			}
+		}
+	}
 }
 
 // RegularImplicit returns the implicit random Δ-regular bipartite
@@ -321,6 +469,7 @@ func RegularImplicit(n, delta int, seed uint64) (*Implicit, error) {
 	for k := range perms {
 		perms[k] = newFeistel(n, rng.SplitMix64(&sm))
 	}
+	m := newMatchings(perms)
 	return &Implicit{
 		kind:       fmt.Sprintf("regular delta=%d", delta),
 		numClients: n,
@@ -332,11 +481,12 @@ func RegularImplicit(n, delta int, seed uint64) (*Implicit, error) {
 		uniformServerDeg: delta,
 		degree:           func(int) int { return delta },
 		row: func(v int, buf []int32) []int32 {
-			return appendImagesOf(buf, perms, uint64(v))
+			return m.appendRow(buf, uint64(v))
 		},
 		at: func(v, i int) int32 {
 			return int32(perms[i].apply(uint64(v)))
 		},
+		neighborsAt: m.neighborsAt,
 	}, nil
 }
 

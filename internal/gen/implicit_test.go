@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/cpufeat"
 )
 
 // collectRow regenerates client v's row into a fresh slice.
@@ -32,36 +33,20 @@ func TestFeistelIsPermutation(t *testing.T) {
 	}
 }
 
-// TestLockstepRowsMatchApply pins the row kernel to the scalar
-// reference: appendPrefix must append exactly apply(0), …, apply(k−1)
-// and appendImagesOf exactly perms[i].apply(x), for pools of even and
-// odd bit width (the odd ones cycle-walk), k on both sides of every
-// multiple of 4, and buffers that are empty, carry a prefix, or lack the
-// capacity for the row.
+// TestLockstepRowsMatchApply pins the row paths to the scalar
+// reference: the portable appendRange and the dispatched appendPrefix
+// (the AVX-512 prefix kernel for whole blocks of 16 where the CPU has
+// it) must append exactly apply(0), …, apply(k−1), and appendImagesOf
+// and the dispatched matchings.appendRow exactly perms[i].apply(x), for
+// pools of even and odd bit width (the odd ones cycle-walk), k on both
+// sides of every multiple of 4 and of the kernels' 16- and 32-lane
+// blocks, and buffers that are empty, carry a prefix, start 4 bytes past
+// an allocation, or lack the capacity for the row.
 func TestLockstepRowsMatchApply(t *testing.T) {
+	t.Logf("dispatch: AVX-512 = %v", cpufeat.AVX512())
 	pools := []int{1, 2, 3, 5, 7, 64, 1000, 1 << 16, 1<<16 + 1, 1 << 17, 70000, 1 << 18}
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257}
-	bufs := map[string]func(k int) []int32{
-		"empty":          func(int) []int32 { return nil },
-		"prefix":         func(k int) []int32 { return append(make([]int32, 0, k+3), -1, -2, -3) },
-		"under-capacity": func(k int) []int32 { return append(make([]int32, 0, 2+k/2), -1, -2) },
-	}
-	check := func(name string, buf, got, want []int32) {
-		t.Helper()
-		if len(got) != len(buf)+len(want) {
-			t.Fatalf("%s: appended %d entries to %d, want %d", name, len(got)-len(buf), len(buf), len(want))
-		}
-		for i := range buf {
-			if got[i] != buf[i] {
-				t.Fatalf("%s: prefix entry %d overwritten: %d, want %d", name, i, got[i], buf[i])
-			}
-		}
-		for i, w := range want {
-			if g := got[len(buf)+i]; g != w {
-				t.Fatalf("%s: entry %d = %d, scalar apply gives %d", name, i, g, w)
-			}
-		}
-	}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 255, 256, 257}
+	bufs := kernelBufs
 	for _, pool := range pools {
 		for _, k := range ks {
 			for seed := uint64(0); seed < 3; seed++ {
@@ -69,6 +54,7 @@ func TestLockstepRowsMatchApply(t *testing.T) {
 				for i := range perms {
 					perms[i] = newFeistel(pool, seed<<32|uint64(pool)*31+uint64(i))
 				}
+				m := newMatchings(perms)
 				for bufName, mk := range bufs {
 					if k <= pool {
 						f := &perms[0]
@@ -77,8 +63,10 @@ func TestLockstepRowsMatchApply(t *testing.T) {
 							want[i] = int32(f.apply(uint64(i)))
 						}
 						buf := mk(k)
-						name := fmt.Sprintf("appendPrefix pool=%d k=%d seed=%d buf=%s", pool, k, seed, bufName)
-						check(name, buf, f.appendPrefix(buf, k), want)
+						name := fmt.Sprintf("pool=%d k=%d seed=%d buf=%s", pool, k, seed, bufName)
+						checkAppended(t, "appendPrefix "+name, buf, f.appendPrefix(buf, k), want)
+						buf = mk(k)
+						checkAppended(t, "appendRange "+name, buf, f.appendRange(buf, 0, k), want)
 					}
 					for _, x := range []int{0, pool / 2, pool - 1} {
 						want := make([]int32, k)
@@ -86,8 +74,10 @@ func TestLockstepRowsMatchApply(t *testing.T) {
 							want[i] = int32(perms[i].apply(uint64(x)))
 						}
 						buf := mk(k)
-						name := fmt.Sprintf("appendImagesOf pool=%d k=%d x=%d seed=%d buf=%s", pool, k, x, seed, bufName)
-						check(name, buf, appendImagesOf(buf, perms, uint64(x)), want)
+						name := fmt.Sprintf("pool=%d k=%d x=%d seed=%d buf=%s", pool, k, x, seed, bufName)
+						checkAppended(t, "appendImagesOf "+name, buf, appendImagesOf(buf, perms, uint64(x)), want)
+						buf = mk(k)
+						checkAppended(t, "appendRow "+name, buf, m.appendRow(buf, uint64(x)), want)
 					}
 				}
 			}

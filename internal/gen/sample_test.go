@@ -272,3 +272,46 @@ func BenchmarkFeistelRow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNeighborsAt measures batched point queries on the regular
+// family at the two point-query shapes of the benchmark workloads
+// (n = 2¹⁶, Δ = 256 and n = 2²⁰, Δ = 400), in blocks of 128 random
+// (client, index) pairs like the draw's. "batch" is one NeighborsAt call
+// per block (the keyed kernel where the CPU has AVX-512, lockstep
+// elsewhere); "scalar" is one NeighborAt call per query.
+func BenchmarkNeighborsAt(b *testing.B) {
+	const block, blocks = 128, 64
+	for _, shape := range []struct{ n, delta int }{{1 << 16, 256}, {1 << 20, 400}} {
+		topo, err := RegularImplicit(shape.n, shape.delta, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(11)
+		vs, idx := make([]int32, block*blocks), make([]int32, block*blocks)
+		for j := range vs {
+			vs[j], idx[j] = int32(r.Intn(shape.n)), int32(r.Intn(shape.delta))
+		}
+		out := make([]int32, block)
+		name := fmt.Sprintf("n=%d/delta=%d", shape.n, shape.delta)
+		b.Run(name+"/batch", func(b *testing.B) {
+			i := 0
+			for b.Loop() {
+				lo := (i % blocks) * block
+				topo.NeighborsAt(vs[lo:lo+block], idx[lo:lo+block], out)
+				i++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*block), "ns/query")
+		})
+		b.Run(name+"/scalar", func(b *testing.B) {
+			i := 0
+			for b.Loop() {
+				lo := (i % blocks) * block
+				for j := range out {
+					out[j] = topo.NeighborAt(int(vs[lo+j]), int(idx[lo+j]))
+				}
+				i++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*block), "ns/query")
+		})
+	}
+}

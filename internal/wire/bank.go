@@ -136,10 +136,11 @@ func DialConfig(addrs []string, variant core.Variant, capacity int32, m int, cfg
 		})
 	}
 	for s := 0; s < cfg.Sessions; s++ {
-		ses := &Session{b: b, id: uint32(s), shards: make([]*sessionShard, len(addrs))}
+		ses := &Session{b: b, id: uint32(s), shards: make([]*sessionShard, len(addrs)), loads: make([]int32, m)}
 		for i := range ses.shards {
 			ss := &sessionShard{}
 			ss.parseRoundFn = ss.parseRound
+			ss.parseLoadsFn = ss.parseLoads
 			ses.shards[i] = ss
 		}
 		b.sessions = append(b.sessions, ses)
@@ -267,6 +268,8 @@ type Session struct {
 	id     uint32
 	shards []*sessionShard
 	active []int // shard indexes with an in-flight round call
+	// loads is the per-server load vector Loads fills and returns.
+	loads []int32
 
 	// Round metrics, session-local and lock-guarded: the Bank merges
 	// them at read, so concurrent sessions never contend on shared
@@ -288,6 +291,7 @@ type sessionShard struct {
 	sat          int
 	pc           *pendingCall
 	parseRoundFn func([]byte) error // bound once; avoids a per-round closure
+	parseLoadsFn func([]byte) error
 }
 
 func (ss *sessionShard) parseRound(payload []byte) error {
@@ -295,6 +299,12 @@ func (ss *sessionShard) parseRound(payload []byte) error {
 	ss.accepted = r.i32Slice(ss.accepted[:0])
 	ss.burned = r.i32Slice(ss.burned[:0])
 	ss.sat = int(r.u32())
+	return r.done()
+}
+
+func (ss *sessionShard) parseLoads(payload []byte) error {
+	r := reader{b: payload}
+	ss.loads = r.i32Slice(ss.loads[:0])
 	return r.done()
 }
 
@@ -393,25 +403,32 @@ func (s *Session) DecideRound(touched, counts []int32) (core.RoundDecision, erro
 	return dec, nil
 }
 
-// Loads gathers the shard load windows into the full per-server vector.
+// Loads begins one load request per shard before waiting for any reply,
+// as DecideRound does, then gathers the shard windows into the full
+// per-server vector. The vector is the session's own buffer, like
+// core.LocalBank's: the next Loads call overwrites it.
 func (s *Session) Loads() ([]int32, error) {
-	loads := make([]int32, 0, s.b.m)
 	for i, sc := range s.b.conns {
 		ss := s.shards[i]
-		err := sc.call(s.id, msgLoads, nil, msgLoadsReply, func(payload []byte) error {
-			r := reader{b: payload}
-			ss.loads = r.i32Slice(ss.loads[:0])
-			return r.done()
-		})
-		if err != nil {
-			return nil, err
+		ss.pc = sc.begin(s.id, msgLoads, nil, msgLoadsReply, ss.parseLoadsFn)
+	}
+	var firstErr error
+	for i, sc := range s.b.conns {
+		if err := sc.wait(s.shards[i].pc); err != nil && firstErr == nil {
+			firstErr = err
 		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	for i, sc := range s.b.conns {
+		ss := s.shards[i]
 		if len(ss.loads) != int(sc.hi-sc.lo) {
 			return nil, fmt.Errorf("wire: shard [%d,%d) returned %d loads", sc.lo, sc.hi, len(ss.loads))
 		}
-		loads = append(loads, ss.loads...)
+		copy(s.loads[sc.lo:sc.hi], ss.loads)
 	}
-	return loads, nil
+	return s.loads, nil
 }
 
 // TakeMetrics returns and clears this session's recorded round latencies

@@ -631,3 +631,45 @@ func TestServerRejectsBadHello(t *testing.T) {
 		t.Fatal("server accepted a hello with the wrong magic")
 	}
 }
+
+// TestWireLoadsReusesBuffer pins the session-owned load vector: after a
+// run, two consecutive Loads calls both equal the in-process
+// LocalBank's vector at the same seed.
+func TestWireLoadsReusesBuffer(t *testing.T) {
+	g := testGraph(t, 512, 16, 5)
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 2, Seed: 9}
+	bank, ss := startWire(t, cfg, g.NumServers(), 3, BankConfig{})
+	defer ss.Close()
+	defer bank.Close()
+	dr, err := core.NewDriver(g, cfg, bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	local, err := core.NewLocalBank(cfg.Variant, int32(cfg.Params().Capacity()), g.NumServers(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldr, err := core.NewDriver(g, cfg, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ldr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Loads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call <= 2; call++ {
+		got, err := bank.Loads()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Loads call %d differs from the LocalBank vector", call)
+		}
+	}
+}
