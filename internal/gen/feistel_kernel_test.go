@@ -51,10 +51,14 @@ func checkAppended(t *testing.T, name string, buf, got, want []int32) {
 // TestFeistelKernelsMatchApply calls the two AVX-512 Feistel kernels
 // directly, without the dispatch and the lockstep tails around them
 // (TestLockstepRowsMatchApply and TestNeighborsAtMatchesNeighborAt check
-// the dispatched paths), and compares every lane with the scalar apply:
-// pools of both bit-width parities (2¹⁶+1, 2¹⁷, 70,000 and the small
-// odd widths walk), every whole-block length up to 256, unaligned and
-// prefixed buffers, and for the prefix kernel a nonzero first input.
+// the dispatched paths), over pools of both bit-width parities (2¹⁶+1,
+// 2¹⁷, 70,000 and the small odd widths walk), every whole-block length
+// up to 256, unaligned and prefixed buffers, and for the prefix kernel a
+// nonzero first input. Each kernel's raw pass is compared with applyOnce
+// before any lane walks: a wrong lane can land on a cycle that never
+// re-enters the pool, and the walk would then never return. This file
+// sorts before implicit_test.go, so a broken kernel fails here before
+// the row tests walk its output.
 func TestFeistelKernelsMatchApply(t *testing.T) {
 	requireAVX512(t)
 	pools := []int{17, 100, 1000, 1 << 16, 1<<16 + 1, 1 << 17, 70000, 1 << 18}
@@ -63,6 +67,13 @@ func TestFeistelKernelsMatchApply(t *testing.T) {
 			n := k &^ 15
 			if k <= pool {
 				f := newFeistel(pool, 0xC0DE^uint64(pool*7+k))
+				pass := make([]int32, n)
+				feistelPrefixAVX512(&f.keys, uint64(f.halfBits), uint64(f.mask), 0, pass)
+				for i, y := range pass {
+					if w := int32(f.applyOnce(uint64(i))); y != w {
+						t.Fatalf("prefix kernel pool=%d n=%d: pass at x=%d gives %d, applyOnce %d", pool, n, i, y, w)
+					}
+				}
 				want := make([]int32, n)
 				for i := range want {
 					want[i] = int32(f.apply(uint64(i)))
@@ -93,6 +104,16 @@ func TestFeistelKernelsMatchApply(t *testing.T) {
 			xs, ks, out := make([]int32, n+1)[1:], make([]int32, n+1)[1:], make([]int32, n+1)[1:]
 			for j := range xs {
 				xs[j], ks[j] = int32(r.Intn(pool)), int32(r.Intn(k))
+			}
+			f := &perms[0]
+			if !feistelKeyedAVX512(m.keys, uint64(f.halfBits), uint64(f.mask), xs, ks, out) {
+				t.Fatalf("keyed kernel pool=%d delta=%d: rejected in-range key indices", pool, k)
+			}
+			for j, y := range out {
+				if w := int32(perms[ks[j]].applyOnce(uint64(xs[j]))); y != w {
+					t.Fatalf("keyed kernel pool=%d delta=%d: lane %d (x=%d, key %d) pass gives %d, applyOnce %d",
+						pool, k, j, xs[j], ks[j], y, w)
+				}
 			}
 			m.keyedAVX512(xs, ks, out)
 			for j, y := range out {
