@@ -257,9 +257,9 @@ func (f *feistel) walk(y uint64) uint64 {
 // the padded domain 2^(2·halfBits) is larger than the pool.
 func (f *feistel) walks() bool { return uint64(1)<<(2*f.halfBits) != f.domain }
 
-// lockstep is the row kernel behind every implicit row: lane j maps x_j
-// to p_j.apply(x_j), bit for bit, so each x_j must lie in [0, domain) as
-// for apply. The four permutations share one shape (newFeistel over one
+// lockstep is the portable row kernel, and the tail of the AVX-512
+// kernels' rows: lane j maps x_j to p_j.apply(x_j), bit for bit, so each
+// x_j must lie in [0, domain) as for apply. The four permutations share one shape (newFeistel over one
 // domain) and may differ in their keys. A scalar
 // pass is one dependent chain of eight multiplies; here the four lanes'
 // rounds interleave, with halves and round keys in locals, so the four

@@ -18,11 +18,13 @@ import (
 // keyed from the client's stream, so each regeneration costs O(k) Feistel
 // applications, allocates nothing, and needs no per-row dedup state at
 // all — a k-subset in pseudo-random order, exactly like the prefix of a
-// Fisher–Yates shuffle of the pool. The row runs through the lockstep
-// kernel, four images per step. BenchmarkFeistelRow on a 2-vCPU Xeon VM
-// puts a 256-entry row at 13–15 ns per entry on pools of even bit width
-// (2¹⁶, 2¹⁸), and at 49–106 ns on odd widths (2¹⁶+1, 2¹⁷, 70,000),
-// where the images cycle-walk back into the pool (PERFORMANCE.md).
+// Fisher–Yates shuffle of the pool. The row runs through the AVX-512
+// prefix kernel, 16 images per block, where the CPU has it, and through
+// the lockstep kernel, four images per step, elsewhere and for the tail.
+// BenchmarkFeistelRow on a 2-vCPU Xeon VM with AVX-512 puts a 256-entry
+// row at 3–4 ns per entry on pools of even bit width (2¹⁶, 2¹⁸), and at
+// 42–102 ns on odd widths (2¹⁶+1, 2¹⁷, 70,000), where the images
+// cycle-walk back into the pool one at a time (PERFORMANCE.md).
 
 // SampleRow appends k distinct values from [0, pool) to buf, drawn as
 // the first k images of a pseudo-random permutation keyed by the next

@@ -238,8 +238,9 @@ func BenchmarkAlmostRegularImplicitRegen(b *testing.B) {
 	})
 }
 
-// BenchmarkFeistelRow measures the lockstep row kernel per row entry at
-// k = 256, the churn-rows row width (Δ = log² 2¹⁶). "sample" is a
+// BenchmarkFeistelRow measures the row kernels (AVX-512 where the CPU
+// has it, lockstep elsewhere) per row entry at k = 256, the churn-rows
+// row width (Δ = log² 2¹⁶). "sample" is a
 // SampleRow partial-shuffle row (one permutation, images of 0…255);
 // "regular" is a RegularImplicit row (one client through 256
 // permutations). Pools 2¹⁶ and 2¹⁸ have even bit width and never walk;
