@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/telemetry"
@@ -31,6 +32,11 @@ type Driver struct {
 	touched      []int32
 	countsArg    []int32
 	shardTouched [][]int32 // per-shard ascending touched lists of the current round
+
+	// initialSum is Σ max(initial load, 0) over the servers of the
+	// current run: the final loads must sum to it plus the run's accepted
+	// balls.
+	initialSum int64
 }
 
 // NewDriver validates the configuration against topo (the same checks
@@ -75,20 +81,41 @@ func (dr *Driver) Run() (*Result, error) { return dr.run(dr) }
 
 func (dr *Driver) reset(initialLoads []int) error {
 	clear(dr.burned)
+	dr.initialSum = 0
 	for u, l := range initialLoads {
 		dr.burned[u] = l >= int(dr.capacity)
+		dr.initialSum += int64(max(l, 0))
 	}
 	return dr.bank.Reset(initialLoads)
 }
 
 func (dr *Driver) loads() ([]int32, error) { return dr.bank.Loads() }
 
+// checkLoads is the per-run check of the bank's final loads: no load is
+// negative, and the loads sum to the initial loads (clamped at 0) plus
+// the balls the run saw accepted. A bank that lost or double-applied a
+// decision, or reports a negative load, fails it; the load scan already
+// computed the sum and the minimum, so only a failing run scans again,
+// for its first negative server.
+func (dr *Driver) checkLoads(loads []int32, loadSum int64, res *Result) error {
+	if res.MinLoad < 0 {
+		u := slices.IndexFunc(loads, func(ld int32) bool { return ld < 0 })
+		return fmt.Errorf("core: bank loads: server %d has negative load %d", u, loads[u])
+	}
+	accepted := res.TotalBalls - int64(res.UnassignedBalls)
+	if want := dr.initialSum + accepted; loadSum != want {
+		return fmt.Errorf("core: bank loads: loads sum to %d, want %d (initial %d + accepted %d)",
+			loadSum, want, dr.initialSum, accepted)
+	}
+	return nil
+}
+
 // decide folds the route lanes shard by shard (each fold owned by one
 // goroutine and yielding the shard's touched servers in ascending
 // order), concatenates the per-shard lists in shard order — contiguous
 // ascending windows, so the result is the globally ascending batch —
 // ships it to the bank, and applies the checked decision to the accept
-// stamps and the burned mirror.
+// set and the burned mirror.
 func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(dr.tel.foldHist())
 	dr.pool.StealRangeGrain(len(dr.shardTouched), 1, func(_, _, lo, hi int) {
@@ -122,7 +149,7 @@ func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
 // applies it: Accepted and NewlyBurned must be strictly ascending
 // subsets of the shipped batch, and Saturated must lie in
 // [0, len(batch)]. One merge-walk over the batch checks both lists and
-// stamps the servers it matches, so a malformed decision — an id out of
+// marks the servers it matches, so a malformed decision — an id out of
 // range, duplicated, unsorted or never shipped — is an error before it
 // can index per-server state.
 func (dr *Driver) apply(dec RoundDecision) error {
@@ -136,7 +163,7 @@ func (dr *Driver) apply(dec RoundDecision) error {
 			if acc[i] < u {
 				return notInBatch("accepted", acc, i)
 			}
-			dr.acceptedEpoch[u] = dr.roundEpoch
+			dr.accepted[u>>6] |= 1 << (u & 63)
 			i++
 		}
 		if j < len(nb) && nb[j] <= u {

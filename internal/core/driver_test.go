@@ -365,3 +365,67 @@ func TestDriverRejectsMalformedDecisions(t *testing.T) {
 		})
 	}
 }
+
+// loadsBank is a LocalBank whose final loads pass through tamper — the
+// stand-in for a remote bank that lost or double-applied a decision.
+type loadsBank struct {
+	*LocalBank
+	tamper func(loads []int32)
+}
+
+func (b *loadsBank) Loads() ([]int32, error) {
+	loads, err := b.LocalBank.Loads()
+	if err != nil {
+		return nil, err
+	}
+	loads = slices.Clone(loads)
+	b.tamper(loads)
+	return loads, nil
+}
+
+// TestDriverChecksBankLoads pins the per-run check of a bank's final
+// loads: every load is non-negative, and the loads sum to the clamped
+// initial loads plus the accepted balls. A bank that drops a ball,
+// counts one twice or reports a negative load fails the run with an
+// error naming the sums or the server; an honest bank passes, with
+// negative initial loads clamped as the servers clamp them.
+func TestDriverChecksBankLoads(t *testing.T) {
+	g := regularGraph(t, 1024, 16, 5)
+	initial := make([]int, g.NumServers())
+	for u := range initial {
+		initial[u] = u%5 - 1 // -1 … 3
+	}
+	firstLoaded := func(loads []int32) int {
+		return slices.IndexFunc(loads, func(l int32) bool { return l > 0 })
+	}
+	cases := []struct {
+		name   string
+		tamper func(loads []int32)
+		want   string // error substring; "" = the run must pass
+	}{
+		{"honest", func([]int32) {}, ""},
+		{"dropped ball", func(loads []int32) { loads[firstLoaded(loads)]-- }, "core: bank loads: loads sum to"},
+		{"ball counted twice", func(loads []int32) { loads[7]++ }, "core: bank loads: loads sum to"},
+		{"negative load", func(loads []int32) { loads[41] = -1 }, "core: bank loads: server 41 has negative load -1"},
+	}
+	for _, tc := range cases {
+		for _, loads := range [][]int{nil, initial} {
+			cfg := Config{Variant: SAER, D: 2, C: 4, Seed: 3, Workers: 2, InitialLoads: loads}
+			local, err := NewLocalBank(cfg.Variant, int32(cfg.Params().Capacity()), g.NumServers(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr, err := NewDriver(g, cfg, &loadsBank{LocalBank: local, tamper: tc.tamper})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = dr.Run()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s, initial loads %t: %v", tc.name, loads != nil, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s, initial loads %t: error %v, want one containing %q", tc.name, loads != nil, err, tc.want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bipartite"
 	"repro/internal/engine"
@@ -29,9 +30,9 @@ func rowCacheEdgeBudget(n int) int {
 const pqBlockBalls = 128
 
 // pqBlock is one worker's point-query scratch: ball j of the block was
-// drawn by client vs[j] at row index idx[j], and NeighborsAt writes its
-// destination to out[j].
-type pqBlock struct{ vs, idx, out []int32 }
+// drawn by client vs[j] at row index idx[j]. NeighborsAt writes the
+// block's destinations straight into the chunk's stretch of choices.
+type pqBlock struct{ vs, idx []int32 }
 
 // cacheLineWords is the number of int32s in a 64-byte cache line.
 const cacheLineWords = 64 / 4
@@ -40,12 +41,12 @@ const cacheLineWords = 64 / 4
 // backing array, with a cache line of padding before, between and after
 // the workers' arrays, so two workers never write the same line.
 func newPQBlocks(workers, size int) []pqBlock {
-	stride := 3*size + cacheLineWords
+	stride := 2*size + cacheLineWords
 	backing := make([]int32, cacheLineWords+workers*stride)
 	blocks := make([]pqBlock, workers)
 	for w := range blocks {
 		b := backing[cacheLineWords+w*stride:]
-		blocks[w] = pqBlock{vs: b[:size:size], idx: b[size : 2*size : 2*size], out: b[2*size : 3*size : 3*size]}
+		blocks[w] = pqBlock{vs: b[:size:size], idx: b[size : 2*size : 2*size]}
 	}
 	return blocks
 }
@@ -58,12 +59,16 @@ type serverHalf interface {
 	// burned mirror.
 	reset(initialLoads []int) error
 	// decide applies the threshold rule to the round's requests — the
-	// routed lanes or the plain tally — stamps every accepting server
-	// with the loop's accept epoch, and marks newly burned servers in the
+	// routed lanes or the plain tally — sets every accepting server's bit
+	// in the loop's accept set, and marks newly burned servers in the
 	// burned mirror.
 	decide() (newlyBurned, saturated int, err error)
 	// loads returns the final per-server load vector.
 	loads() ([]int32, error)
+	// checkLoads verifies the final loads, whose sum is loadSum and whose
+	// minimum is res.MinLoad, against res's accepted balls where the
+	// server state is not this process's own.
+	checkLoads(loads []int32, loadSum int64, res *Result) error
 }
 
 // clientLoop is the client half of the synchronous round, shared by the
@@ -117,23 +122,26 @@ type clientLoop struct {
 	router *engine.Router // nil on the one-lane path
 	tally  *engine.Tally  // stamped iff router != nil
 
-	alive    []int32      // unassigned balls of client v
-	choices  []int32      // this round's destinations, d slots per client
-	streams  []rng.Stream // private random stream of client v
-	frontier []int32      // clients with alive balls, ascending
+	alive   []int32      // unassigned balls of client v
+	streams []rng.Stream // private random stream of client v
+	// frontier lists the clients with alive balls, ascending. choices
+	// holds this round's destinations in draw order: the draw's chunk
+	// [lo, hi) of the frontier writes its clients' balls from
+	// choices[lo·d] on, and the update, whose chunks are the same, reads
+	// them back from there.
+	frontier []int32
+	choices  []int32
 	// kept[c] is frontier chunk c's survivor range after this round's
-	// update: the clients that kept balls, compacted in place to the
-	// front of the chunk.
+	// update (or the run's reset): the clients that kept balls,
+	// compacted in place to the front of the chunk.
 	kept []keptRange
 
 	// burned mirrors the servers' burned flags for the neighborhood
 	// statistics and the starvation check (the Runner's shards write it
-	// directly). acceptedEpoch[u] == roundEpoch ⇔ server u accepted this
-	// round; the uint8 epoch needs no per-round clearing pass and is
-	// cleared on wraparound once every 255 rounds.
-	burned        []bool
-	acceptedEpoch []uint8
-	roundEpoch    uint8
+	// directly). accepted holds one bit per server, set ⇔ the server
+	// accepted this round's requests, and beginRound clears it.
+	burned   []bool
+	accepted []uint64
 
 	// cumNbrReceived is Σ_{i≤t} r_i(N(v)) per client (TrackNeighborhoods);
 	// assignments[v] collects the servers that accepted v's balls
@@ -149,6 +157,9 @@ type clientLoop struct {
 	partialFrac  []float64
 	partialRecv  []int64
 	partialKt    []float64
+	partialMax   []int32
+	partialMin   []int32
+	partialSum   []int64
 
 	observer RoundObserver
 	tel      *runTel
@@ -209,10 +220,13 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	l.streams = make([]rng.Stream, n)
 	l.frontier = make([]int32, 0, n)
 	l.burned = make([]bool, m)
-	l.acceptedEpoch = make([]uint8, m)
+	l.accepted = make([]uint64, (m+63)/64)
 	l.partialSent = make([]int64, workers)
 	l.partialAcc = make([]int64, workers)
 	l.partialAlive = make([]int64, workers)
+	l.partialMax = make([]int32, workers)
+	l.partialMin = make([]int32, workers)
+	l.partialSum = make([]int64, workers)
 	l.pqBlocks = newPQBlocks(workers, max(pqBlockBalls, cfg.D))
 	if cfg.TrackNeighborhoods {
 		l.cumNbrReceived = make([]int64, n)
@@ -324,19 +338,39 @@ func (l *clientLoop) neighbors(w, v int) []int32 {
 
 // reset rebuilds the client-side run state: alive counts, the frontier,
 // the tracking accumulators and the random streams. It returns the
-// run's ball total.
+// run's ball total. The per-client pass runs on the pool: each chunk
+// of clients sets its alive counts and streams (client v's stream is
+// rng.StreamAt(seed, v), the v-th of the family ReseedStreamSlice
+// derives) and lists its clients with balls at its own front, and the
+// chunk prefixes are joined in chunk order as update joins them.
 func (l *clientLoop) reset() (aliveTotal int64) {
-	l.frontier = l.frontier[:0]
-	for v := range l.alive {
-		a := int32(l.d)
-		if l.cfg.RequestCounts != nil {
-			a = int32(l.cfg.RequestCounts[v])
+	n := len(l.alive)
+	nc := l.growKept(n)
+	l.frontier = l.frontier[:n]
+	clear(l.partialAlive)
+	d, counts, seed := int32(l.d), l.cfg.RequestCounts, l.cfg.Seed
+	l.pool.StealRange(n, func(w, chunk, lo, hi int) {
+		kept := lo
+		var total int64
+		for v := lo; v < hi; v++ {
+			a := d
+			if counts != nil {
+				a = int32(counts[v])
+			}
+			l.alive[v] = a
+			l.streams[v] = rng.StreamAt(seed, v)
+			if a > 0 {
+				l.frontier[kept] = int32(v)
+				kept++
+				total += int64(a)
+			}
 		}
-		l.alive[v] = a
-		if a > 0 {
-			l.frontier = append(l.frontier, int32(v))
-			aliveTotal += int64(a)
-		}
+		l.kept[chunk] = keptRange{lo, kept - lo}
+		l.partialAlive[w] += total
+	})
+	l.joinKept(nc)
+	for _, a := range l.partialAlive {
+		aliveTotal += a
 	}
 	clear(l.cumNbrReceived)
 	for v := range l.assignments {
@@ -346,8 +380,31 @@ func (l *clientLoop) reset() (aliveTotal int64) {
 		l.rowCache.Invalidate()
 	}
 	l.rowCacheBuilt = false
-	rng.ReseedStreamSlice(l.streams, l.cfg.Seed)
 	return aliveTotal
+}
+
+// growKept sizes kept for the chunks of a range of n frontier entries
+// and returns their count.
+func (l *clientLoop) growKept(n int) int {
+	nc := l.pool.NumChunks(n)
+	for len(l.kept) < nc {
+		l.kept = append(l.kept, keptRange{})
+	}
+	return nc
+}
+
+// joinKept moves the survivor ranges of the first nc chunks together in
+// chunk order and truncates the frontier to them. A range already in
+// place (every chunk before it kept all its clients) is not copied.
+func (l *clientLoop) joinKept(nc int) {
+	next := 0
+	for _, k := range l.kept[:nc] {
+		if k.lo != next {
+			copy(l.frontier[next:], l.frontier[k.lo:k.lo+k.n])
+		}
+		next += k.n
+	}
+	l.frontier = l.frontier[:next]
 }
 
 // run executes the protocol against half until completion or the round
@@ -436,7 +493,9 @@ func (l *clientLoop) run(half serverHalf) (*Result, error) {
 	if len(loads) != m {
 		return nil, fmt.Errorf("core: %d loads for %d servers", len(loads), m)
 	}
-	l.fillLoadStats(res, loads)
+	if err := half.checkLoads(loads, l.fillLoadStats(res, loads), res); err != nil {
+		return nil, err
+	}
 	if l.cfg.TrackAssignments {
 		res.Assignments = make([][]int32, len(l.assignments))
 		for v, a := range l.assignments {
@@ -446,9 +505,9 @@ func (l *clientLoop) run(half serverHalf) (*Result, error) {
 	return res, nil
 }
 
-// beginRound syncs the version-keyed caches, advances the accept epoch,
-// clears the tally, and snapshots the frontier's rows into the row cache
-// once they fit its budget.
+// beginRound syncs the version-keyed caches, clears the accept set and
+// the tally, and snapshots the frontier's rows into the row cache once
+// they fit its budget.
 func (l *clientLoop) beginRound() {
 	if l.versioned != nil {
 		if v := l.versioned.TopologyVersion(); v != l.topoVersion {
@@ -471,11 +530,7 @@ func (l *clientLoop) beginRound() {
 			l.rowCacheBuilt = false
 		}
 	}
-	l.roundEpoch++
-	if l.roundEpoch == 0 {
-		clear(l.acceptedEpoch)
-		l.roundEpoch = 1
-	}
+	clear(l.accepted)
 	l.tally.Reset()
 	// One snapshot per run suffices: the frontier only shrinks, so every
 	// later survivor is already cached. Point-queryable topologies skip
@@ -499,10 +554,12 @@ func (l *clientLoop) beginRound() {
 // routes it into the owning shard's lane (or counts it into the plain
 // tally on the one-lane path). The draws depend only on the per-client
 // streams, so the routed multiset is independent of the worker count and
-// the steal schedule. On the point-query path a worker draws the row
-// indices of whole clients into its block and resolves the block before
-// it would overflow; destinations are written and routed in draw order
-// either way. Returns the number of requests submitted.
+// the steal schedule. Chunk [lo, hi) of the frontier writes its balls to
+// choices from lo·d on, in draw order: client by client, each client's
+// balls in stream order. On the point-query path a worker draws the row
+// indices of whole clients into its block and resolves the block, into
+// its stretch of choices, before it would overflow. Returns the number
+// of requests submitted.
 func (l *clientLoop) draw() int64 {
 	if l.router != nil {
 		l.router.ResetLanes()
@@ -515,7 +572,8 @@ func (l *clientLoop) draw() int64 {
 			lanes, shift = l.router.Lanes(w), l.router.Shift()
 		}
 		counts := l.tally.Merged()
-		var sent int64
+		out := l.choices[lo*l.d:]
+		pos := 0
 		if pq := l.pq; pq != nil {
 			blk := &l.pqBlocks[w]
 			vs, idx := blk.vs, blk.idx
@@ -524,7 +582,8 @@ func (l *clientLoop) draw() int64 {
 				v := int(vv)
 				a := int(l.alive[v])
 				if n+a > len(vs) {
-					l.resolve(pq, blk, n, lanes, shift, counts)
+					resolve(pq, blk, out[pos:pos+n], lanes, shift, counts)
+					pos += n
 					n = 0
 				}
 				src := &l.streams[v]
@@ -533,25 +592,24 @@ func (l *clientLoop) draw() int64 {
 					vs[n], idx[n] = vv, int32(src.Intn(deg))
 					n++
 				}
-				sent += int64(a)
 			}
-			l.resolve(pq, blk, n, lanes, shift, counts)
+			resolve(pq, blk, out[pos:pos+n], lanes, shift, counts)
+			pos += n
 		} else {
 			for _, vv := range l.frontier[lo:hi] {
 				v := int(vv)
-				a := int(l.alive[v])
 				src := &l.streams[v]
-				dst := l.choices[v*l.d : v*l.d+a]
+				dst := out[pos : pos+int(l.alive[v])]
 				nbrs := l.neighbors(w, v)
 				deg := len(nbrs)
 				for i := range dst {
 					dst[i] = nbrs[src.Intn(deg)]
 				}
 				route(dst, lanes, shift, counts)
-				sent += int64(a)
+				pos += len(dst)
 			}
 		}
-		l.partialSent[w] += sent
+		l.partialSent[w] += int64(pos)
 	})
 	var sent int64
 	for _, s := range l.partialSent {
@@ -560,19 +618,14 @@ func (l *clientLoop) draw() int64 {
 	return sent
 }
 
-// resolve answers the first n balls of blk with one NeighborsAt call,
-// copies each client's destinations into its choices slots and routes
-// them, in draw order. Every client's balls lie in one block.
-func (l *clientLoop) resolve(pq bipartite.PointQueryable, blk *pqBlock, n int, lanes [][]int32, shift uint, counts []int32) {
-	if n == 0 {
+// resolve answers the first len(out) balls of blk with one NeighborsAt
+// call, which writes their destinations to out, and routes them in draw
+// order.
+func resolve(pq bipartite.PointQueryable, blk *pqBlock, out []int32, lanes [][]int32, shift uint, counts []int32) {
+	if len(out) == 0 {
 		return
 	}
-	vs, out := blk.vs[:n], blk.out[:n]
-	pq.NeighborsAt(vs, blk.idx[:n], out)
-	for j := 0; j < n; {
-		v := int(vs[j])
-		j += copy(l.choices[v*l.d:v*l.d+int(l.alive[v])], out[j:])
-	}
+	pq.NeighborsAt(blk.vs[:len(out)], blk.idx[:len(out)], out)
 	route(out, lanes, shift, counts)
 }
 
@@ -592,33 +645,36 @@ func route(dst []int32, lanes [][]int32, shift uint, counts []int32) {
 }
 
 // update counts each frontier client's accepted requests, retires them,
-// and compacts the frontier: every chunk moves its survivors to its own
+// and compacts the frontier. Its chunks are the draw's, since the
+// frontier has the same length, so chunk [lo, hi) reads its clients'
+// destinations back from choices[lo·d] in draw order and tests each
+// against the accept set. Every chunk moves its survivors to its own
 // front, then the chunk prefixes are joined in chunk order, which keeps
 // the frontier ascending for every steal schedule. Returns the accepted
 // requests and the balls still alive.
 func (l *clientLoop) update() (accepted, alive int64) {
-	nc := l.pool.NumChunks(len(l.frontier))
-	for len(l.kept) < nc {
-		l.kept = append(l.kept, keptRange{})
-	}
+	nc := l.growKept(len(l.frontier))
 	clear(l.partialAcc)
 	clear(l.partialAlive)
-	epoch := l.roundEpoch
 	l.pool.StealRange(len(l.frontier), func(w, chunk, lo, hi int) {
+		set := l.accepted
+		out := l.choices[lo*l.d:]
+		pos := 0
 		kept := lo
 		var acc, still int64
 		for _, vv := range l.frontier[lo:hi] {
 			v := int(vv)
 			a := l.alive[v]
 			var got int32
-			for _, u := range l.choices[v*l.d : v*l.d+int(a)] {
-				if l.acceptedEpoch[u] == epoch {
+			for _, u := range out[pos : pos+int(a)] {
+				if set[u>>6]&(1<<(u&63)) != 0 {
 					got++
 					if l.assignments != nil {
 						l.assignments[v] = append(l.assignments[v], u)
 					}
 				}
 			}
+			pos += int(a)
 			rem := a - got
 			l.alive[v] = rem
 			if rem > 0 {
@@ -632,11 +688,7 @@ func (l *clientLoop) update() (accepted, alive int64) {
 		l.partialAcc[w] += acc
 		l.partialAlive[w] += still
 	})
-	next := 0
-	for _, k := range l.kept[:nc] {
-		next += copy(l.frontier[next:], l.frontier[k.lo:k.lo+k.n])
-	}
-	l.frontier = l.frontier[:next]
+	l.joinKept(nc)
 	for w := range l.partialAcc {
 		accepted += l.partialAcc[w]
 		alive += l.partialAlive[w]
@@ -710,22 +762,32 @@ func (l *clientLoop) hasStarvedClient() bool {
 }
 
 // fillLoadStats computes the final load summary (and optionally the full
-// load vector) into res.
-func (l *clientLoop) fillLoadStats(res *Result, loads []int32) {
-	maxLoad := 0
-	minLoad := int(^uint(0) >> 1)
-	var sum int64
-	for _, l32 := range loads {
-		ld := int(l32)
-		maxLoad = max(maxLoad, ld)
-		minLoad = min(minLoad, ld)
-		sum += int64(ld)
+// load vector) into res and returns the loads' exact sum. The scan runs
+// on the pool, with per-worker maxima, minima and sums folded after it.
+func (l *clientLoop) fillLoadStats(res *Result, loads []int32) (sum int64) {
+	for w := range l.partialMax {
+		l.partialMax[w], l.partialMin[w], l.partialSum[w] = 0, math.MaxInt32, 0
+	}
+	l.pool.StealRange(len(loads), func(w, _, lo, hi int) {
+		hiLoad, loLoad, total := l.partialMax[w], l.partialMin[w], l.partialSum[w]
+		for _, ld := range loads[lo:hi] {
+			hiLoad = max(hiLoad, ld)
+			loLoad = min(loLoad, ld)
+			total += int64(ld)
+		}
+		l.partialMax[w], l.partialMin[w], l.partialSum[w] = hiLoad, loLoad, total
+	})
+	maxLoad, minLoad := int32(0), int32(math.MaxInt32)
+	for w := range l.partialMax {
+		maxLoad = max(maxLoad, l.partialMax[w])
+		minLoad = min(minLoad, l.partialMin[w])
+		sum += l.partialSum[w]
 	}
 	if len(loads) == 0 {
 		minLoad = 0
 	}
-	res.MaxLoad = maxLoad
-	res.MinLoad = minLoad
+	res.MaxLoad = int(maxLoad)
+	res.MinLoad = int(minLoad)
 	res.MeanLoad = float64(sum) / float64(len(loads))
 	if l.cfg.TrackLoads {
 		res.Loads = make([]int, len(loads))
@@ -733,4 +795,5 @@ func (l *clientLoop) fillLoadStats(res *Result, loads []int32) {
 			res.Loads[u] = int(ld)
 		}
 	}
+	return sum
 }

@@ -77,14 +77,22 @@ func (r *Runner) Run() *Result {
 	return res
 }
 
+// reset rebuilds the server shards on the pool, one shard per task, as
+// decide runs them.
 func (r *Runner) reset(initialLoads []int) error {
-	for _, sh := range r.servers {
-		sh.resetFrom(initialLoads)
-	}
+	r.pool.StealRangeGrain(len(r.servers), 1, func(_, _, lo, hi int) {
+		for _, sh := range r.servers[lo:hi] {
+			sh.resetFrom(initialLoads)
+		}
+	})
 	return nil
 }
 
 func (r *Runner) loads() ([]int32, error) { return r.load, nil }
+
+// checkLoads accepts the final loads as they are: they are the Runner's
+// own shards' state.
+func (r *Runner) checkLoads([]int32, int64, *Result) error { return nil }
 
 // decide is phase 2. On the routed path the shard owners fold their
 // lanes into the stamped tally and apply the rule to exactly the servers
@@ -131,12 +139,14 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 }
 
 // apply runs shard sh's rule on server u, which received recv requests,
-// and stamps it with the round's accept epoch when it accepted. It
-// returns 1/0 counts for a new burn and a saturation.
+// and sets u's bit in the accept set when it accepted. It returns 1/0
+// counts for a new burn and a saturation. Shard windows are whole
+// 64-server words of the set, so concurrent shard owners never write
+// the same word.
 func (r *Runner) apply(sh *ServerShard, u, recv int32) (newlyBurned, saturated int) {
 	accepted, burned, sat := sh.rule(int(u)-sh.lo, recv)
 	if accepted {
-		r.acceptedEpoch[u] = r.roundEpoch
+		r.accepted[u>>6] |= 1 << (u & 63)
 	}
 	if burned {
 		newlyBurned = 1

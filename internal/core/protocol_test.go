@@ -398,6 +398,43 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkRunPasses measures the passes a warmed Runner makes once per
+// run, outside its rounds, at pq-dense's shape (SAER on an implicit
+// regular graph, n = m = 2²⁰, Δ = 400, d = 2, c = 4): "reset" rebuilds
+// the client state (alive counts, frontier, streams) and the server
+// shards, and "loadscan" summarizes the final loads. Both run on the
+// pool, which has GOMAXPROCS workers, so run it at -cpu 1,2 to see the
+// pool's share. Reports ns per client.
+func BenchmarkRunPasses(b *testing.B) {
+	const n = 1 << 20
+	topo, err := gen.RegularImplicit(n, 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Variant: SAER, D: 2, C: 4, Seed: 1}
+	r, err := cfg.NewRunner(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := r.Run()
+	perClient := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/client")
+	}
+	b.Run("reset", func(b *testing.B) {
+		for b.Loop() {
+			r.clientLoop.reset()
+			_ = r.reset(cfg.InitialLoads) // the in-process servers never fail
+		}
+		perClient(b)
+	})
+	b.Run("loadscan", func(b *testing.B) {
+		for b.Loop() {
+			r.fillLoadStats(res, r.load)
+		}
+		perClient(b)
+	})
+}
+
 func TestWorkPerBallReasonable(t *testing.T) {
 	g := regularGraph(t, 2048, 60, 6)
 	res, err := Config{Variant: SAER, D: 2, C: 4, Seed: 8}.Run(g)

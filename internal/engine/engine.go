@@ -22,19 +22,30 @@ package engine
 
 import (
 	"runtime"
+	"sync"
 
 	"repro/internal/telemetry"
 )
 
 // Pool executes data-parallel phases over a fixed number of workers.
 // A Pool is safe for use from a single goroutine at a time; concurrent
-// calls to StealRange on the same Pool must not overlap.
+// calls to StealRange on the same Pool must not overlap, and a phase's
+// callback must not start another phase on its Pool.
 type Pool struct {
 	workers int
 
 	// deques are the per-worker chunk queues of the work-stealing
 	// scheduler (see steal.go), allocated on first StealRange use.
 	deques []chunkDeque
+
+	// The running phase: its callback, range length and chunk span, and
+	// the WaitGroup its spawned workers report to. Phases never overlap,
+	// so one set serves every StealRange call, and a phase allocates
+	// nothing for its own bookkeeping.
+	fn    func(worker, chunk, lo, hi int)
+	n     int
+	span  int
+	phase sync.WaitGroup
 
 	// ChunkDelay, when non-nil, is invoked before every chunk a
 	// StealRange worker executes. It exists solely so tests can skew the

@@ -136,7 +136,10 @@ func (rt *Router) ResetLanes() {
 // The tally must be in stamped mode (Tally.BeginStamped): a first touch
 // is detected by the cell's occupancy bit, so the shard's counts may
 // hold arbitrary stale values — no zeroing pass ever precedes a fold.
-// The touched list is then read off the occupancy words of the shard's
+// The fold takes no branch on the bit: the cell's bit, as a 0/1 mask,
+// keeps or drops the old count before the add, so a first touch and a
+// repeat cost the same and a ball's branch never mispredicts. The
+// touched list is then read off the occupancy words of the shard's
 // window, at O(window/64 + touched) cost, so it comes out in address
 // order whatever order the lanes arrived in. Shard owners call
 // FoldShard for distinct s concurrently: a cell belongs to exactly one
@@ -146,13 +149,10 @@ func (rt *Router) FoldShard(s int, t *Tally) []int32 {
 	counts, occ := t.merged, t.occupied
 	for w := 0; w < rt.workers; w++ {
 		for _, i := range rt.lanes[rt.laneBase(w)+s] {
-			word, bit := i>>6, uint64(1)<<(i&63)
-			if occ[word]&bit != 0 {
-				counts[i]++
-			} else {
-				occ[word] |= bit
-				counts[i] = 1
-			}
+			word := occ[i>>6]
+			set := int32(word>>(i&63)) & 1
+			counts[i] = counts[i]&-set + 1
+			occ[i>>6] = word | 1<<(i&63)
 		}
 	}
 	touched := rt.touched[s][:0]

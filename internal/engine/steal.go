@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The chunked work-stealing scheduler, the pool's only range scheduler.
 // A static one-shard-per-worker split is optimal when every index costs
@@ -132,56 +129,72 @@ func (p *Pool) StealRange(n int, fn func(worker, chunk, lo, hi int)) {
 }
 
 // StealRangeGrain is StealRange with an explicit chunk-size granule.
+// Worker 0 runs on the calling goroutine and the other workers on one
+// goroutine each; the call returns once every chunk has run. The
+// phase's state lives in the Pool, so a warmed multi-worker phase
+// allocates only what its goroutine starts need, and an inline phase
+// (one worker or one chunk) allocates nothing.
 func (p *Pool) StealRangeGrain(n, grain int, fn func(worker, chunk, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	span := p.chunkSpan(n, grain)
 	numChunks := (n + span - 1) / span
-	run := func(worker, chunk int) {
-		if p.ChunkDelay != nil {
-			p.ChunkDelay(worker, chunk)
-		}
-		lo := chunk * span
-		hi := min(lo+span, n)
-		fn(worker, chunk, lo, hi)
-	}
+	p.fn, p.n, p.span = fn, n, span
 	if p.workers == 1 || numChunks == 1 {
 		for c := 0; c < numChunks; c++ {
-			run(0, c)
+			p.runChunk(0, c)
 		}
-		return
+	} else {
+		if p.deques == nil {
+			p.deques = make([]chunkDeque, p.workers)
+		}
+		// Initial deal: contiguous chunk intervals, at most one apart in
+		// size.
+		for w := 0; w < p.workers; w++ {
+			p.deques[w].reset(p.shard(numChunks, w))
+		}
+		p.phase.Add(p.workers - 1)
+		for w := 1; w < p.workers; w++ {
+			go p.spawned(w)
+		}
+		p.work(0)
+		p.phase.Wait()
 	}
-	if p.deques == nil {
-		p.deques = make([]chunkDeque, p.workers)
+	p.fn = nil // drop the callback's captures until the next phase
+}
+
+// runChunk runs the phase's callback on chunk c for worker w.
+func (p *Pool) runChunk(w, c int) {
+	if p.ChunkDelay != nil {
+		p.ChunkDelay(w, c)
 	}
-	// Initial deal: contiguous chunk intervals, at most one apart in
-	// size.
-	for w := 0; w < p.workers; w++ {
-		p.deques[w].reset(p.shard(numChunks, w))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			own := &p.deques[w]
-			for {
-				c, ok := own.pop()
-				if !ok {
-					if !p.stealInto(w) {
-						// Every deque scanned empty. Chunks still in
-						// flight are owned by the workers executing
-						// them, so exiting loses no work.
-						return
-					}
-					continue
-				}
-				run(w, c)
+	lo := c * p.span
+	p.fn(w, c, lo, min(lo+p.span, p.n))
+}
+
+// spawned is a worker goroutine of the running phase.
+func (p *Pool) spawned(w int) {
+	defer p.phase.Done()
+	p.work(w)
+}
+
+// work runs worker w's chunks: its own deque first, then halves stolen
+// from the others, until every deque scans empty. Chunks still in
+// flight then belong to the workers running them, so leaving loses no
+// work.
+func (p *Pool) work(w int) {
+	own := &p.deques[w]
+	for {
+		c, ok := own.pop()
+		if !ok {
+			if !p.stealInto(w) {
+				return
 			}
-		}(w)
+			continue
+		}
+		p.runChunk(w, c)
 	}
-	wg.Wait()
 }
 
 // stealInto scans the other workers' deques round-robin from w+1 and

@@ -104,3 +104,35 @@ func TestStealRangeStealsUnderSkew(t *testing.T) {
 		t.Error("no chunk of the stalled worker was stolen")
 	}
 }
+
+// TestStealRangeAllocs bounds what a phase allocates for itself. A
+// warmed 2-worker phase over a prebuilt callback starts one goroutine,
+// worker 1, and may allocate one object for it; worker 0 runs on the
+// caller and the phase state lives in the Pool. An inline phase — one
+// worker, or a range of one chunk — allocates nothing.
+func TestStealRangeAllocs(t *testing.T) {
+	var covered atomic.Int64
+	fn := func(_, _, lo, hi int) { covered.Add(int64(hi - lo)) }
+	for _, tc := range []struct {
+		name      string
+		workers   int
+		n         int
+		maxAllocs float64
+	}{
+		{"two workers", 2, 1 << 14, 1},
+		{"one worker", 1, 1 << 14, 0},
+		{"one chunk", 2, ChunkAlign, 0},
+	} {
+		p := NewPool(tc.workers)
+		p.StealRange(tc.n, fn) // allocates the deques
+		covered.Store(0)
+		const runs = 100
+		if got := testing.AllocsPerRun(runs, func() { p.StealRange(tc.n, fn) }); got > tc.maxAllocs {
+			t.Errorf("%s: %.0f allocations per phase, want at most %.0f", tc.name, got, tc.maxAllocs)
+		}
+		// AllocsPerRun adds one warm-up call to its runs.
+		if got, want := covered.Load(), int64((runs+1)*tc.n); got != want {
+			t.Errorf("%s: phases covered %d indices, want %d", tc.name, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -275,6 +276,63 @@ func TestNetsimRoundCap(t *testing.T) {
 	// 4 > 2 requests and RAES rejects them all: nothing is ever placed.
 	if res.UnassignedBalls != 4 {
 		t.Errorf("unassigned %d, want 4", res.UnassignedBalls)
+	}
+}
+
+// TestLongRunEnginesAgree runs past round 255, where the client loop's
+// old one-byte accept epoch wrapped, and pins the accept set's
+// per-round clear across every way to run the protocol. RAES with D = 1
+// and C = 1 gives every server capacity 1, and on the complete graph
+// K(128, 128) with server 0 preloaded full, 128 balls compete for 127
+// free places: the run never finishes and stops at its cap of 400
+// rounds, after a long tail of single retries. A server's accept bit
+// that outlived its round would count a rejected retry as placed.
+func TestLongRunEnginesAgree(t *testing.T) {
+	const n = 128
+	b := bipartite.NewBuilder(n, n)
+	for v := 0; v < n; v++ {
+		for u := 0; u < n; u++ {
+			b.AddEdge(v, u)
+		}
+	}
+	g, err := b.Build(bipartite.KeepParallelEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := make([]int, n)
+	initial[0] = 1
+	cfg := core.Config{Variant: core.RAES, D: 1, C: 1, Seed: 1, MaxRounds: 400,
+		InitialLoads: initial, TrackRounds: true, TrackLoads: true}
+	ref, err := Run(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Rounds <= 255 || ref.Completed {
+		t.Fatalf("netsim: %d rounds, completed %t; want an unfinished run past round 255", ref.Rounds, ref.Completed)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, shards := range []int{1, 3} {
+			c := cfg
+			c.Workers, c.Shards = workers, shards
+			got, err := c.Run(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("Runner workers=%d shards=%d differs from netsim: %v vs %v", workers, shards, got, ref)
+			}
+		}
+	}
+	dr, err := core.NewLocalDriver(g, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("Driver over LocalBank differs from netsim: %v vs %v", got, ref)
 	}
 }
 
