@@ -123,7 +123,9 @@ func (s *ServerShard) Reset(initialLoads []int32) error {
 func (s *ServerShard) resetFrom(initialLoads []int) { resetShard(s, initialLoads, s.lo) }
 
 // resetShard sets every window server j's starting load to
-// initialLoads[off+j] (nil or negative = 0). A server already at (or
+// initialLoads[off+j] (nil or negative = 0). The clamp comes before the
+// conversion to int32, so an entry below MinInt32 starts at 0, as on
+// every other server half, rather than wrapping. A server already at (or
 // beyond) capacity can never accept another ball: under SAER it is
 // burned from the start and under RAES the acceptance test always
 // fails; marking it burned keeps the diagnostic series consistent.
@@ -131,7 +133,7 @@ func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
 	for j := range s.load {
 		var l int32
 		if initialLoads != nil {
-			l = max(int32(initialLoads[off+j]), 0)
+			l = int32(max(initialLoads[off+j], 0))
 		}
 		s.load[j] = l
 		s.receivedTotal[j] = l

@@ -388,13 +388,15 @@ func (b *loadsBank) Loads() ([]int32, error) {
 // initial loads plus the accepted balls. A bank that drops a ball,
 // counts one twice or reports a negative load fails the run with an
 // error naming the sums or the server; an honest bank passes, with
-// negative initial loads clamped as the servers clamp them.
+// negative initial loads clamped as the servers clamp them, one below
+// MinInt32 included.
 func TestDriverChecksBankLoads(t *testing.T) {
 	g := regularGraph(t, 1024, 16, 5)
 	initial := make([]int, g.NumServers())
 	for u := range initial {
 		initial[u] = u%5 - 1 // -1 … 3
 	}
+	initial[9] = -(1 << 32) + 5 // would wrap to 5 if converted before the clamp
 	firstLoaded := func(loads []int32) int {
 		return slices.IndexFunc(loads, func(l int32) bool { return l > 0 })
 	}

@@ -157,9 +157,6 @@ type clientLoop struct {
 	partialFrac  []float64
 	partialRecv  []int64
 	partialKt    []float64
-	partialMax   []int32
-	partialMin   []int32
-	partialSum   []int64
 
 	observer RoundObserver
 	tel      *runTel
@@ -224,9 +221,6 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	l.partialSent = make([]int64, workers)
 	l.partialAcc = make([]int64, workers)
 	l.partialAlive = make([]int64, workers)
-	l.partialMax = make([]int32, workers)
-	l.partialMin = make([]int32, workers)
-	l.partialSum = make([]int64, workers)
 	l.pqBlocks = newPQBlocks(workers, max(pqBlockBalls, cfg.D))
 	if cfg.TrackNeighborhoods {
 		l.cumNbrReceived = make([]int64, n)
@@ -762,26 +756,14 @@ func (l *clientLoop) hasStarvedClient() bool {
 }
 
 // fillLoadStats computes the final load summary (and optionally the full
-// load vector) into res and returns the loads' exact sum. The scan runs
-// on the pool, with per-worker maxima, minima and sums folded after it.
+// load vector) into res and returns the loads' exact sum. The scan is
+// serial: at m = 2²⁰ it reads 4 MB, about 1 ms of a 55 ms pq-dense run.
 func (l *clientLoop) fillLoadStats(res *Result, loads []int32) (sum int64) {
-	for w := range l.partialMax {
-		l.partialMax[w], l.partialMin[w], l.partialSum[w] = 0, math.MaxInt32, 0
-	}
-	l.pool.StealRange(len(loads), func(w, _, lo, hi int) {
-		hiLoad, loLoad, total := l.partialMax[w], l.partialMin[w], l.partialSum[w]
-		for _, ld := range loads[lo:hi] {
-			hiLoad = max(hiLoad, ld)
-			loLoad = min(loLoad, ld)
-			total += int64(ld)
-		}
-		l.partialMax[w], l.partialMin[w], l.partialSum[w] = hiLoad, loLoad, total
-	})
 	maxLoad, minLoad := int32(0), int32(math.MaxInt32)
-	for w := range l.partialMax {
-		maxLoad = max(maxLoad, l.partialMax[w])
-		minLoad = min(minLoad, l.partialMin[w])
-		sum += l.partialSum[w]
+	for _, ld := range loads {
+		maxLoad = max(maxLoad, ld)
+		minLoad = min(minLoad, ld)
+		sum += int64(ld)
 	}
 	if len(loads) == 0 {
 		minLoad = 0

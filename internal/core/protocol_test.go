@@ -402,9 +402,11 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 // run, outside its rounds, at pq-dense's shape (SAER on an implicit
 // regular graph, n = m = 2²⁰, Δ = 400, d = 2, c = 4): "reset" rebuilds
 // the client state (alive counts, frontier, streams) and the server
-// shards, and "loadscan" summarizes the final loads. Both run on the
-// pool, which has GOMAXPROCS workers, so run it at -cpu 1,2 to see the
-// pool's share. Reports ns per client.
+// shards, and "loadscan" summarizes the final loads. The resets run on
+// the pool, which has GOMAXPROCS workers, and the load scan is serial,
+// so run it at -cpu 1,2 to see the pool's share; on a host whose speed
+// drifts between runs, alternate the counts in one process
+// (-cpu 1,2,1,2,1,2). Reports ns per client.
 func BenchmarkRunPasses(b *testing.B) {
 	const n = 1 << 20
 	topo, err := gen.RegularImplicit(n, 400, 1)

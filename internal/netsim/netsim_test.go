@@ -191,7 +191,10 @@ func TestCapacityOverflowRejected(t *testing.T) {
 // load that clamped to 0, 2³²+1 to a load of 1). All three ways to start
 // a run must refuse it with an error that names the server and the
 // value, and accept MaxInt32 itself: no server can take another ball,
-// under SAER or RAES, and every load stays at MaxInt32.
+// under SAER or RAES, and every load stays at MaxInt32. An entry below
+// MinInt32 is negative and clamps to 0 on every path; the server shards
+// of the Runner and the LocalBank used to convert it to int32 before
+// clamping, so −2³² + 5 wrapped to a load of 5 there.
 func TestInitialLoadOverflowRejected(t *testing.T) {
 	g := testGraph(t, 64, 8, 7)
 	m := g.NumServers()
@@ -249,6 +252,18 @@ func TestInitialLoadOverflowRejected(t *testing.T) {
 					t.Fatalf("%s %v: server %d ends at load %d, want MaxInt32", name, variant, u, l)
 				}
 			}
+		}
+		unloaded := preload(core.SAER, 0, 0)
+		unloaded.InitialLoads = nil
+		want, err := start(unloaded)
+		if err != nil {
+			t.Fatalf("%s without initial loads: %v", name, err)
+		}
+		if got, err := start(preload(core.SAER, -(1<<32)+5, 5)); err != nil {
+			t.Errorf("%s: initial loads of -2^32+5: %v", name, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: initial loads of -2^32+5 give max load %d, want the unloaded run's %d",
+				name, got.MaxLoad, want.MaxLoad)
 		}
 	}
 }
