@@ -44,3 +44,38 @@ func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
 	}
 	return min(shards, max(workers, n/256))
 }
+
+// directCount reports whether a round that draws balls balls by point
+// query (pointQuery) over m servers counts them into per-worker byte
+// tallies (engine.ByteTally) instead of routing them into lanes. Like
+// AutotuneShards it is a pure function of its inputs and the probed L2,
+// and either answer is bit-for-bit result-neutral; TestDirectCountRule
+// pins it.
+//
+// Counting writes one byte per ball where routing writes a 4-byte lane
+// entry that the fold reads back, so it pays while the tallies stay
+// cached and the scans' pass over all of them is no larger than the
+// lanes would be:
+//
+//   - Two workers or more (and at most engine.MaxByteTallyWorkers). One
+//     worker keeps the one-lane path, which already counts without
+//     routing, or routes on a Driver.
+//   - Point-query draws only. A row or CSR draw streams rows through
+//     the cache past the tallies: on CSR Δ = 16 graphs at n = m,
+//     counting read 40% and 38% slower than routing at m = 2²¹ and
+//     2²² (PERFORMANCE.md, PR 21).
+//   - m ≤ 2·L2: each worker's tally is m bytes, written at random by
+//     the draw. With a 2 MiB L2 at n = m and Δ = log₂²n, counting read
+//     0–19% faster than routing at m = 2¹⁸…2²² and 4% and 8% slower
+//     at 2²³ and 2²⁴.
+//   - workers·m ≤ 4·balls: the tallies are no larger than the lanes the
+//     round would fill, so a late round with few balls left, whose
+//     lanes and fold cost little, routes.
+func directCount(workers int, balls int64, m int, pointQuery bool, cache engine.CacheInfo) bool {
+	l2 := cache.L2
+	if l2 <= 0 {
+		l2 = 256 << 10
+	}
+	return pointQuery && workers >= 2 && workers <= engine.MaxByteTallyWorkers &&
+		m <= 2*l2 && int64(workers)*int64(m) <= 4*balls
+}

@@ -83,3 +83,55 @@ func TestAutotuneKnobsAreResultNeutral(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectCountRule pins directCount, the choice between counting a
+// round's balls into per-worker byte tallies and routing them, as a
+// pure function of (workers, balls, m, draw kind, probe): the table is
+// computed with a fixed 2 MiB L2 probe, so it holds on every machine,
+// and a repeated call must return the same answer.
+func TestDirectCountRule(t *testing.T) {
+	cache := engine.CacheInfo{L2: 2 << 20, LLC: 8 << 20}
+	cases := []struct {
+		name       string
+		workers    int
+		balls      int64
+		m          int
+		pointQuery bool
+		want       bool
+	}{
+		// pq-dense round 1: 2 workers, n = m = 2²⁰, d = 2, point queries.
+		{"pq-dense", 2, 2 << 20, 1 << 20, true, true},
+		{"wire-loopback", 2, 2 << 16, 1 << 16, true, true},
+		{"four-workers", 4, 2 << 20, 1 << 20, true, true},
+		// One worker keeps the one-lane path (or a Driver's lanes).
+		{"one-worker", 1, 2 << 20, 1 << 20, true, false},
+		// Row and CSR draws keep routing.
+		{"row-draw", 2, 2 << 20, 1 << 20, false, false},
+		// The tallies must stay cache-resident: m at the cutoff counts,
+		// past it routes.
+		{"at-l2", 2, 2 << 21, 1 << 21, true, true},
+		{"at-cutoff", 2, 2 << 22, 1 << 22, true, true},
+		{"past-cutoff", 2, 2 << 23, 1 << 23, true, false},
+		{"n=2^24", 2, 2 << 24, 1 << 24, true, false},
+		// workers·m ≤ 4·balls: a round with few balls left routes.
+		{"late-round", 2, 1 << 18, 1 << 20, true, false},
+		{"late-round-edge", 2, 1 << 19, 1 << 20, true, true},
+		{"late-round-edge+1", 3, 1 << 19, 1 << 20, true, false},
+		// More workers than a 16-bit lane sum can serve.
+		{"too-many-workers", engine.MaxByteTallyWorkers + 1, 2 << 20, 1 << 10, true, false},
+	}
+	for _, tc := range cases {
+		got := directCount(tc.workers, tc.balls, tc.m, tc.pointQuery, cache)
+		if got != tc.want {
+			t.Errorf("%s: directCount(workers=%d, balls=%d, m=%d, pq=%t) = %t, want %t",
+				tc.name, tc.workers, tc.balls, tc.m, tc.pointQuery, got, tc.want)
+		}
+		if again := directCount(tc.workers, tc.balls, tc.m, tc.pointQuery, cache); again != got {
+			t.Errorf("%s: directCount is not deterministic", tc.name)
+		}
+	}
+	// A degenerate probe falls back to the conservative 256 KiB L2.
+	if !directCount(2, 2<<19, 1<<19, true, engine.CacheInfo{}) || directCount(2, 2<<20, 1<<20, true, engine.CacheInfo{}) {
+		t.Error("zero probe: want counting at m = 2^19 and routing at m = 2^20")
+	}
+}

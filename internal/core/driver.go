@@ -11,27 +11,31 @@ import (
 // Driver is the transport-agnostic front end of the protocol: the shared
 // client loop — identical per-client draws, frontier, starvation rule and
 // result assembly as the Runner — over a ServerBank. Each round's
-// (server, count) pairs are folded shard by shard and shipped as one
-// ascending batch. With a LocalBank the whole protocol
-// runs in this process; with a wire bank the servers live in remote shard
-// processes and the Driver becomes the load generator. Either way the
-// outcome is bit-for-bit the Runner's for the same (topology, config,
-// seed) — the equivalence suite pins that, and the wire smoke job asserts
-// it end to end over real sockets.
+// (server, count) pairs are scanned (counted rounds) or folded (routed
+// rounds) shard by shard and shipped as one ascending batch. With a
+// LocalBank the whole protocol runs in this process; with a wire bank
+// the servers live in remote shard processes and the Driver becomes the
+// load generator. Either way the outcome is bit-for-bit the Runner's for
+// the same (topology, config, seed) — the equivalence suite pins that,
+// and the wire smoke job asserts it end to end over real sockets.
 //
 // The batch is independent of the worker count and the steal schedule:
-// each shard's fold lists its touched servers in ascending order (read
-// off the tally's occupancy bitmap), and the shard-order concatenation
-// of those window-local lists is the globally ascending batch — no sort
-// anywhere — so the bank sees exactly the same bytes either way; only
-// the wall-clock changes.
+// each shard's scan or fold lists its touched servers in ascending order
+// (a scan walks the window in address order, a fold reads the tally's
+// occupancy bitmap), and the shard-order concatenation of those
+// window-local lists is the globally ascending batch — no sort anywhere
+// — so the bank sees exactly the same bytes either way; only the
+// wall-clock changes.
 type Driver struct {
 	clientLoop
 	bank ServerBank
 
 	touched      []int32
 	countsArg    []int32
-	shardTouched [][]int32 // per-shard ascending touched lists of the current round
+	shardTouched [][]int32 // per-shard ascending touched lists of a routed round
+	// batches holds a counted round's per-shard ascending lists, in the
+	// Driver's own buffers (shardTouched aliases the router's).
+	batches []shardBatch
 
 	// initialSum is Σ max(initial load, 0) over the servers of the
 	// current run: the final loads must sum to it plus the run's accepted
@@ -52,8 +56,13 @@ func NewDriver(topo bipartite.Topology, cfg Config, bank ServerBank) (*Driver, e
 		return nil, err
 	}
 	dr.shardTouched = make([][]int32, dr.router.Shards())
+	dr.batches = make([]shardBatch, dr.router.Shards())
 	return dr, nil
 }
+
+// shardBatch is one shard's slice of a round batch: servers ascending,
+// counts parallel.
+type shardBatch struct{ servers, counts []int32 }
 
 // NewLocalDriver wires a Driver to an in-process LocalBank of `shards`
 // server shards — the single-process way to run the bank/driver split
@@ -110,26 +119,46 @@ func (dr *Driver) checkLoads(loads []int32, loadSum int64, res *Result) error {
 	return nil
 }
 
-// decide folds the route lanes shard by shard (each fold owned by one
-// goroutine and yielding the shard's touched servers in ascending
-// order), concatenates the per-shard lists in shard order — contiguous
-// ascending windows, so the result is the globally ascending batch —
-// ships it to the bank, and applies the checked decision to the accept
-// set and the burned mirror.
+// decide scans the byte tallies (counted round) or folds the route lanes
+// (routed round) shard by shard, each shard owned by one goroutine and
+// yielding its touched servers in ascending order, concatenates the
+// per-shard lists in shard order — contiguous ascending windows, so the
+// result is the globally ascending batch — ships it to the bank, and
+// applies the checked decision to the accept set and the burned mirror.
 func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(dr.tel.foldHist())
-	dr.pool.StealRangeGrain(len(dr.shardTouched), 1, func(_, _, lo, hi int) {
+	shift, m := dr.router.Shift(), dr.topo.NumServers()
+	dr.pool.StealRangeGrain(len(dr.shardTouched), 1, func(w, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			dr.shardTouched[s] = dr.router.FoldShard(s, dr.tally)
+			if !dr.counted {
+				dr.shardTouched[s] = dr.router.FoldShard(s, dr.tally)
+				continue
+			}
+			b := &dr.batches[s]
+			b.servers, b.counts = b.servers[:0], b.counts[:0]
+			end := min((s+1)<<shift, m)
+			for pos := s << shift; pos < end; {
+				var servers, counts []int32
+				servers, counts, pos = dr.scan(w, pos, end)
+				b.servers = append(b.servers, servers...)
+				b.counts = append(b.counts, counts...)
+			}
 		}
 	})
 	dr.touched = dr.touched[:0]
 	dr.countsArg = dr.countsArg[:0]
-	merged := dr.tally.Merged()
-	for _, t := range dr.shardTouched {
-		dr.touched = append(dr.touched, t...)
-		for _, u := range t {
-			dr.countsArg = append(dr.countsArg, merged[u])
+	if dr.counted {
+		for _, b := range dr.batches {
+			dr.touched = append(dr.touched, b.servers...)
+			dr.countsArg = append(dr.countsArg, b.counts...)
+		}
+	} else {
+		merged := dr.tally.Merged()
+		for _, t := range dr.shardTouched {
+			dr.touched = append(dr.touched, t...)
+			for _, u := range t {
+				dr.countsArg = append(dr.countsArg, merged[u])
+			}
 		}
 	}
 	sp.End()

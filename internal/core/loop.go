@@ -34,18 +34,21 @@ const pqBlockBalls = 128
 // block's destinations straight into the chunk's stretch of choices.
 type pqBlock struct{ vs, idx []int32 }
 
-// cacheLineWords is the number of int32s in a 64-byte cache line.
-const cacheLineWords = 64 / 4
+// padWords is the number of int32s in the 128-byte padding granule: two
+// cache lines, the pair Intel's L2 spatial prefetcher fetches together.
+const padWords = 128 / 4
 
 // newPQBlocks allocates one block of size balls per worker in one
-// backing array, with a cache line of padding before, between and after
-// the workers' arrays, so two workers never write the same line.
+// backing array, with a padding granule before, between and after the
+// workers' arrays, so two workers never write the same line or the same
+// adjacent-line pair. A counted round's decide reuses a worker's block
+// as its scan buffer: the draw that fills the block has ended by then.
 func newPQBlocks(workers, size int) []pqBlock {
-	stride := 2*size + cacheLineWords
-	backing := make([]int32, cacheLineWords+workers*stride)
+	stride := 2*size + padWords
+	backing := make([]int32, padWords+workers*stride)
 	blocks := make([]pqBlock, workers)
 	for w := range blocks {
-		b := backing[cacheLineWords+w*stride:]
+		b := backing[padWords+w*stride:]
 		blocks[w] = pqBlock{vs: b[:size:size], idx: b[size : 2*size : 2*size]}
 	}
 	return blocks
@@ -80,12 +83,22 @@ type serverHalf interface {
 // bit-for-bit equal by construction — the split only decides where the
 // server state lives.
 //
-// Every run walks the active frontier from round 1 on. Destinations are
-// routed into per-(worker, shard) lanes of an engine.Router and folded
-// into a stamped tally, except on the one-lane path: a one-worker,
-// one-shard Runner counts straight into a plain tally and scans its
-// server window. That is the only path selection, and it follows from
-// the resolved worker and shard counts.
+// Every run walks the active frontier from round 1 on. A round's
+// destinations reach the servers one of three ways:
+//
+//   - Counted: a multi-worker round that draws by point query, when
+//     directCount admits it, counts each worker's balls into the
+//     worker's own byte tally (engine.ByteTally), and each shard owner
+//     scans its window of all of them.
+//   - Routed: every other round of a multi-worker run or of a Driver
+//     routes the balls into per-(worker, shard) lanes of an
+//     engine.Router and folds them into a stamped tally.
+//   - One-lane: a one-worker, one-shard Runner counts straight into a
+//     plain tally and scans its server window.
+//
+// The one-lane path follows from the resolved worker and shard counts;
+// every other round picks counting or routing in beginRound, from the
+// round's ball count and the point-query view as it stands then.
 type clientLoop struct {
 	topo     bipartite.Topology
 	cfg      Config
@@ -121,6 +134,12 @@ type clientLoop struct {
 	pool   *engine.Pool
 	router *engine.Router // nil on the one-lane path
 	tally  *engine.Tally  // stamped iff router != nil
+	// counted is set while the current round is counted into bytes
+	// instead of routed; bytes is allocated by the first counted round.
+	// cache is the probe directCount sizes against.
+	counted bool
+	bytes   *engine.ByteTally
+	cache   engine.CacheInfo
 
 	alive   []int32      // unassigned balls of client v
 	streams []rng.Stream // private random stream of client v
@@ -234,9 +253,10 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	l.tel = newRunTel(cfg.Telemetry)
 	instrumentPool(cfg.Telemetry, l.pool)
 	l.tally = engine.NewTally(l.pool, m)
+	l.cache = engine.DetectCache()
 	shards := cfg.Shards
 	if shards == 0 {
-		shards = AutotuneShards(n, m, workers, engine.DetectCache())
+		shards = AutotuneShards(n, m, workers, l.cache)
 	}
 	if rt := engine.NewRouter(workers, shards, m); alwaysRoute || workers > 1 || rt.Shards() > 1 {
 		l.router = rt
@@ -275,6 +295,12 @@ func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 			l.router.SyncTopologyVersion(l.topoVersion)
 		}
 	}
+}
+
+// countsRound reports whether a round that draws balls balls over the
+// current topology is counted (see directCount) rather than routed.
+func (l *clientLoop) countsRound(balls int64) bool {
+	return l.router != nil && directCount(l.pool.Workers(), balls, l.topo.NumServers(), l.pq != nil, l.cache)
 }
 
 // SwapTopology replaces the topology with one of identical dimensions,
@@ -429,7 +455,7 @@ func (l *clientLoop) run(half serverHalf) (*Result, error) {
 	round := 0
 	for aliveTotal > 0 && round < maxRounds {
 		round++
-		l.beginRound()
+		l.beginRound(aliveTotal)
 		sp := telemetry.StartSpan(l.tel.drawHist())
 		sent := l.draw()
 		sp.End()
@@ -499,10 +525,11 @@ func (l *clientLoop) run(half serverHalf) (*Result, error) {
 	return res, nil
 }
 
-// beginRound syncs the version-keyed caches, clears the accept set and
-// the tally, and snapshots the frontier's rows into the row cache once
-// they fit its budget.
-func (l *clientLoop) beginRound() {
+// beginRound syncs the version-keyed caches, picks counting or routing
+// for a round of balls balls, clears the accept set and the tally, and
+// snapshots the frontier's rows into the row cache once they fit its
+// budget.
+func (l *clientLoop) beginRound(balls int64) {
 	if l.versioned != nil {
 		if v := l.versioned.TopologyVersion(); v != l.topoVersion {
 			l.topoVersion = v
@@ -523,6 +550,10 @@ func (l *clientLoop) beginRound() {
 			l.rowCache.Invalidate()
 			l.rowCacheBuilt = false
 		}
+	}
+	l.counted = l.countsRound(balls)
+	if l.counted && l.bytes == nil {
+		l.bytes = engine.NewByteTally(l.pool.Workers(), l.topo.NumServers())
 	}
 	clear(l.accepted)
 	l.tally.Reset()
@@ -545,9 +576,10 @@ func (l *clientLoop) beginRound() {
 
 // draw is phase 1: every frontier client draws a uniform destination in
 // its neighborhood for each alive ball, from its private stream, and
-// routes it into the owning shard's lane (or counts it into the plain
-// tally on the one-lane path). The draws depend only on the per-client
-// streams, so the routed multiset is independent of the worker count and
+// hands it to its worker's sink: the worker's byte tally on a counted
+// round, the owning shard's lane on a routed one, the plain tally on the
+// one-lane path. The draws depend only on the per-client streams, so the
+// counted or routed multiset is independent of the worker count and
 // the steal schedule. Chunk [lo, hi) of the frontier writes its balls to
 // choices from lo·d on, in draw order: client by client, each client's
 // balls in stream order. On the point-query path a worker draws the row
@@ -560,12 +592,7 @@ func (l *clientLoop) draw() int64 {
 	}
 	clear(l.partialSent)
 	l.pool.StealRange(len(l.frontier), func(w, _, lo, hi int) {
-		var lanes [][]int32
-		var shift uint
-		if l.router != nil {
-			lanes, shift = l.router.Lanes(w), l.router.Shift()
-		}
-		counts := l.tally.Merged()
+		sk := l.sink(w)
 		out := l.choices[lo*l.d:]
 		pos := 0
 		if pq := l.pq; pq != nil {
@@ -576,7 +603,7 @@ func (l *clientLoop) draw() int64 {
 				v := int(vv)
 				a := int(l.alive[v])
 				if n+a > len(vs) {
-					resolve(pq, blk, out[pos:pos+n], lanes, shift, counts)
+					resolve(pq, blk, out[pos:pos+n], &sk)
 					pos += n
 					n = 0
 				}
@@ -587,9 +614,13 @@ func (l *clientLoop) draw() int64 {
 					n++
 				}
 			}
-			resolve(pq, blk, out[pos:pos+n], lanes, shift, counts)
+			resolve(pq, blk, out[pos:pos+n], &sk)
 			pos += n
 		} else {
+			// The row path hands its balls to the sink in batches of at
+			// least a block, as the point-query path does, so the sink's
+			// dispatch is not paid per client.
+			put := 0
 			for _, vv := range l.frontier[lo:hi] {
 				v := int(vv)
 				src := &l.streams[v]
@@ -599,12 +630,19 @@ func (l *clientLoop) draw() int64 {
 				for i := range dst {
 					dst[i] = nbrs[src.Intn(deg)]
 				}
-				route(dst, lanes, shift, counts)
 				pos += len(dst)
+				if pos-put >= pqBlockBalls {
+					sk.put(out[put:pos])
+					put = pos
+				}
 			}
+			sk.put(out[put:pos])
 		}
 		l.partialSent[w] += int64(pos)
 	})
+	if l.counted {
+		l.bytes.Seal()
+	}
 	var sent int64
 	for _, s := range l.partialSent {
 		sent += s
@@ -612,30 +650,72 @@ func (l *clientLoop) draw() int64 {
 	return sent
 }
 
-// resolve answers the first len(out) balls of blk with one NeighborsAt
-// call, which writes their destinations to out, and routes them in draw
-// order.
-func resolve(pq bipartite.PointQueryable, blk *pqBlock, out []int32, lanes [][]int32, shift uint, counts []int32) {
-	if len(out) == 0 {
-		return
-	}
-	pq.NeighborsAt(blk.vs[:len(out)], blk.idx[:len(out)], out)
-	route(out, lanes, shift, counts)
+// sink is where worker w's destinations go this round: its byte tally
+// on a counted round (bytes non-nil), its shard lanes on a routed one
+// (lanes non-nil), or the plain tally on the one-lane path.
+type sink struct {
+	bytes *engine.ByteTally
+	w     int
+	lanes [][]int32
+	shift uint
+	plain []int32
 }
 
-// route appends each destination of dst to its shard's lane, or counts
-// it into the plain tally on the one-lane path (lanes == nil).
-func route(dst []int32, lanes [][]int32, shift uint, counts []int32) {
-	if lanes != nil {
+// sink returns worker w's sink for the current round.
+func (l *clientLoop) sink(w int) sink {
+	switch {
+	case l.counted:
+		return sink{bytes: l.bytes, w: w}
+	case l.router != nil:
+		return sink{lanes: l.router.Lanes(w), shift: l.router.Shift()}
+	}
+	return sink{plain: l.tally.Merged()}
+}
+
+// put hands every destination of dst to the sink.
+func (sk *sink) put(dst []int32) {
+	switch {
+	case sk.bytes != nil:
+		sk.bytes.Add(sk.w, dst)
+	case sk.lanes != nil:
+		lanes, shift := sk.lanes, sk.shift
 		for _, u := range dst {
 			s := int(u) >> shift
 			lanes[s] = append(lanes[s], u)
 		}
+	default:
+		counts := sk.plain
+		for _, u := range dst {
+			counts[u]++
+		}
+	}
+}
+
+// resolve answers the first len(out) balls of blk with one NeighborsAt
+// call, which writes their destinations to out, and puts them in draw
+// order.
+func resolve(pq bipartite.PointQueryable, blk *pqBlock, out []int32, sk *sink) {
+	if len(out) == 0 {
 		return
 	}
-	for _, u := range dst {
-		counts[u]++
+	pq.NeighborsAt(blk.vs[:len(out)], blk.idx[:len(out)], out)
+	sk.put(out)
+}
+
+// scan reads the next stretch of window [pos, hi) of a counted round's
+// byte tallies into worker w's point-query block, which the draw no
+// longer needs: the stretch's nonzero servers, ascending, with their
+// counts, and the position the next stretch starts at (hi when the
+// window is done). Under TrackNeighborhoods it also stamps the counts
+// into the tally, where ReceivedAt reads them.
+func (l *clientLoop) scan(w, pos, hi int) (servers, counts []int32, next int) {
+	blk := &l.pqBlocks[w]
+	k, next := l.bytes.Scan(pos, hi, blk.vs, blk.idx)
+	servers, counts = blk.vs[:k], blk.idx[:k]
+	if l.cumNbrReceived != nil {
+		l.tally.Stamp(servers, counts)
 	}
+	return servers, counts, next
 }
 
 // update counts each frontier client's accepted requests, retires them,

@@ -150,3 +150,69 @@ func TestPointQueryDrawBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestCountedReuse pins reuse on the counted path: a two-worker Runner
+// and Driver on an implicit topology count their early point-query
+// rounds into byte tallies, and each scan leaves them zeroed for the
+// next round, so a reused front end run over seeds of an easy and a
+// starving configuration, and swapped to the routed row path and back,
+// must match a fresh one-lane run on the CSR twin at every seed.
+func TestCountedReuse(t *testing.T) {
+	topo, err := gen.RegularImplicit(2048, 32, 0xC0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := topo.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{4, 1.2} {
+		cfg := Config{Variant: SAER, D: 2, C: c, Workers: 2, TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true}
+		r, err := cfg.NewRunner(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := NewLocalDriver(topo, cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		balls := int64(2 * topo.NumClients())
+		if !r.countsRound(balls) || !dr.countsRound(balls) {
+			t.Fatalf("c=%v: round 1 counted %t on the Runner and %t on the Driver; want both counted", c, r.countsRound(balls), dr.countsRound(balls))
+		}
+		for seed := uint64(1); seed <= 6; seed++ {
+			// Seeds 3 and 4 run the routed row path on the same buffers.
+			bound := bipartite.Topology(topo)
+			if seed == 3 || seed == 4 {
+				bound = rowOnly{topo}
+			}
+			if err := r.SwapTopology(bound); err != nil {
+				t.Fatal(err)
+			}
+			if err := dr.SwapTopology(bound); err != nil {
+				t.Fatal(err)
+			}
+			if want := bound == bipartite.Topology(topo); r.countsRound(balls) != want || dr.countsRound(balls) != want {
+				t.Fatalf("c=%v seed=%d: round 1 counted %t/%t after the swap, want %t", c, seed, r.countsRound(balls), dr.countsRound(balls), want)
+			}
+			fcfg := oneLane(cfg)
+			fcfg.Seed = seed
+			want, err := fcfg.Run(csr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Reseed(seed)
+			if got := r.Run(); !reflect.DeepEqual(got, want) {
+				t.Errorf("c=%v seed=%d: reused Runner diverges from the one-lane CSR run:\n  want=%+v\n  got=%+v", c, seed, want, got)
+			}
+			dr.Reseed(seed)
+			got, err := dr.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("c=%v seed=%d: reused Driver diverges from the one-lane CSR run:\n  want=%+v\n  got=%+v", c, seed, want, got)
+			}
+		}
+	}
+}

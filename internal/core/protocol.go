@@ -12,10 +12,11 @@ import (
 // callers can simply use Config.Run.
 //
 // Each router shard owns one ServerShard over the same server window, and
-// a round's phase 2 folds a shard's route lanes and decides exactly the
-// servers the fold touched, in address order, on the goroutine that owns
-// the shard — no decision lists. The one-lane run (one worker, one
-// shard) scans its plain tally instead.
+// a round's phase 2 decides exactly the servers that received requests,
+// in address order, on the goroutine that owns the shard — no decision
+// lists. A counted round scans the shard's window of the workers' byte
+// tallies and a routed round folds the shard's route lanes; the
+// one-lane run (one worker, one shard) scans its plain tally instead.
 type Runner struct {
 	clientLoop
 
@@ -94,13 +95,15 @@ func (r *Runner) loads() ([]int32, error) { return r.load, nil }
 // own shards' state.
 func (r *Runner) checkLoads([]int32, int64, *Result) error { return nil }
 
-// decide is phase 2. On the routed path the shard owners fold their
-// lanes into the stamped tally and apply the rule to exactly the servers
-// each fold touched, ascending within the shard; on the one-lane path
-// the single shard scans the plain tally. The order in which shards run
-// differs across shard counts and steal schedules but never leaks into
-// results: each server's update depends only on its own state, and the
-// burned/saturated partials are order-independent sums.
+// decide is phase 2. On a counted round the shard owners scan their
+// windows of the workers' byte tallies, and on a routed round they fold
+// their lanes into the stamped tally; either way each applies the rule
+// to exactly the servers that received requests, ascending within the
+// shard. On the one-lane path the single shard scans the plain tally.
+// The order in which shards run differs across shard counts and steal
+// schedules but never leaks into results: each server's update depends
+// only on its own state, and the burned/saturated partials are
+// order-independent sums.
 func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(r.tel.decideHist())
 	defer sp.End()
@@ -122,6 +125,18 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 		var nb, sat int
 		for s := lo; s < hi; s++ {
 			sh := r.servers[s]
+			if r.counted {
+				for pos := sh.lo; pos < sh.hi; {
+					var servers, recv []int32
+					servers, recv, pos = r.scan(w, pos, sh.hi)
+					for i, u := range servers {
+						b, st := r.apply(sh, u, recv[i])
+						nb += b
+						sat += st
+					}
+				}
+				continue
+			}
 			for _, u := range r.router.FoldShard(s, r.tally) {
 				b, st := r.apply(sh, u, counts[u])
 				nb += b

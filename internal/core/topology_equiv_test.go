@@ -29,16 +29,24 @@ func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, c
 		}
 		// The implicit runs draw by point query or regenerate rows (and
 		// pin the frontier's rows in the row cache once they fit), on the
-		// one-lane and the routed path alike.
+		// one-lane, the routed and the counted path. Round 1 of every
+		// multi-worker run of a point-query family on these small
+		// instances counts.
+		pq := bipartite.PointQuerier(topo) != nil
 		for _, workers := range equivalenceWorkerCounts() {
 			for _, shards := range equivalenceShardCounts() {
 				c := cfg
 				c.Workers = workers
 				c.Shards = shards
-				got, err := c.Run(topo)
+				r, err := c.NewRunner(topo)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d shards=%d: %v", name, variant, workers, shards, err)
 				}
+				balls := int64(c.D * topo.NumClients())
+				if want := pq && r.pool.Workers() > 1; r.countsRound(balls) != want {
+					t.Fatalf("%s/%s workers=%d shards=%d: round 1 counted %t, want %t", name, variant, workers, shards, r.countsRound(balls), want)
+				}
+				got := r.Run()
 				if !reflect.DeepEqual(got, ref) {
 					t.Errorf("%s/%s: implicit workers=%d shards=%d diverges from the CSR one-lane reference:\n  ref=%+v\n  got=%+v",
 						name, variant, workers, shards, ref, got)

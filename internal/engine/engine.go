@@ -4,20 +4,26 @@
 // The paper's model is a lock-step synchronous network: in every round all
 // clients act (phase 1), then all servers act (phase 2). The engine maps
 // this onto goroutines with a data-parallel pattern: entity ranges are cut
-// into chunks scheduled by work stealing (StealRange), route lanes bucket
-// each phase-1 event by the server shard that owns it (Router), and a
-// stamped tally folds each shard's lanes with shard-local writes (Tally),
-// marking every touched cell in a one-bit occupancy map from which the
-// fold reads the shard's touched cells in ascending order.
+// into chunks scheduled by work stealing (StealRange), and phase-1 events
+// reach their cells in one of three ways. Route lanes bucket each event
+// by the server shard that owns it (Router), and a stamped tally folds
+// each shard's lanes with shard-local writes (Tally), marking every
+// touched cell in a one-bit occupancy map from which the fold reads the
+// shard's touched cells in ascending order. Per-worker byte tallies
+// count each event in place (ByteTally), and each shard owner scans its
+// window of all of them in ascending order. A single worker counts into
+// a plain tally (Tally). The client loop in internal/core picks one per
+// round.
 // Because chunk boundaries depend only on (range length, worker count) and
 // every entity owns a private random stream, simulation results are
 // bit-for-bit identical for any worker count and any steal schedule — a
 // property the tests check explicitly.
 //
-// Per-worker state that a hot loop writes gets cache lines of its own:
-// the chunk deques are padded to a line each, and each worker's block of
-// route-lane headers sits at least one line from any other worker's, so
-// two cores never write the same line.
+// Per-worker state that a hot loop writes gets a 128-byte granule of its
+// own (padGranule): the chunk deques are padded to a granule each, and
+// each worker's block of route-lane headers and each worker's byte tally
+// sit at least one granule from any other worker's, so two cores never
+// write the same cache line or the same adjacent-line pair.
 package engine
 
 import (
@@ -26,6 +32,12 @@ import (
 
 	"repro/internal/telemetry"
 )
+
+// padGranule is the padding unit between per-worker hot state: two
+// 64-byte cache lines, because Intel's L2 spatial prefetcher fetches
+// lines in 128-byte-aligned pairs, so state one line apart can still
+// share a pair and bounce between cores.
+const padGranule = 128
 
 // Pool executes data-parallel phases over a fixed number of workers.
 // A Pool is safe for use from a single goroutine at a time; concurrent
@@ -163,6 +175,18 @@ func (t *Tally) BeginStamped() {
 // writing the counts array. Afterwards every cell reads 0 and the next
 // fold starts clean.
 func (t *Tally) StampedReset() { clear(t.occupied) }
+
+// Stamp records counts[i] as the count of cells[i] in a stamped tally,
+// for a round whose counts were summed elsewhere (ByteTally.Scan), so
+// ReceivedAt reads them. Like a fold, it writes only the listed cells
+// and their occupancy words: owners of distinct 64-cell-aligned windows
+// stamp concurrently.
+func (t *Tally) Stamp(cells, counts []int32) {
+	for i, u := range cells {
+		t.merged[u] = counts[i]
+		t.occupied[u>>6] |= 1 << (u & 63)
+	}
+}
 
 // Reset clears every count: a bitmap clear in stamped mode, a pass over
 // the array in plain mode.

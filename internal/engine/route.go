@@ -32,11 +32,11 @@ import "math/bits"
 // identical across worker AND shard counts. The equivalence tests in
 // internal/core sweep both.
 //
-// Layout: per-worker state that a hot loop writes gets cache lines of
-// its own. Every routed ball rewrites its lane header's length, so the
-// workers' blocks of lane headers sit at least one cache line apart;
-// with two shards, two unpadded blocks of 48 bytes would share a line
-// and bounce it between cores once per ball.
+// Layout: per-worker state that a hot loop writes gets a padding
+// granule (padGranule) of its own. Every routed ball rewrites its lane
+// header's length, so the workers' blocks of lane headers sit at least
+// one granule apart; with two shards, two unpadded blocks of 48 bytes
+// would share a line and bounce it between cores once per ball.
 type Router struct {
 	workers int
 	shards  int
@@ -60,13 +60,10 @@ type Router struct {
 // occupancy word, so every window starts on a word boundary.
 const minShardShift = 6
 
-// cacheLine is the coherence granule the lane layout pads against.
-const cacheLine = 64
-
 // lanePad is the fewest slice headers (three words each) that span a
-// whole cache line: the gap Router keeps around each worker's block of
-// lane headers, whatever the backing array's alignment.
-const lanePad = (cacheLine + sliceHeaderSize - 1) / sliceHeaderSize
+// whole padding granule: the gap Router keeps around each worker's block
+// of lane headers, whatever the backing array's alignment.
+const lanePad = (padGranule + sliceHeaderSize - 1) / sliceHeaderSize
 
 // sliceHeaderSize is the size of a slice header: pointer, length and
 // capacity.

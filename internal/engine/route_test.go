@@ -51,12 +51,13 @@ func TestRouterGeometry(t *testing.T) {
 }
 
 // TestRouterLanesDoNotShareCacheLines pins the lane layout: the draw
-// rewrites a lane header's length on every routed ball, so no 64-byte
-// cache line may hold lane headers of two workers, whatever the shard
+// rewrites a lane header's length on every routed ball, so no 128-byte
+// aligned pair of cache lines, the unit Intel's L2 spatial prefetcher
+// fetches, may hold lane headers of two workers, whatever the shard
 // count and the backing array's alignment. Every view spans exactly the
 // router's shards.
 func TestRouterLanesDoNotShareCacheLines(t *testing.T) {
-	const line = 64
+	const line = 128
 	header := unsafe.Sizeof([]int32(nil))
 	for _, workers := range []int{2, 3, 4} {
 		for _, target := range []int{1, 2, 3, 8} {
@@ -73,7 +74,7 @@ func TestRouterLanesDoNotShareCacheLines(t *testing.T) {
 					hi := lo + uintptr(len(lanes))*header
 					for l := lo / line; l <= (hi-1)/line; l++ {
 						if o, ok := owner[l]; ok && o != w {
-							t.Fatalf("workers=%d target=%d size=%d (%d shards): a cache line holds lane headers of workers %d and %d",
+							t.Fatalf("workers=%d target=%d size=%d (%d shards): a 128-byte line pair holds lane headers of workers %d and %d",
 								workers, target, size, rt.Shards(), o, w)
 						}
 						owner[l] = w

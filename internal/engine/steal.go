@@ -43,10 +43,10 @@ const chunksPerWorker = 8
 // packed into a single atomic word (hi<<32 | lo): the owner pops lo
 // with one CAS, a thief splits off the top half with one CAS, and no
 // ABA hazard exists because intervals only ever shrink between resets.
-// Padded to a cache line so deques of adjacent workers don't false-share.
+// Padded to a granule so deques of adjacent workers don't false-share.
 type chunkDeque struct {
 	state atomic.Uint64
-	_     [56]byte
+	_     [padGranule - 8]byte
 }
 
 func packInterval(lo, hi int) uint64 { return uint64(hi)<<32 | uint64(uint32(lo)) }

@@ -17,6 +17,10 @@
 //     (rounds, loads, burned servers). A bug in either implementation
 //     would have to be mirrored in the other to go unnoticed.
 //
+// Like core, the coordinator ends a SAER run early once it is hopeless: a
+// round that accepted and burned nothing, with some client whose every
+// neighbor is burned still holding balls.
+//
 // netsim is intentionally not optimized; use core.Config.Run for large
 // simulations.
 package netsim
@@ -39,6 +43,7 @@ type request struct {
 // clientReport is what a client tells the coordinator after it has
 // received all of its answers for the round.
 type clientReport struct {
+	client   int
 	accepted int
 }
 
@@ -234,7 +239,7 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 					}
 				}
 				alive -= accepted
-				clientReports <- clientReport{accepted: accepted}
+				clientReports <- clientReport{client: v, accepted: accepted}
 			}
 		}(v)
 	}
@@ -255,6 +260,21 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 		totalBalls = int64(n) * int64(cfg.D)
 	}
 	res.TotalBalls = totalBalls
+
+	// The coordinator mirrors each client's alive balls (from the client
+	// reports) and the burned set (initial loads at capacity, then the
+	// server reports) for the starved-client exit.
+	alive := make([]int, n)
+	for v := range alive {
+		alive[v] = cfg.D
+		if cfg.RequestCounts != nil {
+			alive[v] = cfg.RequestCounts[v]
+		}
+	}
+	burned := make([]bool, m)
+	for u, l := range cfg.InitialLoads {
+		burned[u] = l >= int(capacity)
+	}
 
 	aliveTotal := totalBalls
 	burnedTotal := 0
@@ -282,6 +302,7 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 		for i := 0; i < n; i++ {
 			rep := <-clientReports
 			accepted += int64(rep.accepted)
+			alive[rep.client] -= rep.accepted
 		}
 		newlyBurned, saturated := 0, 0
 		for u := 0; u < m; u++ {
@@ -289,6 +310,7 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 			loads[sr.server] = sr.load
 			if sr.newlyBurned {
 				newlyBurned++
+				burned[sr.server] = true
 			}
 			if sr.saturated {
 				saturated++
@@ -309,6 +331,13 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 				BurnedTotal:        burnedTotal,
 				SaturatedThisRound: saturated,
 			})
+		}
+		// The SAER hopeless-run exit, as in core: after a round that
+		// accepted and burned nothing, stop if some client with balls left
+		// has every neighbor burned.
+		if accepted == 0 && newlyBurned == 0 && aliveTotal > 0 && cfg.Variant == core.SAER &&
+			hasStarvedClient(g, alive, burned) {
+			break
 		}
 	}
 	close(stop)
@@ -341,4 +370,25 @@ func Run(g *bipartite.Graph, cfg core.Config) (*core.Result, error) {
 		res.Loads = append([]int(nil), loads...)
 	}
 	return res, nil
+}
+
+// hasStarvedClient reports whether some client with alive balls has
+// every neighbor burned: it can never place them under SAER.
+func hasStarvedClient(g *bipartite.Graph, alive []int, burned []bool) bool {
+	for v, a := range alive {
+		if a == 0 {
+			continue
+		}
+		starved := true
+		for _, u := range g.ClientNeighbors(v) {
+			if !burned[u] {
+				starved = false
+				break
+			}
+		}
+		if starved {
+			return true
+		}
+	}
+	return false
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 func testGraph(t testing.TB, n, delta int, seed uint64) *bipartite.Graph {
@@ -349,6 +350,132 @@ func TestLongRunEnginesAgree(t *testing.T) {
 	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("Driver over LocalBank differs from netsim: %v vs %v", got, ref)
 	}
+}
+
+// TestStarvedEnginesAgree pins the SAER starved-client exit on every
+// engine. On the complete graph K(4096, 8) with D = 2 and C = 100, each
+// server's capacity of 200 is crossed by round 1's ~1024 requests, so
+// every server burns at once; round 2 accepts and burns nothing, and
+// every client with balls left has only burned neighbors. The run must
+// stop after round 2 everywhere, not at the cap of 50.
+func TestStarvedEnginesAgree(t *testing.T) {
+	g, err := gen.Complete(4096, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Variant: core.SAER, D: 2, C: 100, Seed: 7, MaxRounds: 50, TrackRounds: true, TrackLoads: true}
+	ref, err := Run(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Rounds != 2 || ref.Completed || ref.BurnedServers != 8 {
+		t.Fatalf("netsim: %d rounds, completed %t, %d burned; want a hopeless run stopped after round 2 with all 8 burned",
+			ref.Rounds, ref.Completed, ref.BurnedServers)
+	}
+	for _, workers := range []int{1, 2} {
+		c := cfg
+		c.Workers = workers
+		got, err := c.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("Runner workers=%d differs from netsim: %v vs %v", workers, got, ref)
+		}
+	}
+	dr, err := core.NewLocalDriver(g, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("Driver over LocalBank differs from netsim: %v vs %v", got, ref)
+	}
+}
+
+// TestByteWrapEnginesAgree drives the counted round's wrap path on a
+// point-query topology, the path it serves: TrustSubsetImplicit(4096,
+// 8, 8) lists all 8 servers for every client, so round 1 sends each
+// server about 1024 balls, about 520 from each of two workers, and every
+// worker's byte wraps past 255 twice (C = 2000 accepts them all). The
+// Runner at 2 and 3 workers, a Driver over LocalBank and over wire
+// loopback (both at 2 workers) and netsim on the materialized twin must
+// agree, for SAER and RAES.
+func TestByteWrapEnginesAgree(t *testing.T) {
+	topo, err := gen.TrustSubsetImplicit(4096, 8, 8, 0x3A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := topo.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, variant := range []core.Variant{core.SAER, core.RAES} {
+		cfg := core.Config{Variant: variant, D: 2, C: 2000, Seed: 3, TrackRounds: true, TrackLoads: true}
+		ref, err := Run(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.MaxLoad < 4*256 {
+			t.Fatalf("%s: max load %d; the instance no longer wraps every worker's bytes", variant, ref.MaxLoad)
+		}
+		for _, workers := range []int{2, 3} {
+			c := cfg
+			c.Workers = workers
+			got, err := c.Run(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: Runner workers=%d differs from netsim: %v vs %v", variant, workers, got, ref)
+			}
+		}
+		c := cfg
+		c.Workers = 2
+		dr, err := core.NewLocalDriver(topo, c, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dr.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: Driver over LocalBank differs from netsim: %v vs %v", variant, got, ref)
+		}
+		got = runLoopback(t, topo, c, 2)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: Driver over wire loopback differs from netsim: %v vs %v", variant, got, ref)
+		}
+	}
+}
+
+// runLoopback runs cfg on topo through a Driver over a wire Bank dialed
+// to `shards` in-process loopback shard servers.
+func runLoopback(t *testing.T, topo bipartite.Topology, cfg core.Config, shards int) *core.Result {
+	t.Helper()
+	ss, err := wire.StartLocalSet(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	bank, err := wire.Dial(ss.Addrs(), cfg.Variant, int32(cfg.Params().Capacity()), topo.NumServers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bank.Close()
+	dr, err := core.NewDriver(topo, cfg, bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // Property: on random instances the two engines always agree on the

@@ -315,7 +315,9 @@ func parseEmpty(payload []byte) error {
 	return nil
 }
 
-// Reset re-initializes every shard for a new run. A call that fails on a
+// Reset re-initializes every shard for a new run. It begins every
+// shard's reset before waiting for any reply, as DecideRound and Loads
+// do, so the shards reset concurrently. A shard whose call fails on a
 // dead connection (a killed/restarted server process) is retried once:
 // the retry redials — with the Bank's bounded backoff — and replays the
 // reset against the fresh process.
@@ -338,13 +340,25 @@ func (s *Session) Reset(initialLoads []int) error {
 				ss.out = appendI32(ss.out, int32(l))
 			}
 		}
-		if err := sc.call(s.id, msgReset, ss.out, msgResetOK, parseEmpty); err != nil {
-			if err = sc.call(s.id, msgReset, ss.out, msgResetOK, parseEmpty); err != nil {
-				return err
-			}
+		ss.pc = sc.begin(s.id, msgReset, ss.out, msgResetOK, parseEmpty)
+	}
+	s.active = s.active[:0]
+	for i, sc := range s.b.conns {
+		if err := sc.wait(s.shards[i].pc); err != nil {
+			s.active = append(s.active, i)
 		}
 	}
-	return nil
+	for _, i := range s.active {
+		ss := s.shards[i]
+		ss.pc = s.b.conns[i].begin(s.id, msgReset, ss.out, msgResetOK, parseEmpty)
+	}
+	var firstErr error
+	for _, i := range s.active {
+		if err := s.b.conns[i].wait(s.shards[i].pc); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // DecideRound splits the sorted batch across the shard windows, begins

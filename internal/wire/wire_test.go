@@ -673,3 +673,79 @@ func TestWireLoadsReusesBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionResetIsConcurrent pins that a Session begins every shard's
+// reset before waiting for any reply. Two stub shards answer the
+// handshake, then answer a Reset only once both have received theirs; a
+// stub whose partner's Reset has not arrived by the deadline closes its
+// connection instead. A Reset that waited for shard 0's reply before
+// sending shard 1's would get no reply from shard 0, so it fails (its
+// one retry fails the same way); a concurrent one succeeds.
+func TestSessionResetIsConcurrent(t *testing.T) {
+	const shards = 2
+	var arrived sync.WaitGroup
+	arrived.Add(shards)
+	both := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(both)
+	}()
+	var once [shards]sync.Once
+	addrs := make([]string, shards)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+		go func(i int) {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go stubResetShard(conn, func() { once[i].Do(arrived.Done) }, both)
+			}
+		}(i)
+	}
+	bank, err := DialConfig(addrs, core.SAER, 8, 64, BankConfig{RedialAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bank.Close()
+	if err := bank.Reset(nil); err != nil {
+		t.Fatalf("reset over two shards that each wait for the other: %v", err)
+	}
+}
+
+// stubResetShard serves one connection of TestSessionResetIsConcurrent's
+// stub shard: it accepts the Hello and, on a Reset, reports the arrival
+// and replies once both is closed, or closes the connection after a
+// deadline.
+func stubResetShard(conn net.Conn, arrive func(), both <-chan struct{}) {
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	fc := &frameConn{r: bufio.NewReader(conn), w: bw, limit: maxFrameSize}
+	for {
+		typ, sid, _, err := fc.readMessage()
+		if err != nil {
+			return
+		}
+		reply := byte(msgHelloOK)
+		if typ == msgReset {
+			arrive()
+			select {
+			case <-both:
+			case <-time.After(2 * time.Second):
+				return
+			}
+			reply = msgResetOK
+		} else if typ != msgHello {
+			return
+		}
+		if fc.writeMessage(reply, sid, nil) != nil || bw.Flush() != nil {
+			return
+		}
+	}
+}
