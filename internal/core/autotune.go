@@ -63,7 +63,7 @@ func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
 //   - Point-query draws only. A row or CSR draw streams rows through
 //     the cache past the tallies: on CSR Δ = 16 graphs at n = m,
 //     counting read 40% and 38% slower than routing at m = 2²¹ and
-//     2²² (PERFORMANCE.md, PR 21).
+//     2²² (PERFORMANCE.md, "Counted rounds").
 //   - m ≤ 2·L2: each worker's tally is m bytes, written at random by
 //     the draw. With a 2 MiB L2 at n = m and Δ = log₂²n, counting read
 //     0–19% faster than routing at m = 2¹⁸…2²² and 4% and 8% slower
