@@ -275,10 +275,11 @@ func BenchmarkLateRoundTail(b *testing.B) {
 // SAER run on an implicit topology with Config.Workers = 0, so a
 // `go test -cpu 1,2,4` sweep governs the worker count through
 // GOMAXPROCS. At n = 2²⁰, Δ = 16 the sub-benchmarks contrast the
-// autotuned shard count with a single shard (the one-lane path when the
-// worker count is one). "n=65536" is the wire-loopback workload's shape
-// (n = 2¹⁶, Δ = 256, autotuned shards) run in process, where few shards
-// make the draw's route step the part that must scale.
+// autotuned shard count with a single shard (where every round counts
+// into one byte tally when the worker count is one). "n=65536" is the
+// wire-loopback workload's shape (n = 2¹⁶, Δ = 256, autotuned shards)
+// run in process, where few shards make the draw's route step the part
+// that must scale.
 func BenchmarkScaleFullRun(b *testing.B) {
 	for _, tc := range []struct {
 		name     string

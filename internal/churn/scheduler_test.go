@@ -80,9 +80,11 @@ func runTestScenario(t *testing.T, sc scenarioConfig) []*EpochOutcome {
 // contract: the shared scenario's outcome series — including per-round
 // protocol series — must be bit-for-bit identical across topology
 // backends × worker counts × shard counts. The reference is the
-// implicit backend on the one-lane path (one worker, one shard); every
-// other configuration walks the routed pipeline, multi-worker ones under
-// the work-stealing scheduler.
+// implicit backend on one worker with a one-shard target, which the
+// router meets with two 256-server windows (m = 260), so every round
+// routes; the other configurations count or route each round as
+// directCount picks, multi-worker ones under the work-stealing
+// scheduler.
 func TestChurnSchedulerEquivalence(t *testing.T) {
 	ref := runTestScenario(t, scenarioConfig{backend: BackendImplicit, workers: 1, shards: 1})
 	for _, o := range ref {

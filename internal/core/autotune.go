@@ -19,9 +19,10 @@ import "repro/internal/engine"
 //     Sharding on a single worker is pure cache blocking, so it only
 //     pays once the whole tally outgrows L2 (measured: 6–8% loss at
 //     m = 2¹⁸ where the tally just fits, 1.2× win at m = 2²⁰ where it
-//     doesn't); below that a one-worker run stays on one shard, the
-//     one-lane path. Multi-worker runs always shard — phase-2
-//     parallelism — and at least as finely as the cache asks.
+//     doesn't); below that a one-worker run stays on one shard, where
+//     every round counts (see directCount). Multi-worker runs always
+//     shard — phase-2 parallelism — and at least as finely as the cache
+//     asks.
 //   - The shard count is capped so phase 1 still routes enough events
 //     per shard for the fold loop to amortize (≥ ~256 clients' worth).
 func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
@@ -45,21 +46,29 @@ func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
 	return min(shards, max(workers, n/256))
 }
 
-// directCount reports whether a round that draws balls balls by point
-// query (pointQuery) over m servers counts them into per-worker byte
-// tallies (engine.ByteTally) instead of routing them into lanes. Like
-// AutotuneShards it is a pure function of its inputs and the probed L2,
-// and either answer is bit-for-bit result-neutral; TestDirectCountRule
-// pins it.
+// directCount reports whether a round that draws balls balls over m
+// servers, by point query or not (pointQuery), counts them into
+// per-worker byte tallies (engine.ByteTally) instead of routing them
+// into lanes, given the run's worker count and resolved shard count.
+// Like AutotuneShards it is a pure function of its inputs and the probed
+// L2, and either answer is bit-for-bit result-neutral;
+// TestDirectCountRule pins it.
 //
 // Counting writes one byte per ball where routing writes a 4-byte lane
 // entry that the fold reads back, so it pays while the tallies stay
 // cached and the scans' pass over all of them is no larger than the
-// lanes would be:
+// lanes would be. A round counts in either of two cases:
 //
-//   - Two workers or more (and at most engine.MaxByteTallyWorkers). One
-//     worker keeps the one-lane path, which already counts without
-//     routing, or routes on a Driver.
+//   - One worker on one shard: every round, at any ball count and for
+//     any draw. Routing buys cache blocking and a parallel phase 2, and
+//     such a run has neither to gain; the one tally's scan reads m bytes
+//     a round. A one-worker run that the autotuner splits into more
+//     shards, for cache blocking past L2, routes.
+//   - Two workers or more (and at most engine.MaxByteTallyWorkers), on
+//     a point-query draw, with m ≤ 2·L2 and workers·m ≤ 4·balls.
+//
+// The multi-worker conditions:
+//
 //   - Point-query draws only. A row or CSR draw streams rows through
 //     the cache past the tallies: on CSR Δ = 16 graphs at n = m,
 //     counting read 40% and 38% slower than routing at m = 2²¹ and
@@ -71,7 +80,10 @@ func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
 //   - workers·m ≤ 4·balls: the tallies are no larger than the lanes the
 //     round would fill, so a late round with few balls left, whose
 //     lanes and fold cost little, routes.
-func directCount(workers int, balls int64, m int, pointQuery bool, cache engine.CacheInfo) bool {
+func directCount(workers, shards int, balls int64, m int, pointQuery bool, cache engine.CacheInfo) bool {
+	if workers == 1 && shards == 1 {
+		return true
+	}
 	l2 := cache.L2
 	if l2 <= 0 {
 		l2 = 256 << 10

@@ -22,7 +22,7 @@ func TestAutotuneDeterminism(t *testing.T) {
 		wantShards int
 	}{
 		// Quick-mode instance: tally far below L2, single worker — one
-		// shard, the one-lane path.
+		// shard, where every round counts.
 		{"quick", 2048, 2048, 1, 1},
 		{"mid-single-worker", 1 << 16, 1 << 16, 1, 1},
 		// Tally exactly at the L2 boundary (2¹⁸ cells × 8 B = 2 MiB):
@@ -86,52 +86,61 @@ func TestAutotuneKnobsAreResultNeutral(t *testing.T) {
 
 // TestDirectCountRule pins directCount, the choice between counting a
 // round's balls into per-worker byte tallies and routing them, as a
-// pure function of (workers, balls, m, draw kind, probe): the table is
-// computed with a fixed 2 MiB L2 probe, so it holds on every machine,
-// and a repeated call must return the same answer.
+// pure function of (workers, shards, balls, m, draw kind, probe): the
+// table is computed with a fixed 2 MiB L2 probe, so it holds on every
+// machine, and a repeated call must return the same answer.
 func TestDirectCountRule(t *testing.T) {
 	cache := engine.CacheInfo{L2: 2 << 20, LLC: 8 << 20}
 	cases := []struct {
 		name       string
 		workers    int
+		shards     int
 		balls      int64
 		m          int
 		pointQuery bool
 		want       bool
 	}{
 		// pq-dense round 1: 2 workers, n = m = 2²⁰, d = 2, point queries.
-		{"pq-dense", 2, 2 << 20, 1 << 20, true, true},
-		{"wire-loopback", 2, 2 << 16, 1 << 16, true, true},
-		{"four-workers", 4, 2 << 20, 1 << 20, true, true},
-		// One worker keeps the one-lane path (or a Driver's lanes).
-		{"one-worker", 1, 2 << 20, 1 << 20, true, false},
+		{"pq-dense", 2, 2, 2 << 20, 1 << 20, true, true},
+		{"wire-loopback", 2, 2, 2 << 16, 1 << 16, true, true},
+		{"four-workers", 4, 4, 2 << 20, 1 << 20, true, true},
+		// One worker on one shard counts every round, whatever the ball
+		// count, the draw or m.
+		{"one-worker", 1, 1, 2 << 20, 1 << 20, true, true},
+		{"one-worker-rows", 1, 1, 2 << 20, 1 << 20, false, true},
+		{"one-worker-late-round", 1, 1, 1, 1 << 20, true, true},
+		{"one-worker-late-rows", 1, 1, 1, 1 << 20, false, true},
+		{"one-worker-past-cutoff", 1, 1, 2 << 23, 1 << 23, true, true},
+		// One worker on more shards routes.
+		{"one-worker-two-shards", 1, 2, 2 << 20, 1 << 20, true, false},
+		{"one-worker-two-shards-rows", 1, 2, 2 << 20, 1 << 20, false, false},
 		// Row and CSR draws keep routing.
-		{"row-draw", 2, 2 << 20, 1 << 20, false, false},
+		{"row-draw", 2, 2, 2 << 20, 1 << 20, false, false},
 		// The tallies must stay cache-resident: m at the cutoff counts,
 		// past it routes.
-		{"at-l2", 2, 2 << 21, 1 << 21, true, true},
-		{"at-cutoff", 2, 2 << 22, 1 << 22, true, true},
-		{"past-cutoff", 2, 2 << 23, 1 << 23, true, false},
-		{"n=2^24", 2, 2 << 24, 1 << 24, true, false},
+		{"at-l2", 2, 2, 2 << 21, 1 << 21, true, true},
+		{"at-cutoff", 2, 2, 2 << 22, 1 << 22, true, true},
+		{"past-cutoff", 2, 2, 2 << 23, 1 << 23, true, false},
+		{"n=2^24", 2, 2, 2 << 24, 1 << 24, true, false},
 		// workers·m ≤ 4·balls: a round with few balls left routes.
-		{"late-round", 2, 1 << 18, 1 << 20, true, false},
-		{"late-round-edge", 2, 1 << 19, 1 << 20, true, true},
-		{"late-round-edge+1", 3, 1 << 19, 1 << 20, true, false},
+		{"late-round", 2, 2, 1 << 18, 1 << 20, true, false},
+		{"late-round-edge", 2, 2, 1 << 19, 1 << 20, true, true},
+		{"late-round-edge+1", 3, 3, 1 << 19, 1 << 20, true, false},
 		// More workers than a 16-bit lane sum can serve.
-		{"too-many-workers", engine.MaxByteTallyWorkers + 1, 2 << 20, 1 << 10, true, false},
+		{"too-many-workers", engine.MaxByteTallyWorkers + 1, engine.MaxByteTallyWorkers + 1, 2 << 20, 1 << 10, true, false},
 	}
 	for _, tc := range cases {
-		got := directCount(tc.workers, tc.balls, tc.m, tc.pointQuery, cache)
+		got := directCount(tc.workers, tc.shards, tc.balls, tc.m, tc.pointQuery, cache)
 		if got != tc.want {
-			t.Errorf("%s: directCount(workers=%d, balls=%d, m=%d, pq=%t) = %t, want %t",
-				tc.name, tc.workers, tc.balls, tc.m, tc.pointQuery, got, tc.want)
+			t.Errorf("%s: directCount(workers=%d, shards=%d, balls=%d, m=%d, pq=%t) = %t, want %t",
+				tc.name, tc.workers, tc.shards, tc.balls, tc.m, tc.pointQuery, got, tc.want)
 		}
-		if again := directCount(tc.workers, tc.balls, tc.m, tc.pointQuery, cache); again != got {
+		if again := directCount(tc.workers, tc.shards, tc.balls, tc.m, tc.pointQuery, cache); again != got {
 			t.Errorf("%s: directCount is not deterministic", tc.name)
 		}
 	}
 	// A degenerate probe falls back to the conservative 256 KiB L2.
-	if !directCount(2, 2<<19, 1<<19, true, engine.CacheInfo{}) || directCount(2, 2<<20, 1<<20, true, engine.CacheInfo{}) {
+	if !directCount(2, 2, 2<<19, 1<<19, true, engine.CacheInfo{}) || directCount(2, 2, 2<<20, 1<<20, true, engine.CacheInfo{}) {
 		t.Error("zero probe: want counting at m = 2^19 and routing at m = 2^20")
 	}
 }

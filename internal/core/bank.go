@@ -59,10 +59,10 @@ type ServerBank interface {
 // ServerShard is the protocol's server-side state for a contiguous
 // server window [Lo, Hi), and rule is the one implementation of the
 // SAER/RAES threshold rules. The Runner decides each router shard's
-// servers in process through rule, the LocalBank composes shards behind
-// the ServerBank interface, and the wire server process wraps one shard
-// per session. Methods are not concurrency-safe — each shard is owned by
-// one goroutine (or one process).
+// servers in process through applyBlock, the LocalBank composes shards
+// behind the ServerBank interface, and the wire server process wraps one
+// shard per session. Methods are not concurrency-safe — each shard is
+// owned by one goroutine (or one process).
 type ServerShard struct {
 	variant  Variant
 	capacity int32
@@ -173,6 +173,28 @@ func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated 
 	}
 	s.load[j] += recv
 	return true, newlyBurned, false
+}
+
+// applyBlock runs the rule on a block of the shard's servers, servers[i]
+// having received counts[i] > 0 requests, sets each accepting server's
+// bit in accepted, the accept set over every server, and returns the
+// block's new burns and saturations. Shard windows are whole 64-server
+// words of the set, so owners of distinct shards apply blocks
+// concurrently.
+func (s *ServerShard) applyBlock(servers, counts []int32, accepted []uint64) (newlyBurned, saturated int) {
+	for i, u := range servers {
+		acc, burned, sat := s.rule(int(u)-s.lo, counts[i])
+		if acc {
+			accepted[u>>6] |= 1 << (u & 63)
+		}
+		if burned {
+			newlyBurned++
+		}
+		if sat {
+			saturated++
+		}
+	}
+	return newlyBurned, saturated
 }
 
 // Decide applies the threshold rule to the shard's slice of one round's

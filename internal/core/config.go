@@ -41,15 +41,15 @@ type Config struct {
 	// Workers is the number of goroutines per phase; zero selects
 	// GOMAXPROCS. The result does not depend on this value.
 	Workers int
-	// Shards is the target server-shard count of the routed round loop:
-	// phase 1 routes each ball's destination to the lane of the server
-	// shard that owns it, and phase 2 folds each shard's lanes and
-	// decides its servers on the goroutine that owns the shard. Zero
-	// selects the autotuned count (AutotuneShards). A one-worker run with
-	// one shard takes the one-lane path: it counts into a plain tally and
-	// scans the servers. Like Workers this is a pure performance knob:
-	// results are bit-for-bit independent of it (the equivalence tests
-	// sweep {0, 1, 2, 3, 8}).
+	// Shards is the target server-shard count of the round loop: phase 2
+	// decides each shard's servers on the goroutine that owns the shard,
+	// after a routed round's phase 1 sent each ball's destination to the
+	// lane of the shard that owns it, or a counted round's counted it
+	// into the worker's byte tally. Zero selects the autotuned count
+	// (AutotuneShards). A one-worker run on one shard counts every round.
+	// Like Workers this is a pure performance knob: results are
+	// bit-for-bit independent of it (the equivalence tests sweep
+	// {0, 1, 2, 3, 8}).
 	Shards int
 
 	// TrackRounds records a RoundStats entry per round.

@@ -47,8 +47,7 @@ func TestConfigValidate(t *testing.T) {
 // TestResolveKnobsMatchesRunner pins the knob normalization: across the
 // knob grid, a Runner runs with the configured worker count, its router
 // never exceeds the shard target (the explicit count, or AutotuneShards
-// when it is zero), and the router is absent exactly on the one-lane
-// path (one worker and one shard).
+// when it is zero), and it holds one server shard per router shard.
 func TestResolveKnobsMatchesRunner(t *testing.T) {
 	g, err := gen.Regular(256, 8, rng.New(7))
 	if err != nil {
@@ -68,20 +67,11 @@ func TestResolveKnobsMatchesRunner(t *testing.T) {
 			if r.pool.Workers() != workers {
 				t.Fatalf("workers=%d: runner has %d workers", workers, r.pool.Workers())
 			}
-			wantOneLane := workers == 1 && target == 1
-			if wantOneLane != (r.router == nil) {
-				t.Fatalf("workers=%d shards=%d: target %d but router=%v",
-					workers, shards, target, r.router != nil)
-			}
-			if r.router != nil && r.router.Shards() > target {
+			if r.router.Shards() > target {
 				t.Fatalf("shards=%d: router has %d shards, target %d",
 					shards, r.router.Shards(), target)
 			}
-			wantServers := 1
-			if r.router != nil {
-				wantServers = r.router.Shards()
-			}
-			if len(r.servers) != wantServers {
+			if len(r.servers) != r.router.Shards() {
 				t.Fatalf("workers=%d shards=%d: %d server shards for the router's windows",
 					workers, shards, len(r.servers))
 			}

@@ -13,7 +13,7 @@ import (
 )
 
 // driverEquivalenceCase runs the same configuration through the Runner
-// (one-lane reference) and through Driver+LocalBank across
+// (one-shard reference) and through Driver+LocalBank across
 // client worker counts and shard counts, and fails unless every Result —
 // PerRound series, load vectors, assignments, all of it — is bit-for-bit
 // identical. This is the contract the wire transport inherits: the
@@ -21,7 +21,7 @@ import (
 // the LocalBank stands where the remote shard processes will.
 func driverEquivalenceCase(t *testing.T, name string, topo bipartite.Topology, cfg Config) {
 	t.Helper()
-	ref, err := oneLane(cfg).Run(topo)
+	ref, err := oneShard(cfg).Run(topo)
 	if err != nil {
 		t.Fatalf("%s: runner reference failed: %v", name, err)
 	}
@@ -240,11 +240,11 @@ func (b *recordingBank) DecideRound(touched, counts []int32) (RoundDecision, err
 // Driver concatenates its shards' touched lists without sorting, so
 // every batch it ships must already be strictly ascending — for every
 // worker count and route shard count — and the run must still match
-// the one-lane Runner reference.
+// the one-shard Runner reference.
 func TestDriverShipsAscendingBatches(t *testing.T) {
 	g := regularGraph(t, 1000, 24, 9)
 	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xACE, TrackRounds: true, TrackLoads: true}
-	ref, err := oneLane(cfg).Run(g)
+	ref, err := oneShard(cfg).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

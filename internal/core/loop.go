@@ -41,8 +41,9 @@ const padWords = 128 / 4
 // newPQBlocks allocates one block of size balls per worker in one
 // backing array, with a padding granule before, between and after the
 // workers' arrays, so two workers never write the same line or the same
-// adjacent-line pair. A counted round's decide reuses a worker's block
-// as its scan buffer: the draw that fills the block has ended by then.
+// adjacent-line pair. Every decide reuses a worker's block for the
+// blocks shardBlocks hands out: the draw that fills it has ended by
+// then.
 func newPQBlocks(workers, size int) []pqBlock {
 	stride := 2*size + padWords
 	backing := make([]int32, padWords+workers*stride)
@@ -61,10 +62,10 @@ type serverHalf interface {
 	// all zero), marking servers that start at capacity in the loop's
 	// burned mirror.
 	reset(initialLoads []int) error
-	// decide applies the threshold rule to the round's requests — the
-	// routed lanes or the plain tally — sets every accepting server's bit
-	// in the loop's accept set, and marks newly burned servers in the
-	// burned mirror.
+	// decide applies the threshold rule to the round's requests, which
+	// it reads shard by shard through shardBlocks, sets every accepting
+	// server's bit in the loop's accept set, and marks newly burned
+	// servers in the burned mirror.
 	decide() (newlyBurned, saturated int, err error)
 	// loads returns the final per-server load vector.
 	loads() ([]int32, error)
@@ -84,21 +85,19 @@ type serverHalf interface {
 // server state lives.
 //
 // Every run walks the active frontier from round 1 on. A round's
-// destinations reach the servers one of three ways:
+// destinations reach the servers one of two ways:
 //
-//   - Counted: a multi-worker round that draws by point query, when
-//     directCount admits it, counts each worker's balls into the
-//     worker's own byte tally (engine.ByteTally), and each shard owner
-//     scans its window of all of them.
-//   - Routed: every other round of a multi-worker run or of a Driver
-//     routes the balls into per-(worker, shard) lanes of an
-//     engine.Router and folds them into a stamped tally.
-//   - One-lane: a one-worker, one-shard Runner counts straight into a
-//     plain tally and scans its server window.
+//   - Counted: each worker counts its balls into its own byte tally
+//     (engine.ByteTally), and each shard owner scans its window of all
+//     of them.
+//   - Routed: the balls go into per-(worker, shard) lanes of an
+//     engine.Router, and each shard owner folds its lanes into a stamped
+//     tally.
 //
-// The one-lane path follows from the resolved worker and shard counts;
-// every other round picks counting or routing in beginRound, from the
-// round's ball count and the point-query view as it stands then.
+// beginRound picks one per round with directCount, from the resolved
+// worker and shard counts, the round's ball count and the point-query
+// view as it stands then. Either way shardBlocks hands each shard's
+// received servers to the decide in the same ascending blocks.
 type clientLoop struct {
 	topo     bipartite.Topology
 	cfg      Config
@@ -132,13 +131,14 @@ type clientLoop struct {
 	topoVersion uint64
 
 	pool   *engine.Pool
-	router *engine.Router // nil on the one-lane path
-	tally  *engine.Tally  // stamped iff router != nil
+	router *engine.Router
 	// counted is set while the current round is counted into bytes
-	// instead of routed; bytes is allocated by the first counted round.
+	// instead of routed. bytes is allocated by the first counted round,
+	// and tally, which routed rounds fold into, by the first routed one.
 	// cache is the probe directCount sizes against.
 	counted bool
 	bytes   *engine.ByteTally
+	tally   *engine.Tally
 	cache   engine.CacheInfo
 
 	alive   []int32      // unassigned balls of client v
@@ -162,9 +162,12 @@ type clientLoop struct {
 	burned   []bool
 	accepted []uint64
 
-	// cumNbrReceived is Σ_{i≤t} r_i(N(v)) per client (TrackNeighborhoods);
-	// assignments[v] collects the servers that accepted v's balls
+	// received[u] is server u's request count this round and
+	// cumNbrReceived[v] is Σ_{i≤t} r_i(N(v)), both under
+	// TrackNeighborhoods: shardBlocks fills received and beginRound clears
+	// it. assignments[v] collects the servers that accepted v's balls
 	// (TrackAssignments).
+	received       []int32
 	cumNbrReceived []int64
 	assignments    [][]int32
 
@@ -216,11 +219,8 @@ func validateInstance(topo bipartite.Topology, cfg Config) error {
 	return nil
 }
 
-// init validates cfg against topo and allocates the client half. The
-// one-lane path is taken when the resolved run has one worker and one
-// shard, unless alwaysRoute is set: a Driver always routes, since its
-// batch is the concatenation of the folds' ascending per-shard lists.
-func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool) error {
+// init validates cfg against topo and allocates the client half.
+func (l *clientLoop) init(topo bipartite.Topology, cfg Config) error {
 	if err := validateInstance(topo, cfg); err != nil {
 		return err
 	}
@@ -242,6 +242,7 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	l.partialAlive = make([]int64, workers)
 	l.pqBlocks = newPQBlocks(workers, max(pqBlockBalls, cfg.D))
 	if cfg.TrackNeighborhoods {
+		l.received = make([]int32, m)
 		l.cumNbrReceived = make([]int64, n)
 		l.partialFrac = make([]float64, workers)
 		l.partialRecv = make([]int64, workers)
@@ -252,16 +253,12 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config, alwaysRoute bool)
 	}
 	l.tel = newRunTel(cfg.Telemetry)
 	instrumentPool(cfg.Telemetry, l.pool)
-	l.tally = engine.NewTally(l.pool, m)
 	l.cache = engine.DetectCache()
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = AutotuneShards(n, m, workers, l.cache)
 	}
-	if rt := engine.NewRouter(workers, shards, m); alwaysRoute || workers > 1 || rt.Shards() > 1 {
-		l.router = rt
-		l.tally.BeginStamped()
-	}
+	l.router = engine.NewRouter(workers, shards, m)
 	l.bindTopology(topo)
 	return nil
 }
@@ -291,16 +288,14 @@ func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 	l.versioned, _ = topo.(bipartite.Versioned)
 	if l.versioned != nil {
 		l.topoVersion = l.versioned.TopologyVersion()
-		if l.router != nil {
-			l.router.SyncTopologyVersion(l.topoVersion)
-		}
+		l.router.SyncTopologyVersion(l.topoVersion)
 	}
 }
 
 // countsRound reports whether a round that draws balls balls over the
 // current topology is counted (see directCount) rather than routed.
 func (l *clientLoop) countsRound(balls int64) bool {
-	return l.router != nil && directCount(l.pool.Workers(), balls, l.topo.NumServers(), l.pq != nil, l.cache)
+	return directCount(l.pool.Workers(), l.router.Shards(), balls, l.topo.NumServers(), l.pq != nil, l.cache)
 }
 
 // SwapTopology replaces the topology with one of identical dimensions,
@@ -526,16 +521,14 @@ func (l *clientLoop) run(half serverHalf) (*Result, error) {
 }
 
 // beginRound syncs the version-keyed caches, picks counting or routing
-// for a round of balls balls, clears the accept set and the tally, and
-// snapshots the frontier's rows into the row cache once they fit its
-// budget.
+// for a round of balls balls, clears the accept set, the received
+// counts and, on a routed round, the tally, and snapshots the frontier's
+// rows into the row cache once they fit its budget.
 func (l *clientLoop) beginRound(balls int64) {
 	if l.versioned != nil {
 		if v := l.versioned.TopologyVersion(); v != l.topoVersion {
 			l.topoVersion = v
-			if l.router != nil {
-				l.router.SyncTopologyVersion(v)
-			}
+			l.router.SyncTopologyVersion(v)
 			// Mutations can flip point-queryability (churn failures make
 			// rows read-time filtered, recoveries make them queryable
 			// again) and move the degree bound, so both are version-keyed.
@@ -552,11 +545,16 @@ func (l *clientLoop) beginRound(balls int64) {
 		}
 	}
 	l.counted = l.countsRound(balls)
-	if l.counted && l.bytes == nil {
-		l.bytes = engine.NewByteTally(l.pool.Workers(), l.topo.NumServers())
+	switch m := l.topo.NumServers(); {
+	case l.counted && l.bytes == nil:
+		l.bytes = engine.NewByteTally(l.pool.Workers(), m)
+	case !l.counted && l.tally == nil:
+		l.tally = engine.NewTally(l.pool, m)
+	case !l.counted:
+		l.tally.StampedReset()
 	}
 	clear(l.accepted)
-	l.tally.Reset()
+	clear(l.received)
 	// One snapshot per run suffices: the frontier only shrinks, so every
 	// later survivor is already cached. Point-queryable topologies skip
 	// it — their draws never touch rows.
@@ -577,19 +575,16 @@ func (l *clientLoop) beginRound(balls int64) {
 // draw is phase 1: every frontier client draws a uniform destination in
 // its neighborhood for each alive ball, from its private stream, and
 // hands it to its worker's sink: the worker's byte tally on a counted
-// round, the owning shard's lane on a routed one, the plain tally on the
-// one-lane path. The draws depend only on the per-client streams, so the
-// counted or routed multiset is independent of the worker count and
-// the steal schedule. Chunk [lo, hi) of the frontier writes its balls to
+// round, the owning shard's lane on a routed one. The draws depend only
+// on the per-client streams, so the counted or routed multiset is
+// independent of the worker count and the steal schedule. Chunk [lo, hi) of the frontier writes its balls to
 // choices from lo·d on, in draw order: client by client, each client's
 // balls in stream order. On the point-query path a worker draws the row
 // indices of whole clients into its block and resolves the block, into
 // its stretch of choices, before it would overflow. Returns the number
 // of requests submitted.
 func (l *clientLoop) draw() int64 {
-	if l.router != nil {
-		l.router.ResetLanes()
-	}
+	l.router.ResetLanes()
 	clear(l.partialSent)
 	l.pool.StealRange(len(l.frontier), func(w, _, lo, hi int) {
 		sk := l.sink(w)
@@ -651,43 +646,32 @@ func (l *clientLoop) draw() int64 {
 }
 
 // sink is where worker w's destinations go this round: its byte tally
-// on a counted round (bytes non-nil), its shard lanes on a routed one
-// (lanes non-nil), or the plain tally on the one-lane path.
+// on a counted round (bytes non-nil), its shard lanes on a routed one.
 type sink struct {
 	bytes *engine.ByteTally
 	w     int
 	lanes [][]int32
 	shift uint
-	plain []int32
 }
 
 // sink returns worker w's sink for the current round.
 func (l *clientLoop) sink(w int) sink {
-	switch {
-	case l.counted:
+	if l.counted {
 		return sink{bytes: l.bytes, w: w}
-	case l.router != nil:
-		return sink{lanes: l.router.Lanes(w), shift: l.router.Shift()}
 	}
-	return sink{plain: l.tally.Merged()}
+	return sink{lanes: l.router.Lanes(w), shift: l.router.Shift()}
 }
 
 // put hands every destination of dst to the sink.
 func (sk *sink) put(dst []int32) {
-	switch {
-	case sk.bytes != nil:
+	if sk.bytes != nil {
 		sk.bytes.Add(sk.w, dst)
-	case sk.lanes != nil:
-		lanes, shift := sk.lanes, sk.shift
-		for _, u := range dst {
-			s := int(u) >> shift
-			lanes[s] = append(lanes[s], u)
-		}
-	default:
-		counts := sk.plain
-		for _, u := range dst {
-			counts[u]++
-		}
+		return
+	}
+	lanes, shift := sk.lanes, sk.shift
+	for _, u := range dst {
+		s := int(u) >> shift
+		lanes[s] = append(lanes[s], u)
 	}
 }
 
@@ -702,20 +686,46 @@ func resolve(pq bipartite.PointQueryable, blk *pqBlock, out []int32, sk *sink) {
 	sk.put(out)
 }
 
-// scan reads the next stretch of window [pos, hi) of a counted round's
-// byte tallies into worker w's point-query block, which the draw no
-// longer needs: the stretch's nonzero servers, ascending, with their
-// counts, and the position the next stretch starts at (hi when the
-// window is done). Under TrackNeighborhoods it also stamps the counts
-// into the tally, where ReceivedAt reads them.
-func (l *clientLoop) scan(w, pos, hi int) (servers, counts []int32, next int) {
+// shardBlocks is the one way a decide reads a round: it hands shard s's
+// servers that received requests to fn, ascending, with their counts,
+// in blocks no longer than worker w's point-query block, which the draw
+// no longer needs. A counted round's blocks are scanned off the shard's
+// window of the byte tallies into the block; a routed round's are cut
+// from the shard's fold, with their counts copied into the block. Under
+// TrackNeighborhoods every block is also recorded in received. Owners
+// of distinct shards call it concurrently.
+func (l *clientLoop) shardBlocks(w, s int, fn func(servers, counts []int32)) {
 	blk := &l.pqBlocks[w]
-	k, next := l.bytes.Scan(pos, hi, blk.vs, blk.idx)
-	servers, counts = blk.vs[:k], blk.idx[:k]
-	if l.cumNbrReceived != nil {
-		l.tally.Stamp(servers, counts)
+	if l.counted {
+		hi := min((s+1)<<l.router.Shift(), l.topo.NumServers())
+		for pos := s << l.router.Shift(); pos < hi; {
+			var k int
+			k, pos = l.bytes.Scan(pos, hi, blk.vs, blk.idx)
+			l.emit(blk.vs[:k], blk.idx[:k], fn)
+		}
+		return
 	}
-	return servers, counts, next
+	touched, merged := l.router.FoldShard(s, l.tally), l.tally.Merged()
+	for len(touched) > 0 {
+		servers := touched[:min(len(touched), len(blk.idx))]
+		counts := blk.idx[:len(servers)]
+		for i, u := range servers {
+			counts[i] = merged[u]
+		}
+		l.emit(servers, counts, fn)
+		touched = touched[len(servers):]
+	}
+}
+
+// emit records a block's counts in received under TrackNeighborhoods
+// and hands the block to fn.
+func (l *clientLoop) emit(servers, counts []int32, fn func(servers, counts []int32)) {
+	if l.received != nil {
+		for i, u := range servers {
+			l.received[u] = counts[i]
+		}
+	}
+	fn(servers, counts)
 }
 
 // update counts each frontier client's accepted requests, retires them,
@@ -772,9 +782,9 @@ func (l *clientLoop) update() (accepted, alive int64) {
 
 // neighborhoodStats computes S_t, r_t and K_t (Definitions 3, 5, 6) for
 // the current round from the burned mirror and the round's received
-// counts. It costs O(|E|) and runs only under TrackNeighborhoods; the
-// per-worker maxima fold after the sweep (order-independent, so
-// steal-schedule-safe).
+// counts, which it reads with one plain load per edge. It costs O(|E|)
+// and runs only under TrackNeighborhoods; the per-worker maxima fold
+// after the sweep (order-independent, so steal-schedule-safe).
 func (l *clientLoop) neighborhoodStats() (maxBurnedFrac float64, maxReceived int, maxKt float64) {
 	cd := float64(l.cfg.C) * float64(l.d)
 	clear(l.partialFrac)
@@ -793,7 +803,7 @@ func (l *clientLoop) neighborhoodStats() (maxBurnedFrac float64, maxReceived int
 				if l.burned[u] {
 					burnedCnt++
 				}
-				recvSum += int64(l.tally.ReceivedAt(u))
+				recvSum += int64(l.received[u])
 			}
 			if f := float64(burnedCnt) / float64(len(nbrs)); f > frac {
 				frac = f

@@ -54,8 +54,9 @@ func TestPointQueryViewSelection(t *testing.T) {
 // one place: for every point-queryable family, the point-query draw
 // path and the forced row-regeneration path must produce bit-for-bit
 // identical Results across worker counts and shard counts — all against
-// the one-lane CSR reference. (The broader topology/steal/driver matrices sweep the same
-// contract at scale; this test isolates the two access paths.)
+// the one-shard CSR reference. (The broader topology/steal/driver
+// matrices sweep the same contract at scale; this test isolates the two
+// access paths.)
 func TestPointQueryDrawEquivalence(t *testing.T) {
 	type fam struct {
 		name string
@@ -85,7 +86,7 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := oneLane(cfg).Run(csr)
+		ref, err := oneShard(cfg).Run(csr)
 		if err != nil {
 			t.Fatalf("%s: CSR reference: %v", fam.name, err)
 		}
@@ -131,7 +132,7 @@ func TestPointQueryDrawBlocks(t *testing.T) {
 		}
 		cfg := Config{Variant: RAES, D: d, C: 2, Seed: 0xD1CE, RequestCounts: counts,
 			TrackRounds: true, TrackLoads: true, TrackAssignments: true}
-		ref, err := oneLane(cfg).Run(rowOnly{topo})
+		ref, err := oneShard(cfg).Run(rowOnly{topo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestPointQueryDrawBlocks(t *testing.T) {
 // rounds into byte tallies, and each scan leaves them zeroed for the
 // next round, so a reused front end run over seeds of an easy and a
 // starving configuration, and swapped to the routed row path and back,
-// must match a fresh one-lane run on the CSR twin at every seed.
+// must match a fresh one-shard run on the CSR twin at every seed.
 func TestCountedReuse(t *testing.T) {
 	topo, err := gen.RegularImplicit(2048, 32, 0xC0)
 	if err != nil {
@@ -195,7 +196,7 @@ func TestCountedReuse(t *testing.T) {
 			if want := bound == bipartite.Topology(topo); r.countsRound(balls) != want || dr.countsRound(balls) != want {
 				t.Fatalf("c=%v seed=%d: round 1 counted %t/%t after the swap, want %t", c, seed, r.countsRound(balls), dr.countsRound(balls), want)
 			}
-			fcfg := oneLane(cfg)
+			fcfg := oneShard(cfg)
 			fcfg.Seed = seed
 			want, err := fcfg.Run(csr)
 			if err != nil {
@@ -203,7 +204,7 @@ func TestCountedReuse(t *testing.T) {
 			}
 			r.Reseed(seed)
 			if got := r.Run(); !reflect.DeepEqual(got, want) {
-				t.Errorf("c=%v seed=%d: reused Runner diverges from the one-lane CSR run:\n  want=%+v\n  got=%+v", c, seed, want, got)
+				t.Errorf("c=%v seed=%d: reused Runner diverges from the one-shard CSR run:\n  want=%+v\n  got=%+v", c, seed, want, got)
 			}
 			dr.Reseed(seed)
 			got, err := dr.Run()
@@ -211,7 +212,7 @@ func TestCountedReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("c=%v seed=%d: reused Driver diverges from the one-lane CSR run:\n  want=%+v\n  got=%+v", c, seed, want, got)
+				t.Errorf("c=%v seed=%d: reused Driver diverges from the one-shard CSR run:\n  want=%+v\n  got=%+v", c, seed, want, got)
 			}
 		}
 	}

@@ -14,9 +14,7 @@ import (
 // Each router shard owns one ServerShard over the same server window, and
 // a round's phase 2 decides exactly the servers that received requests,
 // in address order, on the goroutine that owns the shard — no decision
-// lists. A counted round scans the shard's window of the workers' byte
-// tallies and a routed round folds the shard's route lanes; the
-// one-lane run (one worker, one shard) scans its plain tally instead.
+// lists.
 type Runner struct {
 	clientLoop
 
@@ -49,17 +47,13 @@ func (c Config) Run(topo bipartite.Topology) (*Result, error) {
 // run state.
 func (c Config) NewRunner(topo bipartite.Topology) (*Runner, error) {
 	r := &Runner{}
-	if err := r.init(topo, c, false); err != nil {
+	if err := r.init(topo, c); err != nil {
 		return nil, err
 	}
 	m := topo.NumServers()
 	r.load = make([]int32, m)
 	received := make([]int32, m)
-	width := m
-	if r.router != nil {
-		width = 1 << r.router.Shift()
-	}
-	for lo := 0; lo < m; lo += width {
+	for lo, width := 0, 1<<r.router.Shift(); lo < m; lo += width {
 		hi := min(lo+width, m)
 		r.servers = append(r.servers, windowShard(c.Variant, r.capacity, lo, hi,
 			r.load[lo:], received[lo:], r.burned[lo:]))
@@ -95,53 +89,26 @@ func (r *Runner) loads() ([]int32, error) { return r.load, nil }
 // own shards' state.
 func (r *Runner) checkLoads([]int32, int64, *Result) error { return nil }
 
-// decide is phase 2. On a counted round the shard owners scan their
-// windows of the workers' byte tallies, and on a routed round they fold
-// their lanes into the stamped tally; either way each applies the rule
-// to exactly the servers that received requests, ascending within the
-// shard. On the one-lane path the single shard scans the plain tally.
-// The order in which shards run differs across shard counts and steal
-// schedules but never leaks into results: each server's update depends
-// only on its own state, and the burned/saturated partials are
-// order-independent sums.
+// decide is phase 2: each shard owner applies the rule to the blocks
+// shardBlocks hands it, so to exactly the servers that received
+// requests, ascending within the shard. The order in which shards run
+// differs across shard counts and steal schedules but never leaks into
+// results: each server's update depends only on its own state, and the
+// burned/saturated partials are order-independent sums.
 func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(r.tel.decideHist())
 	defer sp.End()
-	if r.router == nil {
-		sh := r.servers[0]
-		for u, recv := range r.tally.Merged() {
-			if recv != 0 {
-				b, s := r.apply(sh, int32(u), recv)
-				newlyBurned += b
-				saturated += s
-			}
-		}
-		return newlyBurned, saturated, nil
-	}
 	clear(r.partialBurned)
 	clear(r.partialSat)
-	counts := r.tally.Merged()
 	r.pool.StealRangeGrain(len(r.servers), 1, func(w, _, lo, hi int) {
 		var nb, sat int
 		for s := lo; s < hi; s++ {
 			sh := r.servers[s]
-			if r.counted {
-				for pos := sh.lo; pos < sh.hi; {
-					var servers, recv []int32
-					servers, recv, pos = r.scan(w, pos, sh.hi)
-					for i, u := range servers {
-						b, st := r.apply(sh, u, recv[i])
-						nb += b
-						sat += st
-					}
-				}
-				continue
-			}
-			for _, u := range r.router.FoldShard(s, r.tally) {
-				b, st := r.apply(sh, u, counts[u])
+			r.shardBlocks(w, s, func(servers, counts []int32) {
+				b, st := sh.applyBlock(servers, counts, r.accepted)
 				nb += b
 				sat += st
-			}
+			})
 		}
 		r.partialBurned[w] += int64(nb)
 		r.partialSat[w] += int64(sat)
@@ -151,23 +118,4 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 		saturated += int(r.partialSat[w])
 	}
 	return newlyBurned, saturated, nil
-}
-
-// apply runs shard sh's rule on server u, which received recv requests,
-// and sets u's bit in the accept set when it accepted. It returns 1/0
-// counts for a new burn and a saturation. Shard windows are whole
-// 64-server words of the set, so concurrent shard owners never write
-// the same word.
-func (r *Runner) apply(sh *ServerShard, u, recv int32) (newlyBurned, saturated int) {
-	accepted, burned, sat := sh.rule(int(u)-sh.lo, recv)
-	if accepted {
-		r.accepted[u>>6] |= 1 << (u & 63)
-	}
-	if burned {
-		newlyBurned = 1
-	}
-	if sat {
-		saturated = 1
-	}
-	return newlyBurned, saturated
 }

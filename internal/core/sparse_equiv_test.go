@@ -21,16 +21,17 @@ func equivalenceWorkerCounts() []int {
 // equivalenceShardCounts decouple the shard sweep from the worker sweep:
 // the round loop must produce bit-for-bit identical results for every
 // shard count, including the autotuned one (0), one shard (which with one
-// worker is the one-lane path) and shard counts that differ from the
+// worker counts every round) and shard counts that differ from the
 // worker count.
 func equivalenceShardCounts() []int {
 	return []int{0, 1, 2, 3, 8}
 }
 
-// oneLane returns cfg set for the one-lane path: one worker and one
-// shard, counting into a plain tally and scanning the servers. It is the
-// reference every routed configuration is compared against.
-func oneLane(cfg Config) Config {
+// oneShard returns cfg set to one worker and one shard, where every
+// round counts into the one worker's byte tally (unless m is not a power
+// of two and the router splits it in two). It is the reference every
+// other configuration is compared against.
+func oneShard(cfg Config) Config {
 	cfg.Workers = 1
 	cfg.Shards = 1
 	return cfg
@@ -39,14 +40,13 @@ func oneLane(cfg Config) Config {
 // runEquivalenceCase executes the same run under every (worker count,
 // shard count) combination and fails the test unless all Results —
 // including the PerRound series, load vectors and assignments — are
-// bit-for-bit identical to the one-lane reference (the plain tally with
-// a server scan); every other combination walks the routed stamped
-// pipeline.
+// bit-for-bit identical to the one-shard reference. The graphs are CSR,
+// so every other combination routes.
 func runEquivalenceCase(t *testing.T, name string, g *bipartite.Graph, cfg Config) {
 	t.Helper()
-	ref, err := oneLane(cfg).Run(g)
+	ref, err := oneShard(cfg).Run(g)
 	if err != nil {
-		t.Fatalf("%s: one-lane reference failed: %v", name, err)
+		t.Fatalf("%s: one-shard reference failed: %v", name, err)
 	}
 	for _, workers := range equivalenceWorkerCounts() {
 		for _, shards := range equivalenceShardCounts() {
@@ -58,7 +58,7 @@ func runEquivalenceCase(t *testing.T, name string, g *bipartite.Graph, cfg Confi
 				t.Fatalf("%s workers=%d shards=%d: %v", name, workers, shards, err)
 			}
 			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s: workers=%d shards=%d diverges from the one-lane reference:\n  ref=%+v\n  got=%+v",
+				t.Errorf("%s: workers=%d shards=%d diverges from the one-shard reference:\n  ref=%+v\n  got=%+v",
 					name, workers, shards, ref, got)
 			}
 		}
@@ -120,7 +120,7 @@ func TestDenseSparseEquivalenceWithInitialLoads(t *testing.T) {
 }
 
 func TestDenseSparseEquivalenceStarved(t *testing.T) {
-	// The starved-client early exit must fire identically on the one-lane
+	// The starved-client early exit must fire identically on the counted
 	// and the routed paths.
 	b := bipartite.NewBuilder(2, 2)
 	b.AddEdge(0, 0).AddEdge(1, 0)
@@ -132,9 +132,10 @@ func TestDenseSparseEquivalenceStarved(t *testing.T) {
 		TrackRounds: true})
 }
 
-// Property: on random small instances, the one-lane path (plain dense
-// tally, server scan) and the routed path (stamped sparse fold) agree for
-// arbitrary seeds, variants, thresholds, worker and shard counts.
+// Property: on random small instances, the one-shard reference (its
+// rounds counted into one byte tally when m is a power of two) and the
+// routed path (stamped sparse fold) agree for arbitrary seeds, variants,
+// thresholds, worker and shard counts.
 func TestQuickDenseSparseEquivalence(t *testing.T) {
 	f := func(seed uint64, nRaw, cRaw, vRaw uint8) bool {
 		n := 96 + int(nRaw%160)
@@ -237,23 +238,28 @@ func TestRunnerReuseAfterStarvedRun(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseAcrossEngineModes reseeds a Runner on each of the two
-// round paths — the one-lane plain tally and the routed stamped tally —
-// through enough trials that state left by earlier trials (tally
-// counts, occupancy bits, survivor ranges) is exercised by later ones.
+// TestRunnerReuseAcrossEngineModes reseeds a Runner on each round path —
+// one worker on one shard, which counts every round into its byte
+// tally, and the routed stamped tally on one and on two workers —
+// through enough trials that state left by earlier trials (byte counts,
+// occupancy bits, survivor ranges) is exercised by later ones.
 func TestRunnerReuseAcrossEngineModes(t *testing.T) {
 	g := regularGraph(t, 512, 30, 9)
 	for _, path := range []struct {
 		name            string
 		workers, shards int
-	}{{"one-lane", 1, 1}, {"routed", 1, 4}, {"routed-parallel", 2, 3}} {
+		counts          bool
+	}{{"one-shard", 1, 1, true}, {"routed", 1, 4, false}, {"routed-parallel", 2, 3, false}} {
 		cfg := Config{Variant: SAER, D: 2, C: 3, Workers: path.workers, Shards: path.shards, TrackLoads: true}
 		r, err := cfg.NewRunner(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (r.router == nil) != (path.name == "one-lane") {
-			t.Fatalf("%s: router=%v, wrong path selected", path.name, r.router != nil)
+		// Round 1 draws every ball; a late round, one.
+		for _, balls := range []int64{int64(cfg.D * g.NumClients()), 1} {
+			if got := r.countsRound(balls); got != path.counts {
+				t.Fatalf("%s: a round of %d balls counted %t, want %t", path.name, balls, got, path.counts)
+			}
 		}
 		for trial := 0; trial < 5; trial++ {
 			seed := 0xA5A5 + uint64(trial)

@@ -13,7 +13,7 @@ import (
 // TestStealScheduleEquivalence is the work-stealing scheduler's
 // determinism contract: core.Results are bit-for-bit identical across
 // worker counts (every multi-worker run steals) × shard counts ×
-// topology backends. The reference is the one-lane run on the
+// topology backends. The reference is the one-shard run on the
 // materialized CSR graph; the implicit backend regenerates the exact
 // same edge multiset (Materialize twin), so its results must match too.
 func TestStealScheduleEquivalence(t *testing.T) {
@@ -28,7 +28,7 @@ func TestStealScheduleEquivalence(t *testing.T) {
 	}
 	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xFEED, TrackRounds: true, TrackLoads: true, TrackAssignments: true}
 
-	ref, err := oneLane(cfg).Run(csr)
+	ref, err := oneShard(cfg).Run(csr)
 	if err != nil {
 		t.Fatal(err)
 	}

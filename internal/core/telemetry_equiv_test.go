@@ -20,7 +20,7 @@ func TestTelemetryEquivalence(t *testing.T) {
 		for _, c := range []float64{4, 2} {
 			cfg := Config{Variant: variant, D: 2, C: c, Seed: 0xFEED,
 				TrackRounds: true, TrackLoads: true, TrackAssignments: true}
-			ref, err := oneLane(cfg).Run(g)
+			ref, err := oneShard(cfg).Run(g)
 			if err != nil {
 				t.Fatalf("%s c=%v: reference failed: %v", variant, c, err)
 			}
@@ -66,7 +66,7 @@ func TestTelemetryEquivalence(t *testing.T) {
 func TestTelemetryEquivalenceDriver(t *testing.T) {
 	g := regularGraph(t, 1024, 40, 77)
 	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xFEED, TrackRounds: true, TrackLoads: true}
-	ref, err := oneLane(cfg).Run(g)
+	ref, err := oneShard(cfg).Run(g)
 	if err != nil {
 		t.Fatalf("reference failed: %v", err)
 	}

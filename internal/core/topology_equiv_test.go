@@ -23,15 +23,15 @@ func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, c
 	}
 	for _, variant := range []Variant{SAER, RAES} {
 		cfg.Variant = variant
-		ref, err := oneLane(cfg).Run(csr)
+		ref, err := oneShard(cfg).Run(csr)
 		if err != nil {
 			t.Fatalf("%s/%s: CSR reference failed: %v", name, variant, err)
 		}
 		// The implicit runs draw by point query or regenerate rows (and
 		// pin the frontier's rows in the row cache once they fit), on the
-		// one-lane, the routed and the counted path. Round 1 of every
-		// multi-worker run of a point-query family on these small
-		// instances counts.
+		// routed and the counted path. Round 1 counts on every one-worker,
+		// one-shard run and on every multi-worker run of a point-query
+		// family on these small instances.
 		pq := bipartite.PointQuerier(topo) != nil
 		for _, workers := range equivalenceWorkerCounts() {
 			for _, shards := range equivalenceShardCounts() {
@@ -43,12 +43,12 @@ func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, c
 					t.Fatalf("%s/%s workers=%d shards=%d: %v", name, variant, workers, shards, err)
 				}
 				balls := int64(c.D * topo.NumClients())
-				if want := pq && r.pool.Workers() > 1; r.countsRound(balls) != want {
+				if want := pq && workers > 1 || workers == 1 && r.router.Shards() == 1; r.countsRound(balls) != want {
 					t.Fatalf("%s/%s workers=%d shards=%d: round 1 counted %t, want %t", name, variant, workers, shards, r.countsRound(balls), want)
 				}
 				got := r.Run()
 				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s/%s: implicit workers=%d shards=%d diverges from the CSR one-lane reference:\n  ref=%+v\n  got=%+v",
+					t.Errorf("%s/%s: implicit workers=%d shards=%d diverges from the CSR one-shard reference:\n  ref=%+v\n  got=%+v",
 						name, variant, workers, shards, ref, got)
 				}
 			}

@@ -39,25 +39,3 @@ func TestShardsPartitionRange(t *testing.T) {
 		}
 	}
 }
-
-// TestPlainTallyCountsAndReset pins the plain tally the one-lane round
-// loop counts into: direct writes through Merged read back through
-// ReceivedAt, and Reset zeroes every cell.
-func TestPlainTallyCountsAndReset(t *testing.T) {
-	ta := NewTally(NewPool(1), 10)
-	if ta.IsStamped() {
-		t.Fatal("new tally is stamped")
-	}
-	counts := ta.Merged()
-	counts[3] += 2
-	counts[9]++
-	if ta.ReceivedAt(3) != 2 || ta.ReceivedAt(9) != 1 || ta.ReceivedAt(0) != 0 {
-		t.Fatalf("counts read back wrong: %v", counts)
-	}
-	ta.Reset()
-	for i := int32(0); i < 10; i++ {
-		if ta.ReceivedAt(i) != 0 {
-			t.Fatalf("ReceivedAt(%d) = %d after Reset", i, ta.ReceivedAt(i))
-		}
-	}
-}

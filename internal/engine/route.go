@@ -11,10 +11,10 @@ import "math/bits"
 // owns the shard and land inside one contiguous 2^shift-cell window, so
 // they are cache-blocked; folding costs O(routed events + window/64),
 // and with the stamped tally (the global level of the two-level SPA
-// accumulator, see Tally.BeginStamped) the round-end reset clears a
-// one-bit-per-cell occupancy map: no zeroing pass ever streams the
-// counts array, so the loop's per-round resident set is one shard
-// window even when the tally itself outgrows L2.
+// accumulator, see Tally) the round-end reset clears a one-bit-per-cell
+// occupancy map: no zeroing pass ever streams the counts array, so the
+// loop's per-round resident set is one shard window even when the tally
+// itself outgrows L2.
 //
 // Shards are contiguous cell ranges of width 2^shift: routing in the
 // phase-A inner loop is a single shift (ShardOf). The width is at least
@@ -130,9 +130,9 @@ func (rt *Router) ResetLanes() {
 
 // FoldShard folds every worker's lane of shard s into the stamped tally
 // and returns the shard's touched cells, ascending and duplicate-free.
-// The tally must be in stamped mode (Tally.BeginStamped): a first touch
-// is detected by the cell's occupancy bit, so the shard's counts may
-// hold arbitrary stale values — no zeroing pass ever precedes a fold.
+// A first touch is detected by the cell's occupancy bit, so the shard's
+// counts may hold arbitrary stale values — no zeroing pass ever precedes
+// a fold.
 // The fold takes no branch on the bit: the cell's bit, as a 0/1 mask,
 // keeps or drops the old count before the add, so a first touch and a
 // repeat cost the same and a ball's branch never mispredicts. The
@@ -181,8 +181,8 @@ func (rt *Router) SyncTopologyVersion(v uint64) bool {
 }
 
 // Discard truncates every lane and touched list without touching the
-// tally: pair it with Tally.Reset when a run abandoned a round between
-// fold and reset.
+// tally: pair it with Tally.StampedReset when a run abandoned a round
+// between fold and reset.
 func (rt *Router) Discard() {
 	rt.ResetLanes()
 	for s := range rt.touched {

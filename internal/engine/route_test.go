@@ -226,12 +226,9 @@ func TestRouterDiscard(t *testing.T) {
 		rt.FoldShard(s, ta)
 	}
 	// Simulate the early-exit path: the tally is fully reset (a bitmap
-	// clear in stamped mode), the Router is discarded, and the next round
-	// must start clean.
-	ta.Reset()
-	if !ta.IsStamped() {
-		t.Fatal("Reset dropped stamped mode")
-	}
+	// clear), the Router is discarded, and the next round must start
+	// clean.
+	ta.StampedReset()
 	rt.Discard()
 	rt.ResetLanes()
 	for s := 0; s < rt.Shards(); s++ {

@@ -400,10 +400,11 @@ func TestStarvedEnginesAgree(t *testing.T) {
 // point-query topology, the path it serves: TrustSubsetImplicit(4096,
 // 8, 8) lists all 8 servers for every client, so round 1 sends each
 // server about 1024 balls, about 520 from each of two workers, and every
-// worker's byte wraps past 255 twice (C = 2000 accepts them all). The
-// Runner at 2 and 3 workers, a Driver over LocalBank and over wire
-// loopback (both at 2 workers) and netsim on the materialized twin must
-// agree, for SAER and RAES.
+// worker's byte wraps past 255 twice (C = 2000 accepts them all); one
+// worker counts all of about 1024 and wraps about four times. The
+// Runner at 1, 2 and 3 workers, a Driver over LocalBank at 1 and 2
+// workers, one over wire loopback at 2 workers and netsim on the
+// materialized twin must agree, for SAER and RAES.
 func TestByteWrapEnginesAgree(t *testing.T) {
 	topo, err := gen.TrustSubsetImplicit(4096, 8, 8, 0x3A)
 	if err != nil {
@@ -422,7 +423,7 @@ func TestByteWrapEnginesAgree(t *testing.T) {
 		if ref.MaxLoad < 4*256 {
 			t.Fatalf("%s: max load %d; the instance no longer wraps every worker's bytes", variant, ref.MaxLoad)
 		}
-		for _, workers := range []int{2, 3} {
+		for _, workers := range []int{1, 2, 3} {
 			c := cfg
 			c.Workers = workers
 			got, err := c.Run(topo)
@@ -433,20 +434,24 @@ func TestByteWrapEnginesAgree(t *testing.T) {
 				t.Errorf("%s: Runner workers=%d differs from netsim: %v vs %v", variant, workers, got, ref)
 			}
 		}
+		for _, workers := range []int{1, 2} {
+			c := cfg
+			c.Workers = workers
+			dr, err := core.NewLocalDriver(topo, c, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dr.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: Driver workers=%d over LocalBank differs from netsim: %v vs %v", variant, workers, got, ref)
+			}
+		}
 		c := cfg
 		c.Workers = 2
-		dr, err := core.NewLocalDriver(topo, c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dr.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: Driver over LocalBank differs from netsim: %v vs %v", variant, got, ref)
-		}
-		got = runLoopback(t, topo, c, 2)
+		got := runLoopback(t, topo, c, 2)
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("%s: Driver over wire loopback differs from netsim: %v vs %v", variant, got, ref)
 		}
