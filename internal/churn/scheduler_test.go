@@ -81,8 +81,8 @@ func runTestScenario(t *testing.T, sc scenarioConfig) []*EpochOutcome {
 // protocol series — must be bit-for-bit identical across topology
 // backends × worker counts × shard counts. The reference is the
 // implicit backend on one worker with a one-shard target, which the
-// router meets with two 256-server windows (m = 260), so every round
-// routes; the other configurations count or route each round as
+// router meets with one 512-server window (m = 260), so every round
+// counts; the other configurations count or route each round as
 // directCount picks, multi-worker ones under the work-stealing
 // scheduler.
 func TestChurnSchedulerEquivalence(t *testing.T) {

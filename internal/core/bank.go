@@ -145,8 +145,13 @@ func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
 // received recv > 0 requests this round, and reports whether it accepted
 // them, burned for the first time, and saturated (rejected the round
 // while not burned).
+//
+// receivedTotal is read only while the server is not burned, and then it
+// is at most the capacity. So recv > capacity-receivedTotal is
+// receivedTotal+recv > capacity without the int32 overflow that a huge
+// count (a malformed wire batch) would cause, and a burned server's
+// total is no longer kept.
 func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated bool) {
-	s.receivedTotal[j] += recv
 	switch s.variant {
 	case SAER:
 		if s.burned[j] {
@@ -154,16 +159,21 @@ func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated 
 			// event.
 			return false, false, false
 		}
-		if s.receivedTotal[j] > s.capacity {
+		if recv > s.capacity-s.receivedTotal[j] {
 			s.burned[j] = true
 			return false, true, true
 		}
+		s.receivedTotal[j] += recv
 	default: // RAES
-		if !s.burned[j] && s.receivedTotal[j] > s.capacity {
-			// Diagnostic only: the server would be burned under SAER's
-			// stronger rule; RAES itself keeps going.
-			s.burned[j] = true
-			newlyBurned = true
+		if !s.burned[j] {
+			if recv > s.capacity-s.receivedTotal[j] {
+				// Diagnostic only: the server would be burned under
+				// SAER's stronger rule; RAES itself keeps going.
+				s.burned[j] = true
+				newlyBurned = true
+			} else {
+				s.receivedTotal[j] += recv
+			}
 		}
 		// recv > capacity-load is load+recv > capacity without the
 		// int32 overflow a load near MaxInt32 would cause.
@@ -202,23 +212,14 @@ func (s *ServerShard) applyBlock(servers, counts []int32, accepted []uint64) (ne
 // no duplicates), counts parallel to it and positive. Accepted and
 // newly-burned servers are appended to the provided slices (preserving
 // input order) and returned with the saturation count. A malformed batch
-// is rejected at its first bad entry.
+// is rejected, naming its first bad entry, before any entry is applied,
+// so a rejected batch leaves the shard as it was.
 func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []int32) (acc, nb []int32, saturated int, err error) {
-	if len(touched) != len(counts) {
-		return accepted, newlyBurned, 0, fmt.Errorf("core: shard decide with %d touched but %d counts", len(touched), len(counts))
+	if err := s.checkBatch(touched, counts); err != nil {
+		return accepted, newlyBurned, 0, err
 	}
 	for i, u := range touched {
-		if int(u) < s.lo || int(u) >= s.hi {
-			return accepted, newlyBurned, saturated, fmt.Errorf("core: server %d outside shard window [%d, %d)", u, s.lo, s.hi)
-		}
-		if i > 0 && u <= touched[i-1] {
-			return accepted, newlyBurned, saturated, fmt.Errorf("core: round batch not strictly ascending at server %d", u)
-		}
-		recv := counts[i]
-		if recv <= 0 {
-			return accepted, newlyBurned, saturated, fmt.Errorf("core: server %d touched with count %d", u, recv)
-		}
-		a, b, sat := s.rule(int(u)-s.lo, recv)
+		a, b, sat := s.rule(int(u)-s.lo, counts[i])
 		if a {
 			accepted = append(accepted, u)
 		}
@@ -230,6 +231,43 @@ func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []in
 		}
 	}
 	return accepted, newlyBurned, saturated, nil
+}
+
+// checkBatch reports the first entry that makes (touched, counts) a
+// malformed batch for Decide. A well-formed batch is strictly ascending
+// with positive counts, and its first and last servers lie inside the
+// window, so the common case is one pass that ORs each step's
+// u - prev - 1 and count - 1 into a word whose sign bit records any
+// failure, without a branch per entry; only a malformed batch is walked
+// again to name its first bad entry.
+func (s *ServerShard) checkBatch(touched, counts []int32) error {
+	if len(touched) != len(counts) {
+		return fmt.Errorf("core: shard decide with %d touched but %d counts", len(touched), len(counts))
+	}
+	if len(touched) == 0 {
+		return nil
+	}
+	counts = counts[:len(touched)]
+	bad := int64(counts[0]) - 1
+	for i := 1; i < len(touched); i++ {
+		bad |= int64(touched[i]) - int64(touched[i-1]) - 1
+		bad |= int64(counts[i]) - 1
+	}
+	if bad >= 0 && int(touched[0]) >= s.lo && int(touched[len(touched)-1]) < s.hi {
+		return nil
+	}
+	for i, u := range touched {
+		if int(u) < s.lo || int(u) >= s.hi {
+			return fmt.Errorf("core: server %d outside shard window [%d, %d)", u, s.lo, s.hi)
+		}
+		if i > 0 && u <= touched[i-1] {
+			return fmt.Errorf("core: round batch not strictly ascending at server %d", u)
+		}
+		if counts[i] <= 0 {
+			return fmt.Errorf("core: server %d touched with count %d", u, counts[i])
+		}
+	}
+	return nil
 }
 
 // Loads returns the shard's accepted load window (aliasing; read-only).

@@ -28,9 +28,8 @@ func equivalenceShardCounts() []int {
 }
 
 // oneShard returns cfg set to one worker and one shard, where every
-// round counts into the one worker's byte tally (unless m is not a power
-// of two and the router splits it in two). It is the reference every
-// other configuration is compared against.
+// round counts into the one worker's byte tally. It is the reference
+// every other configuration is compared against.
 func oneShard(cfg Config) Config {
 	cfg.Workers = 1
 	cfg.Shards = 1
@@ -133,9 +132,9 @@ func TestDenseSparseEquivalenceStarved(t *testing.T) {
 }
 
 // Property: on random small instances, the one-shard reference (its
-// rounds counted into one byte tally when m is a power of two) and the
-// routed path (stamped sparse fold) agree for arbitrary seeds, variants,
-// thresholds, worker and shard counts.
+// rounds counted into one byte tally) and the routed path (stamped
+// sparse fold) agree for arbitrary seeds, variants, thresholds, worker
+// and shard counts.
 func TestQuickDenseSparseEquivalence(t *testing.T) {
 	f := func(seed uint64, nRaw, cRaw, vRaw uint8) bool {
 		n := 96 + int(nRaw%160)
@@ -235,6 +234,23 @@ func TestRunnerReuseAfterStarvedRun(t *testing.T) {
 	}
 	if starved == 0 {
 		t.Fatal("setup broken: no seed produced a starved run")
+	}
+}
+
+// TestOneShardCountsAtAnyServerCount pins that one worker asked for one
+// shard gets one router shard and counts round 1 whether or not m is a
+// power of two.
+func TestOneShardCountsAtAnyServerCount(t *testing.T) {
+	for _, m := range []int{260, 700, 1000} {
+		g := regularGraph(t, m, 16, uint64(m))
+		r, err := oneShard(Config{Variant: SAER, D: 2, C: 4}).NewRunner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.router.Shards() != 1 || !r.countsRound(int64(2*g.NumClients())) {
+			t.Fatalf("m=%d: %d router shards, round 1 counted %t; want 1 shard, counted",
+				m, r.router.Shards(), r.countsRound(int64(2*g.NumClients())))
+		}
 	}
 }
 

@@ -71,20 +71,20 @@ const sliceHeaderSize = 3 * bits.UintSize / 8
 
 // NewRouter returns a Router for `workers` phase-A workers over a counts
 // array of `size` cells, splitting it into about targetShards shards of
-// at least 64 cells.
+// at least 64 cells. A target of one (or less) yields exactly one shard.
 func NewRouter(workers, targetShards, size int) *Router {
 	if workers < 1 {
 		workers = 1
 	}
-	if targetShards < 1 {
-		targetShards = 1
-	}
-	// Largest power-of-two width ≤ size/targetShards, so that
-	// width ≤ size/targetShards < 2·width and the shard count is in
-	// [targetShards, 2·targetShards] — unless that is under the 64-cell
-	// floor, which leaves fewer shards.
+	// Past one shard: the largest power-of-two width ≤ size/targetShards,
+	// so that width ≤ size/targetShards < 2·width and the shard count is
+	// in [targetShards, 2·targetShards] — unless that is under the
+	// 64-cell floor, which leaves fewer shards. One shard: the smallest
+	// power-of-two width ≥ size, so the window covers every cell.
 	shift := uint(minShardShift)
-	if per := size / targetShards; per > 0 {
+	if targetShards <= 1 {
+		shift = max(shift, uint(bits.Len64(uint64(max(size, 1)-1))))
+	} else if per := size / targetShards; per > 0 {
 		shift = max(shift, uint(bits.Len64(uint64(per)))-1)
 	}
 	width := 1 << shift

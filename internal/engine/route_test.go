@@ -14,7 +14,8 @@ import (
 // TestRouterGeometry pins the shard layout: a window is a power of two
 // of at least 64 cells (one occupancy word, so concurrent folds never
 // share a bitmap word), and the shard count lands in [target, 2·target]
-// whenever that floor leaves room for it (size ≥ 64·target).
+// whenever that floor leaves room for it (size ≥ 64·target); a target
+// of one gives one shard (TestRouterOneShard).
 func TestRouterGeometry(t *testing.T) {
 	for _, target := range []int{1, 2, 3, 4, 7, 8, 16} {
 		for _, size := range []int{1, 2, 7, 16, 63, 64, 65, 100, 1000, 1 << 16, 1<<16 + 1} {
@@ -46,6 +47,24 @@ func TestRouterGeometry(t *testing.T) {
 				}
 				last = s
 			}
+		}
+	}
+}
+
+// TestRouterOneShard pins that a one-shard target yields one window
+// covering every cell at any size, a power of two or not, so a
+// one-worker run asked for one shard gets it.
+func TestRouterOneShard(t *testing.T) {
+	for _, size := range []int{1, 63, 64, 65, 260, 700, 1000, 1024, 1<<20 + 1} {
+		rt := NewRouter(1, 1, size)
+		if rt.Shards() != 1 {
+			t.Fatalf("size=%d: %d shards of width %d, want 1", size, rt.Shards(), 1<<rt.Shift())
+		}
+		if width := 1 << rt.Shift(); width < max(size, 64) || width >= 2*max(size, 64) {
+			t.Fatalf("size=%d: width %d, want the smallest power of two ≥ max(size, 64)", size, width)
+		}
+		if s := rt.ShardOf(int32(size - 1)); s != 0 {
+			t.Fatalf("size=%d: last cell maps to shard %d", size, s)
 		}
 	}
 }

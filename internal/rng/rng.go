@@ -130,9 +130,11 @@ func (s *Stream) Uint64() uint64 {
 //
 // The body deliberately duplicates Source.Intn's Lemire multiply-shift
 // rejection rather than sharing it through a function value or generic:
-// this is the simulator's innermost loop and must stay inlinable against
-// the concrete receiver. Any change to the rejection logic must be
-// applied to both copies.
+// this is the simulator's innermost loop, and the copy keeps every draw
+// a direct call on the concrete receiver, with no function value or
+// interface to go through. It is not inlined; its cost exceeds the
+// compiler's budget. Any change to the rejection logic must be applied
+// to both copies.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with non-positive n")

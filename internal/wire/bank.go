@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -294,18 +295,14 @@ type sessionShard struct {
 	parseLoadsFn func([]byte) error
 }
 
-func (ss *sessionShard) parseRound(payload []byte) error {
-	r := reader{b: payload}
-	ss.accepted = r.i32Slice(ss.accepted[:0])
-	ss.burned = r.i32Slice(ss.burned[:0])
-	ss.sat = int(r.u32())
-	return r.done()
+func (ss *sessionShard) parseRound(payload []byte) (err error) {
+	ss.accepted, ss.burned, ss.sat, err = decodeRoundReply(payload, ss.accepted[:0], ss.burned[:0])
+	return err
 }
 
-func (ss *sessionShard) parseLoads(payload []byte) error {
-	r := reader{b: payload}
-	ss.loads = r.i32Slice(ss.loads[:0])
-	return r.done()
+func (ss *sessionShard) parseLoads(payload []byte) (err error) {
+	ss.loads, err = decodeLoads(payload, ss.loads[:0])
+	return err
 }
 
 func parseEmpty(payload []byte) error {
@@ -366,7 +363,9 @@ func (s *Session) Reset(initialLoads []int) error {
 // server-side decide), then gathers the replies in shard order — windows
 // ascend, so the concatenated decision lists stay sorted. Shards that
 // received nothing are skipped entirely — no frame, no state change,
-// matching core.LocalBank.
+// matching core.LocalBank. Each window's end is a binary search of the
+// ascending batch; a batch out of order still reaches some server as a
+// slice its shard rejects, or leaves entries past the last window.
 func (s *Session) DecideRound(touched, counts []int32) (core.RoundDecision, error) {
 	var dec core.RoundDecision
 	if len(touched) != len(counts) {
@@ -376,16 +375,13 @@ func (s *Session) DecideRound(touched, counts []int32) (core.RoundDecision, erro
 	s.active = s.active[:0]
 	from := 0
 	for i, sc := range s.b.conns {
-		to := from
-		for to < len(touched) && touched[to] < sc.hi {
-			to++
-		}
+		k, _ := slices.BinarySearch(touched[from:], sc.hi)
+		to := from + k
 		if to == from {
 			continue
 		}
 		ss := s.shards[i]
-		ss.out = appendI32Slice(ss.out[:0], touched[from:to])
-		ss.out = appendI32Slice(ss.out, counts[from:to])
+		ss.out = appendRound(ss.out[:0], touched[from:to], counts[from:to])
 		ss.pc = sc.begin(s.id, msgRound, ss.out, msgRoundReply, ss.parseRoundFn)
 		s.active = append(s.active, i)
 		from = to

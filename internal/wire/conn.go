@@ -213,15 +213,12 @@ func (sc *shardConn) dialOnce() (*liveConn, error) {
 		fc.tx, fc.rx, fc.spills = sc.tel.tx, sc.tel.rx, sc.tel.spills
 	}
 	b := sc.bank
-	var hello []byte
-	hello = appendU32(hello, helloMagic)
-	hello = appendU32(hello, protoVersion)
-	hello = append(hello, byte(b.variant))
-	hello = appendI32(hello, b.capacity)
-	hello = appendI32(hello, sc.lo)
-	hello = appendI32(hello, sc.hi)
+	h := appendHello(nil, hello{
+		magic: helloMagic, version: protoVersion, variant: byte(b.variant),
+		capacity: b.capacity, lo: sc.lo, hi: sc.hi,
+	})
 	for s := 0; s < b.cfg.Sessions; s++ {
-		if err := fc.writeMessage(msgHello, uint32(s), hello); err != nil {
+		if err := fc.writeMessage(msgHello, uint32(s), h); err != nil {
 			conn.Close()
 			return nil, err
 		}

@@ -16,8 +16,12 @@
 //	uint32 LE  session id
 //	payload    little-endian fixed-width integers, layout per type
 //
-// Integer arrays are written as a uint32 count followed by the raw
-// int32 values — compact, allocation-free to encode, and O(1) to size.
+// Integer arrays are written as a uint32 count followed by the int32
+// values, little-endian — compact, allocation-free to encode, and O(1)
+// to size. On a little-endian host the values' wire bytes are the
+// array's own memory, so appendI32Slice and reader.i32Slice move a
+// whole array with one copy; a big-endian host converts one value at a
+// time (the portable path, which the tests also use as the reference).
 //
 // Two version-2 additions carry the scaled-up client:
 //
@@ -46,6 +50,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"unsafe"
 
 	"repro/internal/telemetry"
 )
@@ -268,26 +274,119 @@ func appendI32(b []byte, v int32) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
 }
 
-// appendI32Slice writes a counted int32 array. The buffer is grown once
-// and filled with a tight PutUint32 loop — this is the round-batch
-// encode hot path, where per-element append calls showed up in the wire
-// profile.
+// nativeLE reports whether this host stores an int32 in the wire's byte
+// order, little-endian. Then an int32 array's memory is its wire
+// encoding, and the array helpers move it with one copy.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// i32Bytes views the memory of vs as its 4·len(vs) bytes.
+func i32Bytes(vs []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 4*len(vs))
+}
+
+// appendI32Slice writes a counted int32 array: the count, then the
+// values. This is the round path's encoder (request batches, replies and
+// load vectors), so on a little-endian host the values are one copy of
+// the array's bytes, not a conversion per value.
 func appendI32Slice(b []byte, vs []int32) []byte {
-	need := 4 + 4*len(vs)
-	if cap(b)-len(b) < need {
-		nb := make([]byte, len(b), len(b)+need+len(b)/2)
-		copy(nb, b)
-		b = nb
+	if !nativeLE {
+		return appendI32SlicePortable(b, vs)
 	}
+	b = slices.Grow(b, 4+4*len(vs))
+	b = appendU32(b, uint32(len(vs)))
+	return append(b, i32Bytes(vs)...)
+}
+
+// appendI32SlicePortable is appendI32Slice one value at a time, for any
+// host byte order: the big-endian path and the tests' reference.
+func appendI32SlicePortable(b []byte, vs []int32) []byte {
 	off := len(b)
-	b = b[:off+need]
+	b = slices.Grow(b, 4+4*len(vs))[:off+4+4*len(vs)]
 	binary.LittleEndian.PutUint32(b[off:], uint32(len(vs)))
-	off += 4
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(b[off:], uint32(v))
-		off += 4
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[off+4+4*i:], uint32(v))
 	}
 	return b
+}
+
+// Payload codecs: the layout of every message body that carries more
+// than a header. The client and the server encode and decode through
+// these, so the two sides and the fuzz tests share one definition.
+
+// hello is the session handshake: the protocol identity and the shard
+// window the client expects.
+type hello struct {
+	magic, version uint32
+	variant        byte
+	capacity       int32
+	lo, hi         int32
+}
+
+func appendHello(b []byte, h hello) []byte {
+	b = appendU32(b, h.magic)
+	b = appendU32(b, h.version)
+	b = append(b, h.variant)
+	b = appendI32(b, h.capacity)
+	b = appendI32(b, h.lo)
+	return appendI32(b, h.hi)
+}
+
+func decodeHello(payload []byte) (hello, error) {
+	r := reader{b: payload}
+	h := hello{magic: r.u32(), version: r.u32(), variant: r.u8(), capacity: r.i32(), lo: r.i32(), hi: r.i32()}
+	return h, r.done()
+}
+
+// decodeReset decodes a reset request: a flag byte, then, if the flag is
+// set, the window's initial loads as a counted array appended to loads.
+// Without the flag the loads are nil (all zero).
+func decodeReset(payload []byte, loads []int32) ([]int32, error) {
+	r := reader{b: payload}
+	if r.u8() != 0 {
+		loads = r.i32Slice(loads)
+	} else {
+		loads = nil
+	}
+	return loads, r.done()
+}
+
+// appendRound encodes a round request: one shard's ascending touched
+// servers and their counts.
+func appendRound(b []byte, touched, counts []int32) []byte {
+	return appendI32Slice(appendI32Slice(b, touched), counts)
+}
+
+// decodeRound decodes a round request, appending to touched and counts.
+func decodeRound(payload []byte, touched, counts []int32) ([]int32, []int32, error) {
+	r := reader{b: payload}
+	touched = r.i32Slice(touched)
+	counts = r.i32Slice(counts)
+	return touched, counts, r.done()
+}
+
+// appendRoundReply encodes a round reply: the accepted servers, the
+// newly burned ones and the saturation count.
+func appendRoundReply(b []byte, accepted, newlyBurned []int32, saturated int) []byte {
+	b = appendI32Slice(appendI32Slice(b, accepted), newlyBurned)
+	return appendU32(b, uint32(saturated))
+}
+
+// decodeRoundReply decodes a round reply, appending to accepted and
+// newlyBurned.
+func decodeRoundReply(payload []byte, accepted, newlyBurned []int32) ([]int32, []int32, int, error) {
+	r := reader{b: payload}
+	accepted = r.i32Slice(accepted)
+	newlyBurned = r.i32Slice(newlyBurned)
+	saturated := int(r.u32())
+	return accepted, newlyBurned, saturated, r.done()
+}
+
+// decodeLoads decodes a loads reply, the window's loads as one counted
+// array, appending to loads.
+func decodeLoads(payload []byte, loads []int32) ([]int32, error) {
+	r := reader{b: payload}
+	loads = r.i32Slice(loads)
+	return loads, r.done()
 }
 
 // reader is a cursor over a frame payload.
@@ -335,20 +434,49 @@ func (r *reader) u8() byte {
 	return v
 }
 
-// i32Slice reads a counted int32 array, appending into dst.
+// i32Slice reads a counted int32 array, appending into dst. On a
+// little-endian host the values are one copy into dst's memory.
 func (r *reader) i32Slice(dst []int32) []int32 {
-	k := int(r.u32())
+	src := r.arrayBytes()
+	if !nativeLE {
+		return appendI32sLE(dst, src)
+	}
+	n := len(src) / 4
+	dst = slices.Grow(dst, n)
+	copy(i32Bytes(dst[len(dst):len(dst)+n]), src)
+	return dst[:len(dst)+n]
+}
+
+// i32SlicePortable is i32Slice one value at a time, for any host byte
+// order: the big-endian path and the tests' reference.
+func (r *reader) i32SlicePortable(dst []int32) []int32 {
+	return appendI32sLE(dst, r.arrayBytes())
+}
+
+// arrayBytes reads a counted int32 array's count and returns the bytes
+// of its values. A count that the rest of the payload cannot hold fails
+// the reader before anything is sized by it; the test divides the
+// remaining length rather than multiplying the count, so it cannot
+// overflow.
+func (r *reader) arrayBytes() []byte {
+	k := r.u32()
 	if r.err != nil {
-		return dst
+		return nil
 	}
-	if k < 0 || r.off+4*k > len(r.b) {
+	if uint64(k) > uint64(len(r.b)-r.off)/4 {
 		r.fail()
-		return dst
+		return nil
 	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, int32(binary.LittleEndian.Uint32(r.b[r.off+4*i:])))
+	src := r.b[r.off : r.off+4*int(k)]
+	r.off += len(src)
+	return src
+}
+
+// appendI32sLE appends the little-endian int32 values in src to dst.
+func appendI32sLE(dst []int32, src []byte) []int32 {
+	for i := 0; i+4 <= len(src); i += 4 {
+		dst = append(dst, int32(binary.LittleEndian.Uint32(src[i:])))
 	}
-	r.off += 4 * k
 	return dst
 }
 

@@ -5,7 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // pipeConn builds a frameConn whose writes land in a buffer that its
@@ -221,5 +225,217 @@ func TestReaderHelpers(t *testing.T) {
 	r.u64()
 	if err := r.done(); err == nil {
 		t.Fatal("reader accepted a truncated payload")
+	}
+}
+
+// TestI32SliceGolden pins appendI32Slice's bytes against an encoding
+// built by hand: the count, then each value as a little-endian uint32.
+// The round path's arrays all go through it, so this is the byte layout
+// of every request, reply and load vector.
+func TestI32SliceGolden(t *testing.T) {
+	vals := []int32{0, -1, 1, 1 << 30, math.MinInt32, math.MaxInt32}
+	want := binary.LittleEndian.AppendUint32([]byte{0xAA}, uint32(len(vals)))
+	for _, v := range vals {
+		want = binary.LittleEndian.AppendUint32(want, uint32(v))
+	}
+	for _, enc := range i32Encoders {
+		if got := enc.append([]byte{0xAA}, vals); !bytes.Equal(got, want) {
+			t.Fatalf("%s:\n got %x\nwant %x", enc.name, got, want)
+		}
+	}
+}
+
+// i32Encoders and i32Decoders are the two paths of each array helper:
+// native, the one a host dispatches to (one copy on a little-endian
+// host), and portable, one value at a time.
+var (
+	i32Encoders = []struct {
+		name   string
+		append func([]byte, []int32) []byte
+	}{{"native", appendI32Slice}, {"portable", appendI32SlicePortable}}
+	i32Decoders = []struct {
+		name string
+		read func(*reader, []int32) []int32
+	}{{"native", (*reader).i32Slice}, {"portable", (*reader).i32SlicePortable}}
+)
+
+// TestI32SliceRoundTrip is the paired encode/decode property for int32
+// arrays: on every combination of encoder and decoder path, encode →
+// decode → encode gives identical bytes and the original values, after
+// a byte prefix on encode and into a non-empty buffer on decode.
+func TestI32SliceRoundTrip(t *testing.T) {
+	src := rng.New(23)
+	for _, n := range []int{0, 1, 7, 8, 4099} {
+		vals := make([]int32, n)
+		for i := range vals {
+			vals[i] = int32(src.Uint64())
+		}
+		if n > 2 {
+			vals[0], vals[n-1] = math.MinInt32, math.MaxInt32
+		}
+		prefix := []byte{1, 2, 3}
+		for _, enc := range i32Encoders {
+			wire := enc.append(slices.Clone(prefix), vals)
+			if !bytes.Equal(wire, appendI32Slice(slices.Clone(prefix), vals)) {
+				t.Fatalf("n=%d: %s encoding differs from native", n, enc.name)
+			}
+			for _, dec := range i32Decoders {
+				r := reader{b: wire[len(prefix):]}
+				got := dec.read(&r, []int32{-7})
+				if err := r.done(); err != nil {
+					t.Fatalf("n=%d %s→%s: %v", n, enc.name, dec.name, err)
+				}
+				if got[0] != -7 || !slices.Equal(got[1:], vals) {
+					t.Fatalf("n=%d %s→%s: decoded values differ", n, enc.name, dec.name)
+				}
+				for _, again := range i32Encoders {
+					if re := again.append(slices.Clone(prefix), got[1:]); !bytes.Equal(re, wire) {
+						t.Fatalf("n=%d %s→%s→%s: re-encoding differs", n, enc.name, dec.name, again.name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzReadMessage feeds arbitrary bytes to the frame reader at a small
+// frame limit, so spills and the size checks run, and hands every
+// message it reassembles to each payload decoder either side applies.
+// No input may panic; no decoded array may be longer than the bytes
+// after its count could hold; the two array decoder paths must agree;
+// and a payload a decoder accepts must encode back to the same bytes.
+//
+// The seed corpus (testdata/fuzz/FuzzReadMessage) holds the messages of
+// TestMessageRoundTrip written at this limit, TestSpillGolden's stream,
+// a Hello, a valid round batch and its reply, a truncated batch and a
+// batch whose first count is 0xFFFFFFFF.
+func FuzzReadMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fc := &frameConn{r: bytes.NewReader(stream), w: io.Discard, limit: 64}
+		for {
+			_, _, payload, err := fc.readMessage()
+			if err != nil {
+				return
+			}
+			checkPayloadDecoders(t, payload)
+		}
+	})
+}
+
+func checkPayloadDecoders(t *testing.T, p []byte) {
+	rn, rp := reader{b: p}, reader{b: p}
+	vn, vp := rn.i32Slice(nil), rp.i32SlicePortable(nil)
+	if !slices.Equal(vn, vp) || rn.off != rp.off || (rn.err == nil) != (rp.err == nil) {
+		t.Fatalf("array decoders disagree: native %d values at %d (%v), portable %d at %d (%v)",
+			len(vn), rn.off, rn.err, len(vp), rp.off, rp.err)
+	}
+
+	touched, counts, err := decodeRound(p, nil, nil)
+	checkFits(t, "round", p, touched, counts)
+	if err == nil && !bytes.Equal(appendRound(nil, touched, counts), p) {
+		t.Fatalf("round batch does not re-encode to %x", p)
+	}
+	acc, nb, sat, err := decodeRoundReply(p, nil, nil)
+	checkFits(t, "round reply", p, acc, nb)
+	if err == nil && !bytes.Equal(appendRoundReply(nil, acc, nb, sat), p) {
+		t.Fatalf("round reply does not re-encode to %x", p)
+	}
+	loads, err := decodeLoads(p, nil)
+	checkFits(t, "loads", p, loads)
+	if err == nil && !bytes.Equal(appendI32Slice(nil, loads), p) {
+		t.Fatalf("loads reply does not re-encode to %x", p)
+	}
+	if len(p) > 0 {
+		loads, err = decodeReset(p, nil)
+		checkFits(t, "reset", p[1:], loads)
+		want := p[:1]
+		if p[0] != 0 {
+			want = appendI32Slice(slices.Clone(want), loads)
+		}
+		if err == nil && !bytes.Equal(want, p) {
+			t.Fatalf("reset does not re-encode to %x", p)
+		}
+	}
+	if h, err := decodeHello(p); err == nil && !bytes.Equal(appendHello(nil, h), p) {
+		t.Fatalf("hello does not re-encode to %x", p)
+	}
+}
+
+// checkFits fails t unless each of the arrays, decoded one after another
+// from the start of p, fits in the bytes that follow its count.
+func checkFits(t *testing.T, what string, p []byte, arrays ...[]int32) {
+	off := 0
+	for i, a := range arrays {
+		off += 4 + 4*len(a)
+		if len(a) > 0 && off > len(p) {
+			t.Fatalf("%s: array %d decoded %d values from a %d-byte payload", what, i, len(a), len(p))
+		}
+	}
+}
+
+// round1Batch returns one shard's round-1 batch of the wire-loopback
+// shape (n = 2¹⁶, d = 2, two shards): k ascending servers of a
+// 32,768-server window with counts in [1, 3].
+func round1Batch(k int) (touched, counts []int32) {
+	src := rng.New(1)
+	for _, u := range src.Sample(1<<15, k) {
+		touched = append(touched, int32(u))
+	}
+	slices.Sort(touched)
+	for range touched {
+		counts = append(counts, int32(1+src.Intn(3)))
+	}
+	return touched, counts
+}
+
+// BenchmarkFrameCodec measures the frame layer on one shard's round-1
+// request, 2 × 28,000 int32, in ns per int32:
+//
+//   - codec/native encodes the request and decodes it on the path the
+//     host dispatches to (one copy per array on a little-endian host);
+//   - codec/portable does the same one value at a time;
+//   - message/default and message/spill write the encoded request with
+//     writeMessage and read it back with readMessage over a pipeConn, at
+//     the default frame limit and at 64 KiB, where it spills into four
+//     frames.
+func BenchmarkFrameCodec(b *testing.B) {
+	touched, counts := round1Batch(28000)
+	perOp := float64(len(touched) + len(counts))
+	for _, path := range []struct {
+		name string
+		enc  func([]byte, []int32) []byte
+		dec  func(*reader, []int32) []int32
+	}{{"native", appendI32Slice, (*reader).i32Slice}, {"portable", appendI32SlicePortable, (*reader).i32SlicePortable}} {
+		b.Run("codec/"+path.name, func(b *testing.B) {
+			var buf []byte
+			var t2, c2 []int32
+			for i := 0; i < b.N; i++ {
+				buf = path.enc(path.enc(buf[:0], touched), counts)
+				r := reader{b: buf}
+				t2, c2 = path.dec(&r, t2[:0]), path.dec(&r, c2[:0])
+				if err := r.done(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perOp), "ns/int32")
+		})
+	}
+	payload := appendRound(nil, touched, counts)
+	for _, lim := range []struct {
+		name  string
+		limit int
+	}{{"default", maxFrameSize}, {"spill", 1 << 16}} {
+		b.Run("message/"+lim.name, func(b *testing.B) {
+			fc, _ := pipeConn(lim.limit)
+			for i := 0; i < b.N; i++ {
+				if err := fc.writeMessage(msgRound, 0, payload); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, got, err := fc.readMessage(); err != nil || len(got) != len(payload) {
+					b.Fatalf("read back %d bytes: %v", len(got), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perOp), "ns/int32")
+		})
 	}
 }

@@ -243,26 +243,20 @@ func (s *Server) runConn(st *connState) error {
 
 // handleHello validates a session's Hello and builds its shard.
 func (s *Server) handleHello(st *connState, sid uint32, payload []byte) error {
-	r := reader{b: payload}
-	magic := r.u32()
-	version := r.u32()
-	variant := r.u8()
-	capacity := r.i32()
-	lo := r.i32()
-	hi := r.i32()
-	if err := r.done(); err != nil {
+	h, err := decodeHello(payload)
+	if err != nil {
 		return err
 	}
-	if magic != helloMagic {
-		return fmt.Errorf("wire: bad hello magic %#x", magic)
+	if h.magic != helloMagic {
+		return fmt.Errorf("wire: bad hello magic %#x", h.magic)
 	}
-	if version != protoVersion {
-		return fmt.Errorf("wire: protocol version %d, this server speaks %d", version, protoVersion)
+	if h.version != protoVersion {
+		return fmt.Errorf("wire: protocol version %d, this server speaks %d", h.version, protoVersion)
 	}
 	if st.sessions[sid] != nil {
 		return fmt.Errorf("wire: duplicate hello for session %d", sid)
 	}
-	shard, err := core.NewServerShard(core.Variant(variant), capacity, int(lo), int(hi))
+	shard, err := core.NewServerShard(core.Variant(h.variant), h.capacity, int(h.lo), int(h.hi))
 	if err != nil {
 		return err
 	}
@@ -282,18 +276,15 @@ func (ses *connSession) window() int {
 }
 
 func (s *Server) handleReset(st *connState, ses *connSession, payload []byte) error {
-	r := reader{b: payload}
-	hasLoads := r.u8()
-	var loads []int32
-	if hasLoads != 0 {
-		ses.loads = r.i32Slice(ses.loads[:0])
-		loads = ses.loads
-	}
-	if err := r.done(); err != nil {
+	loads, err := decodeReset(payload, ses.loads[:0])
+	if err != nil {
 		return err
 	}
-	if loads != nil && len(loads) != ses.window() {
-		return fmt.Errorf("wire: reset with %d loads for a %d-server window", len(loads), ses.window())
+	if loads != nil {
+		ses.loads = loads
+		if len(loads) != ses.window() {
+			return fmt.Errorf("wire: reset with %d loads for a %d-server window", len(loads), ses.window())
+		}
 	}
 	if err := ses.shard.Reset(loads); err != nil {
 		return err
@@ -302,10 +293,9 @@ func (s *Server) handleReset(st *connState, ses *connSession, payload []byte) er
 }
 
 func (s *Server) handleRound(st *connState, ses *connSession, payload []byte) error {
-	r := reader{b: payload}
-	ses.touched = r.i32Slice(ses.touched[:0])
-	ses.counts = r.i32Slice(ses.counts[:0])
-	if err := r.done(); err != nil {
+	var err error
+	ses.touched, ses.counts, err = decodeRound(payload, ses.touched[:0], ses.counts[:0])
+	if err != nil {
 		return err
 	}
 	start := time.Now()
@@ -341,10 +331,7 @@ func (s *Server) handleRound(st *connState, ses *connSession, payload []byte) er
 		s.tel.decide.Observe(elapsed)
 	}
 
-	st.out = st.out[:0]
-	st.out = appendI32Slice(st.out, acc)
-	st.out = appendI32Slice(st.out, nb)
-	st.out = appendU32(st.out, uint32(sat))
+	st.out = appendRoundReply(st.out[:0], acc, nb, sat)
 	return st.fc.writeMessage(msgRoundReply, st.sid, st.out)
 }
 

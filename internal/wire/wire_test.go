@@ -632,6 +632,44 @@ func TestServerRejectsBadHello(t *testing.T) {
 	}
 }
 
+// TestWireDecideRoundRejectsBadBatch sends batches that break
+// DecideRound's contract — an id at or past m, a negative id, and pairs
+// out of order inside one window and across two — over two shards. Each
+// must come back as an error, with no panic on either side, and the
+// session must decide a valid round afterwards (a shard that rejected a
+// batch closed its connection; the next call redials it).
+func TestWireDecideRoundRejectsBadBatch(t *testing.T) {
+	const m = 256
+	bank, ss := startWire(t, core.Config{Variant: core.SAER, D: 2, C: 4}, m, 2, BankConfig{})
+	defer ss.Close()
+	defer bank.Close()
+	for _, tc := range []struct {
+		name            string
+		touched, counts []int32
+	}{
+		{"id m", []int32{3, m}, []int32{1, 1}},
+		{"id far past m", []int32{math.MaxInt32}, []int32{1}},
+		{"negative id", []int32{-1, 3}, []int32{1, 1}},
+		{"unsorted pair in one window", []int32{9, 4}, []int32{1, 1}},
+		{"unsorted pair across windows", []int32{200, 4}, []int32{1, 1}},
+		{"unsorted pair past a window", []int32{4, 200, 150, 255}, []int32{1, 1, 1, 1}},
+	} {
+		if err := bank.Reset(nil); err != nil {
+			t.Fatalf("%s: reset: %v", tc.name, err)
+		}
+		if _, err := bank.DecideRound(tc.touched, tc.counts); err == nil {
+			t.Fatalf("%s: DecideRound(%v) accepted the batch", tc.name, tc.touched)
+		}
+		if err := bank.Reset(nil); err != nil {
+			t.Fatalf("%s: reset after the rejection: %v", tc.name, err)
+		}
+		dec, err := bank.DecideRound([]int32{1, 200}, []int32{2, 3})
+		if err != nil || !slices.Equal(dec.Accepted, []int32{1, 200}) {
+			t.Fatalf("%s: valid round after the rejection: %+v, %v", tc.name, dec, err)
+		}
+	}
+}
+
 // TestWireLoadsReusesBuffer pins the session-owned load vector: after a
 // run, two consecutive Loads calls both equal the in-process
 // LocalBank's vector at the same seed.
