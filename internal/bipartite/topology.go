@@ -88,6 +88,12 @@ type PointQueryable interface {
 	// and idx must be at least as long as out; the same preconditions
 	// hold per lane.
 	NeighborsAt(vs, idx, out []int32)
+	// UniformDegree returns d > 0 when every client has degree d, and 0
+	// when degrees differ or the topology does not keep track of them.
+	// The draw reads it once per topology version, so a 0 costs one
+	// ClientDegree call per drawing client and a d none. It may take
+	// O(n).
+	UniformDegree() int
 }
 
 // PointQuerier returns t as a PointQueryable when t implements the
@@ -184,6 +190,21 @@ func (g *Graph) NeighborsAt(vs, idx, out []int32) {
 	for j := range out {
 		out[j] = g.NeighborAt(int(vs[j]), int(idx[j]))
 	}
+}
+
+// UniformDegree returns the client degree when every client has the
+// same one, and 0 otherwise; it scans the offset array once.
+func (g *Graph) UniformDegree() int {
+	if g.numClients == 0 {
+		return 0
+	}
+	d := g.ClientDegree(0)
+	for v := 1; v < g.numClients; v++ {
+		if g.ClientDegree(v) != d {
+			return 0
+		}
+	}
+	return d
 }
 
 var _ PointQueryable = (*Graph)(nil)

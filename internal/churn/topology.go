@@ -325,6 +325,11 @@ func (t *Topology) NeighborsAt(vs, idx, out []int32) {
 	}
 }
 
+// UniformDegree returns 0: a rewire can give any client a row of another
+// length, and the topology keeps no count that would say otherwise, so
+// the draw asks ClientDegree per client.
+func (t *Topology) UniformDegree() int { return 0 }
+
 var _ bipartite.PointQueryable = (*Topology)(nil)
 
 // Validate answers from construction-time and mutation-time guarantees

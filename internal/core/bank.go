@@ -46,6 +46,19 @@ type ServerBank interface {
 	// this round, sorted ascending without duplicates, and counts[i] is
 	// the number of requests touched[i] received. Servers not listed
 	// received nothing and must not change state.
+	//
+	// The decision's lists may be the bank's own buffers, overwritten by
+	// its next DecideRound call; a caller applies the decision (the
+	// Driver does, at once) or copies it before that call.
+	//
+	// A batch that breaks the contract is an error. A bank that can see
+	// the whole batch before it applies any of it rejects it with every
+	// server as it was: LocalBank checks every shard's slice first, and
+	// the wire bank rejects an id outside every shard window before it
+	// sends anything. A remote shard can still reject its own slice,
+	// unsorted or with a count ≤ 0, after other shards applied theirs;
+	// after such an error the bank's state is undefined until Reset,
+	// and every Driver.Run resets first.
 	DecideRound(touched, counts []int32) (RoundDecision, error)
 	// Loads returns the per-server accepted load vector (all servers).
 	// The vector may be the bank's own buffer, overwritten by its next
@@ -57,8 +70,8 @@ type ServerBank interface {
 }
 
 // ServerShard is the protocol's server-side state for a contiguous
-// server window [Lo, Hi), and rule is the one implementation of the
-// SAER/RAES threshold rules. The Runner decides each router shard's
+// server window [Lo, Hi), and saer and raes are the one implementation
+// of each threshold rule. The Runner decides each router shard's
 // servers in process through applyBlock, the LocalBank composes shards
 // behind the ServerBank interface, and the wire server process wraps one
 // shard per session. Methods are not concurrency-safe — each shard is
@@ -141,48 +154,51 @@ func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
 	}
 }
 
-// rule applies the variant's threshold rule to window server j, which
-// received recv > 0 requests this round, and reports whether it accepted
-// them, burned for the first time, and saturated (rejected the round
-// while not burned).
+// saer and raes apply their variant's threshold rule to window server
+// j, which received recv > 0 requests this round, and report whether it
+// accepted them and whether it burned for the first time. A SAER server
+// saturates (rejects the round while not burned) exactly when it newly
+// burns, and a RAES server whenever it rejects. Each is small enough to
+// inline, so applyBlock and decide pick the variant once per call and
+// pay no call per server.
 //
 // receivedTotal is read only while the server is not burned, and then it
 // is at most the capacity. So recv > capacity-receivedTotal is
 // receivedTotal+recv > capacity without the int32 overflow that a huge
 // count (a malformed wire batch) would cause, and a burned server's
 // total is no longer kept.
-func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated bool) {
-	switch s.variant {
-	case SAER:
-		if s.burned[j] {
-			// A burned server rejects everything; not a new saturation
-			// event.
-			return false, false, false
-		}
+func (s *ServerShard) saer(j int, recv int32) (accepted, newlyBurned bool) {
+	if s.burned[j] {
+		// A burned server rejects everything; not a new saturation event.
+		return false, false
+	}
+	if recv > s.capacity-s.receivedTotal[j] {
+		s.burned[j] = true
+		return false, true
+	}
+	s.receivedTotal[j] += recv
+	s.load[j] += recv
+	return true, false
+}
+
+func (s *ServerShard) raes(j int, recv int32) (accepted, newlyBurned bool) {
+	if !s.burned[j] {
 		if recv > s.capacity-s.receivedTotal[j] {
+			// Diagnostic only: the server would be burned under SAER's
+			// stronger rule; RAES itself keeps going.
 			s.burned[j] = true
-			return false, true, true
-		}
-		s.receivedTotal[j] += recv
-	default: // RAES
-		if !s.burned[j] {
-			if recv > s.capacity-s.receivedTotal[j] {
-				// Diagnostic only: the server would be burned under
-				// SAER's stronger rule; RAES itself keeps going.
-				s.burned[j] = true
-				newlyBurned = true
-			} else {
-				s.receivedTotal[j] += recv
-			}
-		}
-		// recv > capacity-load is load+recv > capacity without the
-		// int32 overflow a load near MaxInt32 would cause.
-		if recv > s.capacity-s.load[j] {
-			return false, newlyBurned, true
+			newlyBurned = true
+		} else {
+			s.receivedTotal[j] += recv
 		}
 	}
+	// recv > capacity-load is load+recv > capacity without the int32
+	// overflow a load near MaxInt32 would cause.
+	if recv > s.capacity-s.load[j] {
+		return false, newlyBurned
+	}
 	s.load[j] += recv
-	return true, newlyBurned, false
+	return true, newlyBurned
 }
 
 // applyBlock runs the rule on a block of the shard's servers, servers[i]
@@ -192,16 +208,28 @@ func (s *ServerShard) rule(j int, recv int32) (accepted, newlyBurned, saturated 
 // words of the set, so owners of distinct shards apply blocks
 // concurrently.
 func (s *ServerShard) applyBlock(servers, counts []int32, accepted []uint64) (newlyBurned, saturated int) {
+	counts = counts[:len(servers)]
+	if s.variant == SAER {
+		for i, u := range servers {
+			acc, burned := s.saer(int(u)-s.lo, counts[i])
+			if acc {
+				accepted[u>>6] |= 1 << (u & 63)
+			}
+			if burned {
+				newlyBurned++
+			}
+		}
+		return newlyBurned, newlyBurned
+	}
 	for i, u := range servers {
-		acc, burned, sat := s.rule(int(u)-s.lo, counts[i])
+		acc, burned := s.raes(int(u)-s.lo, counts[i])
 		if acc {
 			accepted[u>>6] |= 1 << (u & 63)
+		} else {
+			saturated++
 		}
 		if burned {
 			newlyBurned++
-		}
-		if sat {
-			saturated++
 		}
 	}
 	return newlyBurned, saturated
@@ -218,19 +246,39 @@ func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []in
 	if err := s.checkBatch(touched, counts); err != nil {
 		return accepted, newlyBurned, 0, err
 	}
+	acc, nb, saturated = s.decide(touched, counts, accepted, newlyBurned)
+	return acc, nb, saturated, nil
+}
+
+// decide is Decide on a batch checkBatch accepted.
+func (s *ServerShard) decide(touched, counts, accepted, newlyBurned []int32) ([]int32, []int32, int) {
+	counts = counts[:len(touched)]
+	saturated := 0
+	if s.variant == SAER {
+		for i, u := range touched {
+			a, b := s.saer(int(u)-s.lo, counts[i])
+			if a {
+				accepted = append(accepted, u)
+			}
+			if b {
+				newlyBurned = append(newlyBurned, u)
+				saturated++
+			}
+		}
+		return accepted, newlyBurned, saturated
+	}
 	for i, u := range touched {
-		a, b, sat := s.rule(int(u)-s.lo, counts[i])
+		a, b := s.raes(int(u)-s.lo, counts[i])
 		if a {
 			accepted = append(accepted, u)
+		} else {
+			saturated++
 		}
 		if b {
 			newlyBurned = append(newlyBurned, u)
 		}
-		if sat {
-			saturated++
-		}
 	}
-	return accepted, newlyBurned, saturated, nil
+	return accepted, newlyBurned, saturated
 }
 
 // checkBatch reports the first entry that makes (touched, counts) a
@@ -282,6 +330,10 @@ type LocalBank struct {
 	shards []*ServerShard
 	m      int
 	loads  []int32
+	// ends[s] is the end of shard s's slice of the round being decided;
+	// accepted and burned back the decision lists DecideRound returns.
+	ends             []int
+	accepted, burned []int32
 }
 
 // NewLocalBank returns an in-process bank of `shards` contiguous server
@@ -293,7 +345,7 @@ func NewLocalBank(variant Variant, capacity int32, m, shards int) (*LocalBank, e
 	if shards <= 0 || shards > m {
 		shards = min(max(shards, 1), m)
 	}
-	b := &LocalBank{m: m, loads: make([]int32, m)}
+	b := &LocalBank{m: m, loads: make([]int32, m), ends: make([]int, shards)}
 	per, rem := m/shards, m%shards
 	lo := 0
 	for s := 0; s < shards; s++ {
@@ -325,36 +377,42 @@ func (b *LocalBank) Reset(initialLoads []int) error {
 	return nil
 }
 
-// DecideRound splits the batch across the shard windows and applies each
-// shard's rule; each shard rejects entries outside its window or out of
-// strictly ascending order, so an unsorted or duplicated batch fails.
-// Shard windows are contiguous ascending ranges, so concatenating the
-// per-shard outputs in shard order keeps the decision lists sorted.
+// DecideRound splits the batch across the shard windows and checks
+// every shard's slice before any shard decides, so a rejected batch
+// leaves every server as it was: each shard rejects entries outside its
+// window or out of strictly ascending order, so an unsorted or
+// duplicated batch fails. Shard windows are contiguous ascending
+// ranges, so concatenating the per-shard outputs in shard order keeps
+// the decision lists sorted. The lists are the bank's own buffers,
+// overwritten by the next call.
 func (b *LocalBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
-	var dec RoundDecision
 	if len(touched) != len(counts) {
-		return dec, fmt.Errorf("core: round batch with %d touched but %d counts", len(touched), len(counts))
+		return RoundDecision{}, fmt.Errorf("core: round batch with %d touched but %d counts", len(touched), len(counts))
 	}
 	from := 0
-	for _, sh := range b.shards {
-		_, hi := sh.Window()
+	for s, sh := range b.shards {
 		to := from
-		for to < len(touched) && int(touched[to]) < hi {
+		for to < len(touched) && int(touched[to]) < sh.hi {
 			to++
 		}
-		if to == from {
-			continue
-		}
-		acc, nb, sat, err := sh.Decide(touched[from:to], counts[from:to], dec.Accepted, dec.NewlyBurned)
-		if err != nil {
+		if err := sh.checkBatch(touched[from:to], counts[from:to]); err != nil {
 			return RoundDecision{}, err
 		}
-		dec.Accepted, dec.NewlyBurned, dec.Saturated = acc, nb, dec.Saturated+sat
+		b.ends[s] = to
 		from = to
 	}
 	if from != len(touched) {
 		return RoundDecision{}, fmt.Errorf("core: server %d outside every shard window", touched[from])
 	}
+	dec := RoundDecision{Accepted: b.accepted[:0], NewlyBurned: b.burned[:0]}
+	from = 0
+	for s, sh := range b.shards {
+		var sat int
+		dec.Accepted, dec.NewlyBurned, sat = sh.decide(touched[from:b.ends[s]], counts[from:b.ends[s]], dec.Accepted, dec.NewlyBurned)
+		dec.Saturated += sat
+		from = b.ends[s]
+	}
+	b.accepted, b.burned = dec.Accepted, dec.NewlyBurned
 	return dec, nil
 }
 

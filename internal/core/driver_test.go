@@ -181,6 +181,61 @@ func TestLocalBankRejectsMalformedBatches(t *testing.T) {
 	}
 }
 
+// TestLocalBankRejectedRoundLeavesBank pins the check before the
+// decide: a round whose slice for a later shard is malformed must leave
+// the servers of the earlier shards as they were. [3, 200, 100] on two
+// shards over 256 servers gives shard 0 a valid [3] and shard 1 an
+// unsorted [200, 100].
+func TestLocalBankRejectedRoundLeavesBank(t *testing.T) {
+	bank, err := NewLocalBank(SAER, 8, 256, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bank.Reset(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bank.DecideRound([]int32{3, 200, 100}, []int32{2, 2, 2}); err == nil {
+		t.Fatal("DecideRound accepted an unsorted batch")
+	}
+	loads, err := bank.Loads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, ld := range loads {
+		if ld != 0 {
+			t.Fatalf("server %d has load %d after a rejected round", u, ld)
+		}
+	}
+}
+
+// TestLocalBankDecideRoundDoesNotAllocate pins the decision buffers: on
+// a warmed bank, a round that accepts some servers and burns others
+// allocates nothing, under either rule. Each round starts from a reset,
+// which allocates nothing either, so the decision lists are never
+// empty.
+func TestLocalBankDecideRoundDoesNotAllocate(t *testing.T) {
+	for _, variant := range []Variant{SAER, RAES} {
+		bank, err := NewLocalBank(variant, 8, 1000, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched, counts := []int32{1, 7, 333, 334, 700, 999}, []int32{1, 9, 1, 2, 9, 1}
+		round := func() {
+			if err := bank.Reset(nil); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := bank.DecideRound(touched, counts)
+			if err != nil || len(dec.Accepted) != 4 || len(dec.NewlyBurned) != 2 {
+				t.Fatalf("%v: decision %+v, %v", variant, dec, err)
+			}
+		}
+		round()
+		if avg := testing.AllocsPerRun(50, round); avg != 0 {
+			t.Errorf("%v: DecideRound allocates %.1f times per round", variant, avg)
+		}
+	}
+}
+
 // TestLocalBankResetDoesNotAllocate pins the reset path the churn epoch
 // loop hits every epoch: resetting a bank (and through it every shard)
 // from a run's initial loads must not copy the loads into fresh

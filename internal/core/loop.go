@@ -29,9 +29,11 @@ func rowCacheEdgeBudget(n int) int {
 // that a worker's three arrays stay in L1.
 const pqBlockBalls = 128
 
-// pqBlock is one worker's point-query scratch: ball j of the block was
-// drawn by client vs[j] at row index idx[j]. NeighborsAt writes the
-// block's destinations straight into the chunk's stretch of choices.
+// pqBlock is one worker's point-query scratch: ball j of the block
+// belongs to client vs[j], and idx[j] holds its client's degree until
+// the block draw turns it, in place, into the ball's row index.
+// NeighborsAt writes the block's destinations straight into the chunk's
+// stretch of choices.
 type pqBlock struct{ vs, idx []int32 }
 
 // padWords is the number of int32s in the 128-byte padding granule: two
@@ -109,13 +111,16 @@ type clientLoop struct {
 	// topology that answers point queries: a ball's destination is one
 	// point lookup instead of a Θ(Δ) row regeneration, with the same
 	// Intn draw sequence, so results are bit-for-bit the row path's. Each
-	// worker collects its balls' lookups in its pqBlocks entry and
-	// resolves a block with one NeighborsAt call. csr and pq are nil for
-	// row-regenerating topologies (Erdős–Rényi, churn under failures),
-	// whose rows go through the per-worker nbrBuf scratch — or the
-	// late-round row cache once the frontier's rows fit its budget.
+	// worker collects its balls in its pqBlocks entry and resolves a
+	// block with one rng.IntnBlock and one NeighborsAt call; pqDeg is
+	// pq's UniformDegree, so a uniform topology's expansion asks no
+	// client for its degree. csr and pq are nil for row-regenerating
+	// topologies (Erdős–Rényi, churn under failures), whose rows go
+	// through the per-worker nbrBuf scratch — or the late-round row
+	// cache once the frontier's rows fit its budget.
 	csr           *bipartite.Graph
 	pq            bipartite.PointQueryable
+	pqDeg         int
 	pqBlocks      []pqBlock
 	nbrBuf        [][]int32
 	maxDeg        int
@@ -270,7 +275,7 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config) error {
 func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 	l.topo = topo
 	l.csr, _ = topo.(*bipartite.Graph)
-	l.pq = nil
+	l.pq, l.pqDeg = nil, 0
 	if l.csr == nil {
 		l.maxDeg = topo.MaxClientDegree()
 		if l.nbrBuf == nil {
@@ -279,7 +284,7 @@ func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 				l.nbrBuf[w] = make([]int32, 0, l.maxDeg)
 			}
 		}
-		l.pq = bipartite.PointQuerier(topo)
+		l.bindPointQuery()
 	}
 	if l.rowCache != nil {
 		l.rowCache.Invalidate()
@@ -289,6 +294,15 @@ func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 	if l.versioned != nil {
 		l.topoVersion = l.versioned.TopologyVersion()
 		l.router.SyncTopologyVersion(l.topoVersion)
+	}
+}
+
+// bindPointQuery re-derives the topology's point-query view and its
+// uniform client degree.
+func (l *clientLoop) bindPointQuery() {
+	l.pq, l.pqDeg = bipartite.PointQuerier(l.topo), 0
+	if l.pq != nil {
+		l.pqDeg = l.pq.UniformDegree()
 	}
 }
 
@@ -354,10 +368,11 @@ func (l *clientLoop) neighbors(w, v int) []int32 {
 // reset rebuilds the client-side run state: alive counts, the frontier,
 // the tracking accumulators and the random streams. It returns the
 // run's ball total. The per-client pass runs on the pool: each chunk
-// of clients sets its alive counts and streams (client v's stream is
-// rng.StreamAt(seed, v), the v-th of the family ReseedStreamSlice
-// derives) and lists its clients with balls at its own front, and the
-// chunk prefixes are joined in chunk order as update joins them.
+// of clients seeds its streams with one rng.StreamsAt call (client v's
+// stream is rng.StreamAt(seed, v), the v-th of the family
+// ReseedStreamSlice derives), sets its alive counts and lists its
+// clients with balls at its own front, and the chunk prefixes are
+// joined in chunk order as update joins them.
 func (l *clientLoop) reset() (aliveTotal int64) {
 	n := len(l.alive)
 	nc := l.growKept(n)
@@ -365,6 +380,7 @@ func (l *clientLoop) reset() (aliveTotal int64) {
 	clear(l.partialAlive)
 	d, counts, seed := int32(l.d), l.cfg.RequestCounts, l.cfg.Seed
 	l.pool.StealRange(n, func(w, chunk, lo, hi int) {
+		rng.StreamsAt(l.streams[lo:hi], seed, lo)
 		kept := lo
 		var total int64
 		for v := lo; v < hi; v++ {
@@ -373,7 +389,6 @@ func (l *clientLoop) reset() (aliveTotal int64) {
 				a = int32(counts[v])
 			}
 			l.alive[v] = a
-			l.streams[v] = rng.StreamAt(seed, v)
 			if a > 0 {
 				l.frontier[kept] = int32(v)
 				kept++
@@ -531,9 +546,9 @@ func (l *clientLoop) beginRound(balls int64) {
 			l.router.SyncTopologyVersion(v)
 			// Mutations can flip point-queryability (churn failures make
 			// rows read-time filtered, recoveries make them queryable
-			// again) and move the degree bound, so both are version-keyed.
+			// again) and move the degrees, so both are version-keyed.
 			if l.csr == nil {
-				l.pq = bipartite.PointQuerier(l.topo)
+				l.bindPointQuery()
 				l.maxDeg = l.topo.MaxClientDegree()
 			}
 		}
@@ -577,12 +592,11 @@ func (l *clientLoop) beginRound(balls int64) {
 // hands it to its worker's sink: the worker's byte tally on a counted
 // round, the owning shard's lane on a routed one. The draws depend only
 // on the per-client streams, so the counted or routed multiset is
-// independent of the worker count and the steal schedule. Chunk [lo, hi) of the frontier writes its balls to
-// choices from lo·d on, in draw order: client by client, each client's
-// balls in stream order. On the point-query path a worker draws the row
-// indices of whole clients into its block and resolves the block, into
-// its stretch of choices, before it would overflow. Returns the number
-// of requests submitted.
+// independent of the worker count and the steal schedule. Chunk [lo, hi)
+// of the frontier writes its balls to choices from lo·d on, in draw
+// order: client by client, each client's balls in stream order. The
+// point-query path is drawBlocks; the row path draws ball by ball.
+// Returns the number of requests submitted.
 func (l *clientLoop) draw() int64 {
 	l.router.ResetLanes()
 	clear(l.partialSent)
@@ -590,27 +604,8 @@ func (l *clientLoop) draw() int64 {
 		sk := l.sink(w)
 		out := l.choices[lo*l.d:]
 		pos := 0
-		if pq := l.pq; pq != nil {
-			blk := &l.pqBlocks[w]
-			vs, idx := blk.vs, blk.idx
-			n := 0
-			for _, vv := range l.frontier[lo:hi] {
-				v := int(vv)
-				a := int(l.alive[v])
-				if n+a > len(vs) {
-					resolve(pq, blk, out[pos:pos+n], &sk)
-					pos += n
-					n = 0
-				}
-				src := &l.streams[v]
-				deg := pq.ClientDegree(v)
-				for range a {
-					vs[n], idx[n] = vv, int32(src.Intn(deg))
-					n++
-				}
-			}
-			resolve(pq, blk, out[pos:pos+n], &sk)
-			pos += n
+		if l.pq != nil {
+			pos = l.drawBlocks(w, lo, hi, out, &sk)
 		} else {
 			// The row path hands its balls to the sink in batches of at
 			// least a block, as the point-query path does, so the sink's
@@ -675,14 +670,45 @@ func (sk *sink) put(dst []int32) {
 	}
 }
 
-// resolve answers the first len(out) balls of blk with one NeighborsAt
-// call, which writes their destinations to out, and puts them in draw
-// order.
-func resolve(pq bipartite.PointQueryable, blk *pqBlock, out []int32, sk *sink) {
+// drawBlocks is the point-query draw of frontier chunk [lo, hi) on
+// worker w. It expands each client into one (client, degree) entry per
+// alive ball in w's block, and resolves the block into out before the
+// next client would overflow it. It returns the number of balls drawn.
+func (l *clientLoop) drawBlocks(w, lo, hi int, out []int32, sk *sink) int {
+	blk := &l.pqBlocks[w]
+	vs, idx := blk.vs, blk.idx
+	pos, n := 0, 0
+	for _, vv := range l.frontier[lo:hi] {
+		a := int(l.alive[vv])
+		if n+a > len(vs) {
+			l.resolve(blk, out[pos:pos+n], sk)
+			pos += n
+			n = 0
+		}
+		deg := l.pqDeg
+		if deg == 0 {
+			deg = l.pq.ClientDegree(int(vv))
+		}
+		for range a {
+			vs[n], idx[n] = vv, int32(deg)
+			n++
+		}
+	}
+	l.resolve(blk, out[pos:pos+n], sk)
+	return pos + n
+}
+
+// resolve answers the first len(out) balls of blk: one rng.IntnBlock
+// call draws their row indices from their clients' streams over the
+// degrees in idx, in place, one NeighborsAt call writes their
+// destinations to out, and the sink gets them in draw order.
+func (l *clientLoop) resolve(blk *pqBlock, out []int32, sk *sink) {
 	if len(out) == 0 {
 		return
 	}
-	pq.NeighborsAt(blk.vs[:len(out)], blk.idx[:len(out)], out)
+	vs, idx := blk.vs[:len(out)], blk.idx[:len(out)]
+	rng.IntnBlock(l.streams, vs, idx, idx)
+	l.pq.NeighborsAt(vs, idx, out)
 	sk.put(out)
 }
 

@@ -1,9 +1,9 @@
 // Package cpufeat reports the CPU features the SIMD kernels in
-// internal/gen and internal/churn need. The check runs once, when the
-// package is initialized, and nothing can override it: there is no
-// option, flag or environment variable, so a process either runs the
-// AVX-512 kernels everywhere or the pure-Go path everywhere, and both
-// produce bit-for-bit identical results.
+// internal/gen, internal/churn and internal/rng need. The check runs
+// once, when the package is initialized, and nothing can override it:
+// there is no option, flag or environment variable, so a process either
+// runs the AVX-512 kernels everywhere or the pure-Go path everywhere,
+// and both produce bit-for-bit identical results.
 package cpufeat
 
 // AVX512 reports whether the kernels may run: the CPU has AVX-512F,

@@ -141,6 +141,16 @@ func (t *Implicit) NeighborsAt(vs, idx, out []int32) {
 	}
 }
 
+// UniformDegree returns the client degree when the construction gave
+// every client the same one (regular and trust-subset always do), and 0
+// otherwise.
+func (t *Implicit) UniformDegree() int {
+	if t.minDeg == t.maxDeg {
+		return t.minDeg
+	}
+	return 0
+}
+
 var _ bipartite.PointQueryable = (*Implicit)(nil)
 
 // Materialize builds the CSR twin of the topology: the same edges in the

@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/rng"
 )
 
@@ -123,6 +124,54 @@ func TestNumEdgesUniformDegreeO1(t *testing.T) {
 		}
 		if got := topo.NumEdges(); got != want {
 			t.Errorf("%s: NumEdges() = %d, row sum %d", tc.name, got, want)
+		}
+	}
+}
+
+// TestUniformDegree pins bipartite.PointQueryable's UniformDegree on
+// every gen point-queryable family and on CSR graphs: wherever it
+// reports d > 0, every ClientDegree(v) equals d, and it reports 0
+// exactly where two clients' degrees differ. The regular and
+// trust-subset families and their CSR twins must report their Δ, so the
+// check is not vacuous, and the default almost-regular instance, whose
+// heavy clients have more neighbors, must report 0.
+func TestUniformDegree(t *testing.T) {
+	regular, err := RegularImplicit(300, 22, 0xD1CE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust, err := TrustSubsetImplicit(200, 111, 17, 0x7057)
+	if err != nil {
+		t.Fatal(err)
+	}
+	almost, err := AlmostRegularImplicit(DefaultAlmostRegularConfig(512), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := map[string]bipartite.PointQueryable{"regular": regular, "trust-subset": trust, "almost-regular": almost}
+	want := map[string]int{"regular": 22, "trust-subset": 17, "almost-regular": 0}
+	for name, topo := range map[string]*Implicit{"regular": regular, "trust-subset": trust, "almost-regular": almost} {
+		csr, err := topo.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos[name+" csr"], want[name+" csr"] = csr, want[name]
+	}
+	for name, pq := range topos {
+		d := pq.UniformDegree()
+		if d != want[name] {
+			t.Errorf("%s: UniformDegree() = %d, want %d", name, d, want[name])
+		}
+		differ := false
+		for v := 0; v < pq.NumClients(); v++ {
+			dv := pq.ClientDegree(v)
+			if d > 0 && dv != d {
+				t.Fatalf("%s: UniformDegree() = %d but ClientDegree(%d) = %d", name, d, v, dv)
+			}
+			differ = differ || dv != pq.ClientDegree(0)
+		}
+		if d == 0 && !differ {
+			t.Errorf("%s: UniformDegree() = 0 but every client has degree %d", name, pq.ClientDegree(0))
 		}
 	}
 }

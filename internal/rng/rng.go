@@ -28,7 +28,7 @@ import (
 // keys from the same scrambler (previously a private copy flagged as
 // duplicated); everything else should draw from Source or Stream.
 func SplitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
+	*state += golden
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -128,13 +128,15 @@ func (s *Stream) Uint64() uint64 {
 // Intn returns a uniform integer in [0, n) drawn from the stream. It
 // panics if n <= 0.
 //
-// The body deliberately duplicates Source.Intn's Lemire multiply-shift
-// rejection rather than sharing it through a function value or generic:
-// this is the simulator's innermost loop, and the copy keeps every draw
-// a direct call on the concrete receiver, with no function value or
-// interface to go through. It is not inlined; its cost exceeds the
-// compiler's budget. Any change to the rejection logic must be applied
-// to both copies.
+// It is the scalar reference of IntnBlock, which draws the point-query
+// path's balls eight lanes at a time and must equal a loop of Intn calls
+// bit for bit, and the draw of every other per-ball path. The body
+// deliberately duplicates Source.Intn's Lemire multiply-shift rejection
+// rather than sharing it through a function value or generic: the copy
+// keeps every draw a direct call on the concrete receiver, with no
+// function value or interface to go through. It is not inlined; its
+// cost exceeds the compiler's budget. Any change to the rejection logic
+// must be applied to both copies and to IntnBlock's kernel.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with non-positive n")
@@ -164,7 +166,7 @@ func (s *Stream) Float64() float64 {
 // topologies regenerate client i's private stream on demand without
 // storing (or sequentially deriving) the i-1 streams before it.
 func StreamAt(seed uint64, i int) Stream {
-	sm := (seed ^ streamSeedSalt) + uint64(i)*0x9e3779b97f4a7c15
+	sm := (seed ^ streamSeedSalt) + uint64(i)*golden
 	return Stream{state: SplitMix64(&sm)}
 }
 
@@ -178,12 +180,7 @@ const streamSeedSalt = 0xa0761d6478bd642f
 // deterministic. Distinct entities receive starting states one SplitMix64
 // scramble apart, i.e. distant, well-mixed points of the full-period
 // sequence.
-func ReseedStreamSlice(streams []Stream, seed uint64) {
-	sm := seed ^ streamSeedSalt
-	for i := range streams {
-		streams[i].state = SplitMix64(&sm)
-	}
-}
+func ReseedStreamSlice(streams []Stream, seed uint64) { StreamsAt(streams, seed, 0) }
 
 // NewStreamSlice allocates and seeds n per-entity Streams.
 func NewStreamSlice(seed uint64, n int) []Stream {

@@ -137,9 +137,9 @@ func DialConfig(addrs []string, variant core.Variant, capacity int32, m int, cfg
 		})
 	}
 	for s := 0; s < cfg.Sessions; s++ {
-		ses := &Session{b: b, id: uint32(s), shards: make([]*sessionShard, len(addrs)), loads: make([]int32, m)}
+		ses := &Session{b: b, id: uint32(s), shards: make([]*sessionShard, len(addrs)), ends: make([]int, len(addrs)), loads: make([]int32, m)}
 		for i := range ses.shards {
-			ss := &sessionShard{}
+			ss := &sessionShard{pc: newPendingCall()}
 			ss.parseRoundFn = ss.parseRound
 			ss.parseLoadsFn = ss.parseLoads
 			ses.shards[i] = ss
@@ -269,8 +269,12 @@ type Session struct {
 	id     uint32
 	shards []*sessionShard
 	active []int // shard indexes with an in-flight round call
-	// loads is the per-server load vector Loads fills and returns.
-	loads []int32
+	// ends[i] is the end of shard i's slice of the round being decided.
+	ends []int
+	// loads is the per-server load vector Loads fills and returns, and
+	// accepted and burned back the decision lists DecideRound returns.
+	loads            []int32
+	accepted, burned []int32
 
 	// Round metrics, session-local and lock-guarded: the Bank merges
 	// them at read, so concurrent sessions never contend on shared
@@ -281,9 +285,9 @@ type Session struct {
 }
 
 // sessionShard is one session's per-shard client state: the encode
-// scratch and the decode buffers the reply-parse hook fills. At most one
-// call per (session, shard) is in flight, so no further locking is
-// needed.
+// scratch, the decode buffers the reply-parse hook fills and the call
+// every request of the pair reuses. At most one call per (session,
+// shard) is in flight, so no further locking is needed.
 type sessionShard struct {
 	out          []byte
 	accepted     []int32
@@ -337,7 +341,7 @@ func (s *Session) Reset(initialLoads []int) error {
 				ss.out = appendI32(ss.out, int32(l))
 			}
 		}
-		ss.pc = sc.begin(s.id, msgReset, ss.out, msgResetOK, parseEmpty)
+		sc.begin(ss.pc, s.id, msgReset, ss.out, msgResetOK, parseEmpty)
 	}
 	s.active = s.active[:0]
 	for i, sc := range s.b.conns {
@@ -347,7 +351,7 @@ func (s *Session) Reset(initialLoads []int) error {
 	}
 	for _, i := range s.active {
 		ss := s.shards[i]
-		ss.pc = s.b.conns[i].begin(s.id, msgReset, ss.out, msgResetOK, parseEmpty)
+		s.b.conns[i].begin(ss.pc, s.id, msgReset, ss.out, msgResetOK, parseEmpty)
 	}
 	var firstErr error
 	for _, i := range s.active {
@@ -364,46 +368,58 @@ func (s *Session) Reset(initialLoads []int) error {
 // ascend, so the concatenated decision lists stay sorted. Shards that
 // received nothing are skipped entirely — no frame, no state change,
 // matching core.LocalBank. Each window's end is a binary search of the
-// ascending batch; a batch out of order still reaches some server as a
-// slice its shard rejects, or leaves entries past the last window.
+// ascending batch, and every end is found before any call begins, so an
+// id outside every window fails the round with no shard sent anything.
+// A batch out of order can still reach a shard as a slice it rejects
+// (see core.ServerBank). The decision's lists are the session's own
+// buffers, overwritten by its next DecideRound.
 func (s *Session) DecideRound(touched, counts []int32) (core.RoundDecision, error) {
-	var dec core.RoundDecision
 	if len(touched) != len(counts) {
-		return dec, fmt.Errorf("wire: round batch with %d touched but %d counts", len(touched), len(counts))
+		return core.RoundDecision{}, fmt.Errorf("wire: round batch with %d touched but %d counts", len(touched), len(counts))
 	}
 	start := time.Now()
-	s.active = s.active[:0]
 	from := 0
 	for i, sc := range s.b.conns {
 		k, _ := slices.BinarySearch(touched[from:], sc.hi)
-		to := from + k
+		from += k
+		s.ends[i] = from
+	}
+	if from != len(touched) {
+		return core.RoundDecision{}, fmt.Errorf("wire: server %d outside every shard window", touched[from])
+	}
+	if len(touched) > 0 && touched[0] < 0 {
+		return core.RoundDecision{}, fmt.Errorf("wire: server %d outside every shard window", touched[0])
+	}
+	s.active = s.active[:0]
+	from = 0
+	for i, sc := range s.b.conns {
+		to := s.ends[i]
 		if to == from {
 			continue
 		}
 		ss := s.shards[i]
 		ss.out = appendRound(ss.out[:0], touched[from:to], counts[from:to])
-		ss.pc = sc.begin(s.id, msgRound, ss.out, msgRoundReply, ss.parseRoundFn)
+		sc.begin(ss.pc, s.id, msgRound, ss.out, msgRoundReply, ss.parseRoundFn)
 		s.active = append(s.active, i)
 		from = to
 	}
 	var firstErr error
-	if from != len(touched) {
-		firstErr = fmt.Errorf("wire: server %d outside every shard window", touched[from])
-	}
 	for _, i := range s.active {
 		if err := s.b.conns[i].wait(s.shards[i].pc); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	if firstErr != nil {
-		return dec, firstErr
+		return core.RoundDecision{}, firstErr
 	}
+	dec := core.RoundDecision{Accepted: s.accepted[:0], NewlyBurned: s.burned[:0]}
 	for _, i := range s.active {
 		ss := s.shards[i]
 		dec.Accepted = append(dec.Accepted, ss.accepted...)
 		dec.NewlyBurned = append(dec.NewlyBurned, ss.burned...)
 		dec.Saturated += ss.sat
 	}
+	s.accepted, s.burned = dec.Accepted, dec.NewlyBurned
 	s.mu.Lock()
 	s.roundLat = append(s.roundLat, time.Since(start))
 	for _, c := range counts {
@@ -420,7 +436,7 @@ func (s *Session) DecideRound(touched, counts []int32) (core.RoundDecision, erro
 func (s *Session) Loads() ([]int32, error) {
 	for i, sc := range s.b.conns {
 		ss := s.shards[i]
-		ss.pc = sc.begin(s.id, msgLoads, nil, msgLoadsReply, ss.parseLoadsFn)
+		sc.begin(ss.pc, s.id, msgLoads, nil, msgLoadsReply, ss.parseLoadsFn)
 	}
 	var firstErr error
 	for i, sc := range s.b.conns {

@@ -37,7 +37,9 @@ import (
 // reader goroutine; the caller is still blocked on done, so the hook may
 // write caller-owned buffers), and the completion channel. Every call is
 // completed exactly once: by the reader popping it, by liveConn.fail
-// flushing the FIFO, or by begin when it failed before registration.
+// flushing the FIFO, or by begin when it failed before registration. So
+// once wait has returned, nothing refers to the call any more, and its
+// owner may begin it again: each session keeps one per shard.
 type pendingCall struct {
 	want    byte
 	session uint32
@@ -51,8 +53,8 @@ type pendingCall struct {
 	start time.Time
 }
 
-func newPendingCall(want byte, session uint32, parse func([]byte) error) *pendingCall {
-	return &pendingCall{want: want, session: session, parse: parse, done: make(chan error, 1)}
+func newPendingCall() *pendingCall {
+	return &pendingCall{done: make(chan error, 1)}
 }
 
 // liveConn is one established connection epoch: the socket, its frame
@@ -111,8 +113,12 @@ func (lc *liveConn) readLoop() {
 		lc.pmu.Lock()
 		var pc *pendingCall
 		if len(lc.pending) > 0 {
+			// Shift the FIFO down rather than slicing its head off, so
+			// its backing array (at most Pipeline calls) is reused.
 			pc = lc.pending[0]
-			lc.pending = lc.pending[1:]
+			k := copy(lc.pending, lc.pending[1:])
+			lc.pending[k] = nil
+			lc.pending = lc.pending[:k]
 		}
 		lc.pmu.Unlock()
 		if pc == nil {
@@ -243,14 +249,15 @@ func (sc *shardConn) dialOnce() (*liveConn, error) {
 	return lc, nil
 }
 
-// begin starts one pipelined call: it acquires a pipeline slot, ensures
-// a live epoch (redialing if the last one died), registers the call on
-// the FIFO, and writes the request — spilled across continuation frames
-// if oversized. All failures surface through wait; begin itself never
-// returns an error, so a begin-all-then-wait-all caller needs no partial
-// cleanup. The payload may be reused as soon as begin returns.
-func (sc *shardConn) begin(session uint32, reqType byte, payload []byte, replyType byte, parse func([]byte) error) *pendingCall {
-	pc := newPendingCall(replyType, session, parse)
+// begin starts one pipelined call on pc, which must not be in flight:
+// it acquires a pipeline slot, ensures a live epoch (redialing if the
+// last one died), registers the call on the FIFO, and writes the
+// request — spilled across continuation frames if oversized. All
+// failures surface through wait; begin itself never returns an error,
+// so a begin-all-then-wait-all caller needs no partial cleanup. The
+// payload may be reused as soon as begin returns.
+func (sc *shardConn) begin(pc *pendingCall, session uint32, reqType byte, payload []byte, replyType byte, parse func([]byte) error) {
+	pc.want, pc.session, pc.parse, pc.rtt = replyType, session, parse, nil
 	if sc.tel != nil {
 		pc.rtt = sc.tel.rtt
 		pc.start = time.Now()
@@ -260,7 +267,7 @@ func (sc *shardConn) begin(session uint32, reqType byte, payload []byte, replyTy
 	if err := sc.ensureLocked(); err != nil {
 		sc.wmu.Unlock()
 		pc.done <- err
-		return pc
+		return
 	}
 	lc := sc.lc
 	lc.pmu.Lock()
@@ -269,7 +276,7 @@ func (sc *shardConn) begin(session uint32, reqType byte, payload []byte, replyTy
 		lc.pmu.Unlock()
 		sc.wmu.Unlock()
 		pc.done <- err
-		return pc
+		return
 	}
 	lc.pending = append(lc.pending, pc)
 	lc.pmu.Unlock()
@@ -283,7 +290,6 @@ func (sc *shardConn) begin(session uint32, reqType byte, payload []byte, replyTy
 		// every other in-flight call of the dead epoch.
 		lc.fail(err)
 	}
-	return pc
 }
 
 // wait blocks for the call's reply (or failure) and releases its
@@ -300,7 +306,9 @@ func (sc *shardConn) wait(pc *pendingCall) error {
 // call is the synchronous round trip: begin one request, wait for its
 // reply.
 func (sc *shardConn) call(session uint32, reqType byte, payload []byte, replyType byte, parse func([]byte) error) error {
-	return sc.wait(sc.begin(session, reqType, payload, replyType, parse))
+	pc := newPendingCall()
+	sc.begin(pc, session, reqType, payload, replyType, parse)
+	return sc.wait(pc)
 }
 
 // close tears the connection down; in-flight calls fail, future calls

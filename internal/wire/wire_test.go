@@ -670,6 +670,60 @@ func TestWireDecideRoundRejectsBadBatch(t *testing.T) {
 	}
 }
 
+// TestWireRejectedRoundLeavesBank pins the window check before the
+// calls: [3, 256] over two shards at m = 256 has an id past the last
+// window, so the round fails before shard 0 is sent its valid [3], and
+// server 3 keeps a load of 0.
+func TestWireRejectedRoundLeavesBank(t *testing.T) {
+	const m = 256
+	bank, ss := startWire(t, core.Config{Variant: core.SAER, D: 2, C: 4}, m, 2, BankConfig{})
+	defer ss.Close()
+	defer bank.Close()
+	if err := bank.Reset(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bank.DecideRound([]int32{3, m}, []int32{2, 2}); err == nil {
+		t.Fatal("DecideRound accepted a server past the last window")
+	}
+	loads, err := bank.Loads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads[3] != 0 {
+		t.Fatalf("server 3 has load %d after a rejected round", loads[3])
+	}
+}
+
+// TestWireDecideRoundDoesNotAllocate pins the session's decision buffers
+// and its reused per-shard calls: on a warmed session, a round that
+// accepts some servers and burns others allocates nothing, in the client
+// or in the in-process servers. Each round starts from a reset, so the
+// decision lists are never empty.
+func TestWireDecideRoundDoesNotAllocate(t *testing.T) {
+	const m = 256
+	bank, ss := startWire(t, core.Config{Variant: core.RAES, D: 2, C: 4}, m, 2, BankConfig{})
+	defer ss.Close()
+	defer bank.Close()
+	touched, counts := []int32{1, 5, 100, 130, 200, 255}, []int32{1, 9, 1, 1, 9, 1}
+	round := func() {
+		if err := bank.Reset(nil); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := bank.DecideRound(touched, counts)
+		if err != nil || len(dec.Accepted) != 4 || len(dec.NewlyBurned) != 2 {
+			t.Fatalf("decision %+v, %v", dec, err)
+		}
+	}
+	// The session's latency log grows by one entry per round; warm it
+	// past the measured rounds so its growth does not show.
+	for range 300 {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("DecideRound allocates %.1f times per round", avg)
+	}
+}
+
 // TestWireLoadsReusesBuffer pins the session-owned load vector: after a
 // run, two consecutive Loads calls both equal the in-process
 // LocalBank's vector at the same seed.
