@@ -76,6 +76,11 @@ type ServerBank interface {
 // behind the ServerBank interface, and the wire server process wraps one
 // shard per session. Methods are not concurrency-safe — each shard is
 // owned by one goroutine (or one process).
+//
+// Under SAER a server's cumulative received total always equals its
+// load: both start at the clamped initial load, an accept adds the
+// round's count to both, and a burn changes neither. So only RAES
+// shards keep receivedTotal (nil under SAER).
 type ServerShard struct {
 	variant  Variant
 	capacity int32
@@ -98,23 +103,32 @@ func NewServerShard(variant Variant, capacity int32, lo, hi int) (*ServerShard, 
 		return nil, fmt.Errorf("core: invalid shard window [%d, %d)", lo, hi)
 	}
 	n := hi - lo
-	return windowShard(variant, capacity, lo, hi, make([]int32, n), make([]int32, n), make([]bool, n)), nil
+	var received []int32
+	if variant == RAES {
+		received = make([]int32, n)
+	}
+	return windowShard(variant, capacity, lo, hi, make([]int32, n), received, make([]bool, n)), nil
 }
 
 // windowShard returns a shard for window [lo, hi) over caller-owned
 // state: load, receivedTotal and burned are the window's slices of
 // arrays covering every server, so a caller holding the whole arrays
 // reads the shards' burned flags and loads without copies.
+// receivedTotal is nil under SAER.
 func windowShard(variant Variant, capacity int32, lo, hi int, load, receivedTotal []int32, burned []bool) *ServerShard {
-	return &ServerShard{
-		variant:       variant,
-		capacity:      capacity,
-		lo:            lo,
-		hi:            hi,
-		load:          load[:hi-lo],
-		receivedTotal: receivedTotal[:hi-lo],
-		burned:        burned[:hi-lo],
+	n := hi - lo
+	s := &ServerShard{
+		variant:  variant,
+		capacity: capacity,
+		lo:       lo,
+		hi:       hi,
+		load:     load[:n],
+		burned:   burned[:n],
 	}
+	if receivedTotal != nil {
+		s.receivedTotal = receivedTotal[:n]
+	}
+	return s
 }
 
 // Window returns the shard's server index range [lo, hi).
@@ -141,7 +155,8 @@ func (s *ServerShard) resetFrom(initialLoads []int) { resetShard(s, initialLoads
 // every other server half, rather than wrapping. A server already at (or
 // beyond) capacity can never accept another ball: under SAER it is
 // burned from the start and under RAES the acceptance test always
-// fails; marking it burned keeps the diagnostic series consistent.
+// fails; marking it burned keeps the diagnostic series consistent. Only
+// a RAES shard's received totals are written.
 func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
 	for j := range s.load {
 		var l int32
@@ -149,8 +164,10 @@ func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
 			l = int32(max(initialLoads[off+j], 0))
 		}
 		s.load[j] = l
-		s.receivedTotal[j] = l
 		s.burned[j] = l >= s.capacity
+	}
+	if s.receivedTotal != nil {
+		copy(s.receivedTotal, s.load)
 	}
 }
 
@@ -159,24 +176,30 @@ func resetShard[L int | int32](s *ServerShard, initialLoads []L, off int) {
 // accepted them and whether it burned for the first time. A SAER server
 // saturates (rejects the round while not burned) exactly when it newly
 // burns, and a RAES server whenever it rejects. Each is small enough to
-// inline, so applyBlock and decide pick the variant once per call and
-// pay no call per server.
+// inline, so applyBlock, decide and decideCounted pick the variant once
+// per call and pay no call per server.
 //
-// receivedTotal is read only while the server is not burned, and then it
-// is at most the capacity. So recv > capacity-receivedTotal is
-// receivedTotal+recv > capacity without the int32 overflow that a huge
-// count (a malformed wire batch) would cause, and a burned server's
-// total is no longer kept.
+// recv = 0 leaves the server's state as it was under both rules: a
+// server that is not burned has a received total of at most the
+// capacity, so it cannot burn, and its load gains nothing. The answer
+// is then "accepted" for a SAER server that is not burned and
+// "rejected" for a RAES server whose load starts above the capacity, so
+// a caller that passes zero counts masks both by recv > 0.
+//
+// The received total (SAER's load) is read only while the server is not
+// burned, and then it is at most the capacity. So recv > capacity-total
+// is total+recv > capacity without the int32 overflow that a huge count
+// (a malformed wire batch) would cause, and a burned server's total is
+// no longer kept.
 func (s *ServerShard) saer(j int, recv int32) (accepted, newlyBurned bool) {
 	if s.burned[j] {
 		// A burned server rejects everything; not a new saturation event.
 		return false, false
 	}
-	if recv > s.capacity-s.receivedTotal[j] {
+	if recv > s.capacity-s.load[j] {
 		s.burned[j] = true
 		return false, true
 	}
-	s.receivedTotal[j] += recv
 	s.load[j] += recv
 	return true, false
 }

@@ -1,0 +1,277 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/bipartite"
+	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/rng"
+)
+
+// cloneShard returns a deep copy of sh.
+func cloneShard(sh *ServerShard) *ServerShard {
+	c := *sh
+	c.load = slices.Clone(sh.load)
+	c.receivedTotal = slices.Clone(sh.receivedTotal)
+	c.burned = slices.Clone(sh.burned)
+	return &c
+}
+
+// blockDecide is the block path a routed round and the Driver take,
+// over a counted round: Scan the shard's window into small blocks,
+// record them in received (when not nil), and applyBlock each.
+func blockDecide(sh *ServerShard, bt *engine.ByteTally, accepted []uint64, received []int32) (newlyBurned, saturated int) {
+	var cells, counts [16]int32
+	for pos := sh.lo; pos < sh.hi; {
+		var k int
+		k, pos = bt.Scan(pos, sh.hi, cells[:], counts[:])
+		if received != nil {
+			for i, u := range cells[:k] {
+				received[u] = counts[i]
+			}
+		}
+		b, s := sh.applyBlock(cells[:k], counts[:k], accepted)
+		newlyBurned += b
+		saturated += s
+	}
+	return newlyBurned, saturated
+}
+
+// countedRound is one round's events for a pair of byte tallies: the
+// cells each worker counts.
+type countedRound [][]int32
+
+// randomRound draws a round over window [lo, hi) for the given workers:
+// words left empty, sparse and dense, and a few hot cells into which
+// one worker counts 256 or more, so its byte wraps. Hot cells land in
+// the last word of the window too, which is partial when hi is not a
+// multiple of 8.
+func randomRound(src *rng.Source, workers, lo, hi int) countedRound {
+	round := make(countedRound, workers)
+	for base := lo &^ 7; base < hi; base += 8 {
+		var density int
+		switch src.Intn(3) {
+		case 1:
+			density = 1
+		case 2:
+			density = 12
+		}
+		for range density {
+			u := base + src.Intn(8)
+			if u < lo || u >= hi {
+				continue
+			}
+			w := src.Intn(workers)
+			round[w] = append(round[w], int32(u))
+		}
+	}
+	hot := []int{lo + src.Intn(hi-lo), hi - 1}
+	for _, u := range hot {
+		w := src.Intn(workers)
+		for range 256 + src.Intn(300) {
+			round[w] = append(round[w], int32(u))
+		}
+	}
+	return round
+}
+
+// count fills bt with the round's events and seals it.
+func (round countedRound) count(bt *engine.ByteTally) {
+	for w, cells := range round {
+		bt.Add(w, cells)
+	}
+	bt.Seal()
+}
+
+// TestCountedDecideMatchesBlockPath runs the Runner's dense counted
+// decide and the block path (Scan, then applyBlock) on cloned shards
+// over the same random byte tallies of 1 to 3 workers, for both
+// variants with and without tracking, in three rounds each: windows
+// whose end is and is not a multiple of 8 (and one shorter than a
+// word), cells whose count wraps a worker's byte, servers that start
+// burned, RAES servers that start above capacity, and capacities that
+// do and do not admit a wrapped count. Both paths must leave equal
+// loads, burned flags, RAES totals, accept sets and received counts,
+// return equal new burns and saturations, and leave every tally byte 0.
+func TestCountedDecideMatchesBlockPath(t *testing.T) {
+	src := rng.New(0xDEC1DE)
+	for _, variant := range []Variant{SAER, RAES} {
+		for _, track := range []bool{false, true} {
+			for workers := 1; workers <= 3; workers++ {
+				for _, span := range [][2]int{{0, 1024}, {128, 1000}, {64, 64 + 709}, {192, 197}} {
+					for _, capacity := range []int32{1, 6, 700} {
+						name := fmt.Sprintf("%v/track=%t/workers=%d/window=%v/cap=%d", variant, track, workers, span, capacity)
+						checkCountedDecide(t, name, src, variant, track, workers, span[0], span[1], capacity)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkCountedDecide(t *testing.T, name string, src *rng.Source, variant Variant, track bool, workers, lo, hi int, capacity int32) {
+	t.Helper()
+	size := hi + src.Intn(3)*5 // the window may end before the tally does
+	dense, err := NewServerShard(variant, capacity, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := make([]int32, hi-lo)
+	for j := range initial {
+		initial[j] = int32(src.Intn(int(capacity)+2)) - 2
+		if j == 0 || src.Intn(5) == 0 {
+			// Burned from the start; a RAES load above the capacity.
+			initial[j] = capacity + int32(src.Intn(3))
+		}
+	}
+	if err := dense.Reset(initial); err != nil {
+		t.Fatal(err)
+	}
+	blocks := cloneShard(dense)
+	bytesDense := engine.NewByteTally(workers, size)
+	bytesBlocks := engine.NewByteTally(workers, size)
+	words := (size + 63) / 64
+	accDense, accBlocks := make([]uint64, words), make([]uint64, words)
+	var recvDense, recvBlocks []int32
+	if track {
+		recvDense, recvBlocks = make([]int32, size), make([]int32, size)
+	}
+	var cells, counts [pqBlockBalls]int32
+	for round := 1; round <= 3; round++ {
+		r := randomRound(src, workers, lo, hi)
+		r.count(bytesDense)
+		r.count(bytesBlocks)
+		// As beginRound clears them.
+		clear(accDense)
+		clear(accBlocks)
+		clear(recvDense)
+		clear(recvBlocks)
+		nbD, satD := dense.decideCounted(bytesDense, accDense, recvDense, cells[:], counts[:])
+		nbB, satB := blockDecide(blocks, bytesBlocks, accBlocks, recvBlocks)
+		switch {
+		case nbD != nbB || satD != satB:
+			t.Fatalf("%s round %d: dense pass gave %d new burns / %d saturations, block path %d / %d", name, round, nbD, satD, nbB, satB)
+		case !slices.Equal(accDense, accBlocks):
+			t.Fatalf("%s round %d: accept sets differ:\n dense  %x\n blocks %x", name, round, accDense, accBlocks)
+		case !slices.Equal(recvDense, recvBlocks):
+			t.Fatalf("%s round %d: received counts differ", name, round)
+		case !reflect.DeepEqual(dense, blocks):
+			t.Fatalf("%s round %d: shard states differ:\n dense  %+v\n blocks %+v", name, round, dense, blocks)
+		}
+		if variant == SAER && dense.receivedTotal != nil {
+			t.Fatalf("%s: a SAER shard keeps received totals", name)
+		}
+		for _, bt := range []*engine.ByteTally{bytesDense, bytesBlocks} {
+			// A second Seal drops the round's wrap entries, so any count
+			// the scan reads back is a byte the decide left behind.
+			bt.Seal()
+			if k, _ := bt.Scan(0, size, cells[:], counts[:]); k != 0 {
+				t.Fatalf("%s round %d: tally left nonzero at cells %v (counts %v)", name, round, cells[:k], counts[:k])
+			}
+		}
+	}
+}
+
+// TestUpdateAssignmentsAgree runs Runners with and without
+// TrackAssignments at 1, 2 and 3 workers on two implicit topologies,
+// one of uniform and one of varying client degree, and on an
+// Erdős–Rényi CSR graph. One worker on one shard counts every round;
+// two and three workers on four shards count the implicit topologies'
+// rounds, decided by several shard owners at once, and route the CSR
+// graph's. Every Result field the runs share must agree, and the
+// recorded assignments must be the same at every worker count.
+func TestUpdateAssignmentsAgree(t *testing.T) {
+	uniform, err := gen.RegularImplicit(4096, 48, 0xA551)
+	if err != nil {
+		t.Fatal(err)
+	}
+	varying, err := gen.AlmostRegularImplicit(gen.DefaultAlmostRegularConfig(4096), 0xA552)
+	if err != nil {
+		t.Fatal(err)
+	}
+	irregular, err := gen.ErdosRenyi(3000, 2500, 0.01, true, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []bipartite.Topology{uniform, varying, irregular} {
+		_, pq := topo.(*gen.Implicit)
+		for _, variant := range []Variant{SAER, RAES} {
+			var ref *Result
+			for workers := 1; workers <= 3; workers++ {
+				// One worker on one shard counts every round; more
+				// workers over four shards count the point-query rounds.
+				shards := 4
+				if workers == 1 {
+					shards = 1
+				}
+				base := Config{Variant: variant, D: 3, C: 2, Seed: 11, Workers: workers, Shards: shards,
+					TrackRounds: true, TrackLoads: true}
+				plain, err := base.Run(topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tracked := base
+				tracked.TrackAssignments = true
+				r, err := tracked.NewRunner(topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := pq || workers == 1
+				if balls := int64(3 * topo.NumClients()); r.countsRound(balls) != want || len(r.servers) < shards {
+					t.Fatalf("%v workers=%d: round 1 counted %t over %d shards, want counted %t over at least %d",
+						variant, workers, r.countsRound(balls), len(r.servers), want, shards)
+				}
+				got := r.Run()
+				if len(got.Assignments) != topo.NumClients() {
+					t.Fatalf("%v workers=%d: %d assignment lists for %d clients", variant, workers, len(got.Assignments), topo.NumClients())
+				}
+				shared := *got
+				shared.Assignments = nil
+				if !reflect.DeepEqual(&shared, plain) {
+					t.Errorf("%v workers=%d: tracking assignments changes the result:\n  plain   %+v\n  tracked %+v", variant, workers, plain, &shared)
+				}
+				if ref == nil {
+					ref = got
+				} else if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%v workers=%d: tracked result differs from one worker's", variant, workers)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCountedDecide runs the dense counted decide over one
+// 131,072-server window, pq-dense's shard width, on a freshly reset
+// SAER shard (c = 4, d = 2): two workers' byte tallies hold round 1's
+// density, two balls per server, and are refilled between iterations.
+// Reports ns per server.
+func BenchmarkCountedDecide(b *testing.B) {
+	const window = 1 << 17
+	src := rng.New(1)
+	round := make(countedRound, 2)
+	for w := range round {
+		for range window {
+			round[w] = append(round[w], int32(src.Intn(window)))
+		}
+	}
+	sh, err := NewServerShard(SAER, 8, 0, window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bt := engine.NewByteTally(2, window)
+	accepted := make([]uint64, window/64)
+	var cells, counts [pqBlockBalls]int32
+	for b.Loop() {
+		b.StopTimer()
+		round.count(bt)
+		sh.Reset(nil)
+		clear(accepted)
+		b.StartTimer()
+		sh.decideCounted(bt, accepted, nil, cells[:], counts[:])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*window), "ns/server")
+}

@@ -94,7 +94,10 @@ func fuzzBatch(b []byte, lo int32) (touched, counts []int32, rest []byte) {
 // finds it malformed (not strictly ascending, outside [lo, hi), a count
 // ≤ 0, or unequal lengths), leave loads, received totals and burned
 // flags untouched when it rejects, and otherwise return the model's
-// accepted and newly burned servers and saturation count.
+// accepted and newly burned servers and saturation count. Only RAES
+// shards keep a received total. A SAER shard's total is its load; the
+// model keeps its own total, which decides its burns, beside its load,
+// so comparing the loads checks the SAER total.
 //
 // The seed corpus (testdata/fuzz/FuzzShardDecide) holds a valid batch
 // per variant, an unsorted batch, one with an id outside the window,

@@ -44,8 +44,9 @@ const padWords = 128 / 4
 // backing array, with a padding granule before, between and after the
 // workers' arrays, so two workers never write the same line or the same
 // adjacent-line pair. Every decide reuses a worker's block for the
-// blocks shardBlocks hands out: the draw that fills it has ended by
-// then.
+// blocks shardBlocks hands out, and the Runner's counted decide for
+// the partial last word of its window: the draw that fills it has ended
+// by then.
 func newPQBlocks(workers, size int) []pqBlock {
 	stride := 2*size + padWords
 	backing := make([]int32, padWords+workers*stride)
@@ -65,7 +66,9 @@ type serverHalf interface {
 	// burned mirror.
 	reset(initialLoads []int) error
 	// decide applies the threshold rule to the round's requests, which
-	// it reads shard by shard through shardBlocks, sets every accepting
+	// it reads shard by shard off the byte tallies or the stamped tally
+	// (the Runner decides a counted round's window in one dense pass;
+	// otherwise shardBlocks cuts it into blocks), sets every accepting
 	// server's bit in the loop's accept set, and marks newly burned
 	// servers in the burned mirror.
 	decide() (newlyBurned, saturated int, err error)
@@ -98,8 +101,10 @@ type serverHalf interface {
 //
 // beginRound picks one per round with directCount, from the resolved
 // worker and shard counts, the round's ball count and the point-query
-// view as it stands then. Either way shardBlocks hands each shard's
-// received servers to the decide in the same ascending blocks.
+// view as it stands then. The Runner decides a counted round's shards
+// straight off the byte tallies (ServerShard.decideCounted); every
+// other decide reads a shard's received servers through shardBlocks,
+// in the same ascending blocks for either path.
 type clientLoop struct {
 	topo     bipartite.Topology
 	cfg      Config
@@ -169,9 +174,9 @@ type clientLoop struct {
 
 	// received[u] is server u's request count this round and
 	// cumNbrReceived[v] is Σ_{i≤t} r_i(N(v)), both under
-	// TrackNeighborhoods: shardBlocks fills received and beginRound clears
-	// it. assignments[v] collects the servers that accepted v's balls
-	// (TrackAssignments).
+	// TrackNeighborhoods: the decide fills received (shardBlocks, or the
+	// Runner's counted pass) and beginRound clears it. assignments[v]
+	// collects the servers that accepted v's balls (TrackAssignments).
 	received       []int32
 	cumNbrReceived []int64
 	assignments    [][]int32
@@ -671,31 +676,63 @@ func (sk *sink) put(dst []int32) {
 }
 
 // drawBlocks is the point-query draw of frontier chunk [lo, hi) on
-// worker w. It expands each client into one (client, degree) entry per
-// alive ball in w's block, and resolves the block into out before the
-// next client would overflow it. It returns the number of balls drawn.
+// worker w. It fills w's block with one (client, degree) entry per
+// alive ball of each client in turn, up to the first client that would
+// overflow it, so no client straddles two blocks, and resolves the
+// block into out. It returns the number of balls drawn.
 func (l *clientLoop) drawBlocks(w, lo, hi int, out []int32, sk *sink) int {
 	blk := &l.pqBlocks[w]
-	vs, idx := blk.vs, blk.idx
-	pos, n := 0, 0
-	for _, vv := range l.frontier[lo:hi] {
-		a := int(l.alive[vv])
-		if n+a > len(vs) {
-			l.resolve(blk, out[pos:pos+n], sk)
-			pos += n
-			n = 0
+	frontier := l.frontier[lo:hi]
+	pos := 0
+	for len(frontier) > 0 {
+		var n, used int
+		if l.pqDeg > 0 {
+			n, used = expandUniform(blk, frontier, l.alive, int32(l.pqDeg))
+		} else {
+			n, used = expandDegrees(blk, frontier, l.alive, l.pq)
 		}
-		deg := l.pqDeg
-		if deg == 0 {
-			deg = l.pq.ClientDegree(int(vv))
-		}
-		for range a {
-			vs[n], idx[n] = vv, int32(deg)
-			n++
-		}
+		l.resolve(blk, out[pos:pos+n], sk)
+		pos += n
+		frontier = frontier[used:]
 	}
-	l.resolve(blk, out[pos:pos+n], sk)
-	return pos + n
+	return pos
+}
+
+// expandUniform fills blk with the frontier's clients, all of degree
+// deg, from the first on, and returns the entries written and the
+// clients they hold. Its loop calls nothing and reads no clientLoop
+// field, so nothing is reloaded per client around a call.
+func expandUniform(blk *pqBlock, frontier, alive []int32, deg int32) (n, used int) {
+	vs, idx := blk.vs, blk.idx
+	for i, v := range frontier {
+		a := int(alive[v])
+		if n+a > len(vs) {
+			return n, i
+		}
+		for k := n; k < n+a; k++ {
+			vs[k], idx[k] = v, deg
+		}
+		n += a
+	}
+	return n, len(frontier)
+}
+
+// expandDegrees is expandUniform for a topology whose clients' degrees
+// differ: it asks pq for each client's degree.
+func expandDegrees(blk *pqBlock, frontier, alive []int32, pq bipartite.PointQueryable) (n, used int) {
+	vs, idx := blk.vs, blk.idx
+	for i, v := range frontier {
+		a := int(alive[v])
+		if n+a > len(vs) {
+			return n, i
+		}
+		deg := int32(pq.ClientDegree(int(v)))
+		for k := n; k < n+a; k++ {
+			vs[k], idx[k] = v, deg
+		}
+		n += a
+	}
+	return n, len(frontier)
 }
 
 // resolve answers the first len(out) balls of blk: one rng.IntnBlock
@@ -712,14 +749,16 @@ func (l *clientLoop) resolve(blk *pqBlock, out []int32, sk *sink) {
 	sk.put(out)
 }
 
-// shardBlocks is the one way a decide reads a round: it hands shard s's
-// servers that received requests to fn, ascending, with their counts,
-// in blocks no longer than worker w's point-query block, which the draw
-// no longer needs. A counted round's blocks are scanned off the shard's
-// window of the byte tallies into the block; a routed round's are cut
-// from the shard's fold, with their counts copied into the block. Under
-// TrackNeighborhoods every block is also recorded in received. Owners
-// of distinct shards call it concurrently.
+// shardBlocks hands shard s's servers that received requests to fn,
+// ascending, with their counts, in blocks no longer than worker w's
+// point-query block, which the draw no longer needs. It is how the
+// Driver reads every round, since it ships the blocks as a batch, and
+// how the Runner reads a routed round; the Runner decides a counted
+// round in place (decideCounted). A counted round's blocks are scanned
+// off the shard's window of the byte tallies into the block; a routed
+// round's are cut from the shard's fold, with their counts copied into
+// the block. Under TrackNeighborhoods every block is also recorded in
+// received. Owners of distinct shards call it concurrently.
 func (l *clientLoop) shardBlocks(w, s int, fn func(servers, counts []int32)) {
 	blk := &l.pqBlocks[w]
 	if l.counted {
@@ -758,43 +797,22 @@ func (l *clientLoop) emit(servers, counts []int32, fn func(servers, counts []int
 // and compacts the frontier. Its chunks are the draw's, since the
 // frontier has the same length, so chunk [lo, hi) reads its clients'
 // destinations back from choices[lo·d] in draw order and tests each
-// against the accept set. Every chunk moves its survivors to its own
-// front, then the chunk prefixes are joined in chunk order, which keeps
-// the frontier ascending for every steal schedule. Returns the accepted
-// requests and the balls still alive.
+// against the accept set, in retire. Under TrackAssignments the chunk
+// first records its accepted destinations (assign). Every chunk moves
+// its survivors to its own front, then the chunk prefixes are joined in
+// chunk order, which keeps the frontier ascending for every steal
+// schedule. Returns the accepted requests and the balls still alive.
 func (l *clientLoop) update() (accepted, alive int64) {
 	nc := l.growKept(len(l.frontier))
 	clear(l.partialAcc)
 	clear(l.partialAlive)
 	l.pool.StealRange(len(l.frontier), func(w, chunk, lo, hi int) {
-		set := l.accepted
-		out := l.choices[lo*l.d:]
-		pos := 0
-		kept := lo
-		var acc, still int64
-		for _, vv := range l.frontier[lo:hi] {
-			v := int(vv)
-			a := l.alive[v]
-			var got int32
-			for _, u := range out[pos : pos+int(a)] {
-				if set[u>>6]&(1<<(u&63)) != 0 {
-					got++
-					if l.assignments != nil {
-						l.assignments[v] = append(l.assignments[v], u)
-					}
-				}
-			}
-			pos += int(a)
-			rem := a - got
-			l.alive[v] = rem
-			if rem > 0 {
-				l.frontier[kept] = vv
-				kept++
-				still += int64(rem)
-			}
-			acc += int64(got)
+		frontier, choices := l.frontier[lo:hi], l.choices[lo*l.d:]
+		if l.assignments != nil {
+			l.assign(frontier, choices)
 		}
-		l.kept[chunk] = keptRange{lo, kept - lo}
+		kept, acc, still := retire(frontier, l.alive, choices, l.accepted)
+		l.kept[chunk] = keptRange{lo, kept}
 		l.partialAcc[w] += acc
 		l.partialAlive[w] += still
 	})
@@ -804,6 +822,47 @@ func (l *clientLoop) update() (accepted, alive int64) {
 		alive += l.partialAlive[w]
 	}
 	return accepted, alive
+}
+
+// retire is update's pass over one frontier chunk, whose clients' balls
+// lie in choices in draw order: it counts each client's destinations in
+// the accept set without a branch, writes the client's remaining balls
+// to alive, and moves the clients that kept balls to the chunk's front,
+// in order. It calls nothing and reads no clientLoop field, so nothing
+// is reloaded per client around a call. It returns the survivors'
+// count, the accepted balls and the balls still alive.
+func retire(frontier, alive, choices []int32, set []uint64) (kept int, acc, still int64) {
+	pos := 0
+	for _, v := range frontier {
+		a := alive[v]
+		var got int32
+		for _, u := range choices[pos : pos+int(a)] {
+			got += int32(set[uint32(u)>>6] >> (uint32(u) & 63) & 1)
+		}
+		pos += int(a)
+		rem := a - got
+		alive[v] = rem
+		frontier[kept] = v
+		kept += int(b2u(rem > 0))
+		still += int64(rem)
+	}
+	return kept, int64(pos) - still, still
+}
+
+// assign appends each accepted destination of a frontier chunk to its
+// client's assignment list, in draw order (TrackAssignments). It runs
+// before retire changes the chunk's alive counts.
+func (l *clientLoop) assign(frontier, choices []int32) {
+	pos := 0
+	for _, v := range frontier {
+		a := int(l.alive[v])
+		for _, u := range choices[pos : pos+a] {
+			if l.accepted[u>>6]>>(u&63)&1 != 0 {
+				l.assignments[v] = append(l.assignments[v], u)
+			}
+		}
+		pos += a
+	}
 }
 
 // neighborhoodStats computes S_t, r_t and K_t (Definitions 3, 5, 6) for
@@ -873,7 +932,8 @@ func (l *clientLoop) hasStarvedClient() bool {
 
 // fillLoadStats computes the final load summary (and optionally the full
 // load vector) into res and returns the loads' exact sum. The scan is
-// serial: at m = 2²⁰ it reads 4 MB, about 1 ms of a 55 ms pq-dense run.
+// serial: at m = 2²⁰ it reads 4 MB, about 0.7 ms of a 15 ms pq-dense
+// run on a 2-vCPU Xeon VM (BenchmarkRunPasses/loadscan).
 func (l *clientLoop) fillLoadStats(res *Result, loads []int32) (sum int64) {
 	maxLoad, minLoad := int32(0), int32(math.MaxInt32)
 	for _, ld := range loads {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/bipartite"
+	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
@@ -52,11 +53,18 @@ func (c Config) NewRunner(topo bipartite.Topology) (*Runner, error) {
 	}
 	m := topo.NumServers()
 	r.load = make([]int32, m)
-	received := make([]int32, m)
+	var received []int32 // the received totals, which only RAES keeps
+	if c.Variant == RAES {
+		received = make([]int32, m)
+	}
 	for lo, width := 0, 1<<r.router.Shift(); lo < m; lo += width {
 		hi := min(lo+width, m)
+		var total []int32
+		if received != nil {
+			total = received[lo:hi]
+		}
 		r.servers = append(r.servers, windowShard(c.Variant, r.capacity, lo, hi,
-			r.load[lo:], received[lo:], r.burned[lo:]))
+			r.load[lo:hi], total, r.burned[lo:hi]))
 	}
 	r.partialBurned = make([]int64, r.pool.Workers())
 	r.partialSat = make([]int64, r.pool.Workers())
@@ -89,12 +97,14 @@ func (r *Runner) loads() ([]int32, error) { return r.load, nil }
 // own shards' state.
 func (r *Runner) checkLoads([]int32, int64, *Result) error { return nil }
 
-// decide is phase 2: each shard owner applies the rule to the blocks
-// shardBlocks hands it, so to exactly the servers that received
-// requests, ascending within the shard. The order in which shards run
-// differs across shard counts and steal schedules but never leaks into
-// results: each server's update depends only on its own state, and the
-// burned/saturated partials are order-independent sums.
+// decide is phase 2: each shard owner decides its shard's servers that
+// received requests. A counted round is one dense pass over the shard's
+// window of the byte tallies (decideCounted); a routed round applies
+// the rule to the blocks shardBlocks cuts from the shard's fold. The
+// order in which shards run differs across shard counts and steal
+// schedules but never leaks into results: each server's update depends
+// only on its own state, and the burned/saturated partials are
+// order-independent sums.
 func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(r.tel.decideHist())
 	defer sp.End()
@@ -104,6 +114,13 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 		var nb, sat int
 		for s := lo; s < hi; s++ {
 			sh := r.servers[s]
+			if r.counted {
+				blk := &r.pqBlocks[w]
+				b, st := sh.decideCounted(r.bytes, r.accepted, r.received, blk.vs, blk.idx)
+				nb += b
+				sat += st
+				continue
+			}
 			r.shardBlocks(w, s, func(servers, counts []int32) {
 				b, st := sh.applyBlock(servers, counts, r.accepted)
 				nb += b
@@ -118,4 +135,91 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 		saturated += int(r.partialSat[w])
 	}
 	return newlyBurned, saturated, nil
+}
+
+// decideCounted decides a counted round for the shard, whose window
+// starts on a multiple of 8, in one dense pass over its window of the
+// byte tallies: it applies the rule where it sums the counts, with no
+// (server, count) block in between. Each block of up to
+// engine.SumBlock words is summed and zeroed by SumWords. A word whose
+// cells are all zero and hold no wrap entry is skipped; otherwise its
+// eight counts are taken from the lanes, 256 is added per wrap entry,
+// and the variant's rule runs, in place, on each of its servers. A zero
+// count leaves a server as it was (see saer), so no branch depends on a
+// count: only the accept bit and RAES's saturation are masked by
+// count > 0. The word's accept bits are ORed into accepted, the accept
+// set over every server, at once; shard windows are whole 64-server
+// words of the set, so owners of distinct shards decide concurrently.
+// received, when not nil, gets every count (TrackNeighborhoods). A
+// window end that is not a multiple of 8 goes through Scan's byte path
+// into the cells and counts buffers, of at least 8 entries, and
+// applyBlock. It returns the round's new burns and saturations.
+func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, received, cells, counts []int32) (newlyBurned, saturated int) {
+	end := s.hi &^ 7
+	wraps := bt.Wraps(s.lo)
+	var even, odd [engine.SumBlock]uint64
+	for base := s.lo; base < end; {
+		words := min((end-base)/8, engine.SumBlock)
+		bt.SumWords(base, words, &even, &odd)
+		for q := range words {
+			u := base + 8*q
+			e, o := even[q], odd[q]
+			if e|o == 0 && (len(wraps) == 0 || int(wraps[0]) >= u+8) {
+				continue
+			}
+			var c [8]int32
+			for j := 0; j < 8; j += 2 {
+				c[j] = int32(e >> (8 * j) & 0xffff)
+				c[j+1] = int32(o >> (8 * j) & 0xffff)
+			}
+			for ; len(wraps) > 0 && int(wraps[0]) < u+8; wraps = wraps[1:] {
+				c[int(wraps[0])-u] += 256
+			}
+			if received != nil {
+				copy(received[u:u+8], c[:])
+			}
+			var bits uint64
+			j0 := u - s.lo
+			if s.variant == SAER {
+				for j, n := range c {
+					acc, burned := s.saer(j0+j, n)
+					bits |= b2u(acc && n > 0) << j
+					newlyBurned += int(b2u(burned))
+				}
+			} else {
+				for j, n := range c {
+					acc, burned := s.raes(j0+j, n)
+					bits |= b2u(acc && n > 0) << j
+					saturated += int(b2u(!acc && n > 0))
+					newlyBurned += int(b2u(burned))
+				}
+			}
+			accepted[u>>6] |= bits << (u & 63)
+		}
+		base += 8 * words
+	}
+	if s.variant == SAER {
+		saturated = newlyBurned
+	}
+	if end < s.hi {
+		k, _ := bt.Scan(end, s.hi, cells, counts)
+		cells, counts = cells[:k], counts[:k]
+		if received != nil {
+			for i, u := range cells {
+				received[u] = counts[i]
+			}
+		}
+		b, st := s.applyBlock(cells, counts, accepted)
+		newlyBurned += b
+		saturated += st
+	}
+	return newlyBurned, saturated
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -399,14 +400,17 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRunPasses measures the passes a warmed Runner makes once per
-// run, outside its rounds, at pq-dense's shape (SAER on an implicit
-// regular graph, n = m = 2²⁰, Δ = 400, d = 2, c = 4): "reset" rebuilds
-// the client state (alive counts, frontier, streams) and the server
-// shards, and "loadscan" summarizes the final loads. The resets run on
-// the pool, which has GOMAXPROCS workers, and the load scan is serial,
-// so run it at -cpu 1,2 to see the pool's share; on a host whose speed
-// drifts between runs, alternate the counts in one process
-// (-cpu 1,2,1,2,1,2). Reports ns per client.
+// run, outside its rounds, and its round-1 update, at pq-dense's shape
+// (SAER on an implicit regular graph, n = m = 2²⁰, Δ = 400, d = 2,
+// c = 4): "reset" rebuilds the client state (alive counts, frontier,
+// streams) and the server shards, and "loadscan" summarizes the final
+// loads, both in ns per client; "update" retires round 1's accepted
+// balls and compacts the frontier, in ns per ball, from the state a
+// run's round-1 draw and decide leave, restored before each iteration.
+// The resets and the update run on the pool, which has GOMAXPROCS
+// workers, and the load scan is serial, so run it at -cpu 1,2 to see
+// the pool's share; on a host whose speed drifts between runs,
+// alternate the counts in one process (-cpu 1,2,1,2,1,2).
 func BenchmarkRunPasses(b *testing.B) {
 	const n = 1 << 20
 	topo, err := gen.RegularImplicit(n, 400, 1)
@@ -434,6 +438,22 @@ func BenchmarkRunPasses(b *testing.B) {
 			r.fillLoadStats(res, r.load)
 		}
 		perClient(b)
+	})
+	b.Run("update", func(b *testing.B) {
+		balls := r.clientLoop.reset()
+		_ = r.reset(cfg.InitialLoads)
+		r.beginRound(balls)
+		r.draw()
+		_, _, _ = r.decide()
+		alive, frontier := slices.Clone(r.alive), slices.Clone(r.frontier)
+		for b.Loop() {
+			b.StopTimer()
+			copy(r.alive, alive)
+			r.frontier = append(r.frontier[:0], frontier...)
+			b.StartTimer()
+			r.update()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(balls), "ns/ball")
 	})
 }
 

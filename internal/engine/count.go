@@ -14,11 +14,14 @@ const MaxByteTallyWorkers = 256
 // routing each event into a lane that a later fold reads back, phase-1
 // worker w counts it into its own byte array, one uint8 per cell, and
 // records every wrap of a byte past 255 in its own wrap list. Phase-2
-// shard owners then Scan their windows of every worker's array a word
-// (8 cells) at a time: all-zero words are skipped, a cell's count is its
-// bytes summed across workers plus 256 per wrap entry, and the scan
-// zeroes what it read, so the arrays are all zero again when every
-// window has been scanned and no reset pass exists.
+// shard owners then read their windows of every worker's array a word
+// (8 cells) at a time, through Scan, which lists a window's nonzero
+// cells with their counts, or through SumWords and Wraps, which a
+// caller that decides each cell where it sums it reads directly:
+// all-zero words are skipped, a cell's count is its bytes summed across
+// workers plus 256 per wrap entry, and every read zeroes what it read,
+// so the arrays are all zero again when every window has been read and
+// no reset pass exists.
 //
 // A round costs O(events) for the counting, which writes one byte per
 // event into an array that stays cache-resident while workers·size
@@ -106,11 +109,7 @@ func (t *ByteTally) Seal() {
 // of 8.
 func (t *ByteTally) Scan(lo, hi int, cells, counts []int32) (k, next int) {
 	cells = cells[:min(len(cells), len(counts))]
-	wraps := t.wraps
-	if len(wraps) > 0 {
-		i, _ := slices.BinarySearch(wraps, int32(lo))
-		wraps = wraps[i:]
-	}
+	wraps := t.Wraps(lo)
 	base := lo &^ 7
 	for base < hi {
 		if k+8 > len(cells) {
@@ -132,37 +131,58 @@ func (t *ByteTally) Scan(lo, hi int, cells, counts []int32) (k, next int) {
 	return k, hi
 }
 
-// scanBlock is the most words scanWords sums at once: 128 cells, whose
-// lane sums stay in two 128-byte stack arrays.
-const scanBlock = 16
+// SumBlock is the most words SumWords sums at once: 128 cells, whose
+// lane sums fit two 128-byte arrays.
+const SumBlock = 16
+
+// SumWords sums the round's counts of the whole words [base,
+// base+8·words) across the workers, where base is a multiple of 8 and
+// words is at most SumBlock, and zeroes the bytes it read. Each worker's
+// stretch is read in order and its bytes are summed into 16-bit lanes,
+// cell base+8q+j's into the lane at bit 8·(j&^1) of even[q] for even j
+// and of odd[q] for odd j (a lane holds at most 255·workers < 2¹⁶); a
+// stretch that held anything is zeroed. The wrap entries of the words
+// are not added: Scan adds them, and so must any other caller (see
+// Wraps). Shard owners sum distinct words concurrently.
+func (t *ByteTally) SumWords(base, words int, even, odd *[SumBlock]uint64) {
+	const evenBytes = 0x00ff00ff00ff00ff
+	clear(even[:])
+	clear(odd[:])
+	for i := range t.workers {
+		c := t.workers[i].counts[base : base+8*words]
+		var or uint64
+		for q := range words {
+			x := binary.LittleEndian.Uint64(c[8*q:])
+			or |= x
+			even[q] += x & evenBytes
+			odd[q] += x >> 8 & evenBytes
+		}
+		if or != 0 {
+			clear(c)
+		}
+	}
+}
+
+// Wraps returns the round's wrap entries at cells lo and above,
+// ascending, one per wrap of a worker's byte: a cell's count is its
+// bytes' sum plus 256 per entry. The list is the tally's own, valid
+// until the next Seal.
+func (t *ByteTally) Wraps(lo int) []int32 {
+	i, _ := slices.BinarySearch(t.wraps, int32(lo))
+	return t.wraps[i:]
+}
 
 // scanWords is Scan over the whole words [base, stop), which hold no
 // wrapped cell, until the buffers might overflow; it returns the new k
-// and the word it stopped at. It works in blocks of up to scanBlock
-// words. First each worker's stretch of the block is read in order and
-// its bytes are summed into 16-bit lanes, the even cells' in one word
-// per tally word and the odd cells' in another (a lane holds at most
-// 255·workers < 2¹⁶), and a stretch that held anything is zeroed. Then
-// each nonzero word writes all eight cells, advancing the next slot
-// past each nonzero one, so no branch depends on a cell's count.
+// and the word it stopped at. It sums blocks of up to SumBlock words
+// with SumWords, then each nonzero word writes all eight cells,
+// advancing the next slot past each nonzero one, so no branch depends
+// on a cell's count.
 func (t *ByteTally) scanWords(base, stop, k int, cells, counts []int32) (int, int) {
-	const evenBytes = 0x00ff00ff00ff00ff
+	var even, odd [SumBlock]uint64
 	for base < stop && k+8 <= len(cells) {
-		words := min((stop-base)/8, (len(cells)-k)/8, scanBlock)
-		var even, odd [scanBlock]uint64
-		for i := range t.workers {
-			c := t.workers[i].counts[base : base+8*words]
-			var or uint64
-			for q := range words {
-				x := binary.LittleEndian.Uint64(c[8*q:])
-				or |= x
-				even[q] += x & evenBytes
-				odd[q] += x >> 8 & evenBytes
-			}
-			if or != 0 {
-				clear(c)
-			}
-		}
+		words := min((stop-base)/8, (len(cells)-k)/8, SumBlock)
+		t.SumWords(base, words, &even, &odd)
 		for q := range words {
 			e, o := even[q], odd[q]
 			if e|o == 0 {
