@@ -1,6 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"unsafe"
+
+	"repro/internal/engine"
+)
 
 // RoundDecision is a server bank's phase-2 answer for one round: which
 // servers accepted the round's requests, which newly burned, and how
@@ -69,6 +77,79 @@ type ServerBank interface {
 	Close() error
 }
 
+// CountedDecision is a bank's answer to a counted round (see
+// CountedBank): the accept set as a bitmap, the newly burned servers and
+// the saturation count.
+type CountedDecision struct {
+	// Accepted has bit u&63 of word u>>6 set when server u accepted the
+	// round's requests: (m+63)/64 words over a bank of m servers.
+	Accepted []uint64
+	// NewlyBurned lists the servers that crossed the cumulative received
+	// threshold this round, ascending (as in RoundDecision).
+	NewlyBurned []int32
+	// Saturated counts the servers that rejected the round while not
+	// burned (as in RoundDecision).
+	Saturated int
+}
+
+// CountedBank is a ServerBank with the optional counted-round method: it
+// decides a round handed over as dense per-server counts rather than as
+// (server, count) pairs, and answers with an accept bitmap. A Driver
+// ships a counted round this way when its bank implements the method and
+// the dense form is no larger than the pairs could be (see shipsDense);
+// every other round goes through DecideRound. LocalBank and the wire
+// banks implement it; a wrapper that embeds the ServerBank interface
+// exposes only that interface's methods, so its Driver ships pairs.
+type CountedBank interface {
+	ServerBank
+	// DecideCounted applies the variant's threshold rule to one counted
+	// round. counts holds one byte per server, server u's request count
+	// mod 256, and wraps lists, ascending, the servers that received 256
+	// more per entry: the one-worker form of an engine.ByteTally round
+	// (ByteTally.Fold). A server whose count is 0 received nothing and
+	// must not change state. The bank reads counts and wraps during the
+	// call only and writes neither.
+	//
+	// The decision's slices may be the bank's own buffers, overwritten by
+	// its next DecideRound or DecideCounted call, as for DecideRound.
+	//
+	// A round that breaks the contract (not one byte per server, wrap
+	// entries unsorted or outside the bank, or a count past MaxInt32) is
+	// an error. LocalBank and the wire bank check the whole round
+	// (CheckCounted) before any server decides, so a rejected round leaves
+	// every server as it was; a remote shard can still reject its part on
+	// its own (see DecideRound).
+	DecideCounted(counts []uint8, wraps []int32) (CountedDecision, error)
+}
+
+// CheckCounted reports the first way in which (counts, wraps) is not a
+// counted round over cells cells: counts must hold one byte per cell,
+// and wraps must be ascending cells in [0, cells) whose count, the
+// byte plus 256 per entry, is at most MaxInt32.
+func CheckCounted(counts []uint8, wraps []int32, cells int) error {
+	if len(counts) != cells {
+		return fmt.Errorf("core: counted round with %d counts for %d servers", len(counts), cells)
+	}
+	for i := 0; i < len(wraps); {
+		u := wraps[i]
+		if u < 0 || int(u) >= cells {
+			return fmt.Errorf("core: counted round wrap entry %d at server %d outside [0, %d)", i, u, cells)
+		}
+		if i > 0 && u < wraps[i-1] {
+			return fmt.Errorf("core: counted round wrap entries not ascending at entry %d (server %d after %d)", i, u, wraps[i-1])
+		}
+		k := i + 1
+		for k < len(wraps) && wraps[k] == u {
+			k++
+		}
+		if n := int64(counts[u]) + 256*int64(k-i); n > math.MaxInt32 {
+			return fmt.Errorf("core: counted round gives server %d a count of %d, past MaxInt32", u, n)
+		}
+		i = k
+	}
+	return nil
+}
+
 // ServerShard is the protocol's server-side state for a contiguous
 // server window [Lo, Hi), and saer and raes are the one implementation
 // of each threshold rule. The Runner decides each router shard's
@@ -89,6 +170,20 @@ type ServerShard struct {
 	load          []int32
 	receivedTotal []int32
 	burned        []bool
+
+	// counted is DecideCounted's scratch, allocated by its first call.
+	counted *countedScratch
+}
+
+// countedScratch is a shard's scratch for a bank's counted decide: the
+// view that reads a round's counts, the buffers its partial groups are
+// scanned into, the burned flags as they stood before the round, and
+// the twin that DecideCounted decides through.
+type countedScratch struct {
+	view          engine.ByteTally
+	cells, counts [16]int32
+	was           []bool
+	twin          *ServerShard
 }
 
 // NewServerShard returns the server state for window [lo, hi).
@@ -273,6 +368,134 @@ func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []in
 	return acc, nb, saturated, nil
 }
 
+// DecideCounted applies the threshold rule to a counted round over the
+// shard's window [lo, hi), the form a wire server reads off a counted
+// frame: counts[i] is server lo+i's request count mod 256, and wraps
+// lists, ascending, the window cells i (server lo+i) that take 256 more
+// per entry (see CountedBank). It writes the window's accept bitmap to
+// accepted, which must hold WindowWords words: bit i&63 of
+// accepted[i>>6] is set when server lo+i accepted. It appends the newly
+// burned servers to newlyBurned, ascending, and returns them with the
+// saturation count and the requests the accepting servers received. A
+// malformed round (see CheckCounted) is rejected before any server
+// changes. counts and wraps are only read.
+//
+// The dense pass runs on a twin of the shard over the same state
+// slices whose window is [0, hi-lo), so its servers are the round's
+// cells and its accept set is the window's bitmap.
+func (s *ServerShard) DecideCounted(counts []uint8, wraps []int32, accepted []uint64, newlyBurned []int32) (nb []int32, saturated int, acceptedReqs int64, err error) {
+	if err := CheckCounted(counts, wraps, s.hi-s.lo); err != nil {
+		return newlyBurned, 0, 0, err
+	}
+	if len(accepted) != s.WindowWords() {
+		return newlyBurned, 0, 0, fmt.Errorf("core: shard [%d,%d) accept bitmap of %d words, want %d", s.lo, s.hi, len(accepted), s.WindowWords())
+	}
+	sc := s.scratch()
+	if sc.twin == nil {
+		sc.twin = windowShard(s.variant, s.capacity, 0, s.hi-s.lo, s.load, s.receivedTotal, s.burned)
+	}
+	clear(accepted)
+	nb, saturated = s.decideBank(sc.twin, counts, wraps, accepted, newlyBurned)
+	return nb, saturated, acceptedRequests(counts, wraps, 0, s.hi-s.lo, accepted), nil
+}
+
+// WindowWords returns the number of words of the shard's window
+// bitmap, one bit per window server.
+func (s *ServerShard) WindowWords() int { return (s.hi - s.lo + 63) / 64 }
+
+// scratch returns the shard's counted-decide scratch, allocating it on
+// first use.
+func (s *ServerShard) scratch() *countedScratch {
+	if s.counted == nil {
+		s.counted = &countedScratch{was: make([]bool, s.hi-s.lo)}
+	}
+	return s.counted
+}
+
+// decideBank is a bank's counted decide of the shard's window: the
+// dense pass (decideCounted) of dec, the shard itself or its twin, over
+// a view of counts and wraps whose cells are dec's servers, into
+// accepted, dec's accept set. A bank also answers with the newly burned
+// servers, which the pass does not list: decideBank appends the shard's
+// to newlyBurned, ascending, from its burned flags before and after the
+// pass, and returns them with the saturation count.
+func (s *ServerShard) decideBank(dec *ServerShard, counts []uint8, wraps []int32, accepted []uint64, newlyBurned []int32) ([]int32, int) {
+	sc := s.scratch()
+	copy(sc.was, s.burned)
+	sc.view.SetView(counts, wraps)
+	_, saturated := dec.decideCounted(&sc.view, accepted, nil, sc.cells[:], sc.counts[:])
+	return s.appendNewlyBurned(newlyBurned, sc.was), saturated
+}
+
+// appendNewlyBurned appends the window's servers whose burned flag is
+// set now but not in was to dst, ascending. Stretches of 64 flags that
+// did not change are passed over with one comparison.
+func (s *ServerShard) appendNewlyBurned(dst []int32, was []bool) []int32 {
+	now, before := boolBytes(s.burned), boolBytes(was[:len(s.burned)])
+	for j := 0; j < len(now); j += 64 {
+		k := min(j+64, len(now))
+		if bytes.Equal(now[j:k], before[j:k]) {
+			continue
+		}
+		for i := j; i < k; i++ {
+			if now[i] > before[i] {
+				dst = append(dst, int32(s.lo+i))
+			}
+		}
+	}
+	return dst
+}
+
+// boolBytes views the flags of b as their bytes, 0 or 1 each.
+func boolBytes(b []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+}
+
+// acceptedRequests returns the requests received by the servers of [lo,
+// hi) whose bit is set in accepted, their accept set (bit u&63 of
+// accepted[u>>6]), server u's count being counts[u] plus 256 per entry
+// u of wraps: the Report's accepted requests, which the dense pass does
+// not sum. Each group of 8 servers that starts on a multiple of 8
+// expands its 8 accept bits into a byte mask, keeps the counts it
+// selects and adds them in 16-bit lanes, which 128 groups cannot
+// overflow.
+func acceptedRequests(counts []uint8, wraps []int32, lo, hi int, accepted []uint64) int64 {
+	const evenBytes = 0x00ff00ff00ff00ff
+	bit := func(u int) int64 { return int64(accepted[u>>6] >> (u & 63) & 1) }
+	first := min((lo+7)&^7, hi)
+	end := max(hi&^7, first)
+	var total int64
+	for u := lo; u < first; u++ {
+		total += int64(counts[u]) * bit(u)
+	}
+	for u := end; u < hi; u++ {
+		total += int64(counts[u]) * bit(u)
+	}
+	sumLanes := func(l uint64) int64 { return int64(l&0xffff + l>>16&0xffff + l>>32&0xffff + l>>48) }
+	var lanes uint64
+	for u, steps := first, 0; u < end; u += 8 {
+		am := accepted[u>>6] >> (u & 63) & 0xff
+		if am == 0 {
+			continue
+		}
+		x := am * 0x0101010101010101 & 0x8040201008040201
+		mask := (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080 >> 7 * 0xff
+		y := binary.LittleEndian.Uint64(counts[u:]) & mask
+		lanes += y&evenBytes + y>>8&evenBytes
+		if steps++; steps == 128 {
+			total += sumLanes(lanes)
+			lanes, steps = 0, 0
+		}
+	}
+	total += sumLanes(lanes)
+	for _, u := range wraps {
+		if int(u) >= lo && int(u) < hi {
+			total += 256 * bit(int(u))
+		}
+	}
+	return total
+}
+
 // decide is Decide on a batch checkBatch accepted.
 func (s *ServerShard) decide(touched, counts, accepted, newlyBurned []int32) ([]int32, []int32, int) {
 	counts = counts[:len(touched)]
@@ -354,9 +577,11 @@ type LocalBank struct {
 	m      int
 	loads  []int32
 	// ends[s] is the end of shard s's slice of the round being decided;
-	// accepted and burned back the decision lists DecideRound returns.
+	// accepted and burned back the decision lists DecideRound returns,
+	// and acceptBits and burned DecideCounted's decision.
 	ends             []int
 	accepted, burned []int32
+	acceptBits       []uint64
 }
 
 // NewLocalBank returns an in-process bank of `shards` contiguous server
@@ -368,7 +593,7 @@ func NewLocalBank(variant Variant, capacity int32, m, shards int) (*LocalBank, e
 	if shards <= 0 || shards > m {
 		shards = min(max(shards, 1), m)
 	}
-	b := &LocalBank{m: m, loads: make([]int32, m), ends: make([]int, shards)}
+	b := &LocalBank{m: m, loads: make([]int32, m), ends: make([]int, shards), acceptBits: make([]uint64, (m+63)/64)}
 	per, rem := m/shards, m%shards
 	lo := 0
 	for s := 0; s < shards; s++ {
@@ -436,6 +661,28 @@ func (b *LocalBank) DecideRound(touched, counts []int32) (RoundDecision, error) 
 		from = b.ends[s]
 	}
 	b.accepted, b.burned = dec.Accepted, dec.NewlyBurned
+	return dec, nil
+}
+
+// DecideCounted checks the whole round (CheckCounted) before any shard
+// decides, so a rejected round leaves every server as it was, then
+// decides each shard's window in one dense pass over a view of counts
+// and wraps, in shard order, so the newly burned list comes out
+// ascending. Shards that share a word of the accept bitmap OR their
+// bits into it in turn. The decision's slices are the bank's own
+// buffers, overwritten by the next call.
+func (b *LocalBank) DecideCounted(counts []uint8, wraps []int32) (CountedDecision, error) {
+	if err := CheckCounted(counts, wraps, b.m); err != nil {
+		return CountedDecision{}, err
+	}
+	clear(b.acceptBits)
+	dec := CountedDecision{Accepted: b.acceptBits, NewlyBurned: b.burned[:0]}
+	for _, sh := range b.shards {
+		var sat int
+		dec.NewlyBurned, sat = sh.decideBank(sh, counts, wraps, b.acceptBits, dec.NewlyBurned)
+		dec.Saturated += sat
+	}
+	b.burned = dec.NewlyBurned
 	return dec, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bipartite"
@@ -10,9 +11,14 @@ import (
 
 // Driver is the transport-agnostic front end of the protocol: the shared
 // client loop — identical per-client draws, frontier, starvation rule and
-// result assembly as the Runner — over a ServerBank. Each round's
-// (server, count) pairs are read shard by shard, in the blocks
-// shardBlocks hands out, and shipped as one ascending batch. With a
+// result assembly as the Runner — over a ServerBank. A counted round
+// goes to a bank with the counted-round method (CountedBank) densely
+// when shipsDense says so: each shard owner folds its window of the
+// workers' byte tallies into one byte per server plus ascending wrap
+// entries (engine.ByteTally.Fold), and the bank answers with an accept
+// bitmap. Every other round's (server, count) pairs are read shard by
+// shard, in the blocks shardBlocks hands out, and shipped as one
+// ascending batch. With a
 // LocalBank the whole protocol runs in this process; with a wire bank
 // the servers live in remote shard processes and the Driver becomes the
 // load generator. Either way the outcome is bit-for-bit the Runner's for
@@ -29,11 +35,22 @@ import (
 type Driver struct {
 	clientLoop
 	bank ServerBank
+	// dense is bank's counted-round method, nil when it has none.
+	dense CountedBank
 
 	touched   []int32
 	countsArg []int32
 	// batches holds the round's per-shard ascending lists.
 	batches []shardBatch
+
+	// The dense exchange's buffers, allocated by the first round shipped
+	// densely: folded holds one byte per server, shardWraps each shard's
+	// wrap entries and wraps the joined entries. touchedBits has bit u
+	// set when server u received requests this round.
+	folded      []uint8
+	touchedBits []uint64
+	shardWraps  [][]int32
+	wraps       []int32
 
 	// initialSum is Σ max(initial load, 0) over the servers of the
 	// current run: the final loads must sum to it plus the run's accepted
@@ -50,6 +67,7 @@ func NewDriver(topo bipartite.Topology, cfg Config, bank ServerBank) (*Driver, e
 		return nil, fmt.Errorf("core: driver needs a server bank")
 	}
 	dr := &Driver{bank: bank}
+	dr.dense, _ = bank.(CountedBank)
 	if err := dr.init(topo, cfg); err != nil {
 		return nil, err
 	}
@@ -116,12 +134,30 @@ func (dr *Driver) checkLoads(loads []int32, loadSum int64, res *Result) error {
 	return nil
 }
 
-// decide gathers each shard's blocks into the shard's batch, each shard
-// owned by one goroutine and its servers ascending, concatenates the
-// batches in shard order — contiguous ascending windows, so the result
-// is the globally ascending batch — ships it to the bank, and applies
-// the checked decision to the accept set and the burned mirror.
+// shipsDense reports whether a Driver ships a round densely, by its
+// bank's counted-round method: the round is counted (directCount), the
+// bank has the method, and the dense form's m bytes are no more than
+// the 8·balls bytes the round's (server, count) pairs can take. A
+// multi-worker counted round always passes the size test, since
+// directCount asks workers·m ≤ 4·balls there; it keeps a one-worker
+// run's sparse tail rounds on pairs. Like directCount it is a pure
+// function of its inputs and result-neutral; TestShipsDenseRule pins
+// it.
+func shipsDense(counted, method bool, balls int64, m int) bool {
+	return counted && method && int64(m) <= 8*balls
+}
+
+// decide ships the round to the bank and applies the checked decision
+// to the accept set and the burned mirror: densely (decideDense) when
+// shipsDense says so, and otherwise as pairs. For pairs it gathers each
+// shard's blocks into the shard's batch, each shard owned by one
+// goroutine and its servers ascending, and concatenates the batches in
+// shard order — contiguous ascending windows, so the result is the
+// globally ascending batch.
 func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
+	if shipsDense(dr.counted, dr.dense != nil, dr.roundBalls, len(dr.burned)) {
+		return dr.decideDense()
+	}
 	sp := telemetry.StartSpan(dr.tel.foldHist())
 	dr.pool.StealRangeGrain(len(dr.batches), 1, func(w, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
@@ -150,6 +186,89 @@ func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
 		return 0, 0, err
 	}
 	return len(dec.NewlyBurned), dec.Saturated, nil
+}
+
+// decideDense folds the workers' byte tallies into the one-worker form,
+// each shard owner its own window (router shards are whole 64-server
+// words, so owners fold concurrently), joins the shards' wrap entries
+// in shard order, which keeps them ascending, and hands the round to
+// the bank's counted-round method. Under TrackNeighborhoods each owner
+// also records its window's counts in received.
+func (dr *Driver) decideDense() (newlyBurned, saturated int, err error) {
+	sp := telemetry.StartSpan(dr.tel.foldHist())
+	if dr.folded == nil {
+		dr.folded = make([]uint8, len(dr.burned))
+		dr.touchedBits = make([]uint64, len(dr.accepted))
+		dr.shardWraps = make([][]int32, dr.router.Shards())
+	}
+	// The closure captures dr alone, as the pair path's does, so a round
+	// allocates the same either way.
+	dr.pool.StealRangeGrain(len(dr.shardWraps), 1, func(_, _, lo, hi int) {
+		shift := dr.router.Shift()
+		for s := lo; s < hi; s++ {
+			from, to := s<<shift, min((s+1)<<shift, len(dr.folded))
+			dr.shardWraps[s] = dr.bytes.Fold(from, to, dr.folded, dr.shardWraps[s][:0], dr.touchedBits)
+			if dr.received != nil {
+				for u := from; u < to; u++ {
+					dr.received[u] = int32(dr.folded[u])
+				}
+				for _, u := range dr.shardWraps[s] {
+					dr.received[u] += 256
+				}
+			}
+		}
+	})
+	dr.wraps = dr.wraps[:0]
+	for _, w := range dr.shardWraps {
+		dr.wraps = append(dr.wraps, w...)
+	}
+	sp.End()
+	sp = telemetry.StartSpan(dr.tel.decideHist())
+	dec, err := dr.dense.DecideCounted(dr.folded, dr.wraps)
+	sp.End()
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := dr.applyCounted(dec); err != nil {
+		return 0, 0, err
+	}
+	return len(dec.NewlyBurned), dec.Saturated, nil
+}
+
+// applyCounted checks a bank's answer to a dense round before it
+// applies any of it: the accept bitmap has one bit per server, and sets
+// bits only on servers that received requests (touchedBits, so none
+// past the last server); NewlyBurned is strictly ascending and names
+// only such servers; and Saturated lies in [0, touched], touched being
+// the number of those servers. Then it copies the bitmap into the
+// accept set, which beginRound cleared, and marks the newly burned
+// servers.
+func (dr *Driver) applyCounted(dec CountedDecision) error {
+	if len(dec.Accepted) != len(dr.accepted) {
+		return fmt.Errorf("bank decision: accept bitmap of %d words for %d servers", len(dec.Accepted), len(dr.burned))
+	}
+	touched := 0
+	for i, w := range dec.Accepted {
+		if stray := w &^ dr.touchedBits[i]; stray != 0 {
+			return fmt.Errorf("bank decision: accepted server %d received no requests or lies outside the bank", 64*i+bits.TrailingZeros64(stray))
+		}
+		touched += bits.OnesCount64(dr.touchedBits[i])
+	}
+	if dec.Saturated < 0 || dec.Saturated > touched {
+		return fmt.Errorf("bank decision: %d saturated servers in a round that reached %d", dec.Saturated, touched)
+	}
+	prev := int32(-1)
+	for k, u := range dec.NewlyBurned {
+		if u <= prev || int(u) >= len(dr.burned) || dr.touchedBits[u>>6]>>(u&63)&1 == 0 {
+			return fmt.Errorf("bank decision: newly burned server %d (entry %d) is not a strictly ascending server that received requests", u, k)
+		}
+		prev = u
+	}
+	copy(dr.accepted, dec.Accepted)
+	for _, u := range dec.NewlyBurned {
+		dr.burned[u] = true
+	}
+	return nil
 }
 
 // apply checks a bank's decision against the batch it answers and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -185,34 +186,73 @@ func TestLocalBankRejectsMalformedBatches(t *testing.T) {
 // decide: a round whose slice for a later shard is malformed must leave
 // the servers of the earlier shards as they were. [3, 200, 100] on two
 // shards over 256 servers gives shard 0 a valid [3] and shard 1 an
-// unsorted [200, 100].
+// unsorted [200, 100]. The counted rounds break the dense contract in
+// shard 1's part while shard 0's is valid: a byte vector one short or
+// one long, wrap entries unsorted, past the last server or negative,
+// and wraps that take server 200 past MaxInt32. After each rejection
+// every load is still 0, and the bank decides a valid round.
 func TestLocalBankRejectedRoundLeavesBank(t *testing.T) {
-	bank, err := NewLocalBank(SAER, 8, 256, 2)
+	const m = 256
+	bank, err := NewLocalBank(SAER, 8, m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := bank.Reset(nil); err != nil {
 		t.Fatal(err)
 	}
+	untouched := func(what string) {
+		t.Helper()
+		loads, err := bank.Loads()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, ld := range loads {
+			if ld != 0 {
+				t.Fatalf("%s: server %d has load %d after a rejected round", what, u, ld)
+			}
+		}
+	}
 	if _, err := bank.DecideRound([]int32{3, 200, 100}, []int32{2, 2, 2}); err == nil {
 		t.Fatal("DecideRound accepted an unsorted batch")
 	}
-	loads, err := bank.Loads()
+	untouched("pairs")
+	counts := make([]uint8, m)
+	counts[3], counts[200] = 2, 255
+	past := make([]int32, 1<<23) // 255 + 256·2²³ > MaxInt32
+	for i := range past {
+		past[i] = 200
+	}
+	for _, tc := range []struct {
+		name   string
+		counts []uint8
+		wraps  []int32
+	}{
+		{"one short", counts[:m-1], nil},
+		{"one long", append(slices.Clone(counts), 0), nil},
+		{"unsorted wraps", counts, []int32{200, 130}},
+		{"wrap past the last server", counts, []int32{130, m}},
+		{"negative wrap", counts, []int32{-1, 130}},
+		{"past MaxInt32", counts, past},
+	} {
+		if _, err := bank.DecideCounted(tc.counts, tc.wraps); err == nil {
+			t.Fatalf("%s: DecideCounted accepted the round", tc.name)
+		}
+		untouched(tc.name)
+	}
+	dec, err := bank.DecideCounted(counts, past[:1<<23-1]) // 255 + 256·(2²³-1) ≤ MaxInt32
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u, ld := range loads {
-		if ld != 0 {
-			t.Fatalf("server %d has load %d after a rejected round", u, ld)
-		}
+	if dec.Accepted[0] != 1<<3 || dec.Accepted[3] != 0 || !slices.Equal(dec.NewlyBurned, []int32{200}) || dec.Saturated != 1 {
+		t.Fatalf("valid round after the rejections: %+v", dec)
 	}
 }
 
 // TestLocalBankDecideRoundDoesNotAllocate pins the decision buffers: on
 // a warmed bank, a round that accepts some servers and burns others
-// allocates nothing, under either rule. Each round starts from a reset,
-// which allocates nothing either, so the decision lists are never
-// empty.
+// allocates nothing, under either rule, as pairs or densely. Each round
+// starts from a reset, which allocates nothing either, so the decision
+// lists are never empty.
 func TestLocalBankDecideRoundDoesNotAllocate(t *testing.T) {
 	for _, variant := range []Variant{SAER, RAES} {
 		bank, err := NewLocalBank(variant, 8, 1000, 3)
@@ -220,6 +260,10 @@ func TestLocalBankDecideRoundDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 		touched, counts := []int32{1, 7, 333, 334, 700, 999}, []int32{1, 9, 1, 2, 9, 1}
+		dense := make([]uint8, 1000)
+		for i, u := range touched {
+			dense[u] = uint8(counts[i])
+		}
 		round := func() {
 			if err := bank.Reset(nil); err != nil {
 				t.Fatal(err)
@@ -229,9 +273,23 @@ func TestLocalBankDecideRoundDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%v: decision %+v, %v", variant, dec, err)
 			}
 		}
-		round()
-		if avg := testing.AllocsPerRun(50, round); avg != 0 {
-			t.Errorf("%v: DecideRound allocates %.1f times per round", variant, avg)
+		denseRound := func() {
+			if err := bank.Reset(nil); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := bank.DecideCounted(dense, nil)
+			if err != nil || !slices.Equal(dec.NewlyBurned, []int32{7, 700}) || dec.Accepted[5] != 1<<(333&63)|1<<(334&63) {
+				t.Fatalf("%v: dense decision %+v, %v", variant, dec, err)
+			}
+		}
+		for _, r := range []struct {
+			name string
+			fn   func()
+		}{{"DecideRound", round}, {"DecideCounted", denseRound}} {
+			r.fn()
+			if avg := testing.AllocsPerRun(50, r.fn); avg != 0 {
+				t.Errorf("%v: %s allocates %.1f times per round", variant, r.name, avg)
+			}
 		}
 	}
 }
@@ -267,35 +325,71 @@ func TestLocalBankResetDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// recordingBank is a LocalBank that checks every batch a Driver ships
-// before deciding it: strictly ascending, counts parallel and positive.
+// recordingBank is a LocalBank that checks every round a Driver ships
+// before deciding it and records how it came: a pair batch must be
+// strictly ascending with counts parallel, and a dense round must hold
+// one byte per server and ascending wrap entries. kinds gets 'p' per
+// pair batch and 'd' per dense round, in round order.
 type recordingBank struct {
 	*LocalBank
-	t       *testing.T
-	name    string
-	batches int
+	t     *testing.T
+	name  string
+	kinds []byte
+	wraps int // wrap entries over every dense round
 }
 
 func (b *recordingBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
-	b.batches++
+	b.kinds = append(b.kinds, 'p')
 	if len(counts) != len(touched) {
-		b.t.Errorf("%s batch %d: %d counts for %d servers", b.name, b.batches, len(counts), len(touched))
+		b.t.Errorf("%s round %d: %d counts for %d servers", b.name, len(b.kinds), len(counts), len(touched))
 	}
 	for i, u := range touched {
 		if i > 0 && u <= touched[i-1] {
-			b.t.Errorf("%s batch %d: not strictly ascending at index %d (%d after %d)",
-				b.name, b.batches, i, u, touched[i-1])
+			b.t.Errorf("%s round %d: not strictly ascending at index %d (%d after %d)",
+				b.name, len(b.kinds), i, u, touched[i-1])
 			break
 		}
 	}
 	return b.LocalBank.DecideRound(touched, counts)
 }
 
+func (b *recordingBank) DecideCounted(counts []uint8, wraps []int32) (CountedDecision, error) {
+	b.kinds = append(b.kinds, 'd')
+	b.wraps += len(wraps)
+	if err := CheckCounted(counts, wraps, b.m); err != nil {
+		b.t.Errorf("%s round %d: %v", b.name, len(b.kinds), err)
+	}
+	return b.LocalBank.DecideCounted(counts, wraps)
+}
+
+// wantKinds is the shipment kind of each round of res, as shipsDense
+// picks it for dr, whose bank has the counted-round method.
+func wantKinds(dr *Driver, res *Result) string {
+	var kinds []byte
+	for _, st := range res.PerRound {
+		balls := int64(st.AliveBalls)
+		kind := byte('p')
+		if shipsDense(dr.countsRound(balls), true, balls, res.NumServers) {
+			kind = 'd'
+		}
+		kinds = append(kinds, kind)
+	}
+	return string(kinds)
+}
+
+// pairsOnly exposes only the four ServerBank methods of the bank it
+// wraps, as a wrapper that embeds the interface does, so its Driver
+// ships every round as pairs.
+type pairsOnly struct{ ServerBank }
+
 // TestDriverShipsAscendingBatches pins the ordered fold end to end: the
 // Driver concatenates its shards' touched lists without sorting, so
-// every batch it ships must already be strictly ascending — for every
-// worker count and route shard count — and the run must still match
-// the one-shard Runner reference.
+// every pair batch it ships must already be strictly ascending — for
+// every worker count and route shard count — and every dense round's
+// wrap entries ascending. Each round ships once, densely exactly when
+// shipsDense says so (one worker on one router shard counts every round,
+// and ships the rounds with m ≤ 8·balls densely), and the run must
+// still match the one-shard Runner reference.
 func TestDriverShipsAscendingBatches(t *testing.T) {
 	g := regularGraph(t, 1000, 24, 9)
 	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xACE, TrackRounds: true, TrackLoads: true}
@@ -321,8 +415,11 @@ func TestDriverShipsAscendingBatches(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if bank.batches != res.Rounds || res.Rounds < 2 {
-				t.Fatalf("%s: %d batches for %d rounds", name, bank.batches, res.Rounds)
+			if want := wantKinds(dr, res); string(bank.kinds) != want || res.Rounds < 2 {
+				t.Fatalf("%s: shipped %q over %d rounds, want %q", name, bank.kinds, res.Rounds, want)
+			}
+			if workers == 1 && shards <= 1 && bank.kinds[0] != 'd' {
+				t.Errorf("%s: round 1 of a one-worker run went as pairs", name)
 			}
 			if !reflect.DeepEqual(res, ref) {
 				t.Errorf("%s: driver diverges from the runner reference", name)
@@ -331,18 +428,139 @@ func TestDriverShipsAscendingBatches(t *testing.T) {
 	}
 }
 
+// TestShipsDenseRule pins shipsDense, the choice between shipping a
+// round densely and as pairs.
+func TestShipsDenseRule(t *testing.T) {
+	for _, tc := range []struct {
+		counted, method bool
+		balls           int64
+		m               int
+		want            bool
+	}{
+		{true, true, 1 << 17, 1 << 16, true},    // wire-loopback's round 1
+		{true, true, 1 << 13, 1 << 16, true},    // m = 8·balls: as large as the pairs can be
+		{true, true, 1<<13 - 1, 1 << 16, false}, // one ball fewer: pairs
+		{true, true, 1, 8, true},
+		{true, true, 0, 1, false},
+		{false, true, 1 << 20, 1 << 16, false}, // a routed round
+		{true, false, 1 << 20, 1 << 16, false}, // a bank without the method
+	} {
+		if got := shipsDense(tc.counted, tc.method, tc.balls, tc.m); got != tc.want {
+			t.Errorf("shipsDense(counted=%t, method=%t, balls=%d, m=%d) = %t, want %t",
+				tc.counted, tc.method, tc.balls, tc.m, got, tc.want)
+		}
+	}
+}
+
+// TestDriverDenseMatchesRunner is the dense exchange's equivalence
+// suite: a Driver over a LocalBank, which ships its counted rounds
+// densely, equals the one-shard Runner bit for bit for both variants,
+// at 1 to 3 workers over 1 to 3 bank shards, on point-query topologies
+// whose server counts (1,000 and 4,099) are not multiples of 8, so bank
+// windows start and end inside groups of 8 servers. The cases cover
+// tracking (neighborhoods, assignments, loads, rounds), per-client
+// request counts with initial loads that put servers at and above the
+// capacity (RAES servers above it keep rejecting), and a hot instance
+// whose cells take hundreds of requests in round 1, so the fold writes
+// wrap entries and the bank reads them. A recording bank checks that
+// round 1 ships densely, and a pairs-only wrapper of the same bank must
+// give the same Result.
+func TestDriverDenseMatchesRunner(t *testing.T) {
+	type instance struct {
+		name           string
+		n, m, delta, d int
+		c              float64
+		dynamic        bool
+	}
+	instances := []instance{
+		{"sparse m=1000", 1000, 1000, 24, 2, 2, false},
+		{"sparse m=4099", 4099, 4099, 16, 2, 3, false},
+		{"dynamic m=1000", 1000, 1000, 24, 3, 2, true},
+		{"hot m=1000", 1000, 1000, 4, 300, 2, false},
+	}
+	for _, in := range instances {
+		topo, err := gen.TrustSubsetImplicit(in.n, in.m, in.delta, uint64(in.m+in.d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, variant := range []Variant{SAER, RAES} {
+			cfg := Config{Variant: variant, D: in.d, C: in.c, Seed: 0xD15E, MaxRounds: 200,
+				TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true}
+			if in.dynamic {
+				src := rng.New(3)
+				capacity := cfg.Params().Capacity()
+				cfg.InitialLoads = make([]int, in.m)
+				cfg.RequestCounts = make([]int, in.n)
+				for u := range cfg.InitialLoads {
+					cfg.InitialLoads[u] = src.Intn(capacity + 3) // some at and above the capacity
+				}
+				for v := range cfg.RequestCounts {
+					cfg.RequestCounts[v] = src.Intn(in.d + 1)
+				}
+			}
+			ref, err := oneShard(cfg).Run(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for workers := 1; workers <= 3; workers++ {
+				for shards := 1; shards <= 3; shards++ {
+					name := fmt.Sprintf("%s %v workers=%d shards=%d", in.name, variant, workers, shards)
+					wcfg := cfg
+					wcfg.Workers = workers
+					local, err := NewLocalBank(variant, int32(cfg.Params().Capacity()), in.m, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec := &recordingBank{LocalBank: local, t: t, name: name}
+					for _, bank := range []ServerBank{rec, pairsOnly{local}} {
+						dr, err := NewDriver(topo, wcfg, bank)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := dr.Run()
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, ref) {
+							t.Errorf("%s (%T): driver diverges from the runner reference", name, bank)
+						}
+						if bank == rec && (len(rec.kinds) == 0 || rec.kinds[0] != 'd' || string(rec.kinds) != wantKinds(dr, got)) {
+							t.Errorf("%s: shipped %q, want %q with round 1 dense", name, rec.kinds, wantKinds(dr, got))
+						}
+						if bank == rec && in.d > 255 && rec.wraps == 0 {
+							t.Errorf("%s: no dense round carried a wrap entry", name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // tamperBank answers like a LocalBank, then corrupts its decision for
-// round 1 — the stand-in for a buggy or hostile remote server.
+// round 1 — the stand-in for a buggy or hostile remote server. tamper
+// corrupts a pair decision and tamperDense a dense one; a round whose
+// hook is nil goes through untouched.
 type tamperBank struct {
 	*LocalBank
-	calls  int
-	tamper func(touched []int32, dec *RoundDecision)
+	calls       int
+	tamper      func(touched []int32, dec *RoundDecision)
+	tamperDense func(counts []uint8, dec *CountedDecision)
+}
+
+func (b *tamperBank) DecideCounted(counts []uint8, wraps []int32) (CountedDecision, error) {
+	dec, err := b.LocalBank.DecideCounted(counts, wraps)
+	b.calls++
+	if err == nil && b.calls == 1 && b.tamperDense != nil {
+		b.tamperDense(counts, &dec)
+	}
+	return dec, err
 }
 
 func (b *tamperBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
 	dec, err := b.LocalBank.DecideRound(touched, counts)
 	b.calls++
-	if err == nil && b.calls == 1 {
+	if err == nil && b.calls == 1 && b.tamper != nil {
 		b.tamper(touched, &dec)
 	}
 	return dec, err
@@ -352,7 +570,11 @@ func (b *tamperBank) DecideRound(touched, counts []int32) (RoundDecision, error)
 // the bank's answer: a decision naming a server out of range, twice, out of
 // order or outside the shipped batch, or claiming more saturations than
 // the batch holds, ends the run with a round-1 error instead of a panic
-// or a silently applied decision.
+// or a silently applied decision. The dense cases tamper with the
+// answer to a dense round: an accept bit on a server that received
+// nothing or past the last server, a bitmap of the wrong length, newly
+// burned servers out of order, repeated, idle or out of range, and a
+// saturation count outside [0, touched].
 func TestDriverRejectsMalformedDecisions(t *testing.T) {
 	g := regularGraph(t, 1024, 16, 5)
 	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 77, Workers: 2}
@@ -397,27 +619,87 @@ func TestDriverRejectsMalformedDecisions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			local, err := NewLocalBank(cfg.Variant, int32(cfg.Params().Capacity()), g.NumServers(), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dr, err := NewDriver(g, cfg, &tamperBank{LocalBank: local, tamper: tc.tamper})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("Driver.Run panicked: %v", p)
-				}
-			}()
-			_, err = dr.Run()
-			if err == nil {
-				t.Fatal("Driver.Run accepted a malformed decision")
-			}
-			if !strings.Contains(err.Error(), "core: round 1: bank decision") {
-				t.Errorf("error %q does not name round 1's bank decision", err)
-			}
+			runTampered(t, g, cfg, &tamperBank{tamper: tc.tamper})
 		})
+	}
+	// Round 1 of a two-worker run on a point-query topology is counted
+	// and ships densely. m = 1000 leaves 24 bits of the bitmap's last
+	// word past the bank.
+	pq, err := gen.RegularImplicit(1000, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func(counts []uint8) int32 { return int32(slices.Index(counts, 0)) }
+	reached := func(counts []uint8, k int) int32 {
+		for u, c := range counts {
+			if c != 0 {
+				if k == 0 {
+					return int32(u)
+				}
+				k--
+			}
+		}
+		panic("too few servers received requests")
+	}
+	touched := func(counts []uint8) int { return len(counts) - bytes.Count(counts, []byte{0}) }
+	setBit := func(dec *CountedDecision, u int32) { dec.Accepted[u>>6] |= 1 << (u & 63) }
+	dense := []struct {
+		name   string
+		tamper func(counts []uint8, dec *CountedDecision)
+	}{
+		{"accept bit on an idle server", func(counts []uint8, dec *CountedDecision) { setBit(dec, idle(counts)) }},
+		{"accept bit past the bank", func(_ []uint8, dec *CountedDecision) { setBit(dec, 1000) }},
+		{"bitmap too short", func(_ []uint8, dec *CountedDecision) { dec.Accepted = dec.Accepted[:len(dec.Accepted)-1] }},
+		{"bitmap too long", func(_ []uint8, dec *CountedDecision) { dec.Accepted = append(dec.Accepted, 0) }},
+		{"newly burned unsorted", func(counts []uint8, dec *CountedDecision) {
+			dec.NewlyBurned = []int32{reached(counts, 1), reached(counts, 0)}
+		}},
+		{"newly burned duplicate", func(counts []uint8, dec *CountedDecision) {
+			dec.NewlyBurned = []int32{reached(counts, 0), reached(counts, 0)}
+		}},
+		{"newly burned idle server", func(counts []uint8, dec *CountedDecision) {
+			dec.NewlyBurned = []int32{idle(counts)}
+		}},
+		{"newly burned past the bank", func(_ []uint8, dec *CountedDecision) { dec.NewlyBurned = []int32{1000} }},
+		{"newly burned negative", func(_ []uint8, dec *CountedDecision) { dec.NewlyBurned = []int32{-1} }},
+		{"saturated beyond the touched servers", func(counts []uint8, dec *CountedDecision) { dec.Saturated = touched(counts) + 1 }},
+		{"negative saturated", func(_ []uint8, dec *CountedDecision) { dec.Saturated = -1 }},
+	}
+	for _, tc := range dense {
+		t.Run("dense/"+tc.name, func(t *testing.T) {
+			runTampered(t, pq, cfg, &tamperBank{tamperDense: tc.tamper})
+		})
+	}
+}
+
+// runTampered runs cfg on topo over b, given a LocalBank of two shards,
+// and fails t unless the run ends with round 1's bank decision error,
+// without a panic.
+func runTampered(t *testing.T, topo bipartite.Topology, cfg Config, b *tamperBank) {
+	t.Helper()
+	local, err := NewLocalBank(cfg.Variant, int32(cfg.Params().Capacity()), topo.NumServers(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.LocalBank = local
+	dr, err := NewDriver(topo, cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("Driver.Run panicked: %v", p)
+		}
+	}()
+	_, err = dr.Run()
+	if err == nil {
+		t.Fatal("Driver.Run accepted a malformed decision")
+	}
+	if !strings.Contains(err.Error(), "core: round 1: bank decision") {
+		t.Errorf("error %q does not name round 1's bank decision", err)
+	}
+	if b.calls == 0 {
+		t.Error("the bank decided no round")
 	}
 }
 

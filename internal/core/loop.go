@@ -150,6 +150,8 @@ type clientLoop struct {
 	bytes   *engine.ByteTally
 	tally   *engine.Tally
 	cache   engine.CacheInfo
+	// roundBalls is the current round's ball count.
+	roundBalls int64
 
 	alive   []int32      // unassigned balls of client v
 	streams []rng.Stream // private random stream of client v
@@ -565,6 +567,7 @@ func (l *clientLoop) beginRound(balls int64) {
 		}
 	}
 	l.counted = l.countsRound(balls)
+	l.roundBalls = balls
 	switch m := l.topo.NumServers(); {
 	case l.counted && l.bytes == nil:
 		l.bytes = engine.NewByteTally(l.pool.Workers(), m)

@@ -137,28 +137,35 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	return newlyBurned, saturated, nil
 }
 
-// decideCounted decides a counted round for the shard, whose window
-// starts on a multiple of 8, in one dense pass over its window of the
-// byte tallies: it applies the rule where it sums the counts, with no
-// (server, count) block in between. Each block of up to
-// engine.SumBlock words is summed and zeroed by SumWords. A word whose
-// cells are all zero and hold no wrap entry is skipped; otherwise its
-// eight counts are taken from the lanes, 256 is added per wrap entry,
-// and the variant's rule runs, in place, on each of its servers. A zero
-// count leaves a server as it was (see saer), so no branch depends on a
-// count: only the accept bit and RAES's saturation are masked by
-// count > 0. The word's accept bits are ORed into accepted, the accept
-// set over every server, at once; shard windows are whole 64-server
-// words of the set, so owners of distinct shards decide concurrently.
-// received, when not nil, gets every count (TrackNeighborhoods). A
-// window end that is not a multiple of 8 goes through Scan's byte path
-// into the cells and counts buffers, of at least 8 entries, and
-// applyBlock. It returns the round's new burns and saturations.
+// decideCounted decides a counted round for the shard in one dense pass
+// over its window of the byte tallies: it applies the rule where it sums
+// the counts, with no (server, count) block in between. The pass walks
+// the window's servers in groups of 8 that start on a multiple of 8, in
+// blocks of up to engine.SumBlock groups, each summed (and, on a tally
+// that is not a view, zeroed) by SumWords. A group whose cells are all
+// zero and hold no wrap entry is skipped; otherwise its eight counts are
+// taken from the lanes, 256 is added per wrap entry, and the variant's
+// rule runs, in place, on each of its servers. A zero count leaves a
+// server as it was (see saer), so no branch depends on a count: only
+// the accept bit and RAES's saturation are masked by count > 0. The
+// group's accept bits are ORed into accepted, the accept set over every
+// server, at once; the Runner's shard windows are whole 64-server words
+// of the set, so owners of distinct shards decide concurrently.
+// received, when not nil, gets every count (TrackNeighborhoods). The
+// partial groups at a window start or end that is not a multiple of 8
+// (a LocalBank's windows) go through Scan into the cells and counts
+// buffers, of at least 8 entries, and applyBlock. It returns the
+// round's new burns and saturations.
 func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, received, cells, counts []int32) (newlyBurned, saturated int) {
-	end := s.hi &^ 7
-	wraps := bt.Wraps(s.lo)
+	first := min((s.lo+7)&^7, s.hi)
+	end := max(s.hi&^7, first)
+	if s.lo < first {
+		newlyBurned, saturated = s.scanApply(bt, s.lo, first, accepted, received, cells, counts)
+	}
+	wraps := bt.Wraps(first)
 	var even, odd [engine.SumBlock]uint64
-	for base := s.lo; base < end; {
+	var burnedTotal, satTotal int
+	for base := first; base < end; {
 		words := min((end-base)/8, engine.SumBlock)
 		bt.SumWords(base, words, &even, &odd)
 		for q := range words {
@@ -184,14 +191,14 @@ func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, rec
 				for j, n := range c {
 					acc, burned := s.saer(j0+j, n)
 					bits |= b2u(acc && n > 0) << j
-					newlyBurned += int(b2u(burned))
+					burnedTotal += int(b2u(burned))
 				}
 			} else {
 				for j, n := range c {
 					acc, burned := s.raes(j0+j, n)
 					bits |= b2u(acc && n > 0) << j
-					saturated += int(b2u(!acc && n > 0))
-					newlyBurned += int(b2u(burned))
+					satTotal += int(b2u(!acc && n > 0))
+					burnedTotal += int(b2u(burned))
 				}
 			}
 			accepted[u>>6] |= bits << (u & 63)
@@ -199,17 +206,30 @@ func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, rec
 		base += 8 * words
 	}
 	if s.variant == SAER {
-		saturated = newlyBurned
+		satTotal = burnedTotal
 	}
+	newlyBurned += burnedTotal
+	saturated += satTotal
 	if end < s.hi {
-		k, _ := bt.Scan(end, s.hi, cells, counts)
-		cells, counts = cells[:k], counts[:k]
+		b, st := s.scanApply(bt, end, s.hi, accepted, received, cells, counts)
+		newlyBurned += b
+		saturated += st
+	}
+	return newlyBurned, saturated
+}
+
+// scanApply is decideCounted over the window's servers [lo, hi), a
+// partial group, through Scan and applyBlock.
+func (s *ServerShard) scanApply(bt *engine.ByteTally, lo, hi int, accepted []uint64, received, cells, counts []int32) (newlyBurned, saturated int) {
+	for pos := lo; pos < hi; {
+		var k int
+		k, pos = bt.Scan(pos, hi, cells, counts)
 		if received != nil {
-			for i, u := range cells {
+			for i, u := range cells[:k] {
 				received[u] = counts[i]
 			}
 		}
-		b, st := s.applyBlock(cells, counts, accepted)
+		b, st := s.applyBlock(cells[:k], counts[:k], accepted)
 		newlyBurned += b
 		saturated += st
 	}

@@ -39,11 +39,19 @@ const MaxByteTallyWorkers = 256
 // Layout: each worker's array lies at least one padding granule away from
 // every other worker's, so the counting workers never write the same
 // cache line, or the same adjacent-line pair.
+//
+// Fold turns a round of any number of workers into the one-worker form,
+// one byte per cell plus ascending wrap entries, which a server bank
+// decides densely; SetView reads such a round, held in caller memory,
+// through the same Scan, SumWords and Wraps.
 type ByteTally struct {
 	workers []byteWorker
 	// wraps is the ascending union of the workers' wrap lists, built by
 	// Seal for the round's scans.
 	wraps []int32
+	// view marks a read-only one-worker view (SetView): reads leave its
+	// bytes as they are.
+	view bool
 }
 
 // byteWorker is one worker's share of a ByteTally: counts[i] is the
@@ -68,6 +76,23 @@ func NewByteTally(workers, size int) *ByteTally {
 		t.workers[w].counts = backing[lo : lo+size : lo+size]
 	}
 	return t
+}
+
+// SetView makes t a read-only one-worker tally over a round held in
+// caller memory: counts[i] is cell i's count mod 256, and wraps lists
+// the cells, ascending, that take 256 more per entry. Scan, SumWords
+// and Wraps read the round as they read a sealed one-worker tally, but
+// never write counts; Add and Seal must not be called on a view. A
+// zero ByteTally becomes a view with its first SetView, and allocates
+// only then.
+func (t *ByteTally) SetView(counts []uint8, wraps []int32) {
+	if cap(t.workers) == 0 {
+		t.workers = make([]byteWorker, 1)
+	}
+	t.workers = t.workers[:1]
+	t.workers[0].counts = counts
+	t.wraps = wraps
+	t.view = true
 }
 
 // Add counts one event into each of cells for worker w. Every cell must
@@ -137,13 +162,14 @@ const SumBlock = 16
 
 // SumWords sums the round's counts of the whole words [base,
 // base+8·words) across the workers, where base is a multiple of 8 and
-// words is at most SumBlock, and zeroes the bytes it read. Each worker's
-// stretch is read in order and its bytes are summed into 16-bit lanes,
-// cell base+8q+j's into the lane at bit 8·(j&^1) of even[q] for even j
-// and of odd[q] for odd j (a lane holds at most 255·workers < 2¹⁶); a
-// stretch that held anything is zeroed. The wrap entries of the words
-// are not added: Scan adds them, and so must any other caller (see
-// Wraps). Shard owners sum distinct words concurrently.
+// words is at most SumBlock, and zeroes the bytes it read (a view's are
+// left as they are). Each worker's stretch is read in order and its
+// bytes are summed into 16-bit lanes, cell base+8q+j's into the lane at
+// bit 8·(j&^1) of even[q] for even j and of odd[q] for odd j (a lane
+// holds at most 255·workers < 2¹⁶); a stretch that held anything is
+// zeroed. The wrap entries of the words are not added: Scan adds them,
+// and so must any other caller (see Wraps). Shard owners sum distinct
+// words concurrently.
 func (t *ByteTally) SumWords(base, words int, even, odd *[SumBlock]uint64) {
 	const evenBytes = 0x00ff00ff00ff00ff
 	clear(even[:])
@@ -157,7 +183,7 @@ func (t *ByteTally) SumWords(base, words int, even, odd *[SumBlock]uint64) {
 			even[q] += x & evenBytes
 			odd[q] += x >> 8 & evenBytes
 		}
-		if or != 0 {
+		if or != 0 && !t.view {
 			clear(c)
 		}
 	}
@@ -217,16 +243,7 @@ func (t *ByteTally) scanWords(base, stop, k int, cells, counts []int32) (int, in
 // returns the new k and the wrap entries left.
 func (t *ByteTally) scanWord(base, lo, hi, k int, wraps, cells, counts []int32) (int, []int32) {
 	var sum [8]int32
-	for i := range t.workers {
-		c := t.workers[i].counts
-		for u := lo; u < hi; u++ {
-			sum[u-base] += int32(c[u])
-			c[u] = 0
-		}
-	}
-	for ; len(wraps) > 0 && int(wraps[0]) < hi; wraps = wraps[1:] {
-		sum[int(wraps[0])-base] += 256
-	}
+	wraps = t.sumCells(base, lo, hi, &sum, wraps)
 	for j, c := range sum {
 		if c != 0 {
 			cells[k], counts[k] = int32(base+j), c
@@ -234,4 +251,108 @@ func (t *ByteTally) scanWord(base, lo, hi, k int, wraps, cells, counts []int32) 
 		}
 	}
 	return k, wraps
+}
+
+// sumCells adds the round's counts of cells [lo, hi) of the word at base
+// to sum[cell-base], a byte at a time, with 256 for each of wraps'
+// leading entries below hi, zeroes the bytes it read (not a view's), and
+// returns the wrap entries left.
+func (t *ByteTally) sumCells(base, lo, hi int, sum *[8]int32, wraps []int32) []int32 {
+	for i := range t.workers {
+		c := t.workers[i].counts[lo:hi]
+		for k, b := range c {
+			sum[lo-base+k] += int32(b)
+		}
+		if !t.view {
+			clear(c)
+		}
+	}
+	for ; len(wraps) > 0 && int(wraps[0]) < hi; wraps = wraps[1:] {
+		sum[int(wraps[0])-base] += 256
+	}
+	return wraps
+}
+
+// Fold writes the round's counts of cells [lo, hi), summed across the
+// workers, to dst[lo:hi] in the one-worker form a view reads: each
+// cell's count mod 256 in its byte, and one entry per further 256
+// appended to wraps, ascending, for the round's wrap entries and the
+// carries of the byte sums alike. It sets bit i&63 of touched[i>>6] for
+// every cell i of the window with a nonzero count, and clears the
+// window's other bits; it zeroes the bytes it read and returns wraps.
+// lo must be a multiple of 64, so owners of distinct windows fold
+// concurrently; dst and touched cover every cell.
+func (t *ByteTally) Fold(lo, hi int, dst []uint8, wraps []int32, touched []uint64) []int32 {
+	const evenBytes = 0x00ff00ff00ff00ff
+	clear(touched[lo>>6 : (hi+63)>>6])
+	sealed := t.Wraps(lo)
+	var even, odd [SumBlock]uint64
+	end := hi &^ 7
+	for base := lo; base < end; {
+		words := min((end-base)/8, SumBlock)
+		t.SumWords(base, words, &even, &odd)
+		for q := range words {
+			u := base + 8*q
+			e, o := even[q], odd[q]
+			x := e&evenBytes | (o&evenBytes)<<8
+			nz := nonzeroBytes(x)
+			if (e|o)&^evenBytes != 0 || len(sealed) > 0 && int(sealed[0]) < u+8 {
+				// A lane past 255 or a wrapped cell: the word's counts
+				// take wrap entries, written cell by cell.
+				var c [8]int32
+				for j := 0; j < 8; j += 2 {
+					c[j] = int32(e >> (8 * j) & 0xffff)
+					c[j+1] = int32(o >> (8 * j) & 0xffff)
+				}
+				for ; len(sealed) > 0 && int(sealed[0]) < u+8; sealed = sealed[1:] {
+					c[int(sealed[0])-u] += 256
+				}
+				wraps, nz = foldCells(u, c[:], wraps)
+			}
+			binary.LittleEndian.PutUint64(dst[u:], x)
+			touched[u>>6] |= nz << (u & 63)
+		}
+		base += 8 * words
+	}
+	if end < hi {
+		var c [8]int32
+		t.sumCells(end, end, hi, &c, sealed)
+		var nz uint64
+		wraps, nz = foldCells(end, c[:hi-end], wraps)
+		for j := range hi - end {
+			dst[end+j] = uint8(c[j])
+		}
+		touched[end>>6] |= nz << (end & 63)
+	}
+	return wraps
+}
+
+// foldCells appends one wrap entry per 256 of each count c[j] of cell
+// u+j to wraps, ascending, and returns wraps and the mask of the cells
+// whose count is nonzero.
+func foldCells(u int, c []int32, wraps []int32) ([]int32, uint64) {
+	var nz uint64
+	for j, n := range c {
+		nz |= b2u(n != 0) << j
+		for range n >> 8 {
+			wraps = append(wraps, int32(u+j))
+		}
+	}
+	return wraps, nz
+}
+
+// nonzeroBytes returns the mask whose bit j is set when byte j of x is
+// nonzero.
+func nonzeroBytes(x uint64) uint64 {
+	const low7, high = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	y := (x&low7 + low7 | x) & high
+	return (y >> 7) * 0x0102040810204080 >> 56
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -164,6 +164,94 @@ func scanConcurrent(t *testing.T, label string, bt *ByteTally, ref []int32) {
 	}
 }
 
+// TestByteTallyFoldMatchesDense folds counted rounds of 1 to 4 workers,
+// with wraps past 255 and lane sums past 255 (a cell that every worker
+// hits 256 times folds to a byte of 0 and wrap entries only), into the
+// one-worker form, 256-cell windows folded concurrently as the Driver's
+// shard owners do, over sizes that end on a partial word. Every cell's
+// byte plus 256 per wrap entry must equal the dense reference, the wrap
+// entries must be ascending, the touched bits must name exactly the
+// cells with a count, and the tally must be all zero afterwards. A view of the folded round must then scan to the
+// same cells and counts, and leave the folded bytes as they were. Run
+// it under -race.
+func TestByteTallyFoldMatchesDense(t *testing.T) {
+	src := rng.New(0xF01D)
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, size := range []int{1000, 1003, 4096 + 37} {
+			bt := NewByteTally(workers, size)
+			for round := range 3 {
+				name := fmt.Sprintf("workers=%d size=%d round=%d", workers, size, round)
+				adds, ref := byteTallyRound(src, workers, size)
+				countConcurrently(bt, adds)
+				dst := make([]uint8, size)
+				touched := make([]uint64, (size+63)/64)
+				for i := range touched {
+					touched[i] = ^uint64(0) // Fold must clear what it does not set
+				}
+				const window = 256
+				windows := (size + window - 1) / window
+				wraps := make([][]int32, windows)
+				var wg sync.WaitGroup
+				for s := range windows {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						wraps[s] = bt.Fold(s*window, min((s+1)*window, size), dst, nil, touched)
+					}()
+				}
+				wg.Wait()
+				all := slices.Concat(wraps...)
+				if !slices.IsSorted(all) {
+					t.Fatalf("%s: wrap entries not ascending: %v", name, all)
+				}
+				got := make([]int32, size)
+				for u, c := range dst {
+					got[u] = int32(c)
+				}
+				for _, u := range all {
+					got[u] += 256
+				}
+				if !slices.Equal(got, ref) {
+					t.Fatalf("%s: folded counts differ from the reference", name)
+				}
+				for u, c := range ref {
+					bit := touched[u>>6]>>(u&63)&1 == 1
+					if bit != (c != 0) {
+						t.Fatalf("%s: touched bit of cell %d is %t for count %d", name, u, bit, c)
+					}
+				}
+				for u := size; u < 64*len(touched); u++ {
+					if touched[u>>6]>>(u&63)&1 == 1 {
+						t.Fatalf("%s: touched bit %d past the last cell", name, u)
+					}
+				}
+				bt.Seal()
+				if k, _ := bt.Scan(0, size, make([]int32, size), make([]int32, size)); k != 0 {
+					t.Fatalf("%s: fold left %d nonzero cells in the tally", name, k)
+				}
+				var view ByteTally
+				view.SetView(dst, all)
+				before := slices.Clone(dst)
+				cells, counts := make([]int32, 13), make([]int32, 13)
+				var gotCells, gotCounts []int32
+				for pos := 0; pos < size; {
+					var k int
+					k, pos = view.Scan(pos, size, cells, counts)
+					gotCells = append(gotCells, cells[:k]...)
+					gotCounts = append(gotCounts, counts[:k]...)
+				}
+				wantCells, wantCounts := denseNonzero(ref, 0, size)
+				if !slices.Equal(gotCells, wantCells) || !slices.Equal(gotCounts, wantCounts) {
+					t.Fatalf("%s: the view scans differently from the reference", name)
+				}
+				if !slices.Equal(dst, before) {
+					t.Fatalf("%s: scanning the view wrote its counts", name)
+				}
+			}
+		}
+	}
+}
+
 // TestByteTallyWorkersDoNotSharePairs pins the tally layout: the count
 // phase writes every byte of a worker's array, so no 128-byte aligned
 // pair of cache lines may hold bytes of two workers' arrays, whatever

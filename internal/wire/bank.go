@@ -137,10 +137,12 @@ func DialConfig(addrs []string, variant core.Variant, capacity int32, m int, cfg
 		})
 	}
 	for s := 0; s < cfg.Sessions; s++ {
-		ses := &Session{b: b, id: uint32(s), shards: make([]*sessionShard, len(addrs)), ends: make([]int, len(addrs)), loads: make([]int32, m)}
+		ses := &Session{b: b, id: uint32(s), shards: make([]*sessionShard, len(addrs)), ends: make([]int, len(addrs)),
+			loads: make([]int32, m), acceptBits: make([]uint64, (m+63)/64)}
 		for i := range ses.shards {
 			ss := &sessionShard{pc: newPendingCall()}
 			ss.parseRoundFn = ss.parseRound
+			ss.parseCountedFn = ss.parseCounted
 			ss.parseLoadsFn = ss.parseLoads
 			ses.shards[i] = ss
 		}
@@ -183,6 +185,11 @@ func (b *Bank) Reset(initialLoads []int) error { return b.sessions[0].Reset(init
 // DecideRound ships session 0's round.
 func (b *Bank) DecideRound(touched, counts []int32) (core.RoundDecision, error) {
 	return b.sessions[0].DecideRound(touched, counts)
+}
+
+// DecideCounted ships session 0's counted round.
+func (b *Bank) DecideCounted(counts []uint8, wraps []int32) (core.CountedDecision, error) {
+	return b.sessions[0].DecideCounted(counts, wraps)
 }
 
 // Loads gathers session 0's per-server load vector.
@@ -271,10 +278,12 @@ type Session struct {
 	active []int // shard indexes with an in-flight round call
 	// ends[i] is the end of shard i's slice of the round being decided.
 	ends []int
-	// loads is the per-server load vector Loads fills and returns, and
-	// accepted and burned back the decision lists DecideRound returns.
+	// loads is the per-server load vector Loads fills and returns,
+	// accepted and burned back the decision lists DecideRound returns,
+	// and acceptBits and burned DecideCounted's decision.
 	loads            []int32
 	accepted, burned []int32
+	acceptBits       []uint64
 
 	// Round metrics, session-local and lock-guarded: the Bank merges
 	// them at read, so concurrent sessions never contend on shared
@@ -289,18 +298,26 @@ type Session struct {
 // every request of the pair reuses. At most one call per (session,
 // shard) is in flight, so no further locking is needed.
 type sessionShard struct {
-	out          []byte
-	accepted     []int32
-	burned       []int32
-	loads        []int32
-	sat          int
-	pc           *pendingCall
-	parseRoundFn func([]byte) error // bound once; avoids a per-round closure
-	parseLoadsFn func([]byte) error
+	out            []byte
+	wraps          []int32 // a counted round's window-local wrap entries
+	accepted       []int32
+	acceptWords    []uint64 // a counted reply's accept bitmap words
+	burned         []int32
+	loads          []int32
+	sat            int
+	pc             *pendingCall
+	parseRoundFn   func([]byte) error // bound once; avoids a per-round closure
+	parseCountedFn func([]byte) error
+	parseLoadsFn   func([]byte) error
 }
 
 func (ss *sessionShard) parseRound(payload []byte) (err error) {
 	ss.accepted, ss.burned, ss.sat, err = decodeRoundReply(payload, ss.accepted[:0], ss.burned[:0])
+	return err
+}
+
+func (ss *sessionShard) parseCounted(payload []byte) (err error) {
+	ss.acceptWords, ss.burned, ss.sat, err = decodeCountedReply(payload, ss.acceptWords[:0], ss.burned[:0])
 	return err
 }
 
@@ -427,6 +444,105 @@ func (s *Session) DecideRound(touched, counts []int32) (core.RoundDecision, erro
 	}
 	s.mu.Unlock()
 	return dec, nil
+}
+
+// DecideCounted checks the whole counted round (core.CheckCounted)
+// before it sends anything, then begins one pipelined call per shard
+// whose window received requests, carrying the window's counts and its
+// wrap entries as window cells, and gathers the replies in shard order.
+// A shard whose window received nothing gets no frame and no state
+// change, as in DecideRound. Each reply's window bitmap must hold one
+// bit per window server and no bit past the window, and its newly
+// burned servers must lie inside the window; the bitmap is ORed into
+// the session's accept bitmap over every server at the window's offset,
+// and the lists are joined in shard order, ascending. The round's
+// latency and requests count as its pairs would. The decision's slices
+// are the session's own buffers, overwritten by its next DecideRound or
+// DecideCounted.
+func (s *Session) DecideCounted(counts []uint8, wraps []int32) (core.CountedDecision, error) {
+	if err := core.CheckCounted(counts, wraps, s.b.m); err != nil {
+		return core.CountedDecision{}, err
+	}
+	start := time.Now()
+	s.active = s.active[:0]
+	from := 0
+	for i, sc := range s.b.conns {
+		k, _ := slices.BinarySearch(wraps[from:], sc.hi)
+		to := from + k
+		window := counts[sc.lo:sc.hi]
+		if to == from && !slices.ContainsFunc(window, func(c uint8) bool { return c != 0 }) {
+			continue
+		}
+		ss := s.shards[i]
+		ss.wraps = ss.wraps[:0]
+		for _, u := range wraps[from:to] {
+			ss.wraps = append(ss.wraps, u-sc.lo)
+		}
+		ss.out = appendCounted(ss.out[:0], window, ss.wraps)
+		sc.begin(ss.pc, s.id, msgCounted, ss.out, msgCountedReply, ss.parseCountedFn)
+		s.active = append(s.active, i)
+		from = to
+	}
+	var firstErr error
+	for _, i := range s.active {
+		if err := s.b.conns[i].wait(s.shards[i].pc); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr != nil {
+		return core.CountedDecision{}, firstErr
+	}
+	clear(s.acceptBits)
+	dec := core.CountedDecision{Accepted: s.acceptBits, NewlyBurned: s.burned[:0]}
+	for _, i := range s.active {
+		ss, lo, hi := s.shards[i], int(s.b.conns[i].lo), int(s.b.conns[i].hi)
+		if err := checkWindowReply(ss.acceptWords, ss.burned, lo, hi); err != nil {
+			return core.CountedDecision{}, err
+		}
+		orWindow(s.acceptBits, ss.acceptWords, lo)
+		dec.NewlyBurned = append(dec.NewlyBurned, ss.burned...)
+		dec.Saturated += ss.sat
+	}
+	s.burned = dec.NewlyBurned
+	s.mu.Lock()
+	s.roundLat = append(s.roundLat, time.Since(start))
+	s.requests += int64(countsTotal(counts, wraps))
+	s.mu.Unlock()
+	return dec, nil
+}
+
+// checkWindowReply checks one shard's answer to a counted round against
+// its window [lo, hi): the window bitmap holds one bit per window
+// server and sets none past the window, and the newly burned servers,
+// which the Driver checks for order, start and end inside it.
+func checkWindowReply(words []uint64, burned []int32, lo, hi int) error {
+	n := hi - lo
+	if want := (n + 63) / 64; len(words) != want {
+		return fmt.Errorf("wire: shard [%d,%d) answered with %d bitmap words, want %d", lo, hi, len(words), want)
+	}
+	if n&63 != 0 && words[len(words)-1]>>(n&63) != 0 {
+		return fmt.Errorf("wire: shard [%d,%d) accepted a server outside its window", lo, hi)
+	}
+	if len(burned) > 0 && (int(burned[0]) < lo || int(burned[len(burned)-1]) >= hi) {
+		return fmt.Errorf("wire: shard [%d,%d) burned a server outside its window", lo, hi)
+	}
+	return nil
+}
+
+// orWindow ORs a window bitmap, bit i for server lo+i, into dst, the
+// bitmap over every server. The window's bits past its last server are
+// zero (checkWindowReply), so a word whose upper part is zero writes
+// nothing past the window.
+func orWindow(dst, src []uint64, lo int) {
+	w, sh := lo>>6, uint(lo&63)
+	for k, x := range src {
+		dst[w+k] |= x << sh
+		if sh != 0 {
+			if up := x >> (64 - sh); up != 0 {
+				dst[w+k+1] |= up
+			}
+		}
+	}
 }
 
 // Loads begins one load request per shard before waiting for any reply,

@@ -4,12 +4,14 @@
 // drives one core.Driver per session whose ServerBank speaks this
 // package's frame protocol to one server-shard process per contiguous
 // server window (cmd/saer-server). Because the bank interface carries
-// one batched (server, count) message per round — not per-ball messages
-// — and the server side reuses core.ServerShard verbatim, a loopback
-// wire run reproduces the in-process core.Config.Run result bit for bit; the
-// equivalence tests and the CI service smoke pin exactly that.
+// one batched message per round and shard — a counted round's dense
+// per-server counts, or any other round's (server, count) pairs, never
+// per-ball messages — and the server side reuses core.ServerShard
+// verbatim, a loopback wire run reproduces the in-process
+// core.Config.Run result bit for bit; the equivalence tests and the CI
+// service smoke pin exactly that.
 //
-// Frame format (protocol version 2): every frame is length-prefixed,
+// Frame format (protocol version 3): every frame is length-prefixed,
 //
 //	uint32 LE  frame size (type byte + session id + payload chunk)
 //	uint8      message type; bit 0x80 marks a continuation fragment
@@ -22,6 +24,21 @@
 // array's own memory, so appendI32Slice and reader.i32Slice move a
 // whole array with one copy; a big-endian host converts one value at a
 // time (the portable path, which the tests also use as the reference).
+//
+// Version 3 adds the counted round (core.CountedBank), a round handed
+// over as dense per-server counts, which is smaller than its pairs once
+// the round reaches more than one server in eight. Its request carries
+// the shard window's counts, one byte per server (server lo+i's count
+// mod 256), as a counted byte array (uint32 count, then the bytes),
+// then the wrap entries as a counted int32 array of window cells i
+// (server lo+i), ascending, one per further 256 requests. Its reply
+// carries the window's accept bitmap, bit i&63 of word i>>6 set when
+// server lo+i accepted, ⌈(hi-lo)/64⌉ words, as a counted uint64 array,
+// then the newly burned servers as a counted int32 array and the
+// saturation count as a uint32, as the round reply does. The layouts of
+// every version-2 message are unchanged, and a server refuses a Hello
+// of any version but its own, so a version-2 peer is turned away at the
+// handshake.
 //
 // Two version-2 additions carry the scaled-up client:
 //
@@ -69,6 +86,9 @@ const (
 	msgReport     = 9  // client→server: request the shard's service tally
 	msgReportOK   = 10 // server→client: Report fields
 	msgError      = 11 // server→client: fatal session error (UTF-8 message)
+	// Version 3.
+	msgCounted      = 12 // client→server: one counted round's window counts and wrap entries
+	msgCountedReply = 13 // server→client: window accept bitmap, newly-burned list, saturated count
 
 	// frameCont marks a continuation fragment: the frame carries a
 	// non-final chunk of its logical message's payload, and more frames
@@ -81,8 +101,8 @@ const (
 	helloMagic = 0x53414552 // "SAER"
 	// protoVersion is bumped on any incompatible frame-layout change.
 	// Version 2: session ids in every frame header + continuation
-	// (spill) fragments.
-	protoVersion = 2
+	// (spill) fragments. Version 3: the counted round request and reply.
+	protoVersion = 3
 	// frameHeaderSize is the non-payload portion counted by the length
 	// prefix: the type byte plus the session id.
 	frameHeaderSize = 5
@@ -297,6 +317,26 @@ func appendI32Slice(b []byte, vs []int32) []byte {
 	return append(b, i32Bytes(vs)...)
 }
 
+// u64Bytes views the memory of vs as its 8·len(vs) bytes.
+func u64Bytes(vs []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
+}
+
+// appendU64Slice writes a counted uint64 array, as appendI32Slice writes
+// an int32 one: one copy of the array's bytes on a little-endian host,
+// one value at a time elsewhere.
+func appendU64Slice(b []byte, vs []uint64) []byte {
+	b = slices.Grow(b, 4+8*len(vs))
+	b = appendU32(b, uint32(len(vs)))
+	if nativeLE {
+		return append(b, u64Bytes(vs)...)
+	}
+	for _, v := range vs {
+		b = appendU64(b, v)
+	}
+	return b
+}
+
 // appendI32SlicePortable is appendI32Slice one value at a time, for any
 // host byte order: the big-endian path and the tests' reference.
 func appendI32SlicePortable(b []byte, vs []int32) []byte {
@@ -381,6 +421,42 @@ func decodeRoundReply(payload []byte, accepted, newlyBurned []int32) ([]int32, [
 	return accepted, newlyBurned, saturated, r.done()
 }
 
+// appendCounted encodes a counted round request: one shard window's
+// counts, one byte per server, and its wrap entries, ascending window
+// cells.
+func appendCounted(b []byte, counts []uint8, wraps []int32) []byte {
+	b = slices.Grow(b, 4+len(counts))
+	b = appendU32(b, uint32(len(counts)))
+	return appendI32Slice(append(b, counts...), wraps)
+}
+
+// decodeCounted decodes a counted round request. The counts alias the
+// payload, so they are valid until the next read; the wrap entries are
+// appended to wraps.
+func decodeCounted(payload []byte, wraps []int32) (counts []uint8, _ []int32, err error) {
+	r := reader{b: payload}
+	counts = r.byteArray()
+	wraps = r.i32Slice(wraps)
+	return counts, wraps, r.done()
+}
+
+// appendCountedReply encodes a counted round reply: the window's accept
+// bitmap, the newly burned servers and the saturation count.
+func appendCountedReply(b []byte, accepted []uint64, newlyBurned []int32, saturated int) []byte {
+	b = appendI32Slice(appendU64Slice(b, accepted), newlyBurned)
+	return appendU32(b, uint32(saturated))
+}
+
+// decodeCountedReply decodes a counted round reply, appending to
+// accepted and newlyBurned.
+func decodeCountedReply(payload []byte, accepted []uint64, newlyBurned []int32) ([]uint64, []int32, int, error) {
+	r := reader{b: payload}
+	accepted = r.u64Slice(accepted)
+	newlyBurned = r.i32Slice(newlyBurned)
+	saturated := int(r.u32())
+	return accepted, newlyBurned, saturated, r.done()
+}
+
 // decodeLoads decodes a loads reply, the window's loads as one counted
 // array, appending to loads.
 func decodeLoads(payload []byte, loads []int32) ([]int32, error) {
@@ -453,21 +529,46 @@ func (r *reader) i32SlicePortable(dst []int32) []int32 {
 	return appendI32sLE(dst, r.arrayBytes())
 }
 
+// u64Slice reads a counted uint64 array, appending into dst: one copy
+// into dst's memory on a little-endian host, one value at a time
+// elsewhere.
+func (r *reader) u64Slice(dst []uint64) []uint64 {
+	src := r.elems(8)
+	n := len(src) / 8
+	dst = slices.Grow(dst, n)
+	if nativeLE {
+		copy(u64Bytes(dst[len(dst):len(dst)+n]), src)
+		return dst[:len(dst)+n]
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return dst
+}
+
+// byteArray reads a counted byte array and returns its bytes, which
+// alias the payload.
+func (r *reader) byteArray() []byte { return r.elems(1) }
+
 // arrayBytes reads a counted int32 array's count and returns the bytes
-// of its values. A count that the rest of the payload cannot hold fails
-// the reader before anything is sized by it; the test divides the
-// remaining length rather than multiplying the count, so it cannot
-// overflow.
-func (r *reader) arrayBytes() []byte {
+// of its values.
+func (r *reader) arrayBytes() []byte { return r.elems(4) }
+
+// elems reads a counted array's count and returns the bytes of its
+// values, size bytes each. A count that the rest of the payload cannot
+// hold fails the reader before anything is sized by it; the test
+// divides the remaining length rather than multiplying the count, so it
+// cannot overflow.
+func (r *reader) elems(size int) []byte {
 	k := r.u32()
 	if r.err != nil {
 		return nil
 	}
-	if uint64(k) > uint64(len(r.b)-r.off)/4 {
+	if uint64(k) > uint64(len(r.b)-r.off)/uint64(size) {
 		r.fail()
 		return nil
 	}
-	src := r.b[r.off : r.off+4*int(k)]
+	src := r.b[r.off : r.off+size*int(k)]
 	r.off += len(src)
 	return src
 }

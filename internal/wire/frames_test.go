@@ -307,8 +307,10 @@ func TestI32SliceRoundTrip(t *testing.T) {
 //
 // The seed corpus (testdata/fuzz/FuzzReadMessage) holds the messages of
 // TestMessageRoundTrip written at this limit, TestSpillGolden's stream,
-// a Hello, a valid round batch and its reply, a truncated batch and a
-// batch whose first count is 0xFFFFFFFF.
+// a Hello, a valid round batch and its reply, a truncated batch, a
+// batch whose first count is 0xFFFFFFFF, a valid counted round and its
+// reply, a counted round whose byte vector is cut short, and counted
+// frames whose wrap count or bitmap word count runs past the payload.
 func FuzzReadMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fc := &frameConn{r: bytes.NewReader(stream), w: io.Discard, limit: 64}
@@ -340,6 +342,18 @@ func checkPayloadDecoders(t *testing.T, p []byte) {
 	if err == nil && !bytes.Equal(appendRoundReply(nil, acc, nb, sat), p) {
 		t.Fatalf("round reply does not re-encode to %x", p)
 	}
+	cbytes, wraps, err := decodeCounted(p, nil)
+	checkFitsBytes(t, "counted", p, cbytes, wraps)
+	if err == nil && !bytes.Equal(appendCounted(nil, cbytes, wraps), p) {
+		t.Fatalf("counted round does not re-encode to %x", p)
+	}
+	words, cnb, csat, err := decodeCountedReply(p, nil, nil)
+	if len(words) > 0 && 4+8*len(words) > len(p) {
+		t.Fatalf("counted reply: %d bitmap words decoded from a %d-byte payload", len(words), len(p))
+	}
+	if err == nil && !bytes.Equal(appendCountedReply(nil, words, cnb, csat), p) {
+		t.Fatalf("counted reply does not re-encode to %x", p)
+	}
 	loads, err := decodeLoads(p, nil)
 	checkFits(t, "loads", p, loads)
 	if err == nil && !bytes.Equal(appendI32Slice(nil, loads), p) {
@@ -359,6 +373,16 @@ func checkPayloadDecoders(t *testing.T, p []byte) {
 	if h, err := decodeHello(p); err == nil && !bytes.Equal(appendHello(nil, h), p) {
 		t.Fatalf("hello does not re-encode to %x", p)
 	}
+}
+
+// checkFitsBytes fails t unless the byte array and then the int32
+// array, decoded one after another from the start of p, each fit in the
+// bytes that follow its count.
+func checkFitsBytes(t *testing.T, what string, p []byte, b []byte, a []int32) {
+	if len(b) > 0 && 4+len(b) > len(p) {
+		t.Fatalf("%s: %d bytes decoded from a %d-byte payload", what, len(b), len(p))
+	}
+	checkFits(t, what, p[min(4+len(b), len(p)):], a)
 }
 
 // checkFits fails t unless each of the arrays, decoded one after another
@@ -394,6 +418,10 @@ func round1Batch(k int) (touched, counts []int32) {
 //   - codec/native encodes the request and decodes it on the path the
 //     host dispatches to (one copy per array on a little-endian host);
 //   - codec/portable does the same one value at a time;
+//   - counted/request and counted/reply encode and decode the same
+//     shard's counted round at wire-loopback's window, 32,768 counts,
+//     and its reply, 512 bitmap words and 40 newly burned servers, in
+//     ns per window server;
 //   - message/default and message/spill write the encoded request with
 //     writeMessage and read it back with readMessage over a pipeConn, at
 //     the default frame limit and at 64 KiB, where it spills into four
@@ -420,6 +448,44 @@ func BenchmarkFrameCodec(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perOp), "ns/int32")
 		})
 	}
+	// The counted round of the same shard: the window's 32,768 counts,
+	// no wrap entries, and the reply's 512 bitmap words with the
+	// round's few newly burned servers; ns per window server.
+	window := make([]uint8, 1<<15)
+	for i, u := range touched {
+		window[u] = uint8(counts[i])
+	}
+	words := make([]uint64, len(window)/64)
+	for _, u := range touched {
+		words[u>>6] |= 1 << (u & 63)
+	}
+	burned := touched[:40]
+	b.Run("counted/request", func(b *testing.B) {
+		var buf []byte
+		var wraps []int32
+		for i := 0; i < b.N; i++ {
+			buf = appendCounted(buf[:0], window, nil)
+			got, w, err := decodeCounted(buf, wraps[:0])
+			if err != nil || len(got) != len(window) {
+				b.Fatal(err)
+			}
+			wraps = w
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(window))), "ns/server")
+	})
+	b.Run("counted/reply", func(b *testing.B) {
+		var buf []byte
+		var w2 []uint64
+		var nb []int32
+		for i := 0; i < b.N; i++ {
+			buf = appendCountedReply(buf[:0], words, burned, len(burned))
+			var err error
+			if w2, nb, _, err = decodeCountedReply(buf, w2[:0], nb[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(window))), "ns/server")
+	})
 	payload := appendRound(nil, touched, counts)
 	for _, lim := range []struct {
 		name  string

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -159,11 +160,14 @@ func (s *Server) Report() Report {
 type connSession struct {
 	shard *core.ServerShard
 
-	touched  []int32 // decode scratch: the round's servers
+	touched  []int32 // decode scratch: the round's servers, or a counted round's wrap entries
 	counts   []int32 // decode scratch: the round's counts
 	loads    []int32 // decode scratch: reset initial loads
 	accepted []int32 // decision scratch
 	burned   []int32 // decision scratch
+	// acceptBits is a counted round's window accept bitmap, allocated by
+	// the session's first counted round.
+	acceptBits []uint64
 }
 
 // connState is one connection's state: the buffered frame transport and
@@ -224,6 +228,8 @@ func (s *Server) runConn(st *connState) error {
 				err = s.handleReset(st, ses, payload)
 			case msgRound:
 				err = s.handleRound(st, ses, payload)
+			case msgCounted:
+				err = s.handleCounted(st, ses, payload)
 			case msgLoads:
 				err = s.handleLoads(st, ses, payload)
 			case msgReport:
@@ -318,7 +324,38 @@ func (s *Server) handleRound(st *connState, ses *connSession, payload []byte) er
 			j++
 		}
 	}
-	elapsed := time.Since(start)
+	s.countRound(received, acceptedReqs, time.Since(start))
+	st.out = appendRoundReply(st.out[:0], acc, nb, sat)
+	return st.fc.writeMessage(msgRoundReply, st.sid, st.out)
+}
+
+// handleCounted decides a counted round: the window's counts, one byte
+// per server, and its wrap entries, checked whole by the shard before
+// any server changes. It counts in the Report exactly as the round's
+// pairs would.
+func (s *Server) handleCounted(st *connState, ses *connSession, payload []byte) error {
+	counts, wraps, err := decodeCounted(payload, ses.touched[:0])
+	if err != nil {
+		return err
+	}
+	ses.touched = wraps
+	if ses.acceptBits == nil {
+		ses.acceptBits = make([]uint64, ses.shard.WindowWords())
+	}
+	start := time.Now()
+	nb, sat, acceptedReqs, err := ses.shard.DecideCounted(counts, wraps, ses.acceptBits, ses.burned[:0])
+	if err != nil {
+		return err
+	}
+	ses.burned = nb
+	s.countRound(countsTotal(counts, wraps), uint64(acceptedReqs), time.Since(start))
+	st.out = appendCountedReply(st.out[:0], ses.acceptBits, nb, sat)
+	return st.fc.writeMessage(msgCountedReply, st.sid, st.out)
+}
+
+// countRound adds one decided round to the Report and the telemetry:
+// the requests it received and accepted and the time its decide took.
+func (s *Server) countRound(received, acceptedReqs uint64, elapsed time.Duration) {
 	s.mu.Lock()
 	s.report.Rounds++
 	s.report.Requests += received
@@ -330,9 +367,29 @@ func (s *Server) handleRound(st *connState, ses *connSession, payload []byte) er
 		s.tel.requests.Add(0, int64(received))
 		s.tel.decide.Observe(elapsed)
 	}
+}
 
-	st.out = appendRoundReply(st.out[:0], acc, nb, sat)
-	return st.fc.writeMessage(msgRoundReply, st.sid, st.out)
+// countsTotal returns a counted round's requests: its bytes' sum plus
+// 256 per wrap entry. It sums eight bytes a step in 16-bit lanes, each
+// of which holds at most 2·255 per step, so 128 steps fit before the
+// lanes are added up.
+func countsTotal(counts []uint8, wraps []int32) uint64 {
+	const evenBytes = 0x00ff00ff00ff00ff
+	total := 256 * uint64(len(wraps))
+	for len(counts) >= 8 {
+		var lanes uint64
+		steps := min(len(counts)/8, 128)
+		for q := range steps {
+			x := binary.LittleEndian.Uint64(counts[8*q:])
+			lanes += x&evenBytes + x>>8&evenBytes
+		}
+		total += lanes&0xffff + lanes>>16&0xffff + lanes>>32&0xffff + lanes>>48
+		counts = counts[8*steps:]
+	}
+	for _, c := range counts {
+		total += uint64(c)
+	}
+	return total
 }
 
 func (s *Server) handleLoads(st *connState, ses *connSession, payload []byte) error {

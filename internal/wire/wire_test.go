@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -155,6 +156,145 @@ func TestWireLoopbackEquivalence(t *testing.T) {
 	}
 }
 
+// TestWireDenseLoopbackEquivalence extends the loopback contract to the
+// dense exchange: on a point-query topology of 1,000 servers, whose
+// windows over 2 and 3 shards start and end inside groups of 8 and
+// inside bitmap words, the Driver ships its counted rounds densely (a
+// recording wrapper counts them), and every session of a two-session
+// bank reproduces the in-process result bit for bit for both variants
+// at 1 and 2 workers, with request counts, initial loads at and above
+// the capacity and full tracking on. The same trials with every round
+// shipped as pairs (a wrapper with only the ServerBank methods, the
+// shape of a timing wrapper) must leave the shard servers' Reports
+// (rounds, requests, accepted) and the bank's request total and
+// latency sample count exactly as the dense ones do.
+func TestWireDenseLoopbackEquivalence(t *testing.T) {
+	const n, m = 1200, 1000
+	topo, err := gen.TrustSubsetImplicit(n, m, 16, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, variant := range []core.Variant{core.SAER, core.RAES} {
+		cfg := core.Config{Variant: variant, D: 3, C: 2, Seed: 0xD3, TrackRounds: true, TrackNeighborhoods: true,
+			TrackLoads: true, TrackAssignments: true, InitialLoads: make([]int, m), RequestCounts: make([]int, n)}
+		src := rng.New(8)
+		for u := range cfg.InitialLoads {
+			cfg.InitialLoads[u] = src.Intn(cfg.Params().Capacity() + 3)
+		}
+		for v := range cfg.RequestCounts {
+			cfg.RequestCounts[v] = src.Intn(cfg.D + 1)
+		}
+		ref, err := cfg.Run(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 3} {
+			for _, workers := range []int{1, 2} {
+				wcfg := cfg
+				wcfg.Workers = workers
+				label := pointLabel(variant, cfg.C, shards, workers, 2)
+				var reports [2][]Report
+				var reqs [2]int64
+				var lats [2]int
+				for k, pairs := range []bool{false, true} {
+					bank, ss := startWire(t, wcfg, m, shards, BankConfig{Sessions: 2, Pipeline: 4})
+					results := make([]*core.Result, 2)
+					dense := make([]int, 2)
+					errs := make([]error, 2)
+					var wg sync.WaitGroup
+					for s := range 2 {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							var sb core.ServerBank = &denseCounter{Session: bank.Session(s), rounds: &dense[s]}
+							if pairs {
+								sb = pairsOnly{bank.Session(s)}
+							}
+							dr, err := core.NewDriver(topo, wcfg, sb)
+							if err == nil {
+								results[s], err = dr.Run()
+							}
+							errs[s] = err
+						}()
+					}
+					wg.Wait()
+					for s := range 2 {
+						if errs[s] != nil {
+							t.Fatalf("%s pairs=%t session %d: %v", label, pairs, s, errs[s])
+						}
+						if !reflect.DeepEqual(results[s], ref) {
+							t.Errorf("%s pairs=%t session %d: wire run diverges from the in-process run", label, pairs, s)
+						}
+						if !pairs && dense[s] == 0 {
+							t.Errorf("%s session %d: no round shipped densely", label, s)
+						}
+					}
+					if reports[k], err = bank.Reports(); err != nil {
+						t.Fatal(err)
+					}
+					var lat []time.Duration
+					lat, reqs[k] = bank.TakeMetrics()
+					lats[k] = len(lat)
+					bank.Close()
+					if err := ss.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range reports[0] {
+					d, p := reports[0][i], reports[1][i]
+					if d.Rounds != p.Rounds || d.Requests != p.Requests || d.Accepted != p.Accepted {
+						t.Errorf("%s shard %d: dense Report %+v, pairs %+v", label, i, d, p)
+					}
+				}
+				if reqs[0] != reqs[1] || reqs[0] != 2*ref.TotalRequests || lats[0] != lats[1] || lats[0] != 2*ref.Rounds {
+					t.Errorf("%s: dense %d requests / %d latency samples, pairs %d / %d, want %d / %d",
+						label, reqs[0], lats[0], reqs[1], lats[1], 2*ref.TotalRequests, 2*ref.Rounds)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckWindowReply pins the session's check of one shard's answer
+// to a counted round for window [3, 70), 67 servers in two bitmap
+// words: the word count, no accept bit past the window's last server,
+// and newly burned servers inside the window.
+func TestCheckWindowReply(t *testing.T) {
+	const lo, hi = 3, 70
+	for _, tc := range []struct {
+		name   string
+		words  []uint64
+		burned []int32
+		ok     bool
+	}{
+		{"valid", []uint64{^uint64(0), 1<<3 - 1}, []int32{3, 69}, true},
+		{"one word short", []uint64{^uint64(0)}, nil, false},
+		{"one word long", []uint64{0, 0, 0}, nil, false},
+		{"bit past the window", []uint64{0, 1 << 3}, nil, false},
+		{"burned below the window", []uint64{0, 0}, []int32{2}, false},
+		{"burned past the window", []uint64{0, 0}, []int32{5, 70}, false},
+	} {
+		if err := checkWindowReply(tc.words, tc.burned, lo, hi); (err == nil) != tc.ok {
+			t.Errorf("%s: checkWindowReply gave %v", tc.name, err)
+		}
+	}
+}
+
+// denseCounter counts the rounds a Driver ships to a session densely.
+type denseCounter struct {
+	*Session
+	rounds *int
+}
+
+func (d *denseCounter) DecideCounted(counts []uint8, wraps []int32) (core.CountedDecision, error) {
+	*d.rounds++
+	return d.Session.DecideCounted(counts, wraps)
+}
+
+// pairsOnly exposes only the four core.ServerBank methods of the bank
+// it wraps, so its Driver ships every round as pairs.
+type pairsOnly struct{ core.ServerBank }
+
 func pointLabel(variant core.Variant, c float64, shards, workers, sessions int) string {
 	return fmt.Sprintf("variant=%v c=%g shards=%d workers=%d sessions=%d",
 		variant, c, shards, workers, sessions)
@@ -270,33 +410,47 @@ func TestWireResetRejectsLoadOverflow(t *testing.T) {
 // TestWireSpillLoopback pins frame spilling end to end: with the frame
 // limit lowered far below a round batch's size on both sides, every
 // Decide request and every reply crosses the sockets as continuation
-// fragment runs — and the run still reproduces the in-process result bit
-// for bit. (At the production maxFrameSize the same mechanism carries a
+// fragment runs — pair batches on a CSR graph, and a dense counted round
+// on a point-query topology — and the run still reproduces the
+// in-process result bit for bit. (At the production maxFrameSize the same mechanism carries a
 // 256 MB+ batch instead of erroring.)
 func TestWireSpillLoopback(t *testing.T) {
 	n := 256
 	g := testGraph(t, n, 16, 9)
-	cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 0xBEEF, TrackLoads: true}
-	ref, err := cfg.Run(g)
+	// On the point-query topology two workers count round 1, which ships
+	// densely: its window counts and bitmaps spill too.
+	pq, err := gen.TrustSubsetImplicit(n, n, 16, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const limit = 64 // bytes per frame: a ~250-server batch spills into dozens of fragments
-	ss, err := StartLocalSet(2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		topo    bipartite.Topology
+		workers int
+	}{{"pairs", g, 0}, {"dense", pq, 2}} {
+		cfg := core.Config{Variant: core.SAER, D: 2, C: 4, Seed: 0xBEEF, TrackLoads: true, Workers: tc.workers}
+		ref, err := cfg.Run(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := StartLocalSet(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range ss.Servers() {
+			srv.SetFrameLimit(limit)
+		}
+		bank, err := DialConfig(ss.Addrs(), cfg.Variant, int32(cfg.Params().Capacity()), n,
+			BankConfig{Sessions: 2, FrameLimit: limit})
+		if err != nil {
+			ss.Close()
+			t.Fatal(err)
+		}
+		runWireSessions(t, tc.topo, cfg, bank, ref, "spill limit=64 "+tc.name)
+		bank.Close()
+		ss.Close()
 	}
-	defer ss.Close()
-	for _, srv := range ss.Servers() {
-		srv.SetFrameLimit(limit)
-	}
-	bank, err := DialConfig(ss.Addrs(), cfg.Variant, int32(cfg.Params().Capacity()), n,
-		BankConfig{Sessions: 2, FrameLimit: limit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bank.Close()
-	runWireSessions(t, g, cfg, bank, ref, "spill limit=64")
 }
 
 // TestWireDriverReuse pins trial reuse over one set of live servers: the
@@ -630,6 +784,99 @@ func TestServerRejectsBadHello(t *testing.T) {
 	if _, _, err := fc.expectMessage(msgHelloOK); err == nil {
 		t.Fatal("server accepted a hello with the wrong magic")
 	}
+
+	// A version-2 client, whose frames lack the counted round, is turned
+	// away at the handshake with an error frame.
+	conn2, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	bw2 := bufio.NewWriter(conn2)
+	fc2 := &frameConn{r: bufio.NewReader(conn2), w: bw2, limit: maxFrameSize}
+	v2 := appendHello(nil, hello{magic: helloMagic, version: 2, capacity: 8, lo: 0, hi: 4})
+	if err := fc2.writeMessage(msgHello, 0, v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = fc2.expectMessage(msgHelloOK)
+	var se *serverError
+	if !errors.As(err, &se) || !strings.Contains(se.msg, "protocol version 2") {
+		t.Fatalf("version-2 hello: got %v, want an error frame naming version 2", err)
+	}
+}
+
+// TestServerRejectsBadCountedFrame sends counted frames that break the
+// dense contract straight to a server, past the client's own check,
+// for a window [3, 20): a byte vector one short or one long, wrap
+// entries unsorted, below the window or past it, wraps that take a
+// cell past MaxInt32, and a truncated payload. Each must come back as
+// an error frame, with no panic, while a valid frame on a fresh
+// connection is decided.
+func TestServerRejectsBadCountedFrame(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve()
+	const lo, hi = 3, 20
+	counts := make([]uint8, hi-lo)
+	counts[0], counts[16] = 2, 255
+	past := make([]int32, 1<<23) // 255 + 256·2²³ > MaxInt32
+	for i := range past {
+		past[i] = 16
+	}
+	send := func(payload []byte) error {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		bw := bufio.NewWriter(conn)
+		fc := &frameConn{r: bufio.NewReader(conn), w: bw, limit: maxFrameSize}
+		fc.writeMessage(msgHello, 0, appendHello(nil, hello{magic: helloMagic, version: protoVersion, capacity: 8, lo: lo, hi: hi}))
+		fc.writeMessage(msgReset, 0, []byte{0})
+		fc.writeMessage(msgCounted, 0, payload)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []byte{msgHelloOK, msgResetOK} {
+			if _, _, err := fc.expectMessage(want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, p, err := fc.expectMessage(msgCountedReply)
+		if err == nil {
+			words, nb, sat, err := decodeCountedReply(p, nil, nil)
+			if err != nil || len(words) != 1 || words[0] != 1 || !slices.Equal(nb, []int32{19}) || sat != 1 {
+				t.Fatalf("valid counted frame: reply %v %v %d, %v", words, nb, sat, err)
+			}
+		}
+		return err
+	}
+	if err := send(appendCounted(nil, counts, nil)); err != nil {
+		t.Fatalf("valid counted frame: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"one short", appendCounted(nil, counts[1:], nil)},
+		{"one long", appendCounted(nil, append(slices.Clone(counts), 0), nil)},
+		{"unsorted wraps", appendCounted(nil, counts, []int32{5, 2})},
+		{"wrap below the window", appendCounted(nil, counts, []int32{-1})},
+		{"wrap past the window", appendCounted(nil, counts, []int32{hi - lo})},
+		{"past MaxInt32", appendCounted(nil, counts, past)},
+		{"truncated", appendCounted(nil, counts, []int32{1})[:hi-lo+6]},
+	} {
+		var se *serverError
+		if err := send(tc.payload); !errors.As(err, &se) {
+			t.Errorf("%s: got %v, want an error frame", tc.name, err)
+		}
+	}
 }
 
 // TestWireDecideRoundRejectsBadBatch sends batches that break
@@ -637,7 +884,11 @@ func TestServerRejectsBadHello(t *testing.T) {
 // out of order inside one window and across two — over two shards. Each
 // must come back as an error, with no panic on either side, and the
 // session must decide a valid round afterwards (a shard that rejected a
-// batch closed its connection; the next call redials it).
+// batch closed its connection; the next call redials it). The counted
+// rounds break DecideCounted's: a byte vector one short or one long and
+// wrap entries unsorted, at m or negative; the session rejects them
+// before it sends anything (TestServerRejectsBadCountedFrame sends them
+// to a server), and then decides a valid counted round.
 func TestWireDecideRoundRejectsBadBatch(t *testing.T) {
 	const m = 256
 	bank, ss := startWire(t, core.Config{Variant: core.SAER, D: 2, C: 4}, m, 2, BankConfig{})
@@ -668,12 +919,40 @@ func TestWireDecideRoundRejectsBadBatch(t *testing.T) {
 			t.Fatalf("%s: valid round after the rejection: %+v, %v", tc.name, dec, err)
 		}
 	}
+	counts := make([]uint8, m)
+	counts[1], counts[200] = 2, 3
+	for _, tc := range []struct {
+		name   string
+		counts []uint8
+		wraps  []int32
+	}{
+		{"counted one short", counts[:m-1], nil},
+		{"counted one long", append(slices.Clone(counts), 0), nil},
+		{"counted wraps unsorted", counts, []int32{200, 1}},
+		{"counted wrap at m", counts, []int32{m}},
+		{"counted negative wrap", counts, []int32{-1}},
+	} {
+		if err := bank.Reset(nil); err != nil {
+			t.Fatalf("%s: reset: %v", tc.name, err)
+		}
+		if _, err := bank.DecideCounted(tc.counts, tc.wraps); err == nil {
+			t.Fatalf("%s: DecideCounted accepted the round", tc.name)
+		}
+		if err := bank.Reset(nil); err != nil {
+			t.Fatalf("%s: reset after the rejection: %v", tc.name, err)
+		}
+		dec, err := bank.DecideCounted(counts, nil)
+		if err != nil || dec.Accepted[0] != 1<<1 || dec.Accepted[3] != 1<<(200&63) {
+			t.Fatalf("%s: valid counted round after the rejection: %+v, %v", tc.name, dec, err)
+		}
+	}
 }
 
 // TestWireRejectedRoundLeavesBank pins the window check before the
 // calls: [3, 256] over two shards at m = 256 has an id past the last
 // window, so the round fails before shard 0 is sent its valid [3], and
-// server 3 keeps a load of 0.
+// server 3 keeps a load of 0; so does a counted round with a wrap entry
+// past m.
 func TestWireRejectedRoundLeavesBank(t *testing.T) {
 	const m = 256
 	bank, ss := startWire(t, core.Config{Variant: core.SAER, D: 2, C: 4}, m, 2, BankConfig{})
@@ -692,13 +971,26 @@ func TestWireRejectedRoundLeavesBank(t *testing.T) {
 	if loads[3] != 0 {
 		t.Fatalf("server 3 has load %d after a rejected round", loads[3])
 	}
+	// A counted round whose part for shard 1 has a wrap entry past m
+	// fails before shard 0 is sent its valid counts.
+	counts := make([]uint8, m)
+	counts[3] = 2
+	if _, err := bank.DecideCounted(counts, []int32{200, m}); err == nil {
+		t.Fatal("DecideCounted accepted a wrap entry past the last window")
+	}
+	if loads, err = bank.Loads(); err != nil {
+		t.Fatal(err)
+	}
+	if loads[3] != 0 || loads[200] != 0 {
+		t.Fatalf("servers 3 and 200 have loads %d and %d after a rejected counted round", loads[3], loads[200])
+	}
 }
 
 // TestWireDecideRoundDoesNotAllocate pins the session's decision buffers
 // and its reused per-shard calls: on a warmed session, a round that
 // accepts some servers and burns others allocates nothing, in the client
-// or in the in-process servers. Each round starts from a reset, so the
-// decision lists are never empty.
+// or in the in-process servers, as pairs or densely. Each round starts
+// from a reset, so the decision lists are never empty.
 func TestWireDecideRoundDoesNotAllocate(t *testing.T) {
 	const m = 256
 	bank, ss := startWire(t, core.Config{Variant: core.RAES, D: 2, C: 4}, m, 2, BankConfig{})
@@ -714,13 +1006,31 @@ func TestWireDecideRoundDoesNotAllocate(t *testing.T) {
 			t.Fatalf("decision %+v, %v", dec, err)
 		}
 	}
-	// The session's latency log grows by one entry per round; warm it
-	// past the measured rounds so its growth does not show.
-	for range 300 {
-		round()
+	dense := make([]uint8, m)
+	for i, u := range touched {
+		dense[u] = uint8(counts[i])
 	}
-	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Errorf("DecideRound allocates %.1f times per round", avg)
+	denseRound := func() {
+		if err := bank.Reset(nil); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := bank.DecideCounted(dense, nil)
+		if err != nil || !slices.Equal(dec.NewlyBurned, []int32{5, 200}) || dec.Accepted[2] != 1<<(130&63) {
+			t.Fatalf("dense decision %+v, %v", dec, err)
+		}
+	}
+	for _, r := range []struct {
+		name string
+		fn   func()
+	}{{"DecideRound", round}, {"DecideCounted", denseRound}} {
+		// The session's latency log grows by one entry per round; warm
+		// it past the measured rounds so its growth does not show.
+		for range 300 {
+			r.fn()
+		}
+		if avg := testing.AllocsPerRun(100, r.fn); avg != 0 {
+			t.Errorf("%s allocates %.1f times per round", r.name, avg)
+		}
 	}
 }
 
