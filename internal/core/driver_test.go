@@ -190,7 +190,9 @@ func TestLocalBankRejectsMalformedBatches(t *testing.T) {
 // shard 1's part while shard 0's is valid: a byte vector one short or
 // one long, wrap entries unsorted, past the last server or negative,
 // and wraps that take server 200 past MaxInt32. After each rejection
-// every load is still 0, and the bank decides a valid round.
+// every load is still 0, and the bank decides a valid round. The wire
+// server's decide, ServerShard.DecideCounted, must reject the MaxInt32
+// round on its own shard too, and leave it as it was.
 func TestLocalBankRejectedRoundLeavesBank(t *testing.T) {
 	const m = 256
 	bank, err := NewLocalBank(SAER, 8, m, 2)
@@ -238,6 +240,16 @@ func TestLocalBankRejectedRoundLeavesBank(t *testing.T) {
 			t.Fatalf("%s: DecideCounted accepted the round", tc.name)
 		}
 		untouched(tc.name)
+	}
+	shard, err := NewServerShard(SAER, 8, 0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := shard.DecideCounted(counts, past, make([]uint64, shard.WindowWords()), nil); err == nil {
+		t.Fatal("ServerShard.DecideCounted accepted a count past MaxInt32")
+	}
+	if slices.ContainsFunc(shard.load, func(l int32) bool { return l != 0 }) || slices.Contains(shard.burned, true) {
+		t.Fatal("a rejected counted round changed the shard")
 	}
 	dec, err := bank.DecideCounted(counts, past[:1<<23-1]) // 255 + 256·(2²³-1) ≤ MaxInt32
 	if err != nil {
