@@ -52,17 +52,18 @@ func AutotuneShards(n, m, workers int, cache engine.CacheInfo) int {
 // into lanes, given the run's worker count and resolved shard count.
 // Like AutotuneShards it is a pure function of its inputs and the probed
 // L2, and either answer is bit-for-bit result-neutral;
-// TestDirectCountRule pins it.
+// TestDirectCountRule pins it. A Driver also vetoes the rounds it cannot
+// ship densely (see countsRound and shipsDense).
 //
 // Counting writes one byte per ball where routing writes a 4-byte lane
 // entry that the fold reads back, so it pays while the tallies stay
-// cached and the scans' pass over all of them is no larger than the
+// cached and the dense pass over all of them is no larger than the
 // lanes would be. A round counts in either of two cases:
 //
 //   - One worker on one shard: every round, at any ball count and for
 //     any draw. Routing buys cache blocking and a parallel phase 2, and
-//     such a run has neither to gain; the one tally's scan reads m bytes
-//     a round. A one-worker run that the autotuner splits into more
+//     such a run has neither to gain; the one tally's dense pass reads
+//     m bytes a round. A one-worker run that the autotuner splits into more
 //     shards, for cache blocking past L2, routes.
 //   - Two workers or more (and at most engine.MaxByteTallyWorkers), on
 //     a point-query draw, with m ≤ 2·L2 and workers·m ≤ 4·balls.

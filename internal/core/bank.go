@@ -95,11 +95,12 @@ type CountedDecision struct {
 // CountedBank is a ServerBank with the optional counted-round method: it
 // decides a round handed over as dense per-server counts rather than as
 // (server, count) pairs, and answers with an accept bitmap. A Driver
-// ships a counted round this way when its bank implements the method and
-// the dense form is no larger than the pairs could be (see shipsDense);
-// every other round goes through DecideRound. LocalBank and the wire
-// banks implement it; a wrapper that embeds the ServerBank interface
-// exposes only that interface's methods, so its Driver ships pairs.
+// counts a round, and ships it this way, only when its bank implements
+// the method and the dense form is no larger than the pairs could be
+// (see shipsDense); every other round is routed and goes through
+// DecideRound. LocalBank and the wire banks implement it; a wrapper that
+// embeds the ServerBank interface exposes only that interface's methods,
+// so its Driver routes every round.
 type CountedBank interface {
 	ServerBank
 	// DecideCounted applies the variant's threshold rule to one counted
@@ -153,10 +154,11 @@ func CheckCounted(counts []uint8, wraps []int32, cells int) error {
 // ServerShard is the protocol's server-side state for a contiguous
 // server window [Lo, Hi), and saer and raes are the one implementation
 // of each threshold rule. The Runner decides each router shard's
-// servers in process through applyBlock, the LocalBank composes shards
-// behind the ServerBank interface, and the wire server process wraps one
-// shard per session. Methods are not concurrency-safe — each shard is
-// owned by one goroutine (or one process).
+// servers in process (applyBlock on a routed round, decideCounted on a
+// counted one), the LocalBank composes shards behind the ServerBank
+// interface, and the wire server process wraps one shard per session.
+// Methods are not concurrency-safe — each shard is owned by one
+// goroutine (or one process).
 //
 // Under SAER a server's cumulative received total always equals its
 // load: both start at the clamped initial load, an accept adds the
@@ -176,14 +178,12 @@ type ServerShard struct {
 }
 
 // countedScratch is a shard's scratch for a bank's counted decide: the
-// view that reads a round's counts, the buffers its partial groups are
-// scanned into, the burned flags as they stood before the round, and
-// the twin that DecideCounted decides through.
+// view that reads a round's counts, the burned flags as they stood
+// before the round, and the twin that DecideCounted decides through.
 type countedScratch struct {
-	view          engine.ByteTally
-	cells, counts [16]int32
-	was           []bool
-	twin          *ServerShard
+	view engine.ByteTally
+	was  []bool
+	twin *ServerShard
 }
 
 // NewServerShard returns the server state for window [lo, hi).
@@ -319,17 +319,17 @@ func (s *ServerShard) raes(j int, recv int32) (accepted, newlyBurned bool) {
 	return true, newlyBurned
 }
 
-// applyBlock runs the rule on a block of the shard's servers, servers[i]
-// having received counts[i] > 0 requests, sets each accepting server's
-// bit in accepted, the accept set over every server, and returns the
-// block's new burns and saturations. Shard windows are whole 64-server
-// words of the set, so owners of distinct shards apply blocks
-// concurrently.
+// applyBlock runs the rule on servers, the shard's servers that
+// received requests this round, server u having received counts[u] > 0
+// (counts is indexed by server id, as a routed round's stamped tally
+// is), sets each accepting server's bit in accepted, the accept set
+// over every server, and returns the new burns and saturations. Shard
+// windows are whole 64-server words of the set, so owners of distinct
+// shards apply their servers concurrently.
 func (s *ServerShard) applyBlock(servers, counts []int32, accepted []uint64) (newlyBurned, saturated int) {
-	counts = counts[:len(servers)]
 	if s.variant == SAER {
-		for i, u := range servers {
-			acc, burned := s.saer(int(u)-s.lo, counts[i])
+		for _, u := range servers {
+			acc, burned := s.saer(int(u)-s.lo, counts[u])
 			if acc {
 				accepted[u>>6] |= 1 << (u & 63)
 			}
@@ -339,8 +339,8 @@ func (s *ServerShard) applyBlock(servers, counts []int32, accepted []uint64) (ne
 		}
 		return newlyBurned, newlyBurned
 	}
-	for i, u := range servers {
-		acc, burned := s.raes(int(u)-s.lo, counts[i])
+	for _, u := range servers {
+		acc, burned := s.raes(int(u)-s.lo, counts[u])
 		if acc {
 			accepted[u>>6] |= 1 << (u & 63)
 		} else {
@@ -396,7 +396,7 @@ func (s *ServerShard) DecideCounted(counts []uint8, wraps []int32, accepted []ui
 	}
 	clear(accepted)
 	nb, saturated = s.decideBank(sc.twin, counts, wraps, accepted, newlyBurned)
-	return nb, saturated, acceptedRequests(counts, wraps, 0, s.hi-s.lo, accepted), nil
+	return nb, saturated, CountedRequests(counts, wraps, accepted), nil
 }
 
 // WindowWords returns the number of words of the shard's window
@@ -423,7 +423,7 @@ func (s *ServerShard) decideBank(dec *ServerShard, counts []uint8, wraps []int32
 	sc := s.scratch()
 	copy(sc.was, s.burned)
 	sc.view.SetView(counts, wraps)
-	_, saturated := dec.decideCounted(&sc.view, accepted, nil, sc.cells[:], sc.counts[:])
+	_, saturated := dec.decideCounted(&sc.view, accepted, nil)
 	return s.appendNewlyBurned(newlyBurned, sc.was), saturated
 }
 
@@ -451,35 +451,36 @@ func boolBytes(b []bool) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
 }
 
-// acceptedRequests returns the requests received by the servers of [lo,
-// hi) whose bit is set in accepted, their accept set (bit u&63 of
-// accepted[u>>6]), server u's count being counts[u] plus 256 per entry
-// u of wraps: the Report's accepted requests, which the dense pass does
-// not sum. Each group of 8 servers that starts on a multiple of 8
-// expands its 8 accept bits into a byte mask, keeps the counts it
-// selects and adds them in 16-bit lanes, which 128 groups cannot
-// overflow.
-func acceptedRequests(counts []uint8, wraps []int32, lo, hi int, accepted []uint64) int64 {
+// CountedRequests returns the requests of a counted round (see
+// CountedBank) that the servers whose bit is set in accepted received,
+// or every server when accepted is nil: server u's count is counts[u]
+// plus 256 per entry u of wraps, and its bit is bit u&63 of
+// accepted[u>>6]. It adds eight counts a step in 16-bit lanes, keeping
+// the accepted ones through a byte mask built from their eight accept
+// bits; a lane gains at most 2·255 a step, so 128 steps fit before the
+// lanes are added up. Every wrap entry must name a server of counts.
+func CountedRequests(counts []uint8, wraps []int32, accepted []uint64) int64 {
 	const evenBytes = 0x00ff00ff00ff00ff
-	bit := func(u int) int64 { return int64(accepted[u>>6] >> (u & 63) & 1) }
-	first := min((lo+7)&^7, hi)
-	end := max(hi&^7, first)
-	var total int64
-	for u := lo; u < first; u++ {
-		total += int64(counts[u]) * bit(u)
-	}
-	for u := end; u < hi; u++ {
-		total += int64(counts[u]) * bit(u)
+	bit := func(u int) int64 {
+		if accepted == nil {
+			return 1
+		}
+		return int64(accepted[u>>6] >> (u & 63) & 1)
 	}
 	sumLanes := func(l uint64) int64 { return int64(l&0xffff + l>>16&0xffff + l>>32&0xffff + l>>48) }
+	end := len(counts) &^ 7
+	var total int64
 	var lanes uint64
-	for u, steps := first, 0; u < end; u += 8 {
-		am := accepted[u>>6] >> (u & 63) & 0xff
-		if am == 0 {
-			continue
+	for u, steps := 0, 0; u < end; u += 8 {
+		mask := ^uint64(0)
+		if accepted != nil {
+			am := accepted[u>>6] >> (u & 63) & 0xff
+			if am == 0 {
+				continue
+			}
+			x := am * 0x0101010101010101 & 0x8040201008040201
+			mask = (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080 >> 7 * 0xff
 		}
-		x := am * 0x0101010101010101 & 0x8040201008040201
-		mask := (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080 >> 7 * 0xff
 		y := binary.LittleEndian.Uint64(counts[u:]) & mask
 		lanes += y&evenBytes + y>>8&evenBytes
 		if steps++; steps == 128 {
@@ -488,10 +489,11 @@ func acceptedRequests(counts []uint8, wraps []int32, lo, hi int, accepted []uint
 		}
 	}
 	total += sumLanes(lanes)
+	for u := end; u < len(counts); u++ {
+		total += int64(counts[u]) * bit(u)
+	}
 	for _, u := range wraps {
-		if int(u) >= lo && int(u) < hi {
-			total += 256 * bit(int(u))
-		}
+		total += 256 * bit(int(u))
 	}
 	return total
 }
@@ -585,30 +587,47 @@ type LocalBank struct {
 }
 
 // NewLocalBank returns an in-process bank of `shards` contiguous server
-// shards covering [0, m). Shard windows differ in size by at most one.
+// shards covering [0, m), split as SplitWindows splits them; a shard
+// count below 1 or above m is clamped into [1, m].
 func NewLocalBank(variant Variant, capacity int32, m, shards int) (*LocalBank, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("core: bank needs at least one server, got %d", m)
+	windows, err := SplitWindows(m, min(max(shards, 1), m))
+	if err != nil {
+		return nil, err
 	}
-	if shards <= 0 || shards > m {
-		shards = min(max(shards, 1), m)
-	}
-	b := &LocalBank{m: m, loads: make([]int32, m), ends: make([]int, shards), acceptBits: make([]uint64, (m+63)/64)}
-	per, rem := m/shards, m%shards
-	lo := 0
-	for s := 0; s < shards; s++ {
-		size := per
-		if s < rem {
-			size++
-		}
-		sh, err := NewServerShard(variant, capacity, lo, lo+size)
+	b := &LocalBank{m: m, loads: make([]int32, m), ends: make([]int, len(windows)), acceptBits: make([]uint64, (m+63)/64)}
+	for _, w := range windows {
+		sh, err := NewServerShard(variant, capacity, w[0], w[1])
 		if err != nil {
 			return nil, err
 		}
 		b.shards = append(b.shards, sh)
-		lo += size
 	}
 	return b, nil
+}
+
+// SplitWindows partitions m servers into shard windows [lo, hi), one per
+// shard, contiguous and ascending, sizes differing by at most one. A
+// LocalBank and a wire bank's shard servers both split this way, so a
+// wire deployment and its in-process reference shard identically.
+func SplitWindows(m, shards int) ([][2]int, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("core: need at least one server, got %d", m)
+	}
+	if shards <= 0 || shards > m {
+		return nil, fmt.Errorf("core: shard count %d outside [1, %d]", shards, m)
+	}
+	windows := make([][2]int, shards)
+	per, rem := m/shards, m%shards
+	lo := 0
+	for s := range windows {
+		size := per
+		if s < rem {
+			size++
+		}
+		windows[s] = [2]int{lo, lo + size}
+		lo += size
+	}
+	return windows, nil
 }
 
 // Shards returns the bank's shard count.

@@ -21,26 +21,6 @@ func cloneShard(sh *ServerShard) *ServerShard {
 	return &c
 }
 
-// blockDecide is the block path a routed round and the Driver take,
-// over a counted round: Scan the shard's window into small blocks,
-// record them in received (when not nil), and applyBlock each.
-func blockDecide(sh *ServerShard, bt *engine.ByteTally, accepted []uint64, received []int32) (newlyBurned, saturated int) {
-	var cells, counts [16]int32
-	for pos := sh.lo; pos < sh.hi; {
-		var k int
-		k, pos = bt.Scan(pos, sh.hi, cells[:], counts[:])
-		if received != nil {
-			for i, u := range cells[:k] {
-				received[u] = counts[i]
-			}
-		}
-		b, s := sh.applyBlock(cells[:k], counts[:k], accepted)
-		newlyBurned += b
-		saturated += s
-	}
-	return newlyBurned, saturated
-}
-
 // countedRound is one round's events for a pair of byte tallies: the
 // cells each worker counts.
 type countedRound [][]int32
@@ -87,17 +67,37 @@ func (round countedRound) count(bt *engine.ByteTally) {
 	bt.Seal()
 }
 
-// TestCountedDecideMatchesBlockPath runs the dense counted decide and
-// the block path (Scan, then applyBlock) on cloned shards over the same
-// random byte tallies of 1 to 3 workers, for both variants with and
-// without tracking, in three rounds each: windows whose start and end
-// are and are not multiples of 8 (a LocalBank's, whose partial first
-// group goes through Scan too), one shorter than a word and one inside
-// a single word, cells whose count wraps a worker's byte, servers that start
-// burned, RAES servers that start above capacity, and capacities that
-// do and do not admit a wrapped count. Both paths must leave equal
-// loads, burned flags, RAES totals, accept sets and received counts,
-// return equal new burns and saturations, and leave every tally byte 0.
+// totals sums the round's events of every worker into per-server counts
+// over size servers, indexed by server id as a stamped tally's are, and
+// lists the servers that received any, ascending.
+func (round countedRound) totals(size int) (counts, touched []int32) {
+	counts = make([]int32, size)
+	for _, cells := range round {
+		for _, u := range cells {
+			counts[u]++
+		}
+	}
+	for u, n := range counts {
+		if n > 0 {
+			touched = append(touched, int32(u))
+		}
+	}
+	return counts, touched
+}
+
+// TestCountedDecideMatchesBlockPath runs the dense counted decide over
+// random byte tallies of 1 to 3 workers beside the pair path on a cloned
+// shard: the round's own cell lists summed per server, then applyBlock
+// over the servers that received requests. It covers both variants with
+// and without tracking, in three rounds each: windows whose start and
+// end are and are not multiples of 8 (a LocalBank's, whose partial
+// groups go through SumCells), one shorter than a word and one inside a
+// single word, cells whose count wraps a worker's byte, servers that
+// start burned, RAES servers that start above capacity, and capacities
+// that do and do not admit a wrapped count. Both must leave equal loads,
+// burned flags, RAES totals, accept sets and received counts, and return
+// equal new burns and saturations, and the dense pass must leave every
+// tally byte 0.
 func TestCountedDecideMatchesBlockPath(t *testing.T) {
 	src := rng.New(0xDEC1DE)
 	for _, variant := range []Variant{SAER, RAES} {
@@ -132,46 +132,51 @@ func checkCountedDecide(t *testing.T, name string, src *rng.Source, variant Vari
 	if err := dense.Reset(initial); err != nil {
 		t.Fatal(err)
 	}
-	blocks := cloneShard(dense)
-	bytesDense := engine.NewByteTally(workers, size)
-	bytesBlocks := engine.NewByteTally(workers, size)
+	pairs := cloneShard(dense)
+	bt := engine.NewByteTally(workers, size)
 	words := (size + 63) / 64
-	accDense, accBlocks := make([]uint64, words), make([]uint64, words)
-	var recvDense, recvBlocks []int32
+	accDense, accPairs := make([]uint64, words), make([]uint64, words)
+	var recvDense, recvPairs []int32
 	if track {
-		recvDense, recvBlocks = make([]int32, size), make([]int32, size)
+		recvDense, recvPairs = make([]int32, size), make([]int32, size)
 	}
-	var cells, counts [pqBlockBalls]int32
 	for round := 1; round <= 3; round++ {
 		r := randomRound(src, workers, lo, hi)
-		r.count(bytesDense)
-		r.count(bytesBlocks)
+		r.count(bt)
 		// As beginRound clears them.
 		clear(accDense)
-		clear(accBlocks)
+		clear(accPairs)
 		clear(recvDense)
-		clear(recvBlocks)
-		nbD, satD := dense.decideCounted(bytesDense, accDense, recvDense, cells[:], counts[:])
-		nbB, satB := blockDecide(blocks, bytesBlocks, accBlocks, recvBlocks)
+		clear(recvPairs)
+		nbD, satD := dense.decideCounted(bt, accDense, recvDense)
+		counts, touched := r.totals(size)
+		nbP, satP := pairs.applyBlock(touched, counts, accPairs)
+		if track {
+			for _, u := range touched {
+				recvPairs[u] = counts[u]
+			}
+		}
 		switch {
-		case nbD != nbB || satD != satB:
-			t.Fatalf("%s round %d: dense pass gave %d new burns / %d saturations, block path %d / %d", name, round, nbD, satD, nbB, satB)
-		case !slices.Equal(accDense, accBlocks):
-			t.Fatalf("%s round %d: accept sets differ:\n dense  %x\n blocks %x", name, round, accDense, accBlocks)
-		case !slices.Equal(recvDense, recvBlocks):
+		case nbD != nbP || satD != satP:
+			t.Fatalf("%s round %d: dense pass gave %d new burns / %d saturations, pair path %d / %d", name, round, nbD, satD, nbP, satP)
+		case !slices.Equal(accDense, accPairs):
+			t.Fatalf("%s round %d: accept sets differ:\n dense %x\n pairs %x", name, round, accDense, accPairs)
+		case !slices.Equal(recvDense, recvPairs):
 			t.Fatalf("%s round %d: received counts differ", name, round)
-		case !reflect.DeepEqual(dense, blocks):
-			t.Fatalf("%s round %d: shard states differ:\n dense  %+v\n blocks %+v", name, round, dense, blocks)
+		case !reflect.DeepEqual(dense, pairs):
+			t.Fatalf("%s round %d: shard states differ:\n dense %+v\n pairs %+v", name, round, dense, pairs)
 		}
 		if variant == SAER && dense.receivedTotal != nil {
 			t.Fatalf("%s: a SAER shard keeps received totals", name)
 		}
-		for _, bt := range []*engine.ByteTally{bytesDense, bytesBlocks} {
-			// A second Seal drops the round's wrap entries, so any count
-			// the scan reads back is a byte the decide left behind.
-			bt.Seal()
-			if k, _ := bt.Scan(0, size, cells[:], counts[:]); k != 0 {
-				t.Fatalf("%s round %d: tally left nonzero at cells %v (counts %v)", name, round, cells[:k], counts[:k])
+		// A second Seal drops the round's wrap entries, so any count read
+		// back is a byte the decide left behind.
+		bt.Seal()
+		for base := 0; base < size; base += 8 {
+			var left [8]int32
+			bt.SumCells(base, base, min(base+8, size), &left, nil)
+			if left != [8]int32{} {
+				t.Fatalf("%s round %d: tally left counts %v in the word at cell %d", name, round, left, base)
 			}
 		}
 	}
@@ -215,12 +220,13 @@ func fuzzCounted(b []byte, width int) (counts []uint8, wraps []int32, rest []byt
 // shard as it was when it rejects, and otherwise leave the clone's
 // loads, burned flags and RAES totals, and return its accepted servers
 // as window bits, its newly burned list and saturations, and the
-// requests the accepted servers received. A third clone decides each
-// valid round as a LocalBank shard does, over a view of the counts of
-// every server from 0 on, with noise in the cells below lo, so its
-// dense pass starts inside a group of 8 when lo is not a multiple of 8;
-// it must agree too. Capacities above 255 let a wrapped count be
-// accepted.
+// requests the accepted servers received (CountedRequests with the
+// accept bitmap); CountedRequests without one must give the sum of the
+// batch's counts. A third clone decides each valid round as a LocalBank
+// shard does, over a view of the counts of every server from 0 on, with
+// noise in the cells below lo, so its dense pass starts inside a group
+// of 8 when lo is not a multiple of 8; it must agree too. Capacities
+// above 255 let a wrapped count be accepted.
 //
 // The seed corpus (testdata/fuzz/FuzzCountedDecide) holds a valid round
 // per variant, rounds with wrap entries under both rules, an unaligned
@@ -277,6 +283,13 @@ func FuzzCountedDecide(f *testing.F) {
 			acc, wantNB, wantSat, err := pairs.Decide(touched, batch, nil, nil)
 			if err != nil {
 				t.Fatalf("Decide(%v, %v) of a valid counted round: %v", touched, batch, err)
+			}
+			var total int64
+			for _, n := range batch {
+				total += int64(n)
+			}
+			if got := CountedRequests(counts, wraps, nil); got != total {
+				t.Fatalf("round (%v, %v): CountedRequests without a mask gave %d, want %d", counts, wraps, got, total)
 			}
 			all := make([]uint8, hi)
 			for u := range lo {
@@ -433,14 +446,13 @@ func BenchmarkCountedDecide(b *testing.B) {
 		}
 		bt := engine.NewByteTally(2, window)
 		accepted := make([]uint64, window/64)
-		var cells, counts [pqBlockBalls]int32
 		for b.Loop() {
 			b.StopTimer()
 			round.count(bt)
 			sh.Reset(nil)
 			clear(accepted)
 			b.StartTimer()
-			sh.decideCounted(bt, accepted, nil, cells[:], counts[:])
+			sh.decideCounted(bt, accepted, nil)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*window), "ns/server")
 	})

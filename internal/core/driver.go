@@ -11,27 +11,26 @@ import (
 
 // Driver is the transport-agnostic front end of the protocol: the shared
 // client loop — identical per-client draws, frontier, starvation rule and
-// result assembly as the Runner — over a ServerBank. A counted round
-// goes to a bank with the counted-round method (CountedBank) densely
-// when shipsDense says so: each shard owner folds its window of the
-// workers' byte tallies into one byte per server plus ascending wrap
-// entries (engine.ByteTally.Fold), and the bank answers with an accept
-// bitmap. Every other round's (server, count) pairs are read shard by
-// shard, in the blocks shardBlocks hands out, and shipped as one
-// ascending batch. With a
-// LocalBank the whole protocol runs in this process; with a wire bank
-// the servers live in remote shard processes and the Driver becomes the
-// load generator. Either way the outcome is bit-for-bit the Runner's for
-// the same (topology, config, seed) — the equivalence suite pins that,
-// and the wire smoke job asserts it end to end over real sockets.
+// result assembly as the Runner — over a ServerBank. A Driver counts a
+// round only when it can ship it densely, to a bank with the
+// counted-round method (CountedBank), as shipsDense says: each shard
+// owner folds its window of the workers' byte tallies into one byte per
+// server plus ascending wrap entries (engine.ByteTally.Fold), and the
+// bank answers with an accept bitmap. Every other round is routed, and
+// its (server, count) pairs, read off each shard's fold, are shipped as
+// one ascending batch. With a LocalBank the whole protocol runs in this
+// process; with a wire bank the servers live in remote shard processes
+// and the Driver becomes the load generator. Either way the outcome is
+// bit-for-bit the Runner's for the same (topology, config, seed) — the
+// equivalence suite pins that, and the wire smoke job asserts it end to
+// end over real sockets.
 //
 // The batch is independent of the worker count and the steal schedule:
-// each shard's blocks list its touched servers in ascending order (a
-// scan walks the window in address order, a fold reads the tally's
-// occupancy bitmap), and the shard-order concatenation of those
-// window-local lists is the globally ascending batch — no sort anywhere
-// — so the bank sees exactly the same bytes either way; only the
-// wall-clock changes.
+// each shard's fold lists its touched servers in ascending order, read
+// off the tally's occupancy bitmap, and the shard-order concatenation of
+// those window-local lists is the globally ascending batch — no sort
+// anywhere — so the bank sees exactly the same bytes either way; only
+// the wall-clock changes.
 type Driver struct {
 	clientLoop
 	bank ServerBank
@@ -40,8 +39,8 @@ type Driver struct {
 
 	touched   []int32
 	countsArg []int32
-	// batches holds the round's per-shard ascending lists.
-	batches []shardBatch
+	// folds holds each shard's touched servers of the round, ascending.
+	folds [][]int32
 
 	// The dense exchange's buffers, allocated by the first round shipped
 	// densely: folded holds one byte per server, shardWraps each shard's
@@ -68,16 +67,13 @@ func NewDriver(topo bipartite.Topology, cfg Config, bank ServerBank) (*Driver, e
 	}
 	dr := &Driver{bank: bank}
 	dr.dense, _ = bank.(CountedBank)
+	dr.viaBank, dr.denseBank = true, dr.dense != nil
 	if err := dr.init(topo, cfg); err != nil {
 		return nil, err
 	}
-	dr.batches = make([]shardBatch, dr.router.Shards())
+	dr.folds = make([][]int32, dr.router.Shards())
 	return dr, nil
 }
-
-// shardBatch is one shard's slice of a round batch: servers ascending,
-// counts parallel.
-type shardBatch struct{ servers, counts []int32 }
 
 // NewLocalDriver wires a Driver to an in-process LocalBank of `shards`
 // server shards — the single-process way to run the bank/driver split
@@ -134,46 +130,44 @@ func (dr *Driver) checkLoads(loads []int32, loadSum int64, res *Result) error {
 	return nil
 }
 
-// shipsDense reports whether a Driver ships a round densely, by its
-// bank's counted-round method: the round is counted (directCount), the
-// bank has the method, and the dense form's m bytes are no more than
-// the 8·balls bytes the round's (server, count) pairs can take. A
-// multi-worker counted round always passes the size test, since
-// directCount asks workers·m ≤ 4·balls there; it keeps a one-worker
-// run's sparse tail rounds on pairs. Like directCount it is a pure
-// function of its inputs and result-neutral; TestShipsDenseRule pins
-// it.
-func shipsDense(counted, method bool, balls int64, m int) bool {
-	return counted && method && int64(m) <= 8*balls
+// shipsDense reports whether a Driver can ship a round densely, by its
+// bank's counted-round method: the bank has the method, and the dense
+// form's m bytes are no more than the 8·balls bytes the round's
+// (server, count) pairs can take. It vetoes counting (countsRound), so
+// a Driver counts only the rounds it ships densely. A multi-worker
+// counted round always passes the size test, since directCount asks
+// workers·m ≤ 4·balls there; it routes a one-worker run's sparse tail
+// rounds. Like directCount it is a pure function of its inputs and
+// result-neutral; TestShipsDenseRule pins it.
+func shipsDense(method bool, balls int64, m int) bool {
+	return method && int64(m) <= 8*balls
 }
 
 // decide ships the round to the bank and applies the checked decision
-// to the accept set and the burned mirror: densely (decideDense) when
-// shipsDense says so, and otherwise as pairs. For pairs it gathers each
-// shard's blocks into the shard's batch, each shard owned by one
-// goroutine and its servers ascending, and concatenates the batches in
+// to the accept set and the burned mirror: a counted round densely
+// (decideDense), a routed one as pairs. For pairs each shard owner
+// folds its shard, and the shards' touched lists are concatenated in
 // shard order — contiguous ascending windows, so the result is the
-// globally ascending batch.
+// globally ascending batch — with each server's count read off the
+// stamped tally.
 func (dr *Driver) decide() (newlyBurned, saturated int, err error) {
-	if shipsDense(dr.counted, dr.dense != nil, dr.roundBalls, len(dr.burned)) {
+	if dr.counted {
 		return dr.decideDense()
 	}
 	sp := telemetry.StartSpan(dr.tel.foldHist())
-	dr.pool.StealRangeGrain(len(dr.batches), 1, func(w, _, lo, hi int) {
+	dr.pool.StealRangeGrain(len(dr.folds), 1, func(_, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			b := &dr.batches[s]
-			b.servers, b.counts = b.servers[:0], b.counts[:0]
-			dr.shardBlocks(w, s, func(servers, counts []int32) {
-				b.servers = append(b.servers, servers...)
-				b.counts = append(b.counts, counts...)
-			})
+			dr.folds[s] = dr.foldShard(s)
 		}
 	})
+	merged := dr.tally.Merged()
 	dr.touched = dr.touched[:0]
 	dr.countsArg = dr.countsArg[:0]
-	for _, b := range dr.batches {
-		dr.touched = append(dr.touched, b.servers...)
-		dr.countsArg = append(dr.countsArg, b.counts...)
+	for _, touched := range dr.folds {
+		dr.touched = append(dr.touched, touched...)
+		for _, u := range touched {
+			dr.countsArg = append(dr.countsArg, merged[u])
+		}
 	}
 	sp.End()
 	sp = telemetry.StartSpan(dr.tel.decideHist())

@@ -260,6 +260,40 @@ func TestLocalBankRejectedRoundLeavesBank(t *testing.T) {
 	}
 }
 
+// TestSplitWindows pins the shard-window split: contiguous, ascending,
+// sizes within one of each other, covering [0, m).
+func TestSplitWindows(t *testing.T) {
+	for _, tc := range []struct{ m, shards int }{{10, 3}, {7, 7}, {1, 1}, {4096, 8}} {
+		ws, err := SplitWindows(tc.m, tc.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ws) != tc.shards {
+			t.Fatalf("m=%d shards=%d: %d windows", tc.m, tc.shards, len(ws))
+		}
+		lo, minSize, maxSize := 0, tc.m, 0
+		for _, w := range ws {
+			if w[0] != lo {
+				t.Fatalf("m=%d shards=%d: window %v not contiguous at %d", tc.m, tc.shards, w, lo)
+			}
+			size := w[1] - w[0]
+			if size < minSize {
+				minSize = size
+			}
+			if size > maxSize {
+				maxSize = size
+			}
+			lo = w[1]
+		}
+		if lo != tc.m || maxSize-minSize > 1 {
+			t.Fatalf("m=%d shards=%d: windows %v", tc.m, tc.shards, ws)
+		}
+	}
+	if _, err := SplitWindows(4, 5); err == nil {
+		t.Fatal("SplitWindows accepted more shards than servers")
+	}
+}
+
 // TestLocalBankDecideRoundDoesNotAllocate pins the decision buffers: on
 // a warmed bank, a round that accepts some servers and burns others
 // allocates nothing, under either rule, as pairs or densely. Each round
@@ -374,14 +408,14 @@ func (b *recordingBank) DecideCounted(counts []uint8, wraps []int32) (CountedDec
 	return b.LocalBank.DecideCounted(counts, wraps)
 }
 
-// wantKinds is the shipment kind of each round of res, as shipsDense
-// picks it for dr, whose bank has the counted-round method.
+// wantKinds is the shipment kind of each round of res for dr: 'd'
+// exactly when countsRound counts the round, since a Driver ships every
+// counted round densely, and 'p' otherwise.
 func wantKinds(dr *Driver, res *Result) string {
 	var kinds []byte
 	for _, st := range res.PerRound {
-		balls := int64(st.AliveBalls)
 		kind := byte('p')
-		if shipsDense(dr.countsRound(balls), true, balls, res.NumServers) {
+		if dr.countsRound(int64(st.AliveBalls)) {
 			kind = 'd'
 		}
 		kinds = append(kinds, kind)
@@ -399,9 +433,9 @@ type pairsOnly struct{ ServerBank }
 // every pair batch it ships must already be strictly ascending — for
 // every worker count and route shard count — and every dense round's
 // wrap entries ascending. Each round ships once, densely exactly when
-// shipsDense says so (one worker on one router shard counts every round,
-// and ships the rounds with m ≤ 8·balls densely), and the run must
-// still match the one-shard Runner reference.
+// countsRound counts it (one worker on one router shard counts the
+// rounds with m ≤ 8·balls and routes the rest), and the run must still
+// match the one-shard Runner reference.
 func TestDriverShipsAscendingBatches(t *testing.T) {
 	g := regularGraph(t, 1000, 24, 9)
 	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 0xACE, TrackRounds: true, TrackLoads: true}
@@ -440,26 +474,105 @@ func TestDriverShipsAscendingBatches(t *testing.T) {
 	}
 }
 
-// TestShipsDenseRule pins shipsDense, the choice between shipping a
-// round densely and as pairs.
+// TestShipsDenseRule pins shipsDense, the veto on a Driver's counted
+// rounds: a round may be counted only when the bank has the counted-round
+// method and m ≤ 8·balls.
 func TestShipsDenseRule(t *testing.T) {
 	for _, tc := range []struct {
-		counted, method bool
-		balls           int64
-		m               int
-		want            bool
+		method bool
+		balls  int64
+		m      int
+		want   bool
 	}{
-		{true, true, 1 << 17, 1 << 16, true},    // wire-loopback's round 1
-		{true, true, 1 << 13, 1 << 16, true},    // m = 8·balls: as large as the pairs can be
-		{true, true, 1<<13 - 1, 1 << 16, false}, // one ball fewer: pairs
-		{true, true, 1, 8, true},
-		{true, true, 0, 1, false},
-		{false, true, 1 << 20, 1 << 16, false}, // a routed round
-		{true, false, 1 << 20, 1 << 16, false}, // a bank without the method
+		{true, 1 << 17, 1 << 16, true},    // wire-loopback's round 1
+		{true, 1 << 13, 1 << 16, true},    // m = 8·balls: as large as the pairs can be
+		{true, 1<<13 - 1, 1 << 16, false}, // one ball fewer: pairs
+		{true, 1, 8, true},
+		{true, 0, 1, false},
+		{false, 1 << 20, 1 << 16, false}, // a bank without the method
+		{false, 1, 1, false},
 	} {
-		if got := shipsDense(tc.counted, tc.method, tc.balls, tc.m); got != tc.want {
-			t.Errorf("shipsDense(counted=%t, method=%t, balls=%d, m=%d) = %t, want %t",
-				tc.counted, tc.method, tc.balls, tc.m, got, tc.want)
+		if got := shipsDense(tc.method, tc.balls, tc.m); got != tc.want {
+			t.Errorf("shipsDense(method=%t, balls=%d, m=%d) = %t, want %t",
+				tc.method, tc.balls, tc.m, got, tc.want)
+		}
+	}
+}
+
+// routedOnlyBank is a LocalBank that holds the Driver it serves and
+// fails the test when a round the Driver counted reaches DecideRound: a
+// counted round is decided densely, so only routed rounds may come as
+// pairs. pairs counts the rounds that came as pairs.
+type routedOnlyBank struct {
+	*LocalBank
+	t     *testing.T
+	name  string
+	dr    *Driver
+	pairs int
+}
+
+func (b *routedOnlyBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
+	b.pairs++
+	if b.dr.counted {
+		b.t.Errorf("%s: pair round %d was counted", b.name, b.pairs)
+	}
+	return b.LocalBank.DecideRound(touched, counts)
+}
+
+// TestDriverMatchesRunnerRoutedPairs checks that a Driver routes every
+// round it ships as pairs, for both variants with every tracking option
+// on, one worker on one router shard, where directCount counts every
+// round: over a bank without the counted-round method, whose Driver must
+// route every round, and over one with it, whose Driver must route the
+// tail rounds with m > 8·balls. Both runs must equal the Runner's.
+func TestDriverMatchesRunnerRoutedPairs(t *testing.T) {
+	topo, err := gen.TrustSubsetImplicit(1000, 1000, 24, 0x9A1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, variant := range []Variant{SAER, RAES} {
+		cfg := oneShard(Config{Variant: variant, D: 2, C: 2, Seed: 0x9A1, MaxRounds: 200,
+			TrackRounds: true, TrackNeighborhoods: true, TrackLoads: true, TrackAssignments: true})
+		ref, err := cfg.Run(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse := 0 // rounds with m > 8·balls
+		for _, st := range ref.PerRound {
+			if ref.NumServers > 8*st.AliveBalls {
+				sparse++
+			}
+		}
+		if sparse == 0 {
+			t.Fatalf("%v: no round has m > 8·balls", variant)
+		}
+		for _, method := range []bool{false, true} {
+			name := fmt.Sprintf("%v method=%t", variant, method)
+			local, err := NewLocalBank(variant, int32(cfg.Params().Capacity()), topo.NumServers(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bank := &routedOnlyBank{LocalBank: local, t: t, name: name}
+			var sb ServerBank = bank
+			wantPairs := ref.Rounds
+			if !method {
+				sb = pairsOnly{bank}
+			} else {
+				wantPairs = sparse
+			}
+			if bank.dr, err = NewDriver(topo, cfg, sb); err != nil {
+				t.Fatal(err)
+			}
+			got, err := bank.dr.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if bank.pairs != wantPairs {
+				t.Errorf("%s: %d of %d rounds came as pairs, want %d", name, bank.pairs, got.Rounds, wantPairs)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: driver diverges from the runner reference", name)
+			}
 		}
 	}
 }

@@ -43,10 +43,7 @@ const padWords = 128 / 4
 // newPQBlocks allocates one block of size balls per worker in one
 // backing array, with a padding granule before, between and after the
 // workers' arrays, so two workers never write the same line or the same
-// adjacent-line pair. Every decide reuses a worker's block for the
-// blocks shardBlocks hands out, and the Runner's counted decide for
-// the partial last word of its window: the draw that fills it has ended
-// by then.
+// adjacent-line pair.
 func newPQBlocks(workers, size int) []pqBlock {
 	stride := 2*size + padWords
 	backing := make([]int32, padWords+workers*stride)
@@ -66,11 +63,10 @@ type serverHalf interface {
 	// burned mirror.
 	reset(initialLoads []int) error
 	// decide applies the threshold rule to the round's requests, which
-	// it reads shard by shard off the byte tallies or the stamped tally
-	// (the Runner decides a counted round's window in one dense pass;
-	// otherwise shardBlocks cuts it into blocks), sets every accepting
-	// server's bit in the loop's accept set, and marks newly burned
-	// servers in the burned mirror.
+	// it reads shard by shard: a counted round densely off the byte
+	// tallies, a routed one as each shard's fold lists it (foldShard),
+	// sets every accepting server's bit in the loop's accept set, and
+	// marks newly burned servers in the burned mirror.
 	decide() (newlyBurned, saturated int, err error)
 	// loads returns the final per-server load vector.
 	loads() ([]int32, error)
@@ -90,21 +86,24 @@ type serverHalf interface {
 // server state lives.
 //
 // Every run walks the active frontier from round 1 on. A round's
-// destinations reach the servers one of two ways:
+// destinations reach the servers one of two ways, and the way fixes how
+// the round is decided:
 //
 //   - Counted: each worker counts its balls into its own byte tally
-//     (engine.ByteTally), and each shard owner scans its window of all
-//     of them.
+//     (engine.ByteTally), and the round is decided densely: the Runner's
+//     shard owners decide their windows straight off the tallies
+//     (ServerShard.decideCounted), and a Driver folds them into one
+//     byte per server for its bank's counted-round method.
 //   - Routed: the balls go into per-(worker, shard) lanes of an
-//     engine.Router, and each shard owner folds its lanes into a stamped
-//     tally.
+//     engine.Router, each shard owner folds its lanes into a stamped
+//     tally (foldShard), and the round is decided as (server, count)
+//     pairs: the Runner applies the rule to each shard's touched
+//     servers, and a Driver ships them to its bank as one batch.
 //
-// beginRound picks one per round with directCount, from the resolved
-// worker and shard counts, the round's ball count and the point-query
-// view as it stands then. The Runner decides a counted round's shards
-// straight off the byte tallies (ServerShard.decideCounted); every
-// other decide reads a shard's received servers through shardBlocks,
-// in the same ascending blocks for either path.
+// beginRound picks one per round with countsRound: directCount, from
+// the resolved worker and shard counts, the round's ball count and the
+// point-query view as it stands then, vetoed on a Driver whose bank
+// cannot take the round densely (shipsDense).
 type clientLoop struct {
 	topo     bipartite.Topology
 	cfg      Config
@@ -136,12 +135,17 @@ type clientLoop struct {
 	// topoVersion is the version the caches were last synced to.
 	// PatchTopology re-binds after an in-place mutation; beginRound
 	// re-checks the version so a mutation that skipped PatchTopology can
-	// never serve stale cached rows, lanes or point-query views.
+	// never serve stale cached rows or point-query views.
 	versioned   bipartite.Versioned
 	topoVersion uint64
 
 	pool   *engine.Pool
 	router *engine.Router
+	// viaBank is set on a Driver, and denseBank when its bank has the
+	// counted-round method: a Driver decides a counted round only through
+	// that method, so countsRound vetoes the rounds shipsDense would not
+	// ship. A Runner decides every counted round densely in process.
+	viaBank, denseBank bool
 	// counted is set while the current round is counted into bytes
 	// instead of routed. bytes is allocated by the first counted round,
 	// and tally, which routed rounds fold into, by the first routed one.
@@ -150,8 +154,6 @@ type clientLoop struct {
 	bytes   *engine.ByteTally
 	tally   *engine.Tally
 	cache   engine.CacheInfo
-	// roundBalls is the current round's ball count.
-	roundBalls int64
 
 	alive   []int32      // unassigned balls of client v
 	streams []rng.Stream // private random stream of client v
@@ -176,9 +178,10 @@ type clientLoop struct {
 
 	// received[u] is server u's request count this round and
 	// cumNbrReceived[v] is Σ_{i≤t} r_i(N(v)), both under
-	// TrackNeighborhoods: the decide fills received (shardBlocks, or the
-	// Runner's counted pass) and beginRound clears it. assignments[v]
-	// collects the servers that accepted v's balls (TrackAssignments).
+	// TrackNeighborhoods: the decide fills received (foldShard, the
+	// Runner's counted pass or the Driver's fold) and beginRound clears
+	// it. assignments[v] collects the servers that accepted v's balls
+	// (TrackAssignments).
 	received       []int32
 	cumNbrReceived []int64
 	assignments    [][]int32
@@ -278,7 +281,7 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config) error {
 // bindTopology installs topo as the adjacency source: the zero-copy CSR
 // path, the point-query view, or row regeneration into per-worker
 // scratch buffers; cached rows of the previous topology are dropped and
-// the version-keyed caches synced.
+// the topology version recorded.
 func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 	l.topo = topo
 	l.csr, _ = topo.(*bipartite.Graph)
@@ -300,7 +303,6 @@ func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 	l.versioned, _ = topo.(bipartite.Versioned)
 	if l.versioned != nil {
 		l.topoVersion = l.versioned.TopologyVersion()
-		l.router.SyncTopologyVersion(l.topoVersion)
 	}
 }
 
@@ -314,9 +316,15 @@ func (l *clientLoop) bindPointQuery() {
 }
 
 // countsRound reports whether a round that draws balls balls over the
-// current topology is counted (see directCount) rather than routed.
+// current topology is counted (see directCount) rather than routed. A
+// counted round is always decided densely, so a Driver counts only the
+// rounds it can ship densely (shipsDense).
 func (l *clientLoop) countsRound(balls int64) bool {
-	return directCount(l.pool.Workers(), l.router.Shards(), balls, l.topo.NumServers(), l.pq != nil, l.cache)
+	m := l.topo.NumServers()
+	if l.viaBank && !shipsDense(l.denseBank, balls, m) {
+		return false
+	}
+	return directCount(l.pool.Workers(), l.router.Shards(), balls, m, l.pq != nil, l.cache)
 }
 
 // SwapTopology replaces the topology with one of identical dimensions,
@@ -341,8 +349,8 @@ func (l *clientLoop) SwapTopology(topo bipartite.Topology) error {
 // arrived, departed, failed or recovered between epochs). It is
 // SwapTopology's counterpart for topologies that mutate instead of being
 // replaced: the graph is revalidated, the degree bound refreshed, and the
-// version-keyed caches (frontier row cache, route lanes, point-query
-// view) re-synced. Dimensions cannot change.
+// version-keyed caches (frontier row cache, point-query view)
+// re-synced. Dimensions cannot change.
 func (l *clientLoop) PatchTopology() error {
 	if err := l.topo.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidGraph, err)
@@ -550,7 +558,6 @@ func (l *clientLoop) beginRound(balls int64) {
 	if l.versioned != nil {
 		if v := l.versioned.TopologyVersion(); v != l.topoVersion {
 			l.topoVersion = v
-			l.router.SyncTopologyVersion(v)
 			// Mutations can flip point-queryability (churn failures make
 			// rows read-time filtered, recoveries make them queryable
 			// again) and move the degrees, so both are version-keyed.
@@ -567,7 +574,6 @@ func (l *clientLoop) beginRound(balls int64) {
 		}
 	}
 	l.counted = l.countsRound(balls)
-	l.roundBalls = balls
 	switch m := l.topo.NumServers(); {
 	case l.counted && l.bytes == nil:
 		l.bytes = engine.NewByteTally(l.pool.Workers(), m)
@@ -752,48 +758,19 @@ func (l *clientLoop) resolve(blk *pqBlock, out []int32, sk *sink) {
 	sk.put(out)
 }
 
-// shardBlocks hands shard s's servers that received requests to fn,
-// ascending, with their counts, in blocks no longer than worker w's
-// point-query block, which the draw no longer needs. It is how the
-// Driver reads every round, since it ships the blocks as a batch, and
-// how the Runner reads a routed round; the Runner decides a counted
-// round in place (decideCounted). A counted round's blocks are scanned
-// off the shard's window of the byte tallies into the block; a routed
-// round's are cut from the shard's fold, with their counts copied into
-// the block. Under TrackNeighborhoods every block is also recorded in
-// received. Owners of distinct shards call it concurrently.
-func (l *clientLoop) shardBlocks(w, s int, fn func(servers, counts []int32)) {
-	blk := &l.pqBlocks[w]
-	if l.counted {
-		hi := min((s+1)<<l.router.Shift(), l.topo.NumServers())
-		for pos := s << l.router.Shift(); pos < hi; {
-			var k int
-			k, pos = l.bytes.Scan(pos, hi, blk.vs, blk.idx)
-			l.emit(blk.vs[:k], blk.idx[:k], fn)
-		}
-		return
-	}
-	touched, merged := l.router.FoldShard(s, l.tally), l.tally.Merged()
-	for len(touched) > 0 {
-		servers := touched[:min(len(touched), len(blk.idx))]
-		counts := blk.idx[:len(servers)]
-		for i, u := range servers {
-			counts[i] = merged[u]
-		}
-		l.emit(servers, counts, fn)
-		touched = touched[len(servers):]
-	}
-}
-
-// emit records a block's counts in received under TrackNeighborhoods
-// and hands the block to fn.
-func (l *clientLoop) emit(servers, counts []int32, fn func(servers, counts []int32)) {
+// foldShard folds shard s's lanes into the stamped tally and returns
+// the shard's touched servers, ascending, whose counts the tally's
+// Merged array holds by server id; under TrackNeighborhoods it records
+// them in received. Owners of distinct shards call it concurrently.
+func (l *clientLoop) foldShard(s int) []int32 {
+	touched := l.router.FoldShard(s, l.tally)
 	if l.received != nil {
-		for i, u := range servers {
-			l.received[u] = counts[i]
+		merged := l.tally.Merged()
+		for _, u := range touched {
+			l.received[u] = merged[u]
 		}
 	}
-	fn(servers, counts)
+	return touched
 }
 
 // update counts each frontier client's accepted requests, retires them,

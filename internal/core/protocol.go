@@ -100,11 +100,11 @@ func (r *Runner) checkLoads([]int32, int64, *Result) error { return nil }
 // decide is phase 2: each shard owner decides its shard's servers that
 // received requests. A counted round is one dense pass over the shard's
 // window of the byte tallies (decideCounted); a routed round applies
-// the rule to the blocks shardBlocks cuts from the shard's fold. The
-// order in which shards run differs across shard counts and steal
-// schedules but never leaks into results: each server's update depends
-// only on its own state, and the burned/saturated partials are
-// order-independent sums.
+// the rule to the touched servers of the shard's fold, reading their
+// counts off the stamped tally (applyBlock). The order in which shards
+// run differs across shard counts and steal schedules but never leaks
+// into results: each server's update depends only on its own state, and
+// the burned/saturated partials are order-independent sums.
 func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	sp := telemetry.StartSpan(r.tel.decideHist())
 	defer sp.End()
@@ -113,19 +113,14 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 	r.pool.StealRangeGrain(len(r.servers), 1, func(w, _, lo, hi int) {
 		var nb, sat int
 		for s := lo; s < hi; s++ {
-			sh := r.servers[s]
+			var b, st int
 			if r.counted {
-				blk := &r.pqBlocks[w]
-				b, st := sh.decideCounted(r.bytes, r.accepted, r.received, blk.vs, blk.idx)
-				nb += b
-				sat += st
-				continue
+				b, st = r.servers[s].decideCounted(r.bytes, r.accepted, r.received)
+			} else {
+				b, st = r.servers[s].applyBlock(r.foldShard(s), r.tally.Merged(), r.accepted)
 			}
-			r.shardBlocks(w, s, func(servers, counts []int32) {
-				b, st := sh.applyBlock(servers, counts, r.accepted)
-				nb += b
-				sat += st
-			})
+			nb += b
+			sat += st
 		}
 		r.partialBurned[w] += int64(nb)
 		r.partialSat[w] += int64(sat)
@@ -139,7 +134,7 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 
 // decideCounted decides a counted round for the shard in one dense pass
 // over its window of the byte tallies: it applies the rule where it sums
-// the counts, with no (server, count) block in between. The pass walks
+// the counts, with no (server, count) list in between. The pass walks
 // the window's servers in groups of 8 that start on a multiple of 8, in
 // blocks of up to engine.SumBlock groups, each summed (and, on a tally
 // that is not a view, zeroed) by SumWords. A group whose cells are all
@@ -151,16 +146,16 @@ func (r *Runner) decide() (newlyBurned, saturated int, err error) {
 // group's accept bits are ORed into accepted, the accept set over every
 // server, at once; the Runner's shard windows are whole 64-server words
 // of the set, so owners of distinct shards decide concurrently.
-// received, when not nil, gets every count (TrackNeighborhoods). The
-// partial groups at a window start or end that is not a multiple of 8
-// (a LocalBank's windows) go through Scan into the cells and counts
-// buffers, of at least 8 entries, and applyBlock. It returns the
-// round's new burns and saturations.
-func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, received, cells, counts []int32) (newlyBurned, saturated int) {
+// received, when not nil, gets every count (TrackNeighborhoods). A
+// window start or end that is not a multiple of 8 (a LocalBank's or a
+// wire server's windows, or the last router shard's end) leaves a
+// partial group, which decideEdge decides. It returns the round's new
+// burns and saturations.
+func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, received []int32) (newlyBurned, saturated int) {
 	first := min((s.lo+7)&^7, s.hi)
 	end := max(s.hi&^7, first)
 	if s.lo < first {
-		newlyBurned, saturated = s.scanApply(bt, s.lo, first, accepted, received, cells, counts)
+		newlyBurned, saturated = s.decideEdge(bt, s.lo, first, accepted, received)
 	}
 	wraps := bt.Wraps(first)
 	var even, odd [engine.SumBlock]uint64
@@ -211,27 +206,40 @@ func (s *ServerShard) decideCounted(bt *engine.ByteTally, accepted []uint64, rec
 	newlyBurned += burnedTotal
 	saturated += satTotal
 	if end < s.hi {
-		b, st := s.scanApply(bt, end, s.hi, accepted, received, cells, counts)
+		b, st := s.decideEdge(bt, end, s.hi, accepted, received)
 		newlyBurned += b
 		saturated += st
 	}
 	return newlyBurned, saturated
 }
 
-// scanApply is decideCounted over the window's servers [lo, hi), a
-// partial group, through Scan and applyBlock.
-func (s *ServerShard) scanApply(bt *engine.ByteTally, lo, hi int, accepted []uint64, received, cells, counts []int32) (newlyBurned, saturated int) {
-	for pos := lo; pos < hi; {
-		var k int
-		k, pos = bt.Scan(pos, hi, cells, counts)
-		if received != nil {
-			for i, u := range cells[:k] {
-				received[u] = counts[i]
-			}
+// decideEdge is decideCounted over the window's servers [lo, hi), the
+// part of one group of 8 that the window covers: SumCells sums their
+// counts, wrap entries included, and the rule runs on each server as in
+// the dense pass. It returns the servers' new burns and saturations.
+func (s *ServerShard) decideEdge(bt *engine.ByteTally, lo, hi int, accepted []uint64, received []int32) (newlyBurned, saturated int) {
+	base := lo &^ 7
+	var c [8]int32
+	bt.SumCells(base, lo, hi, &c, bt.Wraps(lo))
+	if received != nil {
+		copy(received[lo:hi], c[lo-base:hi-base])
+	}
+	var bits uint64
+	for j := lo - base; j < hi-base; j++ {
+		n := c[j]
+		var acc, burned bool
+		if s.variant == SAER {
+			acc, burned = s.saer(base+j-s.lo, n)
+		} else {
+			acc, burned = s.raes(base+j-s.lo, n)
+			saturated += int(b2u(!acc && n > 0))
 		}
-		b, st := s.applyBlock(cells[:k], counts[:k], accepted)
-		newlyBurned += b
-		saturated += st
+		bits |= b2u(acc && n > 0) << j
+		newlyBurned += int(b2u(burned))
+	}
+	accepted[base>>6] |= bits << (base & 63)
+	if s.variant == SAER {
+		saturated = newlyBurned
 	}
 	return newlyBurned, saturated
 }

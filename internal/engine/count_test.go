@@ -74,16 +74,34 @@ func denseNonzero(ref []int32, lo, hi int) (cells, counts []int32) {
 	return cells, counts
 }
 
+// sumWindow reads the round's counts of cells [lo, hi) a word at a time
+// through SumCells and lists the nonzero cells, ascending, with their
+// counts.
+func sumWindow(bt *ByteTally, lo, hi int) (cells, counts []int32) {
+	wraps := bt.Wraps(lo)
+	for base := lo &^ 7; base < hi; base += 8 {
+		var sum [8]int32
+		wraps = bt.SumCells(base, max(lo, base), min(hi, base+8), &sum, wraps)
+		for j, c := range sum {
+			if c != 0 {
+				cells = append(cells, int32(base+j))
+				counts = append(counts, c)
+			}
+		}
+	}
+	return cells, counts
+}
+
 // TestByteTallyScanMatchesDense drives counted rounds through a
 // ByteTally at 1 to 4 workers, counting concurrently, with wraps past
-// 255 in every round, and checks every scan against a dense reference.
-// Odd rounds scan windows whose boundaries are not multiples of 8 one
-// after another, through buffers of 8, 9 and 13 entries that stop the
-// scan mid-window; even rounds scan 64-cell-aligned windows concurrently,
+// 255 in every round, and checks every read of a window through SumCells
+// against a dense reference. Odd rounds read windows whose boundaries
+// are not multiples of 8 one after another, so consecutive windows
+// share a word; even rounds read 64-cell-aligned windows concurrently,
 // as the shard owners do. Sizes that are not multiples of 64 (or of 8)
-// end on a partial word. A round that starts from a scanned tally must
-// see only its own counts, since the scans leave it zeroed. Run it
-// under -race.
+// end on a partial word. A round that starts from a read tally must see
+// only its own counts, since the reads leave it zeroed. Run it under
+// -race.
 func TestByteTallyScanMatchesDense(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4} {
 		for _, size := range []int{1000, 1003, 4096 + 37} {
@@ -103,37 +121,22 @@ func TestByteTallyScanMatchesDense(t *testing.T) {
 	}
 }
 
-// scanSequential scans [0, size) in windows of 37 cells, buffer sizes
-// cycling through 8, 9 and 13, and compares each window with ref.
+// scanSequential reads [0, size) in windows of 37 cells and compares
+// each window with ref.
 func scanSequential(t *testing.T, label string, bt *ByteTally, ref []int32) {
 	t.Helper()
-	bufs := []int{8, 9, 13}
-	call := 0
 	for lo := 0; lo < len(ref); lo += 37 {
 		hi := min(lo+37, len(ref))
-		var cells, counts []int32
-		for pos := lo; pos < hi; {
-			n := bufs[call%len(bufs)]
-			call++
-			c, k := make([]int32, n), make([]int32, n)
-			got, next := bt.Scan(pos, hi, c, k)
-			if next <= pos && got == 0 {
-				t.Fatalf("%s: window [%d, %d) made no progress at %d", label, lo, hi, pos)
-			}
-			cells = append(cells, c[:got]...)
-			counts = append(counts, k[:got]...)
-			pos = next
-		}
+		cells, counts := sumWindow(bt, lo, hi)
 		wantCells, wantCounts := denseNonzero(ref, lo, hi)
 		if !slices.Equal(cells, wantCells) || !slices.Equal(counts, wantCounts) {
-			t.Fatalf("%s: window [%d, %d) scanned %v %v, want %v %v", label, lo, hi, cells, counts, wantCells, wantCounts)
+			t.Fatalf("%s: window [%d, %d) read %v %v, want %v %v", label, lo, hi, cells, counts, wantCells, wantCounts)
 		}
 	}
 }
 
-// scanConcurrent scans [0, size) in 64-cell windows, one goroutine per
-// window, through 128-entry buffers, and compares the concatenation in
-// window order with ref.
+// scanConcurrent reads [0, size) in 64-cell windows, one goroutine per
+// window, and compares the concatenation in window order with ref.
 func scanConcurrent(t *testing.T, label string, bt *ByteTally, ref []int32) {
 	t.Helper()
 	windows := (len(ref) + 63) / 64
@@ -144,23 +147,16 @@ func scanConcurrent(t *testing.T, label string, bt *ByteTally, ref []int32) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var c, k [128]int32
-			hi := min((s+1)*64, len(ref))
-			for pos := s * 64; pos < hi; {
-				var got int
-				got, pos = bt.Scan(pos, hi, c[:], k[:])
-				cells[s] = append(cells[s], c[:got]...)
-				counts[s] = append(counts[s], k[:got]...)
-			}
+			cells[s], counts[s] = sumWindow(bt, s*64, min((s+1)*64, len(ref)))
 		}()
 	}
 	wg.Wait()
 	wantCells, wantCounts := denseNonzero(ref, 0, len(ref))
 	if got := slices.Concat(cells...); !slices.Equal(got, wantCells) {
-		t.Fatalf("%s: concurrent scan found cells %v, want %v", label, got, wantCells)
+		t.Fatalf("%s: concurrent read found cells %v, want %v", label, got, wantCells)
 	}
 	if got := slices.Concat(counts...); !slices.Equal(got, wantCounts) {
-		t.Fatalf("%s: concurrent scan found counts %v, want %v", label, got, wantCounts)
+		t.Fatalf("%s: concurrent read found counts %v, want %v", label, got, wantCounts)
 	}
 }
 
@@ -171,9 +167,9 @@ func scanConcurrent(t *testing.T, label string, bt *ByteTally, ref []int32) {
 // shard owners do, over sizes that end on a partial word. Every cell's
 // byte plus 256 per wrap entry must equal the dense reference, the wrap
 // entries must be ascending, the touched bits must name exactly the
-// cells with a count, and the tally must be all zero afterwards. A view of the folded round must then scan to the
-// same cells and counts, and leave the folded bytes as they were. Run
-// it under -race.
+// cells with a count, and the tally must be all zero afterwards. A view
+// of the folded round must then read to the same cells and counts, and
+// leave the folded bytes as they were. Run it under -race.
 func TestByteTallyFoldMatchesDense(t *testing.T) {
 	src := rng.New(0xF01D)
 	for _, workers := range []int{1, 2, 3, 4} {
@@ -226,26 +222,19 @@ func TestByteTallyFoldMatchesDense(t *testing.T) {
 					}
 				}
 				bt.Seal()
-				if k, _ := bt.Scan(0, size, make([]int32, size), make([]int32, size)); k != 0 {
-					t.Fatalf("%s: fold left %d nonzero cells in the tally", name, k)
+				if left, _ := sumWindow(bt, 0, size); len(left) != 0 {
+					t.Fatalf("%s: fold left %d nonzero cells in the tally", name, len(left))
 				}
 				var view ByteTally
 				view.SetView(dst, all)
 				before := slices.Clone(dst)
-				cells, counts := make([]int32, 13), make([]int32, 13)
-				var gotCells, gotCounts []int32
-				for pos := 0; pos < size; {
-					var k int
-					k, pos = view.Scan(pos, size, cells, counts)
-					gotCells = append(gotCells, cells[:k]...)
-					gotCounts = append(gotCounts, counts[:k]...)
-				}
+				gotCells, gotCounts := sumWindow(&view, 0, size)
 				wantCells, wantCounts := denseNonzero(ref, 0, size)
 				if !slices.Equal(gotCells, wantCells) || !slices.Equal(gotCounts, wantCounts) {
-					t.Fatalf("%s: the view scans differently from the reference", name)
+					t.Fatalf("%s: the view reads differently from the reference", name)
 				}
 				if !slices.Equal(dst, before) {
-					t.Fatalf("%s: scanning the view wrote its counts", name)
+					t.Fatalf("%s: reading the view wrote its counts", name)
 				}
 			}
 		}
@@ -276,14 +265,14 @@ func TestByteTallyWorkersDoNotSharePairs(t *testing.T) {
 	}
 }
 
-// BenchmarkByteTally measures a counted round as the round loop runs it
-// (the count plus scan layer that replaces route plus fold): two
-// goroutines each count m pre-drawn destinations into their own byte
-// tally at the same time, in the draw's 128-ball blocks, then two
-// goroutines scan alternate 2^16-cell windows, as the shard owners do,
-// through 128-entry buffers. That is round 1 of an n = m instance at
-// d = 2, for m = 2^16 and 2^20. Run it at -cpu 1,2. Reports ns per
-// counted ball.
+// BenchmarkByteTally measures a counted round as the Runner runs it (the
+// count plus read layer that replaces route plus fold): two goroutines
+// each count m pre-drawn destinations into their own byte tally at the
+// same time, in the draw's 128-ball blocks, then two goroutines read
+// alternate 2^16-cell windows through SumWords and Wraps, as the shard
+// owners' dense pass does, and add up the counts. That is round 1 of an
+// n = m instance at d = 2, for m = 2^16 and 2^20. Run it at -cpu 1,2.
+// Reports ns per counted ball.
 func BenchmarkByteTally(b *testing.B) {
 	const workers = 2
 	for _, m := range []int{1 << 16, 1 << 20} {
@@ -307,17 +296,23 @@ func BenchmarkByteTally(b *testing.B) {
 				}
 			}
 			var sums [workers]int64
-			scan := func(w int) {
+			lanes := func(l uint64) int64 { return int64(l&0xffff + l>>16&0xffff + l>>32&0xffff + l>>48) }
+			read := func(w int) {
 				defer wg.Done()
-				var cells, counts [128]int32
+				var even, odd [SumBlock]uint64
 				var sum int64
 				for lo := w * window; lo < m; lo += workers * window {
-					for pos := lo; pos < lo+window; {
-						var k int
-						k, pos = bt.Scan(pos, lo+window, cells[:], counts[:])
-						for _, c := range counts[:k] {
-							sum += int64(c)
+					for base := lo; base < lo+window; base += 8 * SumBlock {
+						bt.SumWords(base, SumBlock, &even, &odd)
+						for q := range SumBlock {
+							sum += lanes(even[q]) + lanes(odd[q])
 						}
+					}
+					for _, u := range bt.Wraps(lo) {
+						if int(u) >= lo+window {
+							break
+						}
+						sum += 256
 					}
 				}
 				sums[w] = sum
@@ -332,11 +327,11 @@ func BenchmarkByteTally(b *testing.B) {
 				bt.Seal()
 				wg.Add(workers)
 				for w := 0; w < workers; w++ {
-					go scan(w)
+					go read(w)
 				}
 				wg.Wait()
 				if sums[0]+sums[1] != int64(balls) {
-					b.Fatalf("scanned %d balls, counted %d", sums[0]+sums[1], balls)
+					b.Fatalf("read %d balls, counted %d", sums[0]+sums[1], balls)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(balls), "ns/ball")

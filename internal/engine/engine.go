@@ -10,9 +10,9 @@
 // each shard's lanes with shard-local writes (Tally), marking every
 // touched cell in a one-bit occupancy map from which the fold reads the
 // shard's touched cells in ascending order. Per-worker byte tallies
-// count each event in place (ByteTally), and each shard owner scans its
-// window of all of them in ascending order. The client loop in
-// internal/core picks one of the two per round.
+// count each event in place (ByteTally), and each shard owner reads its
+// window of all of them. The client loop in internal/core picks one of
+// the two per round.
 // Because chunk boundaries depend only on (range length, worker count) and
 // every entity owns a private random stream, simulation results are
 // bit-for-bit identical for any worker count and any steal schedule — a

@@ -50,10 +50,6 @@ type Router struct {
 	// touched[s] is the ascending list of cells shard s's last fold
 	// found occupied — reused across rounds for its capacity.
 	touched [][]int32
-	// topoVersion is the topology version the lanes were last synced to
-	// (see bipartite.Versioned and SyncTopologyVersion). Static
-	// topologies leave it zero.
-	topoVersion uint64
 }
 
 // minShardShift is log2 of the narrowest shard window: one 64-cell
@@ -163,29 +159,4 @@ func (rt *Router) FoldShard(s int, t *Tally) []int32 {
 	}
 	rt.touched[s] = touched
 	return touched
-}
-
-// SyncTopologyVersion is the router's invalidation hook for mutable
-// (versioned) topologies: when the version differs from the last synced
-// one, any buffered lanes and touched lists describe destinations drawn
-// from rows that no longer exist, so they are discarded. It reports
-// whether an invalidation happened. Callers with a static topology never
-// need to call this.
-func (rt *Router) SyncTopologyVersion(v uint64) bool {
-	if rt.topoVersion == v {
-		return false
-	}
-	rt.topoVersion = v
-	rt.Discard()
-	return true
-}
-
-// Discard truncates every lane and touched list without touching the
-// tally: pair it with Tally.StampedReset when a run abandoned a round
-// between fold and reset.
-func (rt *Router) Discard() {
-	rt.ResetLanes()
-	for s := range rt.touched {
-		rt.touched[s] = rt.touched[s][:0]
-	}
 }

@@ -234,34 +234,6 @@ func TestRouterFoldMatchesDense(t *testing.T) {
 	}
 }
 
-func TestRouterDiscard(t *testing.T) {
-	rt := NewRouter(2, 2, 64)
-	ta := stampedTally(64)
-	lanes := rt.Lanes(0)
-	for _, i := range []int32{1, 1, 40, 63} {
-		lanes[rt.ShardOf(i)] = append(lanes[rt.ShardOf(i)], i)
-	}
-	for s := 0; s < rt.Shards(); s++ {
-		rt.FoldShard(s, ta)
-	}
-	// Simulate the early-exit path: the tally is fully reset (a bitmap
-	// clear), the Router is discarded, and the next round must start
-	// clean.
-	ta.StampedReset()
-	rt.Discard()
-	rt.ResetLanes()
-	for s := 0; s < rt.Shards(); s++ {
-		if got := rt.FoldShard(s, ta); len(got) != 0 {
-			t.Fatalf("shard %d folded %v after Discard", s, got)
-		}
-	}
-	for i := int32(0); i < 64; i++ {
-		if got := ta.ReceivedAt(i); got != 0 {
-			t.Fatalf("ReceivedAt(%d) = %d after Discard + empty fold", i, got)
-		}
-	}
-}
-
 // Property: folded counts are independent of the worker count and the
 // target shard count, and every shard's FoldShard list is strictly
 // ascending, lies inside the shard's window and holds exactly the

@@ -10,31 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SplitWindows partitions m servers into shard windows [lo, hi), one per
-// shard, sizes differing by at most one — the same split core.NewLocalBank
-// uses, so a wire deployment and its in-process reference shard
-// identically.
-func SplitWindows(m, shards int) ([][2]int, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("wire: need at least one server, got %d", m)
-	}
-	if shards <= 0 || shards > m {
-		return nil, fmt.Errorf("wire: shard count %d outside [1, %d]", shards, m)
-	}
-	windows := make([][2]int, shards)
-	per, rem := m/shards, m%shards
-	lo := 0
-	for s := range windows {
-		size := per
-		if s < rem {
-			size++
-		}
-		windows[s] = [2]int{lo, lo + size}
-		lo += size
-	}
-	return windows, nil
-}
-
 // BankConfig tunes the client side of the wire transport. The zero value
 // selects every default, so existing Dial callers are unchanged.
 type BankConfig struct {
@@ -111,7 +86,8 @@ type Bank struct {
 }
 
 // Dial connects one pipelined shard connection per address with default
-// knobs; addrs[i] serves the i-th window of SplitWindows(m, len(addrs)).
+// knobs; addrs[i] serves the i-th window of core.SplitWindows(m,
+// len(addrs)).
 func Dial(addrs []string, variant core.Variant, capacity int32, m int) (*Bank, error) {
 	return DialConfig(addrs, variant, capacity, m, BankConfig{})
 }
@@ -120,7 +96,7 @@ func Dial(addrs []string, variant core.Variant, capacity int32, m int) (*Bank, e
 // (variant, capacity) is fixed per Bank and announced to each server in
 // every session's Hello.
 func DialConfig(addrs []string, variant core.Variant, capacity int32, m int, cfg BankConfig) (*Bank, error) {
-	windows, err := SplitWindows(m, len(addrs))
+	windows, err := core.SplitWindows(m, len(addrs))
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +482,7 @@ func (s *Session) DecideCounted(counts []uint8, wraps []int32) (core.CountedDeci
 	s.burned = dec.NewlyBurned
 	s.mu.Lock()
 	s.roundLat = append(s.roundLat, time.Since(start))
-	s.requests += int64(countsTotal(counts, wraps))
+	s.requests += core.CountedRequests(counts, wraps, nil)
 	s.mu.Unlock()
 	return dec, nil
 }

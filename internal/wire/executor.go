@@ -5,9 +5,11 @@ import (
 	"repro/internal/core"
 )
 
-// NewExecutorFactory returns a churn.SchedulerConfig.NewExecutor that
-// runs every epoch's protocol execution through a core.Driver over a
-// wire Bank dialed to addrs — the churn scenario against live server
+// NewExecutorFactoryConfig returns a churn.SchedulerConfig.NewExecutor
+// that runs every epoch's protocol execution through a core.Driver over
+// a wire Bank dialed to addrs with the given client knobs (pipeline
+// depth, redial attempts/backoff; the Sessions knob is ignored — the
+// scheduler drives one session): the churn scenario against live server
 // processes. The scheduler hands the factory the fully assembled
 // per-epoch configuration (carried loads and request counts aliased to
 // its state), so the executor sees each epoch's state exactly as the
@@ -15,13 +17,6 @@ import (
 // epoch — redialing dead connections with bounded backoff — the
 // scenario's outcomes are bit-for-bit those of the local executor even
 // when shard servers are killed and restarted between epochs.
-func NewExecutorFactory(addrs []string) func(*churn.Topology, core.Config) (churn.Executor, error) {
-	return NewExecutorFactoryConfig(addrs, BankConfig{})
-}
-
-// NewExecutorFactoryConfig is NewExecutorFactory with explicit client
-// knobs (pipeline depth, redial attempts/backoff; the Sessions knob is
-// ignored — the scheduler drives one session).
 func NewExecutorFactoryConfig(addrs []string, bcfg BankConfig) func(*churn.Topology, core.Config) (churn.Executor, error) {
 	bcfg.Sessions = 1
 	return func(topo *churn.Topology, cfg core.Config) (churn.Executor, error) {

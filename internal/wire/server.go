@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -348,7 +347,7 @@ func (s *Server) handleCounted(st *connState, ses *connSession, payload []byte) 
 		return err
 	}
 	ses.burned = nb
-	s.countRound(countsTotal(counts, wraps), uint64(acceptedReqs), time.Since(start))
+	s.countRound(uint64(core.CountedRequests(counts, wraps, nil)), uint64(acceptedReqs), time.Since(start))
 	st.out = appendCountedReply(st.out[:0], ses.acceptBits, nb, sat)
 	return st.fc.writeMessage(msgCountedReply, st.sid, st.out)
 }
@@ -367,29 +366,6 @@ func (s *Server) countRound(received, acceptedReqs uint64, elapsed time.Duration
 		s.tel.requests.Add(0, int64(received))
 		s.tel.decide.Observe(elapsed)
 	}
-}
-
-// countsTotal returns a counted round's requests: its bytes' sum plus
-// 256 per wrap entry. It sums eight bytes a step in 16-bit lanes, each
-// of which holds at most 2·255 per step, so 128 steps fit before the
-// lanes are added up.
-func countsTotal(counts []uint8, wraps []int32) uint64 {
-	const evenBytes = 0x00ff00ff00ff00ff
-	total := 256 * uint64(len(wraps))
-	for len(counts) >= 8 {
-		var lanes uint64
-		steps := min(len(counts)/8, 128)
-		for q := range steps {
-			x := binary.LittleEndian.Uint64(counts[8*q:])
-			lanes += x&evenBytes + x>>8&evenBytes
-		}
-		total += lanes&0xffff + lanes>>16&0xffff + lanes>>32&0xffff + lanes>>48
-		counts = counts[8*steps:]
-	}
-	for _, c := range counts {
-		total += uint64(c)
-	}
-	return total
 }
 
 func (s *Server) handleLoads(st *connState, ses *connSession, payload []byte) error {

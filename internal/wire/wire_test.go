@@ -717,40 +717,6 @@ func TestWireChurnFailureWaveKillRestart(t *testing.T) {
 	}
 }
 
-// TestSplitWindows pins the shard-window split: contiguous, ascending,
-// sizes within one of each other, covering [0, m).
-func TestSplitWindows(t *testing.T) {
-	for _, tc := range []struct{ m, shards int }{{10, 3}, {7, 7}, {1, 1}, {4096, 8}} {
-		ws, err := SplitWindows(tc.m, tc.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ws) != tc.shards {
-			t.Fatalf("m=%d shards=%d: %d windows", tc.m, tc.shards, len(ws))
-		}
-		lo, minSize, maxSize := 0, tc.m, 0
-		for _, w := range ws {
-			if w[0] != lo {
-				t.Fatalf("m=%d shards=%d: window %v not contiguous at %d", tc.m, tc.shards, w, lo)
-			}
-			size := w[1] - w[0]
-			if size < minSize {
-				minSize = size
-			}
-			if size > maxSize {
-				maxSize = size
-			}
-			lo = w[1]
-		}
-		if lo != tc.m || maxSize-minSize > 1 {
-			t.Fatalf("m=%d shards=%d: windows %v", tc.m, tc.shards, ws)
-		}
-	}
-	if _, err := SplitWindows(4, 5); err == nil {
-		t.Fatal("SplitWindows accepted more shards than servers")
-	}
-}
-
 // TestServerRejectsBadHello pins the handshake guard: wrong magic gets
 // an error frame, not silence.
 func TestServerRejectsBadHello(t *testing.T) {
