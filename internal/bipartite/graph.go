@@ -72,12 +72,6 @@ func (b *Builder) AddEdge(client, server int) *Builder {
 	return b
 }
 
-// AddEdges records a batch of edges.
-func (b *Builder) AddEdges(edges []Edge) *Builder {
-	b.edges = append(b.edges, edges...)
-	return b
-}
-
 // NumEdgesStaged reports how many edges have been added so far
 // (before any deduplication performed by Build).
 func (b *Builder) NumEdgesStaged() int { return len(b.edges) }
@@ -313,39 +307,6 @@ func (g *Graph) IsRegular(delta int) bool {
 		}
 	}
 	return true
-}
-
-// IsAlmostRegular reports whether the graph satisfies the hypothesis of
-// Theorem 1 with parameters (eta, rho): ∆min(C) ≥ eta·log²n and
-// ∆max(S)/∆min(C) ≤ rho.
-func (g *Graph) IsAlmostRegular(eta, rho float64) bool {
-	st := g.Stats()
-	n := float64(g.numClients)
-	if n <= 1 {
-		return true
-	}
-	logn := math.Log2(n)
-	return float64(st.MinClientDegree) >= eta*logn*logn && st.RegularityRatio <= rho
-}
-
-// ClientDegreeHistogram returns a map from degree to the number of clients
-// with that degree.
-func (g *Graph) ClientDegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.numClients; v++ {
-		h[g.ClientDegree(v)]++
-	}
-	return h
-}
-
-// ServerDegreeHistogram returns a map from degree to the number of servers
-// with that degree.
-func (g *Graph) ServerDegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.numServers; u++ {
-		h[g.ServerDegree(u)]++
-	}
-	return h
 }
 
 // HasEdge reports whether (client, server) is an admissibility edge. It is

@@ -183,39 +183,17 @@ func TestIsRegular(t *testing.T) {
 	}
 }
 
-func TestIsAlmostRegular(t *testing.T) {
-	g := buildSmall(t)
-	// With 3 clients, log²(3) ≈ 1.207, so ∆min(C)=2 >= 0.1·log²n and ρ=1 <= 2.
-	if !g.IsAlmostRegular(0.1, 2) {
-		t.Error("graph should satisfy a loose almost-regularity hypothesis")
-	}
-	if g.IsAlmostRegular(100, 2) {
-		t.Error("graph should fail a demanding eta")
-	}
-	if g.IsAlmostRegular(0.1, 0.5) {
-		t.Error("graph should fail rho < 1")
-	}
-}
-
-func TestDegreeHistograms(t *testing.T) {
-	g := buildSmall(t)
-	ch := g.ClientDegreeHistogram()
-	if ch[2] != 3 || len(ch) != 1 {
-		t.Errorf("client histogram %v, want {2:3}", ch)
-	}
-	sh := g.ServerDegreeHistogram()
-	if sh[2] != 3 || len(sh) != 1 {
-		t.Errorf("server histogram %v, want {2:3}", sh)
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	g := buildSmall(t)
 	edges := g.Edges()
 	if len(edges) != g.NumEdges() {
 		t.Fatalf("Edges() returned %d edges, want %d", len(edges), g.NumEdges())
 	}
-	rebuilt, err := NewBuilder(3, 3).AddEdges(edges).Build(KeepParallelEdges)
+	b := NewBuilder(3, 3)
+	for _, e := range edges {
+		b.AddEdge(e.Client, e.Server)
+	}
+	rebuilt, err := b.Build(KeepParallelEdges)
 	if err != nil {
 		t.Fatal(err)
 	}

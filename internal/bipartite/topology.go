@@ -69,7 +69,7 @@ type Topology interface {
 // marks but reports false while server failures are active (a failure
 // filters rows at read time, so entry i is no longer a single
 // regenerable image). Engines therefore re-derive queryability whenever
-// the TopologyVersion moves, exactly like the row caches do.
+// the TopologyVersion moves (see Versioned).
 //
 // Implementations must be safe for concurrent readers, like the rest of
 // Topology.
@@ -112,10 +112,11 @@ func PointQuerier(t Topology) PointQueryable {
 
 // Versioned is implemented by mutable topologies whose adjacency can be
 // patched in place between protocol runs (see internal/churn). The
-// version is a monotone counter bumped on every mutation batch; caches
-// that hold regenerated rows (bipartite.RowCache, the route lanes of
-// engine.Router) key their validity on it, and core.Runner.PatchTopology
-// re-binds a Runner to the mutated graph by comparing versions.
+// version is a monotone counter bumped on every mutation batch. The
+// protocol engines key their point-query view (PointQuerier) on it:
+// each round that sees a new version re-derives the view, so a mutation
+// never reads through a stale one, even when the caller skipped
+// core.Runner.PatchTopology (which re-binds unconditionally).
 type Versioned interface {
 	Topology
 	// TopologyVersion returns the current mutation counter. Two calls

@@ -120,8 +120,8 @@ type Config struct {
 // edge rewiring, client arrival/departure, server failure/recovery. It
 // implements bipartite.Topology (and bipartite.Versioned), so the
 // protocol engines run on it directly; every mutation bumps the version,
-// which is what the Runner's version-keyed caches (frontier row cache,
-// route lanes) invalidate against via Runner.PatchTopology.
+// on which the engines key their point-query view (a Runner re-binds
+// after a mutation via Runner.PatchTopology).
 //
 // Concurrency: reads (the bipartite.Topology methods) are safe from
 // multiple goroutines, as the engines require. Mutations are not — they
@@ -582,9 +582,6 @@ func (t *Topology) NumFailed() int { return t.numFailed }
 // LiveServers returns the live servers ascending. The slice aliases the
 // topology's state: read-only, valid until the next failure/recovery.
 func (t *Topology) LiveServers() []int32 { return t.live }
-
-// RewireEpoch returns the epoch client v was last rewired at, or -1.
-func (t *Topology) RewireEpoch(v int) int { return int(t.rewired[v]) }
 
 // String returns a short human-readable summary.
 func (t *Topology) String() string {

@@ -347,8 +347,8 @@ func TestChurnPresence(t *testing.T) {
 	if !topo.Present(2) || topo.NumPresent() != n-2 {
 		t.Fatal("arrival bookkeeping wrong")
 	}
-	if topo.RewireEpoch(2) != 4 {
-		t.Fatalf("arrival did not rewire: epoch %d", topo.RewireEpoch(2))
+	if topo.rewired[2] != 4 {
+		t.Fatalf("arrival did not rewire: epoch %d", topo.rewired[2])
 	}
 	if reflect.DeepEqual(row(topo, 2), baseRow) {
 		t.Log("note: re-arrived client drew its base row again (possible but astronomically unlikely)")

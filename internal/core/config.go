@@ -82,7 +82,7 @@ type Config struct {
 
 	// Telemetry, when non-nil, receives live counters and per-phase
 	// latency histograms from the run (rounds/requests totals, phase
-	// spans, steal and row-cache counters; see internal/telemetry).
+	// spans, steal counters; see internal/telemetry).
 	// Pure observation: results are bit-for-bit identical whether it is
 	// set or nil — the telemetry equivalence suite pins this — and the
 	// nil path costs one pointer test per phase per round.

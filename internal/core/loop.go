@@ -10,20 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// rowCacheEdgeBudget bounds the late-round frontier row cache for
-// implicit topologies: caching activates once the frontier's worst-case
-// row footprint (|frontier| × max degree) fits the budget, which keeps
-// cached bytes at ≤ 4·max(n, 2¹⁶) — a few percent of what the
-// materialized CSR twin would hold, preserving the implicit layer's
-// memory guarantee (TestShardedRowCacheMemoryGuard pins it).
-func rowCacheEdgeBudget(n int) int {
-	const floor = 1 << 16
-	if n < floor {
-		return floor
-	}
-	return n
-}
-
 // pqBlockBalls is the number of balls a point-query block holds: enough
 // to amortize one NeighborsAt call over whole kernel blocks, few enough
 // that a worker's three arrays stay in L1.
@@ -78,8 +64,8 @@ type serverHalf interface {
 
 // clientLoop is the client half of the synchronous round, shared by the
 // Runner and the Driver: the per-client random streams and alive counts,
-// the active frontier, the draw (point query, row, or cached row) and
-// the route of every ball, the accept count and frontier compaction, the
+// the active frontier, the draw (point query or row) and the route of
+// every ball, the accept count and frontier compaction, the
 // neighborhood statistics, the starvation check and the Result. Both
 // front ends run it against their own serverHalf, so their results are
 // bit-for-bit equal by construction — the split only decides where the
@@ -119,23 +105,19 @@ type clientLoop struct {
 	// block with one rng.IntnBlock and one NeighborsAt call; pqDeg is
 	// pq's UniformDegree, so a uniform topology's expansion asks no
 	// client for its degree. csr and pq are nil for row-regenerating
-	// topologies (Erdős–Rényi, churn under failures), whose rows go
-	// through the per-worker nbrBuf scratch — or the late-round row
-	// cache once the frontier's rows fit its budget.
-	csr           *bipartite.Graph
-	pq            bipartite.PointQueryable
-	pqDeg         int
-	pqBlocks      []pqBlock
-	nbrBuf        [][]int32
-	maxDeg        int
-	rowCache      *bipartite.RowCache
-	rowCacheBuilt bool
+	// topologies (Erdős–Rényi, churn under failures), whose rows are
+	// regenerated every round into the per-worker nbrBuf scratch.
+	csr      *bipartite.Graph
+	pq       bipartite.PointQueryable
+	pqDeg    int
+	pqBlocks []pqBlock
+	nbrBuf   [][]int32
 
 	// versioned is non-nil when topo is mutable (bipartite.Versioned);
-	// topoVersion is the version the caches were last synced to.
-	// PatchTopology re-binds after an in-place mutation; beginRound
+	// topoVersion is the version the point-query view was last derived
+	// at. PatchTopology re-binds after an in-place mutation; beginRound
 	// re-checks the version so a mutation that skipped PatchTopology can
-	// never serve stale cached rows or point-query views.
+	// never serve a stale point-query view.
 	versioned   bipartite.Versioned
 	topoVersion uint64
 
@@ -280,26 +262,20 @@ func (l *clientLoop) init(topo bipartite.Topology, cfg Config) error {
 
 // bindTopology installs topo as the adjacency source: the zero-copy CSR
 // path, the point-query view, or row regeneration into per-worker
-// scratch buffers; cached rows of the previous topology are dropped and
-// the topology version recorded.
+// scratch buffers; and records the topology version.
 func (l *clientLoop) bindTopology(topo bipartite.Topology) {
 	l.topo = topo
 	l.csr, _ = topo.(*bipartite.Graph)
 	l.pq, l.pqDeg = nil, 0
 	if l.csr == nil {
-		l.maxDeg = topo.MaxClientDegree()
 		if l.nbrBuf == nil {
 			l.nbrBuf = make([][]int32, l.pool.Workers())
 			for w := range l.nbrBuf {
-				l.nbrBuf[w] = make([]int32, 0, l.maxDeg)
+				l.nbrBuf[w] = make([]int32, 0, topo.MaxClientDegree())
 			}
 		}
 		l.bindPointQuery()
 	}
-	if l.rowCache != nil {
-		l.rowCache.Invalidate()
-	}
-	l.rowCacheBuilt = false
 	l.versioned, _ = topo.(bipartite.Versioned)
 	if l.versioned != nil {
 		l.topoVersion = l.versioned.TopologyVersion()
@@ -348,9 +324,8 @@ func (l *clientLoop) SwapTopology(topo bipartite.Topology) error {
 // (a churn.Topology whose edges were rewired, or whose clients/servers
 // arrived, departed, failed or recovered between epochs). It is
 // SwapTopology's counterpart for topologies that mutate instead of being
-// replaced: the graph is revalidated, the degree bound refreshed, and the
-// version-keyed caches (frontier row cache, point-query view)
-// re-synced. Dimensions cannot change.
+// replaced: the graph is revalidated and the point-query view
+// re-derived. Dimensions cannot change.
 func (l *clientLoop) PatchTopology() error {
 	if err := l.topo.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidGraph, err)
@@ -364,17 +339,11 @@ func (l *clientLoop) PatchTopology() error {
 func (l *clientLoop) Reseed(seed uint64) { l.cfg.Seed = seed }
 
 // neighbors returns client v's neighborhood for use by worker w: aliased
-// from the CSR arrays, read from the row cache when v's row is pinned
-// there, and otherwise regenerated into w's scratch buffer, which stays
-// valid until w's next call.
+// from the CSR arrays, or regenerated into w's scratch buffer, which
+// stays valid until w's next call.
 func (l *clientLoop) neighbors(w, v int) []int32 {
 	if l.csr != nil {
 		return l.csr.ClientNeighbors(v)
-	}
-	if l.rowCacheBuilt {
-		if row, ok := l.rowCache.CachedRow(v); ok {
-			return row
-		}
 	}
 	l.nbrBuf[w] = l.topo.AppendClientNeighbors(v, l.nbrBuf[w][:0])
 	return l.nbrBuf[w]
@@ -421,10 +390,6 @@ func (l *clientLoop) reset() (aliveTotal int64) {
 	for v := range l.assignments {
 		l.assignments[v] = l.assignments[v][:0]
 	}
-	if l.rowCache != nil {
-		l.rowCache.Invalidate()
-	}
-	l.rowCacheBuilt = false
 	return aliveTotal
 }
 
@@ -550,27 +515,18 @@ func (l *clientLoop) run(half serverHalf) (*Result, error) {
 	return res, nil
 }
 
-// beginRound syncs the version-keyed caches, picks counting or routing
-// for a round of balls balls, clears the accept set, the received
-// counts and, on a routed round, the tally, and snapshots the frontier's
-// rows into the row cache once they fit its budget.
+// beginRound re-derives the point-query view if the topology version
+// moved, picks counting or routing for a round of balls balls, and
+// clears the accept set, the received counts and, on a routed round,
+// the tally.
 func (l *clientLoop) beginRound(balls int64) {
 	if l.versioned != nil {
 		if v := l.versioned.TopologyVersion(); v != l.topoVersion {
-			l.topoVersion = v
 			// Mutations can flip point-queryability (churn failures make
 			// rows read-time filtered, recoveries make them queryable
-			// again) and move the degrees, so both are version-keyed.
-			if l.csr == nil {
-				l.bindPointQuery()
-				l.maxDeg = l.topo.MaxClientDegree()
-			}
-		}
-		// The row cache carries its own version stamp, so its staleness
-		// check holds even if this bookkeeping and the cache disagree.
-		if l.rowCacheBuilt && !l.rowCache.ValidFor(l.topoVersion) {
-			l.rowCache.Invalidate()
-			l.rowCacheBuilt = false
+			// again) and move the degrees, so the view is version-keyed.
+			l.topoVersion = v
+			l.bindPointQuery()
 		}
 	}
 	l.counted = l.countsRound(balls)
@@ -584,21 +540,6 @@ func (l *clientLoop) beginRound(balls int64) {
 	}
 	clear(l.accepted)
 	clear(l.received)
-	// One snapshot per run suffices: the frontier only shrinks, so every
-	// later survivor is already cached. Point-queryable topologies skip
-	// it — their draws never touch rows.
-	if l.csr == nil && l.pq == nil && !l.rowCacheBuilt &&
-		len(l.frontier)*l.maxDeg <= rowCacheEdgeBudget(l.topo.NumClients()) {
-		if l.rowCache == nil {
-			l.rowCache = bipartite.NewRowCache(l.topo.NumClients())
-			if l.tel != nil {
-				l.rowCache.SetMetrics(l.tel.rowCache)
-			}
-		}
-		l.rowCache.Cache(l.topo, l.frontier)
-		l.rowCache.SetVersion(l.topoVersion)
-		l.rowCacheBuilt = true
-	}
 }
 
 // draw is phase 1: every frontier client draws a uniform destination in

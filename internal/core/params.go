@@ -35,8 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/bipartite"
 )
 
 // Variant selects which of the two threshold protocols to run.
@@ -115,16 +113,6 @@ func MinCAlmostRegular(eta, rho float64, d int) float64 {
 		return math.Inf(1)
 	}
 	return math.Max(32*rho, 288/(eta*float64(d)))
-}
-
-// RecommendedC inspects the graph and returns the threshold constant
-// prescribed by the paper's analysis for it: the almost-regular bound
-// evaluated at the graph's measured η and ρ. The value is conservative —
-// the analysis does not optimize constants — so experiments typically also
-// explore smaller c (see experiment E9).
-func RecommendedC(g *bipartite.Graph, d int) float64 {
-	st := g.Stats()
-	return MinCAlmostRegular(st.Eta, st.RegularityRatio, d)
 }
 
 // ErrInvalidGraph is returned when the input graph cannot support the

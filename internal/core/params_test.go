@@ -3,9 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"repro/internal/gen"
-	"repro/internal/rng"
 )
 
 func TestVariantString(t *testing.T) {
@@ -124,21 +121,5 @@ func TestMinCAlmostRegular(t *testing.T) {
 				t.Errorf("almost-regular bound below regular bound for eta=%v rho=%v", eta, rho)
 			}
 		}
-	}
-}
-
-func TestRecommendedC(t *testing.T) {
-	g, err := gen.Regular(1024, 100, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := RecommendedC(g, 2)
-	if c < 32 || math.IsInf(c, 1) {
-		t.Errorf("RecommendedC = %v, want a finite value >= 32", c)
-	}
-	st := g.Stats()
-	want := MinCAlmostRegular(st.Eta, st.RegularityRatio, 2)
-	if c != want {
-		t.Errorf("RecommendedC = %v, want %v", c, want)
 	}
 }

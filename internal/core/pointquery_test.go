@@ -12,11 +12,9 @@ import (
 // rowOnly hides a topology's point-query (and version) support, forcing
 // the engines onto the whole-row regeneration path — the baseline the
 // point-query equivalence cases and BenchmarkPointQueryDraw compare
-// against, and the way the row-cache tests keep exercising the cache
-// now that point-queryable families skip it. Only wrap implicit
-// topologies: a wrapped *Graph would lose the engines' zero-copy
-// special case but keep the aliasing AppendClientNeighbors, violating
-// the feedback-buffer contract.
+// against. Only wrap implicit topologies: a wrapped *Graph would lose
+// the engines' zero-copy special case but keep the aliasing
+// AppendClientNeighbors, violating the feedback-buffer contract.
 type rowOnly struct{ bipartite.Topology }
 
 // TestPointQueryViewSelection pins which topologies the engines draw
@@ -50,12 +48,13 @@ func TestPointQueryViewSelection(t *testing.T) {
 	}
 }
 
-// TestPointQueryDrawEquivalence is the tentpole's proof obligation in
-// one place: for every point-queryable family, the point-query draw
-// path and the forced row-regeneration path must produce bit-for-bit
+// TestPointQueryDrawEquivalence pins the two access paths in one
+// place: for every point-queryable family, the point-query draw path
+// and the forced row-regeneration path must produce bit-for-bit
 // identical Results across worker counts and shard counts — all against
-// the one-shard CSR reference. (The broader topology/steal/driver
-// matrices sweep the same contract at scale; this test isolates the two
+// the one-shard CSR reference. The n = 2¹⁶ regular family runs the row
+// path at the implicit layer's scale. (The broader topology, steal and
+// driver matrices sweep the same contract; this test isolates the two
 // access paths.)
 func TestPointQueryDrawEquivalence(t *testing.T) {
 	type fam struct {
@@ -71,10 +70,12 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 	regular, regularErr := gen.RegularImplicit(1024, 40, 0xABCD)
 	trust, trustErr := gen.TrustSubsetImplicit(800, 700, 36, 0x7057)
 	almost, almostErr := gen.AlmostRegularImplicit(gen.DefaultAlmostRegularConfig(512), 21)
+	large, largeErr := gen.RegularImplicit(1<<16, 64, 0xCAFE)
 	families := []fam{
 		mk("regular", regular, regularErr),
 		mk("trust-subset", trust, trustErr),
 		mk("almost-regular", almost, almostErr),
+		mk("regular-2^16", large, largeErr),
 	}
 	cfg := Config{Variant: SAER, D: 2, C: 2.5, Seed: 0xFEED,
 		TrackRounds: true, TrackLoads: true, TrackAssignments: true}
@@ -96,7 +97,7 @@ func TestPointQueryDrawEquivalence(t *testing.T) {
 		}{{"point-query", fam.topo}, {"row-regen", rowOnly{fam.topo}}}
 		for _, path := range paths {
 			for _, workers := range []int{1, 2, 4} {
-				for _, shards := range []int{1, 3} {
+				for _, shards := range []int{1, 3, 4} {
 					c := cfg
 					c.Workers = workers
 					c.Shards = shards

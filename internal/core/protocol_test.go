@@ -364,37 +364,50 @@ func TestRunnerReseedReuse(t *testing.T) {
 }
 
 // TestRunnerSteadyStateAllocs bounds the garbage of a warmed Runner's
-// trial (Reseed + Run) at n = 2¹², Δ = 64. The bounds are the counts
-// the earlier four-path round loop allocated on this instance; a
-// pq-dense-sized trial allocates only a few KB in total, so any new
-// per-round allocation shows up here first.
+// trial (Reseed + Run) at n = 2¹², Δ = 64, on a CSR graph and on the row
+// path (an implicit graph behind rowOnly), which regenerates every
+// frontier row each round into per-worker scratch. The bounds are the
+// counts the earlier four-path round loop allocated on the CSR
+// instance; a pq-dense-sized trial allocates only a few KB in total, so
+// any new per-round allocation shows up here first.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
-	g := regularGraph(t, 1<<12, 64, 0x5EED)
-	for _, tc := range []struct {
-		workers   int
-		c         float64
-		maxAllocs float64
+	implicit, err := gen.RegularImplicit(1<<12, 64, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		topo bipartite.Topology
 	}{
-		{1, 4, 11}, {1, 2, 40},
-		{2, 4, 32}, {2, 2, 111},
+		{"csr", regularGraph(t, 1<<12, 64, 0x5EED)},
+		{"row", rowOnly{implicit}},
 	} {
-		cfg := Config{Variant: SAER, D: 2, C: tc.c, Seed: 1, Workers: tc.workers}
-		r, err := cfg.NewRunner(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := uint64(0)
-		trial := func() {
-			r.Reseed(seed)
-			r.Run()
-			seed++
-		}
-		for i := 0; i < 3; i++ {
-			trial()
-		}
-		if got := testing.AllocsPerRun(50, trial); got > tc.maxAllocs {
-			t.Errorf("workers=%d c=%v: %.0f allocations per trial, want at most %.0f",
-				tc.workers, tc.c, got, tc.maxAllocs)
+		for _, tc := range []struct {
+			workers   int
+			c         float64
+			maxAllocs float64
+		}{
+			{1, 4, 11}, {1, 2, 40},
+			{2, 4, 32}, {2, 2, 111},
+		} {
+			cfg := Config{Variant: SAER, D: 2, C: tc.c, Seed: 1, Workers: tc.workers}
+			r, err := cfg.NewRunner(in.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := uint64(0)
+			trial := func() {
+				r.Reseed(seed)
+				r.Run()
+				seed++
+			}
+			for i := 0; i < 3; i++ {
+				trial()
+			}
+			if got := testing.AllocsPerRun(50, trial); got > tc.maxAllocs {
+				t.Errorf("%s workers=%d c=%v: %.0f allocations per trial, want at most %.0f",
+					in.name, tc.workers, tc.c, got, tc.maxAllocs)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
-	"repro/internal/gen"
 )
 
 // TestOptionsValidation checks that NewRunner rejects negative
@@ -76,96 +75,5 @@ func TestShardedRunnerReuseAfterStarvedRun(t *testing.T) {
 	}
 	if starved == 0 {
 		t.Fatal("setup broken: no seed produced a starved run")
-	}
-}
-
-// TestShardedRowCacheMemoryGuard pins the frontier row cache's memory
-// bound on an implicit topology at the scale the implicit layer is for
-// (n = 2¹⁶, the sweep engine's implicit threshold, where the edge budget
-// is n rather than its small-n floor): a near-threshold c forces a long
-// small-frontier tail, the cache must activate during it, stay within the edge
-// budget (a small fraction of what the CSR twin would materialize), and
-// leave results bit-for-bit equal to the materialized run. The topology
-// is wrapped rowOnly: point-queryable families skip the cache entirely
-// (their draws never touch rows), and this test exercises the
-// row-regeneration path the cache exists for.
-func TestShardedRowCacheMemoryGuard(t *testing.T) {
-	n := 1 << 16
-	topo, err := gen.RegularImplicit(n, 64, 0xCAFE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr, err := topo.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 9, Workers: 2, TrackRounds: true, TrackLoads: true, Shards: 4}
-	r, err := cfg.NewRunner(rowOnly{topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := uint64(0); trial < 2; trial++ {
-		seed := 9 + trial
-		r.Reseed(seed)
-		res := r.Run()
-		if !r.rowCacheBuilt {
-			t.Fatalf("trial %d: run never activated the frontier row cache (rounds=%d)", trial, res.Rounds)
-		}
-		budget := rowCacheEdgeBudget(n)
-		if got := r.rowCache.CachedEdges(); got > budget {
-			t.Fatalf("trial %d: cache holds %d edges, budget %d", trial, got, budget)
-		}
-		// 4 bytes per cached edge against the CSR twin's 8 bytes per edge
-		// (client + server arrays): the cache must stay a small fraction.
-		cacheBytes := 4 * r.rowCache.CachedEdges()
-		csrBytes := 8 * csr.NumEdges()
-		if cacheBytes*10 > csrBytes {
-			t.Fatalf("trial %d: cache %d B exceeds 10%% of the CSR twin's %d B", trial, cacheBytes, csrBytes)
-		}
-		c := cfg
-		c.Seed = seed
-		fromCSR, err := c.Run(csr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res, fromCSR) {
-			t.Fatalf("trial %d: cached implicit run diverges from the CSR run", trial)
-		}
-	}
-}
-
-// TestRowCacheInvalidatedOnSwap guards the staleness hazard: after
-// SwapTopology the cached rows describe the old graph and must not be
-// served.
-func TestRowCacheInvalidatedOnSwap(t *testing.T) {
-	n := 1 << 10
-	first, err := gen.RegularImplicit(n, 32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := gen.RegularImplicit(n, 32, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Variant: SAER, D: 2, C: 2, Seed: 5, Workers: 2, TrackLoads: true, Shards: 2}
-	r, err := cfg.NewRunner(rowOnly{first})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Run()
-	if !r.rowCacheBuilt {
-		t.Fatal("setup broken: first run did not build the row cache")
-	}
-	if err := r.SwapTopology(rowOnly{second}); err != nil {
-		t.Fatal(err)
-	}
-	r.Reseed(5)
-	swapped := r.Run()
-	fresh, err := cfg.Run(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(swapped, fresh) {
-		t.Fatal("run after SwapTopology diverges from a fresh run: stale cached rows served")
 	}
 }

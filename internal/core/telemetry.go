@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/bipartite"
 	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
@@ -28,8 +27,6 @@ type runTel struct {
 	fold   *telemetry.Histogram
 	decide *telemetry.Histogram
 	update *telemetry.Histogram
-
-	rowCache *bipartite.RowCacheMetrics
 }
 
 func newRunTel(reg *telemetry.Registry) *runTel {
@@ -44,11 +41,6 @@ func newRunTel(reg *telemetry.Registry) *runTel {
 		fold:     reg.Histogram(`saer_phase_seconds{phase="fold"}`),
 		decide:   reg.Histogram(`saer_phase_seconds{phase="decide"}`),
 		update:   reg.Histogram(`saer_phase_seconds{phase="update"}`),
-		rowCache: &bipartite.RowCacheMetrics{
-			Hits:      reg.Counter("saer_rowcache_hits_total"),
-			Misses:    reg.Counter("saer_rowcache_misses_total"),
-			Evictions: reg.Counter("saer_rowcache_evictions_total"),
-		},
 	}
 }
 

@@ -27,11 +27,10 @@ func runTopologyEquivalenceCase(t *testing.T, name string, topo *gen.Implicit, c
 		if err != nil {
 			t.Fatalf("%s/%s: CSR reference failed: %v", name, variant, err)
 		}
-		// The implicit runs draw by point query or regenerate rows (and
-		// pin the frontier's rows in the row cache once they fit), on the
-		// routed and the counted path. Round 1 counts on every one-worker,
-		// one-shard run and on every multi-worker run of a point-query
-		// family on these small instances.
+		// The implicit runs draw by point query or regenerate rows, on
+		// the routed and the counted path. Round 1 counts on every
+		// one-worker, one-shard run and on every multi-worker run of a
+		// point-query family on these small instances.
 		pq := bipartite.PointQuerier(topo) != nil
 		for _, workers := range equivalenceWorkerCounts() {
 			for _, shards := range equivalenceShardCounts() {

@@ -168,40 +168,3 @@ func (a TrialAggregate) String() string {
 	return fmt.Sprintf("trials=%d success=%.0f%% rounds=%.1f±%.1f work/ball=%.2f maxLoad=%.1f (max %.0f)",
 		a.Trials, 100*a.SuccessRate, a.Rounds.Mean, a.Rounds.Std, a.WorkPerBall.Mean, a.MaxLoad.Mean, a.MaxLoad.Max)
 }
-
-// RoundSeries extracts one per-round numeric series from a result.
-type RoundSeries struct {
-	Name   string
-	Rounds []int
-	Values []float64
-}
-
-// SeriesAliveBalls extracts the alive-ball series from a tracked result.
-func SeriesAliveBalls(r *core.Result) RoundSeries {
-	return extractSeries(r, "alive_balls", func(st core.RoundStats) float64 { return float64(st.AliveBalls) })
-}
-
-// SeriesBurnedFraction extracts the S_t series from a tracked result.
-func SeriesBurnedFraction(r *core.Result) RoundSeries {
-	return extractSeries(r, "max_burned_fraction", func(st core.RoundStats) float64 { return st.MaxNeighborhoodBurnedFrac })
-}
-
-// SeriesMaxNeighborhoodReceived extracts the r_t series from a tracked
-// result.
-func SeriesMaxNeighborhoodReceived(r *core.Result) RoundSeries {
-	return extractSeries(r, "max_neighborhood_received", func(st core.RoundStats) float64 { return float64(st.MaxNeighborhoodReceived) })
-}
-
-// SeriesKt extracts the K_t series from a tracked result.
-func SeriesKt(r *core.Result) RoundSeries {
-	return extractSeries(r, "max_kt", func(st core.RoundStats) float64 { return st.MaxKt })
-}
-
-func extractSeries(r *core.Result, name string, f func(core.RoundStats) float64) RoundSeries {
-	s := RoundSeries{Name: name}
-	for _, st := range r.PerRound {
-		s.Rounds = append(s.Rounds, st.Round)
-		s.Values = append(s.Values, f(st))
-	}
-	return s
-}

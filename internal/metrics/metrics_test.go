@@ -118,35 +118,6 @@ func TestAggregateEmpty(t *testing.T) {
 	}
 }
 
-func TestSeriesExtraction(t *testing.T) {
-	results := runTrials(t, 1, true)
-	r := results[0]
-	alive := SeriesAliveBalls(r)
-	frac := SeriesBurnedFraction(r)
-	recv := SeriesMaxNeighborhoodReceived(r)
-	kt := SeriesKt(r)
-	if len(alive.Values) != r.Rounds || len(frac.Values) != r.Rounds || len(recv.Values) != r.Rounds || len(kt.Values) != r.Rounds {
-		t.Fatalf("series lengths do not match rounds %d", r.Rounds)
-	}
-	if alive.Values[0] != float64(512*2) {
-		t.Errorf("first alive value %v, want all balls", alive.Values[0])
-	}
-	for i := 1; i < len(alive.Values); i++ {
-		if alive.Values[i] > alive.Values[i-1] {
-			t.Error("alive balls increased between rounds")
-			break
-		}
-	}
-	for i, v := range frac.Values {
-		if v < 0 || v > 1 {
-			t.Errorf("burned fraction %v at round %d outside [0,1]", v, i+1)
-		}
-	}
-	if alive.Name == "" || frac.Name == "" || recv.Name == "" || kt.Name == "" {
-		t.Error("series should be named")
-	}
-}
-
 // Property: Gini is always within [0,1] and 0 for constant loads.
 func TestQuickGiniBounds(t *testing.T) {
 	f := func(raw []uint8) bool {

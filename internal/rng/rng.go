@@ -83,15 +83,6 @@ func (r *Source) Split() *Source {
 	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
-// SplitN derives n independent sources in one call.
-func (r *Source) SplitN(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // NewStreams returns n independent value Sources derived from seed, laid
 // out contiguously. It is the allocation-friendly form used to give every
 // client of a simulation its own stream: the i-th stream depends only on
@@ -357,18 +348,4 @@ func (r *Source) Geometric(p float64) int {
 		count++
 	}
 	return count
-}
-
-// NormFloat64 returns a standard normal sample using the polar
-// (Marsaglia) method. Used only for workload jitter in examples.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
 }

@@ -247,25 +247,12 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitNCount(t *testing.T) {
-	parent := New(37)
-	streams := parent.SplitN(16)
-	if len(streams) != 16 {
-		t.Fatalf("SplitN(16) returned %d streams", len(streams))
-	}
-	for i, s := range streams {
-		if s == nil {
-			t.Fatalf("stream %d is nil", i)
-		}
-	}
-}
-
 func TestSplitDeterministic(t *testing.T) {
 	mk := func() []uint64 {
 		parent := New(41)
-		streams := parent.SplitN(4)
 		out := make([]uint64, 0, 12)
-		for _, s := range streams {
+		for range 4 {
+			s := parent.Split()
 			for i := 0; i < 3; i++ {
 				out = append(out, s.Uint64())
 			}
@@ -275,27 +262,8 @@ func TestSplitDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("SplitN is not deterministic at position %d", i)
+			t.Fatalf("Split is not deterministic at position %d", i)
 		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(43)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v, want about 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance %v, want about 1", variance)
 	}
 }
 

@@ -153,15 +153,6 @@ func SecondSingularValue(g *bipartite.Graph, opts Options) (float64, error) {
 	return sigma, nil
 }
 
-// SpectralGap returns 1 − σ₂, the bipartite spectral gap.
-func SpectralGap(g *bipartite.Graph, opts Options) (float64, error) {
-	s, err := SecondSingularValue(g, opts)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - s, nil
-}
-
 func deflate(x, phi []float64) {
 	var dot float64
 	for i := range x {

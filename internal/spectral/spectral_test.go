@@ -96,24 +96,6 @@ func TestRandomRegularIsNearRamanujan(t *testing.T) {
 	}
 }
 
-func TestSpectralGap(t *testing.T) {
-	g, err := gen.Regular(256, 16, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := SecondSingularValue(g, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap, err := SpectralGap(g, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs((1-s)-gap) > 1e-12 {
-		t.Errorf("gap %v inconsistent with sigma2 %v", gap, s)
-	}
-}
-
 func TestDegenerateInputs(t *testing.T) {
 	g, err := bipartite.NewBuilder(1, 1).AddEdge(0, 0).Build(bipartite.KeepParallelEdges)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harness: summary statistics over repeated trials, percentile
-// estimation, histograms, and least-squares fits used to check the paper's
+// estimation, and least-squares fits used to check the paper's
 // asymptotic claims (completion time against log n, work against n).
 package stats
 
@@ -128,15 +128,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// ConfidenceInterval95 returns the half-width of an approximate 95%
-// confidence interval for the mean (normal approximation, 1.96·σ/√n).
-func ConfidenceInterval95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Std(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // LinearFit is the result of an ordinary least-squares fit y = a + b·x.
 type LinearFit struct {
 	Intercept float64 // a
@@ -178,75 +169,4 @@ func FitLinear(x, y []float64) (LinearFit, error) {
 		r2 = 1 - ssRes/syy
 	}
 	return LinearFit{Intercept: a, Slope: b, R2: r2}, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// Histogram is a fixed-bucket histogram over a closed interval.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	// Underflow and Overflow count samples outside [Lo, Hi].
-	Underflow, Overflow int
-	total               int
-}
-
-// NewHistogram returns a histogram with the given number of equal-width
-// buckets over [lo, hi]. It panics if buckets <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.Lo {
-		h.Underflow++
-		return
-	}
-	if x > h.Hi {
-		h.Overflow++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx == len(h.Buckets) {
-		idx--
-	}
-	h.Buckets[idx]++
-}
-
-// Total returns the number of samples recorded (including out-of-range
-// ones).
-func (h *Histogram) Total() int { return h.total }
-
-// BucketBounds returns the [lo, hi) interval of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + float64(i)*width, h.Lo + float64(i+1)*width
-}
-
-// IntsToFloats converts an int slice to float64, a convenience for feeding
-// measured counts into the statistics helpers.
-func IntsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Int64sToFloats converts an int64 slice to float64.
-func Int64sToFloats(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

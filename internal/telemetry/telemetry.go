@@ -163,14 +163,6 @@ func (h *Histogram) Count() int64 {
 	return atomic.LoadInt64(&h.count)
 }
 
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&h.sum))
-}
-
 // A Span times one phase into a histogram. The zero Span (and any span
 // started against a nil histogram) is inert: StartSpan(nil) does not
 // read the clock and End on it does nothing, so the disabled path costs

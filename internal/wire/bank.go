@@ -193,18 +193,6 @@ func (b *Bank) Reports() ([]Report, error) {
 	return reps, nil
 }
 
-// RoundLatencies returns the per-round scatter/gather round-trip times
-// recorded since the last TakeMetrics, merged across sessions.
-func (b *Bank) RoundLatencies() []time.Duration {
-	var lat []time.Duration
-	for _, ses := range b.sessions {
-		ses.mu.Lock()
-		lat = append(lat, ses.roundLat...)
-		ses.mu.Unlock()
-	}
-	return lat
-}
-
 // TotalRequests returns the cumulative request volume shipped since the
 // last TakeMetrics, summed across sessions.
 func (b *Bank) TotalRequests() int64 {

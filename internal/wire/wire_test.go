@@ -129,7 +129,7 @@ func TestWireLoopbackEquivalence(t *testing.T) {
 						label := pointLabel(variant, c, shards, workers, sessions)
 						bank, ss := startWire(t, wcfg, n, shards, BankConfig{Sessions: sessions, Pipeline: 4})
 						runWireSessions(t, g, wcfg, bank, ref, label)
-						if lat := bank.RoundLatencies(); len(lat) != ref.Rounds*sessions {
+						if lat, _ := bank.TakeMetrics(); len(lat) != ref.Rounds*sessions {
 							t.Errorf("%s: %d latency samples for %d rounds × %d sessions",
 								label, len(lat), ref.Rounds, sessions)
 						}
